@@ -15,15 +15,22 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analyzer import LintReport, REPORT_FORMATS, lint_document, render_report
+from .analyzer import (
+    FORMAT_CSV,
+    FORMAT_TEXT,
+    REPORT_FORMATS,
+    LintReport,
+    lint_document,
+    render_report,
+)
 from .config import (
     Config,
     Resources,
     SCOPE_NAMES,
-    apply_overrides,
     default_audit_path,
     load_config,
     load_resources,
+    validate_config,
 )
 from .errors import ConfigError, KaburlintError, ReviewError
 from .extraction import (
@@ -33,30 +40,27 @@ from .extraction import (
     VERDICT_ACCEPT,
     VERDICT_REJECT,
     CandidateWord,
+    ExtractionResult,
     ReviewDecision,
     append_audit,
     extract_candidates,
+    load_audit,
     load_candidates,
     map_candidate_attributes,
     merge_results,
     record_decision,
-    record_to_decision,
     save_candidates,
 )
+from .fileio import read_text
 from .filters import REASON_ORDER
-from .lexicon import AttributeTag, normalize_phrase, save_lexicon
+from .lexicon import AttributeTag, save_lexicon
 from .seeds import write_seed_tree
-from .stats import FORMAT_CSV, FORMAT_TEXT, compute_attribute_stats, render_table
+from .stats import compute_attribute_stats, render_table
 from .textcore import Document
-
-import json
 
 
 def _read_document(path: Path, doc_id: str | None = None) -> Document:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read document {path}: {exc}") from None
+    text = read_text(path, "document", ConfigError)
     return Document(id=doc_id or str(path), text=text, source_path=str(path))
 
 
@@ -73,10 +77,7 @@ def _load_cfg(args: argparse.Namespace) -> Config:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    cfg = apply_overrides(cfg, **overrides)
-    if cfg.scope not in SCOPE_NAMES:
-        raise ConfigError(f"unknown scope {cfg.scope!r}")
-    return cfg
+    return validate_config(replace(cfg, **overrides))
 
 
 # --- init ---
@@ -94,10 +95,10 @@ def cmd_init(args: argparse.Namespace) -> int:
 # --- extract ---
 
 
-def _extract_one(payload) -> "object":
-    doc, lexicon, posdict, rules, filter_cfg, threshold = payload
+def _extract_one(payload) -> ExtractionResult:
+    docs, lexicon, posdict, rules, filter_cfg, threshold = payload
     return extract_candidates(
-        [doc], lexicon, posdict, rules, filter_cfg, sense_threshold=threshold
+        docs, lexicon, posdict, rules, filter_cfg, sense_threshold=threshold
     )
 
 
@@ -135,16 +136,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     res = load_resources(cfg, require_lexicon=False)
     docs = _corpus_documents(Path(args.corpus))
-    payloads = [
-        (doc, res.lexicon, res.posdict, res.rules, res.filter_config, cfg.sense_threshold)
-        for doc in docs
-    ]
+    shared = (
+        res.lexicon, res.posdict, res.rules, res.filter_config, cfg.sense_threshold
+    )
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            partials = list(pool.map(_extract_one, payloads))
+            partials = list(pool.map(_extract_one, [([doc], *shared) for doc in docs]))
+        result = merge_results(partials, res.lexicon, res.posdict, res.rules)
     else:
-        partials = [_extract_one(p) for p in payloads]
-    result = merge_results(partials, res.lexicon, res.posdict, res.rules)
+        result = _extract_one((docs, *shared))
     save_candidates(result.candidates, args.output)
     summary = _extraction_summary(result)
     if args.summary:
@@ -206,21 +206,7 @@ def _resolve_decision(
 
 
 def _load_batch_decisions(path: Path) -> list[ReviewDecision]:
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ReviewError(f"cannot read decisions file {path}: {exc}") from None
-    decisions = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{path.name}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ReviewError(f"{where}: invalid JSON ({exc.msg})") from None
-        decisions.append(record_to_decision(record, where))
-    return decisions
+    return load_audit(path, "decisions file")
 
 
 def _apply_decisions(

@@ -1,15 +1,18 @@
 """Flat key-value configuration and resource loading for the CLI.
 
 The config file holds one `key = value` pair per line with '#' comments.
-Unknown keys are rejected and every referenced input file must exist at
-load time (the audit log is exempt: it is an output). Relative paths are
-resolved against the config file's directory. CLI flags override config
-values.
+The keys are the fields of Config, and each key's type comes from its
+Config default: None means a path, otherwise an int, a bool, a tuple (a
+comma-separated marker list) or a str. Unknown keys are rejected and every
+referenced input file must exist at load time (the audit log is exempt: it
+is an output). Relative paths are resolved against the config file's
+directory. CLI flags override config values; validate_config then checks
+the values once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .analyzer import (
@@ -20,6 +23,7 @@ from .analyzer import (
 )
 from .errors import ConfigError
 from .extraction import RuleLists
+from .fileio import read_lines
 from .filters import FilterConfig, load_wordlist
 from .lexicon import Lexicon, PosDictionary, load_lexicon, load_pos_dictionary
 from .stats import SCOPE_CANDIDATES, SCOPE_VERIFIED
@@ -33,35 +37,6 @@ RULE_ATTRIBUTE_KEYS = {
     "rules_variable": "VAR",
     "rules_weakness": "WN",
 }
-
-_PATH_KEYS = (
-    "lexicon",
-    "pos_dict",
-    "english_wordlist",
-    "malay_wordlist",
-    "abbreviations",
-    "audit_log",
-    *RULE_ATTRIBUTE_KEYS,
-)
-_INT_KEYS = ("sense_threshold", "jobs")
-_STR_KEYS = ("format", "scope")
-_BOOL_KEYS = (
-    "filter_symbols",
-    "filter_numbers",
-    "filter_reduplication",
-    "filter_short_forms",
-    "filter_proper_nouns",
-    "filter_loanwords",
-    "short_form_wordlist",
-    "short_form_no_vowel",
-    "short_form_trailing_dot",
-    "flag_anaphoric_clitics",
-)
-_LIST_KEYS = ("conditional_markers", "alternative_markers")
-
-KNOWN_KEYS = frozenset(_PATH_KEYS) | set(_INT_KEYS) | set(_STR_KEYS) | set(
-    _BOOL_KEYS
-) | set(_LIST_KEYS)
 
 # created by commands, never required to pre-exist
 _OUTPUT_PATH_KEYS = frozenset({"audit_log"})
@@ -101,57 +76,58 @@ class Config:
     alternative_markers: tuple[str, ...] = DEFAULT_ALTERNATIVE_MARKERS
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+# config key -> type of its Config default, which decides how its value parses
+_KEY_KINDS = {f.name: type(f.default) for f in fields(Config)}
+
+
+def _parse_value(key: str, value: str, base: Path, where: str) -> object:
+    kind = _KEY_KINDS[key]
+    if kind is type(None):  # a path
+        resolved = (base / value).resolve()
+        if key not in _OUTPUT_PATH_KEYS and not resolved.exists():
+            raise ConfigError(f"{where}: {key} file {resolved} does not exist")
+        return resolved
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise ConfigError(f"{where}: {key} must be an integer") from None
+    if kind is bool:
+        lowered = value.lower()
+        if lowered in ("true", "yes", "1", "on"):
+            return True
+        if lowered in ("false", "no", "0", "off"):
+            return False
+        raise ConfigError(f"{where}: {key} must be a boolean, got {value!r}")
+    if kind is tuple:  # a comma-separated marker list
+        items = tuple(v.strip() for v in value.split(",") if v.strip())
+        if not items:
+            raise ConfigError(f"{where}: {key} must list at least one marker")
+        return items
+    return value
 
 
 def load_config(path: str | Path) -> Config:
-    """Parse and validate a config file."""
+    """Parse a config file; validate_config checks the values afterwards."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
     base = path.parent
     cfg = Config()
     seen: set[str] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in read_lines(path, "config", ConfigError):
         key, eq, value = (part.strip() for part in line.partition("="))
-        where = f"{path.name}:{lineno}"
         if not eq or not key:
             raise ConfigError(f"{where}: expected 'key = value'")
-        if key not in KNOWN_KEYS:
+        if key not in _KEY_KINDS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         seen.add(key)
-        if key in _PATH_KEYS:
-            resolved = (base / value).resolve()
-            if key not in _OUTPUT_PATH_KEYS and not resolved.exists():
-                raise ConfigError(f"{where}: {key} file {resolved} does not exist")
-            setattr(cfg, key, resolved)
-        elif key in _INT_KEYS:
-            try:
-                setattr(cfg, key, int(value))
-            except ValueError:
-                raise ConfigError(f"{where}: {key} must be an integer") from None
-        elif key in _BOOL_KEYS:
-            setattr(cfg, key, _parse_bool(key, value))
-        elif key in _LIST_KEYS:
-            items = tuple(v.strip() for v in value.split(",") if v.strip())
-            if not items:
-                raise ConfigError(f"{where}: {key} must list at least one marker")
-            setattr(cfg, key, items)
-        else:
-            setattr(cfg, key, value)
+        setattr(cfg, key, _parse_value(key, value, base, where))
+    return cfg
+
+
+def validate_config(cfg: Config) -> Config:
+    """Check value ranges once, after CLI flags have overridden the file."""
     if cfg.format not in REPORT_FORMATS:
         raise ConfigError(f"unknown format {cfg.format!r}")
     if cfg.scope not in SCOPE_NAMES:
@@ -161,18 +137,6 @@ def load_config(path: str | Path) -> Config:
     if cfg.jobs < 1:
         raise ConfigError("jobs must be at least 1")
     return cfg
-
-
-def apply_overrides(cfg: Config, **overrides) -> Config:
-    """Return a copy with non-None override values applied."""
-    names = {f.name for f in fields(Config)}
-    updates = {}
-    for key, value in overrides.items():
-        if key not in names:
-            raise ConfigError(f"unknown config field {key!r}")
-        if value is not None:
-            updates[key] = value
-    return replace(cfg, **updates)
 
 
 @dataclass

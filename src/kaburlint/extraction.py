@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analyzer import ATTRIBUTE_MEMBER, CRITERIA, MULTI_POS, MULTI_SENSE, VAGUE_POS
-from .errors import ReviewError, WordlistError
+from .errors import LexiconError, ReviewError, WordlistError
+from .fileio import check_record, read_jsonl, read_lines, write_atomic
 from .filters import FilterConfig, FilterReport, apply_filters
 from .lexicon import (
     ATTRIBUTES,
@@ -27,11 +28,11 @@ from .lexicon import (
     Lexicon,
     LexiconEntry,
     PosDictionary,
+    longest_matches,
     normalize_phrase,
     sorted_tags,
-    write_atomic,
 )
-from .textcore import Document, Span, Token, iter_sentence_tokens
+from .textcore import Document, Span, iter_sentence_tokens
 
 PENDING = "pending"
 ACCEPTED = "accepted"
@@ -88,17 +89,10 @@ class RuleLists:
         for attribute, path in paths.items():
             if attribute not in ATTRIBUTES:
                 raise WordlistError(f"unknown rule list attribute {attribute!r}")
-            phrases: list[tuple[str, ...]] = []
-            path = Path(path)
-            try:
-                lines = path.read_text(encoding="utf-8").splitlines()
-            except OSError as exc:
-                raise WordlistError(f"cannot read rule list {path}: {exc}") from None
-            for raw in lines:
-                entry = raw.strip()
-                if entry and not entry.startswith("#"):
-                    phrases.append(normalize_phrase(entry))
-            by_attribute[attribute] = phrases
+            by_attribute[attribute] = [
+                normalize_phrase(entry)
+                for _where, entry in read_lines(path, "rule list", WordlistError)
+            ]
         return cls(by_attribute)
 
     def attributes_for(self, phrase: Sequence[str]) -> set[str]:
@@ -178,6 +172,42 @@ class ExtractionResult:
     documents: int = 0
 
 
+def _scan_document(
+    doc: Document,
+    lex_hints: Lexicon,
+    posdict: PosDictionary | None,
+    rules: RuleLists,
+    filter_cfg: FilterConfig,
+    sense_threshold: int,
+) -> ExtractionResult:
+    """One document's unmapped candidates, one per phrase, in scan order."""
+    report = FilterReport()
+    tokens_read = 0
+    limit = max(lex_hints.max_phrase_len, rules.max_phrase_len, 1)
+    occurrences: dict[tuple[str, ...], list[Occurrence]] = {}
+    hits_by_phrase: dict[tuple[str, ...], set[str]] = {}
+
+    def criteria(phrase: tuple[str, ...]) -> set[str]:
+        return _phrase_criteria(phrase, lex_hints, posdict, rules, sense_threshold)
+
+    for _sentence, tokens in iter_sentence_tokens(doc, filter_cfg.abbreviations):
+        tokens_read += len(tokens)
+        sentence_report = apply_filters(tokens, filter_cfg)
+        report.extend(sentence_report)
+        kept = sentence_report.kept
+        words = [t.normalized for t in kept]
+        for start, end, hits in longest_matches(words, limit, criteria):
+            phrase = tuple(words[start:end])
+            span = Span(kept[start].span.start, kept[end - 1].span.end)
+            occurrences.setdefault(phrase, []).append(Occurrence(doc.id, span))
+            hits_by_phrase.setdefault(phrase, set()).update(hits)
+    candidates = [
+        CandidateWord(p, tuple(spots), criterion_hits=frozenset(hits_by_phrase[p]))
+        for p, spots in occurrences.items()
+    ]
+    return ExtractionResult(candidates, report, tokens_read, documents=1)
+
+
 def extract_candidates(
     corpus: Sequence[Document],
     lex_hints: Lexicon,
@@ -192,63 +222,16 @@ def extract_candidates(
     A kept word (or kept-adjacent phrase) becomes a candidate when it has
     two or more POS classes, reaches the sense-count threshold, appears in
     the hint lexicon as candidate/verified, or appears in a rule list.
-    Candidates are unique by phrase with merged occurrences, sorted by
-    phrase.
+    Each document is scanned on its own and the scans end in one
+    merge_results call, the same reduction that combines per-document
+    results under --jobs N, so any job count gives the same result.
     """
     filter_cfg = filter_cfg or FilterConfig()
-    combined = FilterReport()
-    tokens_read = 0
-    limit = max(lex_hints.max_phrase_len, rules.max_phrase_len, 1)
-    occurrences: dict[tuple[str, ...], list[Occurrence]] = {}
-    hits_by_phrase: dict[tuple[str, ...], set[str]] = {}
-
-    for doc in corpus:
-        for _sentence, tokens in iter_sentence_tokens(doc, filter_cfg.abbreviations):
-            tokens_read += len(tokens)
-            report = apply_filters(tokens, filter_cfg)
-            combined.extend(report)
-            kept = report.kept
-            i = 0
-            while i < len(kept):
-                found = None
-                for length in range(min(limit, len(kept) - i), 0, -1):
-                    run = kept[i : i + length]
-                    phrase = tuple(t.normalized for t in run)
-                    hits = _phrase_criteria(
-                        phrase, lex_hints, posdict, rules, sense_threshold
-                    )
-                    if hits:
-                        found = (phrase, run, hits)
-                        break
-                if found is None:
-                    i += 1
-                    continue
-                phrase, run, hits = found
-                span = Span(run[0].span.start, run[-1].span.end)
-                occurrences.setdefault(phrase, []).append(Occurrence(doc.id, span))
-                hits_by_phrase.setdefault(phrase, set()).update(hits)
-                i += len(phrase)
-
-    candidates = []
-    for phrase in sorted(occurrences):
-        candidate = CandidateWord(
-            phrase=phrase,
-            occurrences=tuple(occurrences[phrase]),
-            criterion_hits=frozenset(hits_by_phrase[phrase]),
-        )
-        candidate = replace(
-            candidate,
-            suggested_tags=map_candidate_attributes(
-                candidate, lex_hints, posdict, rules
-            ),
-        )
-        candidates.append(candidate)
-    return ExtractionResult(
-        candidates=candidates,
-        filter_report=combined,
-        tokens_read=tokens_read,
-        documents=len(corpus),
-    )
+    scans = [
+        _scan_document(doc, lex_hints, posdict, rules, filter_cfg, sense_threshold)
+        for doc in corpus
+    ]
+    return merge_results(scans, lex_hints, posdict, rules)
 
 
 def merge_results(
@@ -257,11 +240,13 @@ def merge_results(
     posdict: PosDictionary | None,
     rules: RuleLists,
 ) -> ExtractionResult:
-    """Merge per-document extraction results verbatim, in input order.
+    """The one reduction of per-document extraction results, in input order.
 
-    Produces the same result as one extract_candidates call over the whole
-    corpus, which keeps parallel per-document runs bit-identical to
-    sequential ones.
+    Candidates become unique by phrase, with occurrences concatenated in
+    input order and criterion hits united, then sorted by phrase and mapped
+    onto suggested tags. extract_candidates ends here for --jobs 1, and
+    --jobs N merges its per-document results here, so both give the same
+    bytes.
     """
     combined = FilterReport()
     occurrences: dict[tuple[str, ...], list[Occurrence]] = {}
@@ -280,23 +265,13 @@ def merge_results(
     candidates = []
     for phrase in sorted(occurrences):
         candidate = CandidateWord(
-            phrase=phrase,
-            occurrences=tuple(occurrences[phrase]),
+            phrase,
+            tuple(occurrences[phrase]),
             criterion_hits=frozenset(hits_by_phrase[phrase]),
         )
-        candidate = replace(
-            candidate,
-            suggested_tags=map_candidate_attributes(
-                candidate, lex_hints, posdict, rules
-            ),
-        )
-        candidates.append(candidate)
-    return ExtractionResult(
-        candidates=candidates,
-        filter_report=combined,
-        tokens_read=tokens_read,
-        documents=documents,
-    )
+        tags = map_candidate_attributes(candidate, lex_hints, posdict, rules)
+        candidates.append(replace(candidate, suggested_tags=tags))
+    return ExtractionResult(candidates, combined, tokens_read, documents)
 
 
 @dataclass(frozen=True)
@@ -369,8 +344,22 @@ def record_decision(
 
 # --- queue and audit-log persistence (JSON lines) ---
 
-_CANDIDATE_KEYS = {"phrase", "tags", "criteria", "occurrences", "status"}
-_DECISION_KEYS = {"phrase", "verdict", "tags", "reviewer", "timestamp", "note", "force"}
+_CANDIDATE_KINDS = {
+    "phrase": list,
+    "tags": list,
+    "criteria": list,
+    "occurrences": {"doc": str, "start": int, "end": int},
+    "status": str,
+}
+_DECISION_KINDS = {
+    "phrase": list,
+    "verdict": str,
+    "tags": list,
+    "reviewer": str,
+    "timestamp": str,
+    "note": str,
+    "force": bool,
+}
 
 
 def candidate_to_record(candidate: CandidateWord) -> dict:
@@ -386,25 +375,20 @@ def candidate_to_record(candidate: CandidateWord) -> dict:
     }
 
 
-def record_to_candidate(record: dict, where: str = "record") -> CandidateWord:
-    unknown = set(record) - _CANDIDATE_KEYS
-    if unknown:
-        raise ReviewError(f"{where}: unknown field(s) {sorted(unknown)}")
+def record_to_candidate(record: object, where: str = "record") -> CandidateWord:
+    check_record(record, _CANDIDATE_KINDS, where, ReviewError, required=("phrase",))
     try:
-        occurrences = tuple(
-            Occurrence(o["doc"], Span(o["start"], o["end"]))
-            for o in record.get("occurrences", [])
-        )
         candidate = CandidateWord(
             phrase=normalize_phrase(record["phrase"]),
-            occurrences=occurrences,
-            suggested_tags=frozenset(
-                AttributeTag.parse(t) for t in record.get("tags", [])
+            occurrences=tuple(
+                Occurrence(o["doc"], Span(o["start"], o["end"]))
+                for o in record.get("occurrences", ())
             ),
-            criterion_hits=frozenset(record.get("criteria", [])),
+            suggested_tags=frozenset(map(AttributeTag.parse, record.get("tags", ()))),
+            criterion_hits=frozenset(record.get("criteria", ())),
             status=record.get("status", PENDING),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LexiconError, ValueError) as exc:
         raise ReviewError(f"{where}: malformed candidate ({exc})") from None
     if not candidate.occurrences:
         raise ReviewError(f"{where}: candidate must have at least one occurrence")
@@ -422,22 +406,10 @@ def save_candidates(candidates: Sequence[CandidateWord], path: str | Path) -> No
 
 
 def load_candidates(path: str | Path) -> list[CandidateWord]:
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ReviewError(f"cannot read candidate queue {path}: {exc}") from None
-    candidates = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{path.name}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ReviewError(f"{where}: invalid JSON ({exc.msg})") from None
-        candidates.append(record_to_candidate(record, where))
-    return candidates
+    return [
+        record_to_candidate(record, where)
+        for where, record in read_jsonl(path, "candidate queue", ReviewError)
+    ]
 
 
 def decision_to_record(decision: ReviewDecision) -> dict:
@@ -455,30 +427,22 @@ def decision_to_record(decision: ReviewDecision) -> dict:
     return record
 
 
-def record_to_decision(record: dict, where: str = "record") -> ReviewDecision:
-    if not isinstance(record, dict):
-        raise ReviewError(f"{where}: expected an object")
-    unknown = set(record) - _DECISION_KEYS
-    if unknown:
-        raise ReviewError(f"{where}: unknown field(s) {sorted(unknown)}")
-    if "phrase" not in record or "verdict" not in record:
-        raise ReviewError(f"{where}: decision needs 'phrase' and 'verdict'")
-    try:
-        tags = frozenset(AttributeTag.parse(t) for t in record.get("tags", []))
-    except Exception as exc:
-        raise ReviewError(f"{where}: {exc}") from None
-    decision = ReviewDecision(
-        phrase=normalize_phrase(record["phrase"]),
-        verdict=record["verdict"],
-        final_tags=tags,
-        reviewer=record.get("reviewer", ""),
-        timestamp=record.get("timestamp", ""),
-        note=record.get("note"),
-        force=bool(record.get("force", False)),
+def record_to_decision(record: object, where: str = "record") -> ReviewDecision:
+    check_record(
+        record, _DECISION_KINDS, where, ReviewError, required=("phrase", "verdict")
     )
     try:
+        decision = ReviewDecision(
+            phrase=normalize_phrase(record["phrase"]),
+            verdict=record["verdict"],
+            final_tags=frozenset(map(AttributeTag.parse, record.get("tags", ()))),
+            reviewer=record.get("reviewer", ""),
+            timestamp=record.get("timestamp", ""),
+            note=record.get("note"),
+            force=record.get("force", False),
+        )
         decision.validate()
-    except ReviewError as exc:
+    except (LexiconError, ReviewError) as exc:
         raise ReviewError(f"{where}: {exc}") from None
     return decision
 
@@ -488,23 +452,12 @@ def append_audit(path: str | Path, decision: ReviewDecision) -> None:
         handle.write(json.dumps(decision_to_record(decision), ensure_ascii=False) + "\n")
 
 
-def load_audit(path: str | Path) -> list[ReviewDecision]:
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ReviewError(f"cannot read audit log {path}: {exc}") from None
-    decisions = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{path.name}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ReviewError(f"{where}: invalid JSON ({exc.msg})") from None
-        decisions.append(record_to_decision(record, where))
-    return decisions
+def load_audit(path: str | Path, what: str = "audit log") -> list[ReviewDecision]:
+    """Decisions from a JSON-lines file: an audit log or a batch file."""
+    return [
+        record_to_decision(record, where)
+        for where, record in read_jsonl(path, what, ReviewError)
+    ]
 
 
 def replay_audit(repo: Lexicon, decisions: Iterable[ReviewDecision]) -> Lexicon:

@@ -1,0 +1,117 @@
+"""The package's one line reader, one JSON-lines reader and atomic writer.
+
+Every input file is UTF-8 text. Both readers yield ``("<file>:<line>",
+value)`` pairs so callers can report the exact spot of a bad line, and
+both raise the caller's error class (a KaburlintError subclass) naming the
+path when the file cannot be read or is not valid UTF-8. check_record is
+the JSON type check that every JSON-lines record parser runs first.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+from collections.abc import Iterator
+from pathlib import Path
+
+
+def read_text(path: str | Path, what: str, error: type[Exception]) -> str:
+    """The whole UTF-8 file; error names the path if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
+def read_lines(
+    path: str | Path, what: str, error: type[Exception]
+) -> Iterator[tuple[str, str]]:
+    """Stripped lines of a text file, skipping blanks and '#' comments."""
+    name = os.path.basename(path)
+    for lineno, raw in enumerate(read_text(path, what, error).splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield f"{name}:{lineno}", line
+
+
+def read_jsonl(
+    path: str | Path, what: str, error: type[Exception]
+) -> Iterator[tuple[str, object]]:
+    """Decoded JSON values of a JSON-lines file, skipping blank lines."""
+    name = os.path.basename(path)
+    for lineno, line in enumerate(read_text(path, what, error).splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"{name}:{lineno}"
+        try:
+            value = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+        yield where, value
+
+
+_KIND_NAMES = {
+    str: "a string",
+    int: "an integer",
+    bool: "true or false",
+    list: "an array of strings",
+    dict: "an array of objects",
+}
+
+
+def _all_strings(values: list) -> bool:
+    for value in values:
+        if value.__class__ is not str:
+            return False
+    return True
+
+
+def check_record(
+    record: object,
+    kinds: dict[str, object],
+    where: str,
+    error: type[Exception],
+    required: tuple[str, ...] = (),
+) -> None:
+    """Raise error unless record is an object of known, well-typed fields.
+
+    kinds maps every allowed key to the exact class of its JSON value, so a
+    boolean is never an int and null is never allowed. list means an array
+    of strings; a nested kinds dict means an array of objects that each
+    have all of its keys.
+    """
+    if record.__class__ is not dict:
+        raise error(f"{where}: expected an object, got {type(record).__name__}")
+    for key, value in record.items():
+        kind = kinds.get(key)
+        if value.__class__ is kind:
+            if kind is list and value and not _all_strings(value):
+                raise error(f"{where}: {key!r} must be an array of strings")
+        elif kind is None:
+            raise error(f"{where}: unknown field(s) {sorted(record.keys() - kinds)}")
+        elif kind.__class__ is dict and value.__class__ is list:
+            required_keys = tuple(kind)
+            for item in value:
+                check_record(item, kind, where, error, required_keys)
+        else:
+            name = _KIND_NAMES[dict if kind.__class__ is dict else kind]
+            raise error(f"{where}: {key!r} must be {name}")
+    for key in required:
+        if key not in record:
+            raise error(f"{where}: missing field {key!r}")
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write text to path via a temp file and rename, with LF newlines."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

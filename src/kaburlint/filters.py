@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import WordlistError
+from .fileio import read_lines
 from .textcore import (
     DEFAULT_ABBREVIATIONS,
     NUMBER,
@@ -48,17 +49,8 @@ _VOWELS = frozenset("aeiou")
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """Load a one-entry-per-line wordlist; '#' comments and blanks allowed."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise WordlistError(f"cannot read wordlist {path}: {exc}") from None
-    words = set()
-    for raw in lines:
-        entry = raw.strip()
-        if entry and not entry.startswith("#"):
-            words.add(entry.casefold())
-    return frozenset(words)
+    lines = read_lines(path, "wordlist", WordlistError)
+    return frozenset({entry.casefold() for _where, entry in lines})
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,12 @@ count. Lookup anywhere in this module is case-insensitive (case-folded).
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LexiconError, WordlistError
+from .fileio import check_record, read_jsonl, read_lines, write_atomic
 from .textcore import Span, Token
 
 ATTRIBUTES = ("IMP", "CON", "T", "REF", "VAR", "WN")
@@ -94,7 +93,7 @@ def sorted_tags(tags: Iterable[AttributeTag]) -> list[AttributeTag]:
 def normalize_phrase(phrase: str | Sequence[str]) -> tuple[str, ...]:
     """Case-fold a phrase given as a string or token sequence."""
     words = phrase.split() if isinstance(phrase, str) else list(phrase)
-    return tuple(w.casefold() for w in words)
+    return tuple(map(str.casefold, words))
 
 
 @dataclass
@@ -115,7 +114,7 @@ class LexiconEntry:
         for token in self.phrase:
             if not token:
                 raise LexiconError("entry phrase contains an empty token")
-            if any(c.isspace() for c in token):
+            if token.split() != [token]:
                 raise LexiconError(f"phrase token {token!r} contains whitespace")
             if token != token.casefold():
                 raise LexiconError(f"phrase token {token!r} is not case-folded")
@@ -182,7 +181,15 @@ class Lexicon:
         return self._max_phrase_len
 
 
-_ENTRY_KEYS = {"phrase", "pos", "senses", "tags", "status", "note", "source"}
+_ENTRY_KINDS = {
+    "phrase": list,
+    "pos": list,
+    "senses": int,
+    "tags": list,
+    "status": str,
+    "note": str,
+    "source": str,
+}
 
 
 def entry_to_record(entry: LexiconEntry) -> dict:
@@ -197,35 +204,18 @@ def entry_to_record(entry: LexiconEntry) -> dict:
     return record
 
 
-def record_to_entry(record: dict, where: str = "record") -> LexiconEntry:
-    if not isinstance(record, dict):
-        raise LexiconError(f"{where}: expected an object, got {type(record).__name__}")
-    unknown = set(record) - _ENTRY_KEYS
-    if unknown:
-        raise LexiconError(f"{where}: unknown field(s) {sorted(unknown)}")
-    phrase = record.get("phrase")
-    if not isinstance(phrase, list) or not all(isinstance(w, str) for w in phrase):
-        raise LexiconError(f"{where}: 'phrase' must be an array of strings")
-    tags_raw = record.get("tags", [])
-    if not isinstance(tags_raw, list):
-        raise LexiconError(f"{where}: 'tags' must be an array")
+def record_to_entry(record: object, where: str = "record") -> LexiconEntry:
+    check_record(record, _ENTRY_KINDS, where, LexiconError, required=("phrase",))
     try:
-        tags = frozenset(AttributeTag.parse(t) for t in tags_raw)
-    except LexiconError as exc:
-        raise LexiconError(f"{where}: {exc}") from None
-    senses = record.get("senses")
-    if senses is not None and not isinstance(senses, int):
-        raise LexiconError(f"{where}: 'senses' must be an integer")
-    entry = LexiconEntry(
-        phrase=normalize_phrase(phrase),
-        pos_classes=frozenset(record.get("pos", [])),
-        sense_count=senses,
-        tags=tags,
-        status=record.get("status", STATUS_CANDIDATE),
-        note=record.get("note"),
-        source=record.get("source", "user"),
-    )
-    try:
+        entry = LexiconEntry(
+            phrase=normalize_phrase(record["phrase"]),
+            pos_classes=frozenset(record.get("pos", ())),
+            sense_count=record.get("senses"),
+            tags=frozenset(map(AttributeTag.parse, record.get("tags", ()))),
+            status=record.get("status", STATUS_CANDIDATE),
+            note=record.get("note"),
+            source=record.get("source", "user"),
+        )
         entry.validate()
     except LexiconError as exc:
         raise LexiconError(f"{where}: {exc}") from None
@@ -234,20 +224,8 @@ def record_to_entry(record: dict, where: str = "record") -> LexiconEntry:
 
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load a JSON-lines lexicon file, validating every record."""
-    path = Path(path)
     lexicon = Lexicon()
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise LexiconError(f"cannot read lexicon {path}: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{path.name}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LexiconError(f"{where}: invalid JSON ({exc.msg})") from None
+    for where, record in read_jsonl(path, "lexicon", LexiconError):
         entry = record_to_entry(record, where)
         if entry.phrase in lexicon:
             raise LexiconError(f"{where}: duplicate phrase {entry.phrase_text!r}")
@@ -262,23 +240,33 @@ def dumps_lexicon(lexicon: Lexicon) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file and rename, with LF newlines."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
     """Persist atomically, ordered by phrase, byte-stable across runs."""
     write_atomic(path, dumps_lexicon(lexicon))
+
+
+def longest_matches(
+    words: Sequence[str], limit: int, lookup: Callable[[tuple[str, ...]], object]
+) -> list[tuple[int, int, object]]:
+    """Greedy longest match over words: (start, end, value) per hit.
+
+    Scans left to right; at each position the longest run of at most limit
+    words for which lookup returns a truthy value wins and its words are
+    consumed, so hits never overlap.
+    """
+    hits = []
+    count = len(words)
+    i = 0
+    while i < count:
+        for end in range(min(i + limit, count), i, -1):
+            value = lookup(tuple(words[i:end]))
+            if value:
+                hits.append((i, end, value))
+                i = end
+                break
+        else:
+            i += 1
+    return hits
 
 
 def match_entries(
@@ -286,31 +274,25 @@ def match_entries(
 ) -> list[tuple[Span, LexiconEntry]]:
     """Greedy longest-match of lexicon phrases over one sentence's tokens.
 
-    Scans left to right; at each position the longest matching phrase wins
-    and its tokens are consumed, so matches never overlap. Matching is on
-    normalized token text. Rejected entries never match in any mode.
+    At each position the longest matching phrase wins and its tokens are
+    consumed, so matches never overlap. Matching is on normalized token
+    text. Rejected entries never match in any mode.
     """
     try:
         statuses = _MATCH_STATUSES[mode]
     except KeyError:
         raise ValueError(f"unknown match mode {mode!r}") from None
-    matches: list[tuple[Span, LexiconEntry]] = []
-    limit = lexicon.max_phrase_len
-    i = 0
-    while i < len(tokens):
-        advanced = False
-        for length in range(min(limit, len(tokens) - i), 0, -1):
-            run = tokens[i : i + length]
-            entry = lexicon.get(tuple(t.normalized for t in run))
-            if entry is not None and entry.status in statuses:
-                span = Span(run[0].span.start, run[-1].span.end)
-                matches.append((span, entry))
-                i += length
-                advanced = True
-                break
-        if not advanced:
-            i += 1
-    return matches
+    entries = lexicon._entries
+
+    def lookup(phrase: tuple[str, ...]) -> LexiconEntry | None:
+        entry = entries.get(phrase)
+        return entry if entry is not None and entry.status in statuses else None
+
+    words = [t.normalized for t in tokens]
+    return [
+        (Span(tokens[start].span.start, tokens[end - 1].span.end), entry)
+        for start, end, entry in longest_matches(words, lexicon.max_phrase_len, lookup)
+    ]
 
 
 class PosDictionary:
@@ -349,17 +331,8 @@ class PosDictionary:
 
 def load_pos_dictionary(path: str | Path) -> PosDictionary:
     """Load a TSV POS dictionary: word, comma-separated POS, optional senses."""
-    path = Path(path)
     posdict = PosDictionary()
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise WordlistError(f"cannot read POS dictionary {path}: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"{path.name}:{lineno}"
+    for where, line in read_lines(path, "POS dictionary", WordlistError):
         fields = [f.strip() for f in line.split("\t")]
         if len(fields) not in (2, 3) or not fields[0] or not fields[1]:
             raise WordlistError(f"{where}: expected word<TAB>pos[<TAB>senses]")

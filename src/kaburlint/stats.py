@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from .analyzer import FORMAT_CSV, FORMAT_TEXT
 from .errors import StatsError
 from .lexicon import ATTRIBUTES, LexiconEntry, STATUS_CANDIDATE, STATUS_VERIFIED
 
@@ -22,10 +23,6 @@ _SCOPE_STATUSES = {
     SCOPE_VERIFIED: frozenset({STATUS_VERIFIED}),
     SCOPE_CANDIDATES: frozenset({STATUS_CANDIDATE, STATUS_VERIFIED}),
 }
-
-FORMAT_TEXT = "text"
-FORMAT_CSV = "csv"
-
 
 @dataclass(frozen=True)
 class AttributeCounts:

@@ -1,0 +1,434 @@
+"""CLI contract: exit codes, config parsing, --jobs byte identity, round trip."""
+
+from __future__ import annotations
+
+import json
+import shutil
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kaburlint.cli import main
+from kaburlint.config import Config, load_config, validate_config
+from kaburlint.errors import ConfigError, KaburlintError
+from kaburlint.extraction import (
+    load_audit,
+    load_candidates,
+    record_to_candidate,
+    record_to_decision,
+    replay_audit,
+)
+from kaburlint.lexicon import (
+    ATTRIBUTES,
+    SUB_ATTRIBUTES,
+    dumps_lexicon,
+    load_lexicon,
+    record_to_entry,
+)
+
+EXTRA_DOC = "Sistem mesti papar laporan itu.\nJika data rosak, sistem papar amaran.\n"
+ACCEPT_PAPAR = {
+    "phrase": ["papar"],
+    "verdict": "accept",
+    "tags": ["CON.verb"],
+    "reviewer": "tester",
+    "timestamp": "2026-01-01T00:00:00+00:00",
+}
+BAD_UTF8 = b"\xff\xfe not utf-8\n"
+
+
+def run(capsys, *argv: str) -> tuple[int, str, str]:
+    rc = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def write_jsonl(path: Path, records: list) -> None:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+@pytest.fixture
+def ws(tmp_path: Path, capsys) -> Path:
+    """Seed tree with one extra document and an extracted candidate queue."""
+    root = tmp_path / "ws"
+    assert run(capsys, "init", root)[0] == 0
+    (root / "sample" / "extra.txt").write_text(EXTRA_DOC, encoding="utf-8")
+    rc, _, _ = run(
+        capsys, "extract", "--config", root / "kaburlint.conf", root / "sample",
+        "-o", root / "queue.jsonl",
+    )
+    assert rc == 0
+    return root
+
+
+def conf(ws: Path) -> str:
+    return str(ws / "kaburlint.conf")
+
+
+def samples(ws: Path) -> list[str]:
+    return sorted(str(p) for p in (ws / "sample").glob("*.txt"))
+
+
+# --- exit codes ---
+
+
+class TestExitCodes:
+    def test_clean_document_exits_0(self, ws, capsys):
+        clean = ws / "clean.txt"
+        clean.write_text("Sistem simpan rekod pelajar.\n", encoding="utf-8")
+        rc, out, _ = run(capsys, "lint", "--config", conf(ws), clean)
+        assert rc == 0
+        assert "total: 0 (0 warning, 0 info)" in out
+
+    def test_findings_exit_1(self, ws, capsys):
+        rc, out, _ = run(capsys, "lint", "--config", conf(ws), *samples(ws))
+        assert rc == 1
+        assert "'segera' [IMP] attribute_member" in out
+
+    def test_other_commands_exit_0(self, ws, capsys):
+        assert run(capsys, "stats", "--config", conf(ws))[0] == 0
+        assert run(capsys, "map", "--config", conf(ws), ws / "queue.jsonl")[0] == 0
+
+
+def _append_lexicon(ws: Path, record: dict) -> tuple[list[str], str]:
+    path = ws / "lexicon.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + [json.dumps(record)]) + "\n", encoding="utf-8")
+    return ["stats", "--config", conf(ws)], f"lexicon.jsonl:{len(lines) + 1}"
+
+
+def _queue(ws: Path, text: str) -> tuple[list[str], str]:
+    (ws / "queue.jsonl").write_text(text, encoding="utf-8")
+    return ["map", "--config", conf(ws), str(ws / "queue.jsonl")], "queue.jsonl:1"
+
+
+def _decisions(ws: Path, record) -> tuple[list[str], str]:
+    write_jsonl(ws / "decisions.jsonl", [record])
+    argv = ["review", "--config", conf(ws), str(ws / "queue.jsonl"),
+            "--decisions", str(ws / "decisions.jsonl")]
+    return argv, "decisions.jsonl:1"
+
+
+def _bad_utf8(name: str, argv_for):
+    def setup(ws: Path) -> tuple[list[str], str]:
+        (ws / name).write_bytes(BAD_UTF8)
+        return argv_for(ws), str(ws / name)
+
+    return setup
+
+
+def _stats(ws: Path) -> list[str]:
+    return ["stats", "--config", conf(ws)]
+
+
+def _review(ws: Path) -> list[str]:
+    return ["review", "--config", conf(ws), str(ws / "queue.jsonl"),
+            "--decisions", str(ws / "decisions.jsonl")]
+
+
+def _config_line(ws: Path, line: str) -> tuple[list[str], str]:
+    """Set one config line, replacing the seed config's line for that key."""
+    path = ws / "kaburlint.conf"
+    key = line.partition("=")[0].strip()
+    lines = [
+        old for old in path.read_text(encoding="utf-8").splitlines()
+        if old.partition("=")[0].strip() != key
+    ]
+    path.write_text("\n".join(lines + [line]) + "\n", encoding="utf-8")
+    return _stats(ws), f"kaburlint.conf:{len(lines) + 1}"
+
+
+MALFORMED = {
+    "lexicon pos is a number": lambda ws: _append_lexicon(
+        ws, {"phrase": ["x"], "pos": 5, "tags": ["T"], "status": "verified"}
+    ),
+    "lexicon senses is a boolean": lambda ws: _append_lexicon(
+        ws, {"phrase": ["x"], "senses": True, "tags": ["T"], "status": "verified"}
+    ),
+    "lexicon note is a number": lambda ws: _append_lexicon(
+        ws, {"phrase": ["x"], "note": 7, "tags": ["T"], "status": "verified"}
+    ),
+    "lexicon tag is a number": lambda ws: _append_lexicon(
+        ws, {"phrase": ["x"], "tags": [5], "status": "verified"}
+    ),
+    "queue line is a bare number": lambda ws: _queue(ws, "5\n"),
+    "queue occurrence doc is a number": lambda ws: _queue(
+        ws, '{"phrase": ["x"], "occurrences": [{"doc": 7, "start": 0, "end": 1}]}\n'
+    ),
+    "queue occurrence lacks end": lambda ws: _queue(
+        ws, '{"phrase": ["x"], "occurrences": [{"doc": "a", "start": 0}]}\n'
+    ),
+    "queue line is invalid JSON": lambda ws: _queue(ws, "{oops\n"),
+    "decision phrase is a number": lambda ws: _decisions(
+        ws, {"phrase": 5, "verdict": "accept", "tags": ["T"]}
+    ),
+    "decision reviewer is a number": lambda ws: _decisions(ws, {**ACCEPT_PAPAR, "reviewer": 5}),
+    "decision force is a string": lambda ws: _decisions(
+        ws, {"phrase": ["segera"], "verdict": "reject", "force": "false"}
+    ),
+    "decision is an array": lambda ws: _decisions(ws, ["papar"]),
+    "lexicon is not UTF-8": _bad_utf8("lexicon.jsonl", _stats),
+    "POS dictionary is not UTF-8": _bad_utf8("pos_dict.tsv", _stats),
+    "English wordlist is not UTF-8": _bad_utf8("wordlists/english.txt", _stats),
+    "Malay wordlist is not UTF-8": _bad_utf8("wordlists/malay.txt", _stats),
+    "abbreviations are not UTF-8": _bad_utf8("wordlists/abbreviations.txt", _stats),
+    "rule list is not UTF-8": _bad_utf8("rules/temporal.txt", _stats),
+    "config is not UTF-8": _bad_utf8("kaburlint.conf", _stats),
+    "queue is not UTF-8": _bad_utf8(
+        "queue.jsonl", lambda ws: ["map", "--config", conf(ws), str(ws / "queue.jsonl")]
+    ),
+    "decisions are not UTF-8": _bad_utf8("decisions.jsonl", _review),
+    "document is not UTF-8": _bad_utf8(
+        "sample/extra.txt", lambda ws: ["lint", "--config", conf(ws), *samples(ws)]
+    ),
+    "config jobs = 0": lambda ws: (_config_line(ws, "jobs = 0")[0], "jobs must be at least 1"),
+    "config unknown key": lambda ws: _config_line(ws, "colour = blue"),
+    "config bad boolean": lambda ws: _config_line(ws, "filter_symbols = maybe"),
+    "--jobs 0": lambda ws: (["lint", "--config", conf(ws), "--jobs", "0", *samples(ws)],
+                            "jobs must be at least 1"),
+    "--jobs -3": lambda ws: (["extract", "--config", conf(ws), "--jobs", "-3",
+                              str(ws / "sample"), "-o", str(ws / "q.jsonl")],
+                             "jobs must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_and_names_the_spot(ws, capsys, case):
+    argv, spot = MALFORMED[case](ws)
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("kaburlint: error: ")
+    assert spot in err
+    assert "Traceback" not in err
+
+
+def test_string_force_cannot_redecide_a_verified_entry(ws, capsys):
+    before = (ws / "lexicon.jsonl").read_bytes()
+    argv, _ = _decisions(ws, {"phrase": ["segera"], "verdict": "reject", "force": "false"})
+    assert run(capsys, *argv)[0] == 2
+    assert (ws / "lexicon.jsonl").read_bytes() == before
+    assert not (ws / "audit.jsonl").exists()
+
+
+# --- config parsing ---
+
+
+def write_config(directory: Path, *lines: str) -> Path:
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "kaburlint.conf"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+class TestConfig:
+    def test_defaults_without_keys(self, tmp_path):
+        path = write_config(tmp_path, "# only a comment", "")
+        assert load_config(path) == Config()
+
+    def test_relative_paths_resolve_against_the_config_directory(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "lex.jsonl").write_text("", encoding="utf-8")
+        path = write_config(tmp_path / "conf", "lexicon = ../data/lex.jsonl")
+        assert load_config(path).lexicon == (tmp_path / "data" / "lex.jsonl").resolve()
+
+    def test_missing_input_path_is_an_error_with_line(self, tmp_path):
+        path = write_config(tmp_path, "# header", "pos_dict = absent.tsv")
+        with pytest.raises(ConfigError, match=r"kaburlint\.conf:2: pos_dict file .*absent"):
+            load_config(path)
+
+    def test_missing_audit_log_is_fine(self, tmp_path):
+        path = write_config(tmp_path, "audit_log = logs/audit.jsonl")
+        assert load_config(path).audit_log == (tmp_path / "logs" / "audit.jsonl").resolve()
+
+    def test_int_keys(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "sense_threshold = 3", "jobs = 2"))
+        assert (cfg.sense_threshold, cfg.jobs) == (3, 2)
+        with pytest.raises(ConfigError, match=r"kaburlint\.conf:1: jobs must be an integer"):
+            load_config(write_config(tmp_path, "jobs = two"))
+
+    @pytest.mark.parametrize(
+        "spelling, value",
+        [("true", True), ("yes", True), ("1", True), ("on", True), ("TRUE", True),
+         ("false", False), ("no", False), ("0", False), ("off", False), ("Off", False)],
+    )
+    def test_every_bool_spelling(self, tmp_path, spelling, value):
+        path = write_config(tmp_path, f"flag_anaphoric_clitics = {spelling}")
+        assert load_config(path).flag_anaphoric_clitics is value
+
+    def test_bad_bool_is_an_error_with_line(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"kaburlint\.conf:1: filter_numbers must be a boolean"):
+            load_config(write_config(tmp_path, "filter_numbers = maybe"))
+
+    def test_marker_lists(self, tmp_path):
+        path = write_config(tmp_path, "conditional_markers = jika , apabila,, kalau tidak ,")
+        assert load_config(path).conditional_markers == ("jika", "apabila", "kalau tidak")
+        with pytest.raises(ConfigError, match=r"kaburlint\.conf:1: alternative_markers must list"):
+            load_config(write_config(tmp_path, "alternative_markers = , ,"))
+
+    def test_string_keys_are_checked_after_overrides(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "format = xml", "scope = everything"))
+        assert cfg.format == "xml"
+        with pytest.raises(ConfigError, match="unknown format"):
+            validate_config(cfg)
+        with pytest.raises(ConfigError, match="unknown scope"):
+            validate_config(replace(cfg, format="csv"))
+        assert validate_config(replace(cfg, format="csv", scope="candidates")).scope == "candidates"
+
+    @pytest.mark.parametrize(
+        "field, value", [("jobs", 0), ("jobs", -3), ("sense_threshold", -1)]
+    )
+    def test_range_checks(self, field, value):
+        with pytest.raises(ConfigError):
+            validate_config(replace(Config(), **{field: value}))
+
+    def test_unknown_key_with_line(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"kaburlint\.conf:2: unknown key 'colour'"):
+            load_config(write_config(tmp_path, "jobs = 1", "colour = blue"))
+
+    def test_duplicate_key_with_line(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"kaburlint\.conf:3: duplicate key 'jobs'"):
+            load_config(write_config(tmp_path, "jobs = 1", "", "jobs = 2"))
+
+    def test_line_without_equals(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"kaburlint\.conf:1: expected 'key = value'"):
+            load_config(write_config(tmp_path, "jobs 2"))
+
+    def test_missing_config_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path / "absent.conf")
+
+
+# --- --jobs byte identity ---
+
+
+def test_lint_and_extract_are_byte_identical_at_jobs_1_and_2(ws, capsys):
+    for i in range(3):
+        shutil.copyfile(ws / "sample" / "sistem_klinik.txt", ws / "sample" / f"copy{i}.txt")
+    docs = samples(ws)
+    for fmt in ("text", "csv", "records"):
+        lint = [run(capsys, "lint", "--config", conf(ws), "--format", fmt, "--jobs", jobs, *docs)
+                for jobs in ("1", "2")]
+        assert lint[0] == lint[1]
+        assert lint[0][0] == 1
+    outputs = []
+    for jobs in ("1", "2"):
+        queue = ws / f"queue{jobs}.jsonl"
+        rc, out, _ = run(capsys, "extract", "--config", conf(ws), "--jobs", jobs,
+                         ws / "sample", "-o", queue)
+        assert rc == 0
+        outputs.append((out.replace(str(queue), "QUEUE"), queue.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert b'"papar"' in outputs[0][1]
+
+
+# --- round trip on the seed tree ---
+
+
+def test_init_extract_review_stats_lint_round_trip(ws, capsys):
+    initial = load_lexicon(ws / "lexicon.jsonl")
+    queue = {c.phrase: c for c in load_candidates(ws / "queue.jsonl")}
+    assert queue[("papar",)].status == "pending"
+    rc, out, _ = run(capsys, "stats", "--config", conf(ws))
+    assert rc == 0
+    verified_before = int(out.rsplit("n = ", 1)[1])
+
+    write_jsonl(ws / "decisions.jsonl", [ACCEPT_PAPAR])
+    rc, out, _ = run(capsys, *_review(ws))
+    assert rc == 0
+    assert out.startswith("accepted 1, rejected 0;")
+    assert {c.phrase: c.status for c in load_candidates(ws / "queue.jsonl")}[("papar",)] == "accepted"
+
+    final = (ws / "lexicon.jsonl").read_text(encoding="utf-8")
+    replayed = replay_audit(initial, load_audit(ws / "audit.jsonl"))
+    assert dumps_lexicon(replayed) == final
+
+    for fmt, marker in (("text", f"n = {verified_before + 1}"), ("csv", "attribute,count,percentage")):
+        rc, out, _ = run(capsys, "stats", "--config", conf(ws), "--format", fmt)
+        assert rc == 0 and marker in out
+
+    rc, out, _ = run(capsys, "lint", "--config", conf(ws), ws / "sample" / "extra.txt")
+    assert rc == 1
+    assert "'papar' [CON.verb] attribute_member" in out
+
+    rc, _, err = run(capsys, *_review(ws))
+    assert rc == 2 and "already verified" in err
+
+
+# --- record parsers accept any JSON value or fail cleanly ---
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+TAGS = [a for a in ATTRIBUTES] + [f"{a}.{s}" for a in ATTRIBUTES for s in SUB_ATTRIBUTES[a]]
+WORDS = st.lists(st.sampled_from(["segera", "papar", "", "A b", "ß", "x"]), max_size=3)
+PLAUSIBLE = {
+    "phrase": WORDS,
+    "pos": st.lists(st.sampled_from(["kn", "kk", "adj", "noun"]), max_size=3),
+    "senses": st.integers(-2, 5) | st.booleans(),
+    "tags": st.lists(st.sampled_from(TAGS + ["ZZZ", "IMP."]), max_size=3),
+    "status": st.sampled_from(["candidate", "verified", "rejected", "pending", "accepted", "?"]),
+    "note": st.text(max_size=5),
+    "source": st.sampled_from(["paper_seed", "extracted", "user", "?"]),
+    "criteria": st.lists(st.sampled_from(["multi_pos", "vague_pos", "?"]), max_size=2),
+    "occurrences": st.lists(
+        st.fixed_dictionaries({"doc": st.text(max_size=3), "start": st.integers(-1, 5),
+                               "end": st.integers(-1, 5)}),
+        max_size=2,
+    ),
+    "verdict": st.sampled_from(["accept", "reject", "maybe"]),
+    "reviewer": st.text(max_size=5),
+    "timestamp": st.text(max_size=5),
+    "force": st.booleans(),
+}
+# each parser's required and optional fields
+FIELDS = {
+    record_to_entry: (("phrase",), ("pos", "senses", "tags", "status", "note", "source")),
+    record_to_candidate: (("phrase", "occurrences"), ("tags", "criteria", "status")),
+    record_to_decision: (
+        ("phrase", "verdict"), ("tags", "reviewer", "timestamp", "note", "force")
+    ),
+}
+
+
+def records(parse) -> st.SearchStrategy:
+    """Any JSON value, or an object of mostly plausible fields for parse."""
+    required, optional = FIELDS[parse]
+    field = {key: PLAUSIBLE[key] | JSON_VALUES for key in PLAUSIBLE}
+    return JSON_VALUES | st.fixed_dictionaries(
+        {key: field[key] for key in required},
+        optional={**{key: field[key] for key in optional}, "stray": JSON_VALUES},
+    )
+
+
+@pytest.mark.parametrize("parse", list(FIELDS), ids=lambda f: f.__name__)
+@settings(max_examples=200, database=None, deadline=None)
+@given(data=st.data())
+def test_record_parsers_return_or_raise_kaburlint_error(parse, data):
+    record = data.draw(records(parse))
+    try:
+        parse(record, "q.jsonl:1")
+    except KaburlintError as exc:
+        assert str(exc).startswith("q.jsonl:1: ")
+
+
+@settings(max_examples=100, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.binary(max_size=60) | st.lists(st.sampled_from(list(FIELDS)).flatmap(records), max_size=3).map(
+    lambda rs: "".join(json.dumps(r) + "\n" for r in rs).encode("utf-8")))
+def test_jsonl_loaders_raise_only_kaburlint_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.jsonl"
+        path.write_bytes(data)
+        for load in (load_lexicon, load_candidates, load_audit):
+            try:
+                load(path)
+            except KaburlintError:
+                pass
