@@ -249,10 +249,14 @@ def lint_document(
     """Lint one document; only verified lexicon entries participate."""
     cfg = cfg or LintConfig()
     findings: list[Finding] = []
-    sentence_tokens = list(
-        iter_sentence_tokens(doc, cfg.filter_config.abbreviations)
-    )
-    for pos, (sentence, tokens) in enumerate(sentence_tokens):
+    # One sentence of lookahead serves the dangling-else check; earlier
+    # sentences' tokens are dropped as the scan moves on, so the objects the
+    # garbage collector must traverse do not grow with the document.
+    pairs = iter_sentence_tokens(doc, cfg.filter_config.abbreviations)
+    following = next(pairs, None)
+    while following is not None:
+        sentence, tokens = following
+        following = next(pairs, None)
         for span, entry in match_entries(lexicon, tokens, MATCH_LINT):
             findings.append(
                 Finding(
@@ -291,9 +295,7 @@ def lint_document(
                 )
                 if hit:
                     findings.append(hit)
-        next_tokens = (
-            sentence_tokens[pos + 1][1] if pos + 1 < len(sentence_tokens) else ()
-        )
+        next_tokens = following[1] if following is not None else ()
         hit = check_dangling_else(
             sentence, tokens, cfg, next_tokens=next_tokens, doc_id=doc.id
         )

@@ -3,6 +3,10 @@
 Exit codes follow linter convention: 0 clean, 1 findings present (lint
 only), 2 on any error. Every subcommand is deterministic given identical
 input files and configuration; --jobs N changes wall time, never output.
+lint and extract run documents in a process pool of at most --jobs and
+never more workers than documents; with one worker they run in-process.
+Each worker receives the lexicon and other shared resources once, at
+start-up, and then only documents.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -40,7 +45,6 @@ from .extraction import (
     VERDICT_ACCEPT,
     VERDICT_REJECT,
     CandidateWord,
-    ExtractionResult,
     ReviewDecision,
     append_audit,
     extract_candidates,
@@ -62,6 +66,32 @@ from .textcore import Document
 def _read_document(path: Path, doc_id: str | None = None) -> Document:
     text = read_text(path, "document", ConfigError)
     return Document(id=doc_id or str(path), text=text, source_path=str(path))
+
+
+# the shared-resource partial a pool worker applies to each item; set once
+# per worker process by _init_worker
+_worker_task = None
+
+
+def _init_worker(task) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _run_task(item):
+    return _worker_task(item)
+
+
+def _pool_map(task, items: list, workers: int) -> list:
+    """[task(item) for item in items] across `workers` processes.
+
+    `task` (a partial over the shared resources) is sent to each worker
+    once, not with every item.
+    """
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(task,)
+    ) as pool:
+        return list(pool.map(_run_task, items))
 
 
 def _load_cfg(args: argparse.Namespace) -> Config:
@@ -93,13 +123,6 @@ def cmd_init(args: argparse.Namespace) -> int:
 
 
 # --- extract ---
-
-
-def _extract_one(payload) -> ExtractionResult:
-    docs, lexicon, posdict, rules, filter_cfg, threshold = payload
-    return extract_candidates(
-        docs, lexicon, posdict, rules, filter_cfg, sense_threshold=threshold
-    )
 
 
 def _corpus_documents(corpus_dir: Path) -> list[Document]:
@@ -136,15 +159,20 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     res = load_resources(cfg, require_lexicon=False)
     docs = _corpus_documents(Path(args.corpus))
-    shared = (
-        res.lexicon, res.posdict, res.rules, res.filter_config, cfg.sense_threshold
+    extract = partial(
+        extract_candidates,
+        lex_hints=res.lexicon,
+        posdict=res.posdict,
+        rules=res.rules,
+        filter_cfg=res.filter_config,
+        sense_threshold=cfg.sense_threshold,
     )
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            partials = list(pool.map(_extract_one, [([doc], *shared) for doc in docs]))
+    workers = min(cfg.jobs, len(docs))
+    if workers > 1:
+        partials = _pool_map(extract, [[doc] for doc in docs], workers)
         result = merge_results(partials, res.lexicon, res.posdict, res.rules)
     else:
-        result = _extract_one((docs, *shared))
+        result = extract(docs)
     save_candidates(result.candidates, args.output)
     summary = _extraction_summary(result)
     if args.summary:
@@ -324,21 +352,18 @@ def cmd_review(args: argparse.Namespace) -> int:
 # --- lint ---
 
 
-def _lint_one(payload) -> LintReport:
-    doc, lexicon, posdict, lint_cfg = payload
-    return lint_document(doc, lexicon, posdict, lint_cfg)
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     res = load_resources(cfg)
     docs = [_read_document(Path(p)) for p in args.paths]
-    payloads = [(doc, res.lexicon, res.posdict, res.lint_config) for doc in docs]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            reports = list(pool.map(_lint_one, payloads))
+    lint = partial(
+        lint_document, lexicon=res.lexicon, posdict=res.posdict, cfg=res.lint_config
+    )
+    workers = min(cfg.jobs, len(docs))
+    if workers > 1:
+        reports = _pool_map(lint, docs, workers)
     else:
-        reports = [_lint_one(p) for p in payloads]
+        reports = [lint(doc) for doc in docs]
     merged = LintReport()
     for report in reports:
         merged.extend(report)

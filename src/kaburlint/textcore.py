@@ -5,6 +5,13 @@ always fall on character boundaries, so reports stay editor-friendly and
 bit-exact across platforms. Everything here is a pure function over an
 immutable document; per-document parallel use is safe.
 
+Every step is linear in the document. A document's offset map converts
+by identity when the text is ASCII; otherwise it keeps a sparse table of
+the non-ASCII characters only and converts with ``bisect``. ``line_col``
+bisects a line-start table that the map builds on first use. The
+tokenizer scans with compiled regular expressions and falls back to
+per-character rules only at '.' and ',' (decimals and abbreviations).
+
 Normalization is case-folding only. Hyphenated words ("rekod-rekod") are
 kept as single tokens so the reduplication filter can see them whole, and
 clitic suffixes are never split off.
@@ -12,7 +19,10 @@ clitic suffixes are never split off.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 WORD = "word"
 SYMBOL = "symbol"
@@ -24,21 +34,77 @@ TERMINATORS = frozenset(".?!")
 # abbreviations wordlist. Entries carry their trailing dot.
 DEFAULT_ABBREVIATIONS = frozenset({"dll.", "dsb.", "spt."})
 
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
+_NEWLINE = re.compile(r"\n")
+_NON_SPACE = re.compile(r"\S")
+# a newline or one of TERMINATORS, and a run of TERMINATORS
+_BREAK = re.compile(r"[\n.?!]")
+_TERMINATOR_RUN = re.compile(r"[.?!]+")
+# Re's \w is str.isalnum() plus "_" and its \s is str.isspace(), so a token
+# starts at the first match: a word run (alnum characters, single hyphens
+# between them) or a symbol run (neither alnum nor space).
+_TOKEN = re.compile(r"([^\W_]+(?:-[^\W_]+)*)|(?:[^\w\s]|_)+")
+# what may follow a '.' or ',' that a number or abbreviation took in
+_WORD_TAIL = re.compile(r"(?:-?[^\W_]+)*")
+
 
 class _OffsetMap:
-    """Bidirectional character index <-> byte offset table for one text."""
+    """Character index <-> UTF-8 byte offset conversion for one text.
 
-    __slots__ = ("char_to_byte", "byte_to_char")
+    ASCII text (``str.isascii()``) converts by identity and stores no
+    table. Other text stores only the character indices of its non-ASCII
+    characters, the byte offset just past each of them and the running
+    count of extra UTF-8 bytes up to each; a conversion is one ``bisect``
+    on that sparse table, so memory grows with the non-ASCII characters,
+    not with the text. The line-start table behind ``line_col`` (character
+    indices that follow a newline) is built on first use.
+    """
+
+    __slots__ = ("_text", "_size", "_chars", "_ends", "_extra", "_line_starts")
 
     def __init__(self, text: str) -> None:
-        table = [0] * (len(text) + 1)
-        pos = 0
-        for i, ch in enumerate(text):
-            table[i] = pos
-            pos += len(ch.encode("utf-8"))
-        table[len(text)] = pos
-        self.char_to_byte = table
-        self.byte_to_char = {b: i for i, b in enumerate(table)}
+        self._text = text
+        self._line_starts: list[int] | None = None
+        if text.isascii():
+            self._size = len(text)
+            self._chars = self._ends = self._extra = None
+            return
+        chars = [m.start() for m in _NON_ASCII.finditer(text)]
+        extra = list(accumulate(len(text[c].encode("utf-8")) - 1 for c in chars))
+        self._chars = chars
+        self._extra = extra
+        self._ends = [c + 1 + e for c, e in zip(chars, extra)]
+        self._size = len(text) + extra[-1]
+
+    def char_to_byte(self, char: int) -> int:
+        if self._chars is None:
+            return char
+        k = bisect_left(self._chars, char)
+        return char + self._extra[k - 1] if k else char
+
+    def byte_to_char(self, byte: int) -> int:
+        """Character index at a byte offset; ValueError off a boundary."""
+        if not 0 <= byte <= self._size:
+            raise ValueError(f"byte offset {byte} outside the text")
+        if self._chars is None:
+            return byte
+        k = bisect_right(self._ends, byte)
+        char = byte - self._extra[k - 1] if k else byte
+        # the next non-ASCII character starts at index self._chars[k]; a
+        # larger index means the offset falls inside its encoding
+        if k < len(self._chars) and char > self._chars[k]:
+            raise ValueError(f"byte offset {byte} inside a multibyte character")
+        return char
+
+    def line_col(self, char: int) -> tuple[int, int]:
+        """1-based (line, column) of a character index."""
+        starts = self._line_starts
+        if starts is None:
+            starts = [0]
+            starts.extend(m.end() for m in _NEWLINE.finditer(self._text))
+            self._line_starts = starts
+        line = bisect_right(starts, char)
+        return line, char - starts[line - 1] + 1
 
 
 @dataclass(frozen=True)
@@ -92,23 +158,19 @@ def slice_span(doc: Document, span: Span) -> str:
     """Return the document substring covered by a byte span."""
     offsets = doc.offsets()
     try:
-        a = offsets.byte_to_char[span.start]
-        b = offsets.byte_to_char[span.end]
-    except KeyError:
-        raise ValueError(f"span [{span.start}, {span.end}) not on character boundaries")
+        a = offsets.byte_to_char(span.start)
+        b = offsets.byte_to_char(span.end)
+    except ValueError:
+        raise ValueError(
+            f"span [{span.start}, {span.end}) not on character boundaries"
+        ) from None
     return doc.text[a:b]
 
 
 def line_col(doc: Document, byte_offset: int) -> tuple[int, int]:
     """1-based (line, column) of a byte offset, for report locations."""
-    char = doc.offsets().byte_to_char[byte_offset]
-    line = doc.text.count("\n", 0, char) + 1
-    col = char - doc.text.rfind("\n", 0, char)
-    return line, col
-
-
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum()
+    offsets = doc.offsets()
+    return offsets.line_col(offsets.byte_to_char(byte_offset))
 
 
 def _decimal_period(text: str, i: int) -> bool:
@@ -116,10 +178,16 @@ def _decimal_period(text: str, i: int) -> bool:
     return 0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit()
 
 
-def _abbreviation_period(text: str, i: int, abbrevs: frozenset[str] | set[str]) -> bool:
-    # i points at '.'; compare the immediately preceding token plus the dot
+def _abbreviation_period(
+    text: str, i: int, abbrevs: frozenset[str] | set[str], longest: int
+) -> bool:
+    # i points at '.'; compare the immediately preceding token plus the dot.
+    # A run longer than the longest abbreviation cannot match, so the walk
+    # back stops there ("a.a.a." would otherwise rescan the run at each dot).
     j = i - 1
     while j >= 0 and (text[j].isalpha() or text[j] == "."):
+        if i - j >= longest:
+            return False
         j -= 1
     candidate = text[j + 1 : i + 1].casefold()
     return candidate in abbrevs
@@ -137,6 +205,7 @@ def segment_sentences(
     text = doc.text
     offsets = doc.offsets()
     abbrevs = frozenset(a.casefold() for a in abbreviations)
+    longest = max(map(len, abbrevs), default=0)
     sentences: list[Sentence] = []
 
     def emit(cs: int, ce: int) -> None:
@@ -144,41 +213,38 @@ def segment_sentences(
             ce -= 1
         if ce <= cs:
             return
-        span = Span(offsets.char_to_byte[cs], offsets.char_to_byte[ce])
+        span = Span(offsets.char_to_byte(cs), offsets.char_to_byte(ce))
         sentences.append(Sentence(span, len(sentences)))
 
-    n = len(text)
+    # Only newlines and terminators change state; a sentence starts at the
+    # first non-space character after the previous break.
     start: int | None = None
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    pos = 0
+    for m in _BREAK.finditer(text):
+        i = m.start()
+        if i < pos:
+            continue  # inside a terminator run that ended a sentence
+        if start is None and (first := _NON_SPACE.search(text, pos, i)):
+            start = first.start()
+        pos = i + 1
+        if text[i] == "\n":
             if start is not None:
                 emit(start, i)
             start = None
-            i += 1
             continue
         if start is None:
-            if ch.isspace():
-                i += 1
-                continue
             start = i
-        if ch in TERMINATORS:
-            if ch == "." and (
-                _decimal_period(text, i) or _abbreviation_period(text, i, abbrevs)
-            ):
-                i += 1
-                continue
-            j = i + 1
-            while j < n and text[j] in TERMINATORS:
-                j += 1
-            emit(start, j)
-            start = None
-            i = j
+        if text[i] == "." and (
+            _decimal_period(text, i) or _abbreviation_period(text, i, abbrevs, longest)
+        ):
             continue
-        i += 1
+        pos = _TERMINATOR_RUN.match(text, i).end()
+        emit(start, pos)
+        start = None
+    if start is None and (first := _NON_SPACE.search(text, pos)):
+        start = first.start()
     if start is not None:
-        emit(start, n)
+        emit(start, len(text))
     return sentences
 
 
@@ -198,49 +264,38 @@ def tokenize(
     text = doc.text
     offsets = doc.offsets()
     abbrevs = frozenset(a.casefold() for a in abbreviations)
-    a = offsets.byte_to_char[sentence.span.start]
-    b = offsets.byte_to_char[sentence.span.end]
+    base = sentence.span.start
+    a = offsets.byte_to_char(base)
+    b = offsets.byte_to_char(sentence.span.end)
+    to_byte = None if text[a:b].isascii() else offsets.char_to_byte
     tokens: list[Token] = []
 
-    i = a
-    while i < b:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if _is_word_char(ch):
-            j = i + 1
-            while j < b:
-                c = text[j]
-                if _is_word_char(c):
-                    j += 1
-                elif c == "-" and j + 1 < b and _is_word_char(text[j + 1]):
-                    j += 1
-                elif (
-                    c in ".,"
-                    and text[j - 1].isdigit()
-                    and j + 1 < b
-                    and text[j + 1].isdigit()
-                ):
-                    j += 1
-                elif c == "." and text[i : j + 1].casefold() in abbrevs:
-                    j += 1
+    pos = a
+    while (m := _TOKEN.search(text, pos, b)) is not None:
+        i, pos = m.span()
+        kind = SYMBOL
+        if m.lastindex:
+            # a '.' or ',' may extend a word run (decimal or abbreviation rule)
+            while pos < b and text[pos] in ".,":
+                if text[pos - 1].isdigit() and pos + 1 < b and text[pos + 1].isdigit():
+                    pos += 1
+                elif text[pos] == "." and text[i : pos + 1].casefold() in abbrevs:
+                    pos += 1
                 else:
                     break
+                pos = _WORD_TAIL.match(text, pos, b).end()
+            surface = text[i:pos]
+            if any(map(str.isalpha, surface)):
+                kind = WORD
+            elif any(map(str.isdigit, surface)):
+                kind = NUMBER
         else:
-            j = i + 1
-            while j < b and not text[j].isspace() and not _is_word_char(text[j]):
-                j += 1
-        surface = text[i:j]
-        if any(c.isalpha() for c in surface):
-            kind = WORD
-        elif any(c.isdigit() for c in surface):
-            kind = NUMBER
+            surface = m.group()
+        if to_byte is None:
+            span = Span(base + i - a, base + pos - a)
         else:
-            kind = SYMBOL
-        span = Span(offsets.char_to_byte[i], offsets.char_to_byte[j])
+            span = Span(to_byte(i), to_byte(pos))
         tokens.append(Token(span, surface, surface.casefold(), kind))
-        i = j
     return tokens
 
 

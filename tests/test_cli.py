@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import shutil
 import tempfile
 from dataclasses import replace
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kaburlint import cli
 from kaburlint.cli import main
 from kaburlint.config import Config, load_config, validate_config
 from kaburlint.errors import ConfigError, KaburlintError
@@ -323,6 +325,82 @@ def test_lint_and_extract_are_byte_identical_at_jobs_1_and_2(ws, capsys):
         outputs.append((out.replace(str(queue), "QUEUE"), queue.read_bytes()))
     assert outputs[0] == outputs[1]
     assert b'"papar"' in outputs[0][1]
+
+
+class FakeExecutor:
+    """In-process stand-in for ProcessPoolExecutor that records its use.
+
+    The initializer arguments and every item go through pickle, as they
+    would to a real worker, but no process is started.
+    """
+
+    created: list["FakeExecutor"] = []
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.max_workers = max_workers
+        self.initargs = pickle.loads(pickle.dumps(initargs))
+        self.items: list = []
+        initializer(*self.initargs)
+        FakeExecutor.created.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        self.items = [pickle.loads(pickle.dumps(item)) for item in items]
+        return [fn(item) for item in self.items]
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    FakeExecutor.created = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(cli, "_worker_task", None)
+    return FakeExecutor.created
+
+
+class TestPool:
+    def test_lint_workers_capped_at_document_count(self, ws, fake_pool, capsys):
+        docs = samples(ws)
+        serial = run(capsys, "lint", "--config", conf(ws), "--jobs", "1", *docs)
+        assert fake_pool == []
+        assert run(capsys, "lint", "--config", conf(ws), "--jobs", "64", *docs) == serial
+        (pool,) = fake_pool
+        assert pool.max_workers == len(docs) == 3
+        # the lexicon travels once, with the initializer; items are documents
+        (task,) = pool.initargs
+        assert len(task.keywords["lexicon"]) > 0
+        assert [doc.source_path for doc in pool.items] == docs
+
+    def test_extract_workers_capped_at_document_count(self, ws, fake_pool, capsys):
+        outputs = []
+        for jobs in ("1", "64"):
+            queue = ws / f"queue{jobs}.jsonl"
+            rc, out, _ = run(capsys, "extract", "--config", conf(ws), "--jobs", jobs,
+                             ws / "sample", "-o", queue)
+            assert rc == 0
+            outputs.append((out.replace(str(queue), "QUEUE"), queue.read_bytes()))
+        assert outputs[0] == outputs[1]
+        (pool,) = fake_pool
+        assert pool.max_workers == 3
+        (task,) = pool.initargs
+        assert len(task.keywords["lex_hints"]) > 0
+        assert [[doc.id for doc in item] for item in pool.items] == [
+            [p.name] for p in sorted((ws / "sample").glob("*.txt"))
+        ]
+
+    def test_single_document_runs_in_process(self, ws, fake_pool, capsys):
+        one = ws / "one"
+        one.mkdir()
+        shutil.copyfile(samples(ws)[0], one / "doc.txt")
+        assert run(capsys, "lint", "--config", conf(ws), "--jobs", "8", one / "doc.txt")[0] == 1
+        rc, out, _ = run(capsys, "extract", "--config", conf(ws), "--jobs", "8", one,
+                         "-o", ws / "q.jsonl")
+        assert rc == 0 and out.startswith("documents: 1\n")
+        assert fake_pool == []
 
 
 # --- round trip on the seed tree ---

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import textcore_oracle as oracle
 from conftest import mk_doc
 from kaburlint.textcore import (
     DEFAULT_ABBREVIATIONS,
@@ -221,3 +225,110 @@ class TestProperties:
         doc = mk_doc("kafé")  # é is two bytes; byte 4 is mid-character
         with pytest.raises(ValueError):
             slice_span(doc, Span(3, 4))
+
+
+# Pieces for differential texts: a BOM, CRLF, multibyte letters and symbols,
+# a non-decimal digit (²), a numeral that is not a digit (Ⅻ), an Arabic-Indic
+# digit, a combining accent, "_", NBSP, the ideographic space and the number,
+# abbreviation and reduplication forms the rules single out. "ß" casefolds
+# to "ss", so "ß." matches the abbreviation "ss.".
+ORACLE_PIECES = [
+    "\ufeff", "\r\n", "\n", " ", "\t", "é", "€", "😀", "²", "Ⅻ", "٣", "\u0301",
+    "_", "\u00a0", "\u3000", "dll.", "Dll.", "3.14", "1,000", "rekod-rekod",
+    "a", "Bé", "9", ".", ",", "-", "?", "!", "“", "—", "²,5", "٣.٣", "ß",
+]
+ORACLE_ABBREVIATIONS = [
+    DEFAULT_ABBREVIATIONS,
+    frozenset(),
+    frozenset({"dll.", "a.", "é.", "3.", "a.a.", "ss."}),
+]
+
+
+def assert_matches_oracle(text: str, abbreviations) -> None:
+    """Sentences, tokens and every offset conversion equal the oracle's."""
+    doc = Document(id="d", text=text)
+    ref = oracle.OracleDocument(id="d", text=text)
+    sentences = segment_sentences(doc, abbreviations)
+    assert sentences == oracle.segment_sentences(ref, abbreviations)
+    for sentence in sentences:
+        # Token equality covers span, surface, normalized form and kind
+        assert tokenize(doc, sentence, abbreviations) == oracle.tokenize(
+            ref, sentence, abbreviations
+        )
+    table = ref.offsets().char_to_byte
+    offsets = doc.offsets()
+    assert [offsets.char_to_byte(c) for c in range(len(text) + 1)] == table
+    size = table[-1]
+    for start in range(size + 2):
+        if start in ref.offsets().byte_to_char:
+            assert line_col(doc, start) == oracle.line_col(ref, start)
+        for end in {start + 1, start + 2, start + 4, size, size + 1}:
+            if end <= start:
+                continue
+            span = Span(start, end)
+            try:
+                expected = oracle.slice_span(ref, span)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    slice_span(doc, span)
+            else:
+                assert slice_span(doc, span) == expected
+
+
+class TestOracle:
+    """The optimized text layer against the per-character reference."""
+
+    def test_seeded_random_texts(self):
+        rng = random.Random(1402)
+        for _ in range(1500):
+            pieces = rng.choices(ORACLE_PIECES, k=rng.randint(0, 24))
+            assert_matches_oracle("".join(pieces), rng.choice(ORACLE_ABBREVIATIONS))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(ORACLE_PIECES), max_size=30).map("".join),
+        st.sampled_from(ORACLE_ABBREVIATIONS),
+    )
+    def test_property(self, text, abbreviations):
+        assert_matches_oracle(text, abbreviations)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=40))
+    def test_property_on_any_text(self, text):
+        assert_matches_oracle(text, DEFAULT_ABBREVIATIONS)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\ufeffsatu\r\ndua tiga\r\n",
+            "a\n\nb",
+            "\n",
+            "😀x\né",
+            "dll.. 3.14.15 1,000,",
+            "x-1.5 -a a- a--b",
+        ],
+    )
+    def test_fixed_texts(self, text):
+        for abbreviations in ORACLE_ABBREVIATIONS:
+            assert_matches_oracle(text, abbreviations)
+
+    def test_segmentation_is_linear_in_dotted_runs(self):
+        # the abbreviation check at each '.' must not rescan the whole
+        # "a.a.a..." run before it: quadratic, that took ~40 s here
+        doc = mk_doc("a." * 20000)
+        started = time.perf_counter()
+        assert len(segment_sentences(doc)) == 20000
+        assert time.perf_counter() - started < 5
+
+    def test_ascii_offsets_are_identity(self):
+        offsets = Document(id="d", text="satu dua\n").offsets()
+        assert offsets.byte_to_char(9) == 9 and offsets.char_to_byte(9) == 9
+        with pytest.raises(ValueError):
+            offsets.byte_to_char(10)
+
+    def test_line_col_of_bom_and_crlf_lines(self):
+        doc = mk_doc("\ufeffsatu\r\ndua")
+        # the BOM is column 1, so "satu" starts at column 2; '\r' ends line 1
+        assert line_col(doc, 3) == (1, 2)
+        assert line_col(doc, 7) == (1, 6)
+        assert line_col(doc, 9) == (2, 1)
