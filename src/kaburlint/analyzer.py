@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from .filters import FilterConfig, apply_filters
 from .lexicon import (
     ATTRIBUTES,
-    MATCH_LINT,
     POS_TO_CON_SUB,
     AttributeTag,
     Lexicon,
@@ -257,7 +256,7 @@ def lint_document(
     while following is not None:
         sentence, tokens = following
         following = next(pairs, None)
-        for span, entry in match_entries(lexicon, tokens, MATCH_LINT):
+        for span, entry in match_entries(lexicon, tokens):
             findings.append(
                 Finding(
                     doc_id=doc.id,

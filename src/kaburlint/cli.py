@@ -135,15 +135,15 @@ def _corpus_documents(corpus_dir: Path) -> list[Document]:
 
 
 def _extraction_summary(result) -> str:
-    report = result.filter_report
-    token_counts = report.token_counts
-    type_counts = report.type_counts
-    excluded_types = len({t.normalized for t, _ in report.excluded})
+    counts = result.filter_counts
+    token_counts = counts.token_counts
+    type_counts = counts.type_counts
     lines = [
         f"documents: {result.documents}",
         f"tokens read: {result.tokens_read}",
-        f"kept: {len(report.kept)}",
-        f"eliminated: {len(report.excluded)} tokens ({excluded_types} distinct words)",
+        f"kept: {counts.kept}",
+        f"eliminated: {sum(token_counts.values())} tokens "
+        f"({counts.excluded_types} distinct words)",
     ]
     width = max(len(r) for r in REASON_ORDER)
     for reason in REASON_ORDER:

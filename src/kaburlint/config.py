@@ -5,9 +5,10 @@ The keys are the fields of Config, and each key's type comes from its
 Config default: None means a path, otherwise an int, a bool, a tuple (a
 comma-separated marker list) or a str. Unknown keys are rejected and every
 referenced input file must exist at load time (the audit log is exempt: it
-is an output). Relative paths are resolved against the config file's
-directory. CLI flags override config values; validate_config then checks
-the values once.
+is an output). The filter step has no keys: its six reasons always apply,
+and only the wordlists they consult are paths here. Relative paths are
+resolved against the config file's directory. CLI flags override config
+values; validate_config then checks the values once.
 """
 
 from __future__ import annotations
@@ -62,15 +63,6 @@ class Config:
     jobs: int = 1
     format: str = "text"
     scope: str = "verified"
-    filter_symbols: bool = True
-    filter_numbers: bool = True
-    filter_reduplication: bool = True
-    filter_short_forms: bool = True
-    filter_proper_nouns: bool = True
-    filter_loanwords: bool = True
-    short_form_wordlist: bool = True
-    short_form_no_vowel: bool = True
-    short_form_trailing_dot: bool = True
     flag_anaphoric_clitics: bool = False
     conditional_markers: tuple[str, ...] = DEFAULT_CONDITIONAL_MARKERS
     alternative_markers: tuple[str, ...] = DEFAULT_ALTERNATIVE_MARKERS
@@ -176,15 +168,6 @@ def load_resources(cfg: Config, *, require_lexicon: bool = True) -> Resources:
             load_wordlist(cfg.malay_wordlist) if cfg.malay_wordlist else None
         ),
         abbreviations=abbreviations,
-        exclude_symbols=cfg.filter_symbols,
-        exclude_numbers=cfg.filter_numbers,
-        exclude_reduplication=cfg.filter_reduplication,
-        exclude_short_forms=cfg.filter_short_forms,
-        exclude_proper_nouns=cfg.filter_proper_nouns,
-        exclude_loanwords=cfg.filter_loanwords,
-        short_form_wordlist=cfg.short_form_wordlist,
-        short_form_no_vowel=cfg.short_form_no_vowel,
-        short_form_trailing_dot=cfg.short_form_trailing_dot,
     )
     lint_config = LintConfig(
         filter_config=filter_config,

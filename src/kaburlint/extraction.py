@@ -17,7 +17,7 @@ from pathlib import Path
 from .analyzer import ATTRIBUTE_MEMBER, CRITERIA, MULTI_POS, MULTI_SENSE, VAGUE_POS
 from .errors import LexiconError, ReviewError, WordlistError
 from .fileio import check_record, read_jsonl, read_lines, write_atomic
-from .filters import FilterConfig, FilterReport, apply_filters
+from .filters import FilterConfig, FilterCounts, apply_filters
 from .lexicon import (
     ATTRIBUTES,
     POS_TO_CON_SUB,
@@ -102,12 +102,6 @@ class RuleLists:
     def tags_for(self, phrase: Sequence[str]) -> set[AttributeTag]:
         return {AttributeTag(a) for a in self.attributes_for(phrase)}
 
-    def __contains__(self, phrase: Sequence[str]) -> bool:
-        return bool(self.attributes_for(phrase))
-
-    def phrases(self, attribute: str) -> frozenset[tuple[str, ...]]:
-        return self._phrases[attribute]
-
     @property
     def max_phrase_len(self) -> int:
         return self._max_len
@@ -167,7 +161,7 @@ def map_candidate_attributes(
 @dataclass
 class ExtractionResult:
     candidates: list[CandidateWord]
-    filter_report: FilterReport
+    filter_counts: FilterCounts
     tokens_read: int = 0
     documents: int = 0
 
@@ -181,7 +175,7 @@ def _scan_document(
     sense_threshold: int,
 ) -> ExtractionResult:
     """One document's unmapped candidates, one per phrase, in scan order."""
-    report = FilterReport()
+    counts = FilterCounts()
     tokens_read = 0
     limit = max(lex_hints.max_phrase_len, rules.max_phrase_len, 1)
     occurrences: dict[tuple[str, ...], list[Occurrence]] = {}
@@ -193,7 +187,7 @@ def _scan_document(
     for _sentence, tokens in iter_sentence_tokens(doc, filter_cfg.abbreviations):
         tokens_read += len(tokens)
         sentence_report = apply_filters(tokens, filter_cfg)
-        report.extend(sentence_report)
+        counts.add(sentence_report)
         kept = sentence_report.kept
         words = [t.normalized for t in kept]
         for start, end, hits in longest_matches(words, limit, criteria):
@@ -205,7 +199,7 @@ def _scan_document(
         CandidateWord(p, tuple(spots), criterion_hits=frozenset(hits_by_phrase[p]))
         for p, spots in occurrences.items()
     ]
-    return ExtractionResult(candidates, report, tokens_read, documents=1)
+    return ExtractionResult(candidates, counts, tokens_read, documents=1)
 
 
 def extract_candidates(
@@ -248,13 +242,13 @@ def merge_results(
     --jobs N merges its per-document results here, so both give the same
     bytes.
     """
-    combined = FilterReport()
+    counts = FilterCounts()
     occurrences: dict[tuple[str, ...], list[Occurrence]] = {}
     hits_by_phrase: dict[tuple[str, ...], set[str]] = {}
     tokens_read = 0
     documents = 0
     for result in results:
-        combined.extend(result.filter_report)
+        counts.update(result.filter_counts)
         tokens_read += result.tokens_read
         documents += result.documents
         for candidate in result.candidates:
@@ -271,7 +265,7 @@ def merge_results(
         )
         tags = map_candidate_attributes(candidate, lex_hints, posdict, rules)
         candidates.append(replace(candidate, suggested_tags=tags))
-    return ExtractionResult(candidates, combined, tokens_read, documents)
+    return ExtractionResult(candidates, counts, tokens_read, documents)
 
 
 @dataclass(frozen=True)
@@ -297,24 +291,20 @@ class ReviewDecision:
             )
 
 
-def record_decision(
-    repo: Lexicon, decision: ReviewDecision, *, force: bool | None = None
-) -> LexiconEntry:
+def record_decision(repo: Lexicon, decision: ReviewDecision) -> LexiconEntry:
     """Apply one decision to the repository and return the updated entry.
 
     Statuses only move forward (candidate or new to verified/rejected);
-    overriding an already-decided entry requires force. Uses nothing but
-    the repository and the decision itself, so an audit log of decisions
-    replays to an identical repository.
+    overriding an already-decided entry requires the decision's force flag.
+    Uses nothing but the repository and the decision itself, so an audit
+    log of decisions replays to an identical repository.
     """
     decision.validate()
-    if force is None:
-        force = decision.force
     existing = repo.get(decision.phrase)
     if (
         existing is not None
         and existing.status in (STATUS_VERIFIED, STATUS_REJECTED)
-        and not force
+        and not decision.force
     ):
         raise ReviewError(
             f"{' '.join(decision.phrase)!r} is already {existing.status}; "

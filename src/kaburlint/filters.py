@@ -1,10 +1,12 @@
 """Exclusion filters that drop inappropriate tokens before extraction.
 
-Each token gets at most one exclusion reason, tested in a fixed order:
-symbol, number, reduplication, short_form, proper_noun, loanword. The
-outcome for a token depends only on the token itself, its sentence-initial
-flag and the configuration, so filtering is order-independent and
-re-filtering the kept tokens excludes nothing further.
+The filter step is fixed: all six reasons always apply, and each token gets
+at most one, the first that matches in this order: symbol, number,
+reduplication, short_form, proper_noun, loanword. Only the wordlists that
+the reasons consult are configurable. The outcome for a token depends only
+on the token itself, whether it is its sentence's first word and the
+wordlists, so filtering is order-independent and re-filtering the kept
+tokens excludes nothing further.
 
 Both token-level and type-level elimination counts are reported, since an
 aggregate like "N words eliminated" is ambiguous between the two.
@@ -12,6 +14,7 @@ aggregate like "N words eliminated" is ambiguous between the two.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,37 +58,21 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Wordlists plus per-reason and per-clause toggles."""
+    """The wordlists the six filters consult; the reasons themselves are fixed."""
 
     english_words: frozenset[str] = frozenset()
     malay_words: frozenset[str] | None = None
     abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
-    exclude_symbols: bool = True
-    exclude_numbers: bool = True
-    exclude_reduplication: bool = True
-    exclude_short_forms: bool = True
-    exclude_proper_nouns: bool = True
-    exclude_loanwords: bool = True
-    short_form_wordlist: bool = True
-    short_form_no_vowel: bool = True
-    short_form_trailing_dot: bool = True
 
 
-def is_short_form(
-    token: Token,
-    abbrev_list: frozenset[str] | set[str],
-    *,
-    use_list: bool = True,
-    no_vowel: bool = True,
-    trailing_dot: bool = True,
-) -> bool:
+def is_short_form(token: Token, abbrev_list: frozenset[str] | set[str]) -> bool:
     """Abbreviation-like tokens: listed, vowel-less and short, or dotted."""
     normalized = token.normalized
-    if use_list and normalized in abbrev_list:
+    if normalized in abbrev_list:
         return True
-    if no_vowel and len(normalized) <= 4 and not (_VOWELS & set(normalized)):
+    if len(normalized) <= 4 and not (_VOWELS & set(normalized)):
         return True
-    if trailing_dot and token.surface.endswith("."):
+    if token.surface.endswith("."):
         return True
     return False
 
@@ -125,89 +112,76 @@ def classify_token(
 ) -> str | None:
     """Return the exclusion reason for one token, or None to keep it."""
     if token.kind == SYMBOL:
-        return SYMBOL_REASON if cfg.exclude_symbols else None
+        return SYMBOL_REASON
     if token.kind == NUMBER:
-        return NUMBER_REASON if cfg.exclude_numbers else None
-    if cfg.exclude_reduplication and detect_reduplication(token):
+        return NUMBER_REASON
+    if detect_reduplication(token):
         return REDUPLICATION
-    if cfg.exclude_short_forms and is_short_form(
-        token,
-        cfg.abbreviations,
-        use_list=cfg.short_form_wordlist,
-        no_vowel=cfg.short_form_no_vowel,
-        trailing_dot=cfg.short_form_trailing_dot,
-    ):
+    if is_short_form(token, cfg.abbreviations):
         return SHORT_FORM
-    if cfg.exclude_proper_nouns and is_proper_noun(
-        token, sentence_initial, cfg.malay_words
-    ):
+    if is_proper_noun(token, sentence_initial, cfg.malay_words):
         return PROPER_NOUN
-    if cfg.exclude_loanwords and is_loanword(
-        token, cfg.english_words, cfg.malay_words
-    ):
+    if is_loanword(token, cfg.english_words, cfg.malay_words):
         return LOANWORD
     return None
 
 
 @dataclass
 class FilterReport:
-    """Partition of the input tokens into kept and excluded-with-reason."""
+    """Partition of one sentence's tokens into kept and excluded-with-reason."""
 
     kept: list[Token] = field(default_factory=list)
     excluded: list[tuple[Token, str]] = field(default_factory=list)
 
-    @property
-    def token_counts(self) -> dict[str, int]:
-        counts = {reason: 0 for reason in REASON_ORDER}
-        for _, reason in self.excluded:
-            counts[reason] += 1
-        return counts
 
-    @property
-    def type_counts(self) -> dict[str, int]:
-        types: dict[str, set[str]] = {reason: set() for reason in REASON_ORDER}
-        for token, reason in self.excluded:
-            types[reason].add(token.normalized)
-        return {reason: len(words) for reason, words in types.items()}
+def apply_filters(tokens: Sequence[Token], cfg: FilterConfig) -> FilterReport:
+    """Partition one sentence's tokens into kept and excluded.
 
-    @property
-    def total(self) -> int:
-        return len(self.kept) + len(self.excluded)
-
-    def extend(self, other: "FilterReport") -> None:
-        self.kept.extend(other.kept)
-        self.excluded.extend(other.excluded)
-
-
-def default_sentence_initial(tokens: Sequence[Token]) -> list[bool]:
-    """Mark the first word-kind token of a sentence's token list."""
-    flags = [False] * len(tokens)
-    for i, token in enumerate(tokens):
-        if token.kind == WORD:
-            flags[i] = True
-            break
-    return flags
-
-
-def apply_filters(
-    tokens: Sequence[Token],
-    cfg: FilterConfig,
-    sentence_initial: Sequence[bool] | None = None,
-) -> FilterReport:
-    """Partition tokens into kept and excluded.
-
-    When sentence_initial flags are not supplied, the token list is treated
-    as one sentence and its first word token is flagged.
+    The sentence's first word token is its sentence-initial one.
     """
-    if sentence_initial is None:
-        sentence_initial = default_sentence_initial(tokens)
-    if len(sentence_initial) != len(tokens):
-        raise ValueError("sentence_initial flags must parallel the token list")
+    initial = next((token for token in tokens if token.kind == WORD), None)
     report = FilterReport()
-    for token, flag in zip(tokens, sentence_initial):
-        reason = classify_token(token, flag, cfg)
+    for token in tokens:
+        reason = classify_token(token, token is initial, cfg)
         if reason is None:
             report.kept.append(token)
         else:
             report.excluded.append((token, reason))
     return report
+
+
+@dataclass
+class FilterCounts:
+    """Totals of filter reports: all that an extraction summary needs.
+
+    Keeps the kept count and, per reason, how many tokens of each word were
+    excluded, instead of the tokens themselves, so a corpus-wide tally stays
+    small and cheap to send between processes.
+    """
+
+    kept: int = 0
+    excluded: dict[str, Counter[str]] = field(
+        default_factory=lambda: {reason: Counter() for reason in REASON_ORDER}
+    )
+
+    def add(self, report: FilterReport) -> None:
+        self.kept += len(report.kept)
+        for token, reason in report.excluded:
+            self.excluded[reason][token.normalized] += 1
+
+    def update(self, other: "FilterCounts") -> None:
+        self.kept += other.kept
+        for reason, words in other.excluded.items():
+            self.excluded[reason].update(words)
+
+    @property
+    def token_counts(self) -> dict[str, int]:
+        return {reason: words.total() for reason, words in self.excluded.items()}
+
+    @property
+    def type_counts(self) -> dict[str, int]:
+        return {reason: len(words) for reason, words in self.excluded.items()}
+
+    @property
+    def excluded_types(self) -> int:
+        return len(set().union(*self.excluded.values()))

@@ -45,16 +45,6 @@ STATUSES = (STATUS_CANDIDATE, STATUS_VERIFIED, STATUS_REJECTED)
 
 SOURCES = ("paper_seed", "extracted", "user")
 
-# match_entries modes: linting consults only verified entries, the
-# extraction pipeline also matches unreviewed candidates
-MATCH_LINT = "lint"
-MATCH_PIPELINE = "pipeline"
-_MATCH_STATUSES = {
-    MATCH_LINT: frozenset({STATUS_VERIFIED}),
-    MATCH_PIPELINE: frozenset({STATUS_CANDIDATE, STATUS_VERIFIED}),
-}
-
-
 @dataclass(frozen=True)
 class AttributeTag:
     """One of the six ambiguity attributes, optionally with a sub-attribute."""
@@ -270,23 +260,19 @@ def longest_matches(
 
 
 def match_entries(
-    lexicon: Lexicon, tokens: Sequence[Token], mode: str = MATCH_LINT
+    lexicon: Lexicon, tokens: Sequence[Token]
 ) -> list[tuple[Span, LexiconEntry]]:
-    """Greedy longest-match of lexicon phrases over one sentence's tokens.
+    """Greedy longest-match of verified lexicon phrases over one sentence's tokens.
 
     At each position the longest matching phrase wins and its tokens are
     consumed, so matches never overlap. Matching is on normalized token
-    text. Rejected entries never match in any mode.
+    text. Candidate and rejected entries never match.
     """
-    try:
-        statuses = _MATCH_STATUSES[mode]
-    except KeyError:
-        raise ValueError(f"unknown match mode {mode!r}") from None
     entries = lexicon._entries
 
     def lookup(phrase: tuple[str, ...]) -> LexiconEntry | None:
         entry = entries.get(phrase)
-        return entry if entry is not None and entry.status in statuses else None
+        return entry if entry is not None and entry.status == STATUS_VERIFIED else None
 
     words = [t.normalized for t in tokens]
     return [

@@ -17,7 +17,6 @@ from .lexicon import ATTRIBUTES, LexiconEntry, STATUS_CANDIDATE, STATUS_VERIFIED
 
 SCOPE_VERIFIED = "verified_only"
 SCOPE_CANDIDATES = "all_candidates"
-SCOPES = (SCOPE_VERIFIED, SCOPE_CANDIDATES)
 
 _SCOPE_STATUSES = {
     SCOPE_VERIFIED: frozenset({STATUS_VERIFIED}),

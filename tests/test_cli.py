@@ -144,6 +144,12 @@ def _config_line(ws: Path, line: str) -> tuple[list[str], str]:
     return _stats(ws), f"kaburlint.conf:{len(lines) + 1}"
 
 
+def _removed_key(ws: Path, key: str) -> tuple[list[str], str]:
+    """A key the config no longer has is unknown; the error names line and key."""
+    argv, spot = _config_line(ws, f"{key} = false")
+    return argv, f"{spot}: unknown key {key!r}"
+
+
 MALFORMED = {
     "lexicon pos is a number": lambda ws: _append_lexicon(
         ws, {"phrase": ["x"], "pos": 5, "tags": ["T"], "status": "verified"}
@@ -189,7 +195,8 @@ MALFORMED = {
     ),
     "config jobs = 0": lambda ws: (_config_line(ws, "jobs = 0")[0], "jobs must be at least 1"),
     "config unknown key": lambda ws: _config_line(ws, "colour = blue"),
-    "config bad boolean": lambda ws: _config_line(ws, "filter_symbols = maybe"),
+    "config bad boolean": lambda ws: _config_line(ws, "flag_anaphoric_clitics = maybe"),
+    "config removed filter key": lambda ws: _removed_key(ws, "filter_numbers"),
     "--jobs 0": lambda ws: (["lint", "--config", conf(ws), "--jobs", "0", *samples(ws)],
                             "jobs must be at least 1"),
     "--jobs -3": lambda ws: (["extract", "--config", conf(ws), "--jobs", "-3",
@@ -214,6 +221,18 @@ def test_string_force_cannot_redecide_a_verified_entry(ws, capsys):
     assert run(capsys, *argv)[0] == 2
     assert (ws / "lexicon.jsonl").read_bytes() == before
     assert not (ws / "audit.jsonl").exists()
+
+
+def test_forced_rereview_replays_to_the_same_bytes(ws, capsys):
+    initial = load_lexicon(ws / "lexicon.jsonl")
+    argv, _ = _decisions(ws, {"phrase": ["segera"], "verdict": "reject"})
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2 and "already verified" in err
+    rc, out, _ = run(capsys, *argv, "--force")
+    assert rc == 0 and out.startswith("accepted 0, rejected 1;")
+    assert '"force": true' in (ws / "audit.jsonl").read_text(encoding="utf-8")
+    replayed = replay_audit(initial, load_audit(ws / "audit.jsonl"))
+    assert dumps_lexicon(replayed) == (ws / "lexicon.jsonl").read_text(encoding="utf-8")
 
 
 # --- config parsing ---
@@ -262,8 +281,10 @@ class TestConfig:
         assert load_config(path).flag_anaphoric_clitics is value
 
     def test_bad_bool_is_an_error_with_line(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"kaburlint\.conf:1: filter_numbers must be a boolean"):
-            load_config(write_config(tmp_path, "filter_numbers = maybe"))
+        with pytest.raises(
+            ConfigError, match=r"kaburlint\.conf:1: flag_anaphoric_clitics must be a boolean"
+        ):
+            load_config(write_config(tmp_path, "flag_anaphoric_clitics = maybe"))
 
     def test_marker_lists(self, tmp_path):
         path = write_config(tmp_path, "conditional_markers = jika , apabila,, kalau tidak ,")

@@ -9,8 +9,6 @@ import pytest
 from conftest import all_tokens, mk_doc, random_lexicon
 from kaburlint.errors import LexiconError, WordlistError
 from kaburlint.lexicon import (
-    MATCH_LINT,
-    MATCH_PIPELINE,
     AttributeTag,
     Lexicon,
     LexiconEntry,
@@ -186,7 +184,7 @@ class TestMatchEntries:
         lexicon = Lexicon([entry("secepat mungkin", tags=("IMP",))])
         doc = mk_doc("secepat mungkin")
         tokens = all_tokens(doc.text)
-        matches = match_entries(lexicon, tokens, MATCH_LINT)
+        matches = match_entries(lexicon, tokens)
         assert len(matches) == 1
         span, matched = matches[0]
         assert matched.phrase == ("secepat", "mungkin")
@@ -194,26 +192,23 @@ class TestMatchEntries:
 
     def test_longest_match_wins(self):
         lexicon = Lexicon([entry("data itu"), entry("data")])
-        matches = match_entries(lexicon, all_tokens("guna data itu"), MATCH_LINT)
+        matches = match_entries(lexicon, all_tokens("guna data itu"))
         assert [m.phrase for _, m in matches] == [("data", "itu")]
 
     def test_empty_lexicon(self):
-        assert match_entries(Lexicon(), all_tokens("apa sahaja"), MATCH_LINT) == []
+        assert match_entries(Lexicon(), all_tokens("apa sahaja")) == []
 
-    def test_rejected_entries_never_match(self):
-        lexicon = Lexicon([entry("segera", status="rejected", tags=("IMP",))])
-        for mode in (MATCH_LINT, MATCH_PIPELINE):
-            assert match_entries(lexicon, all_tokens("dengan segera"), mode) == []
-
-    def test_candidate_entries_match_only_in_pipeline_mode(self):
-        lexicon = Lexicon([entry("segera", status="candidate", tags=("IMP",))])
+    @pytest.mark.parametrize("status", ["candidate", "rejected"])
+    def test_only_verified_entries_match(self, status):
         tokens = all_tokens("dengan segera")
-        assert match_entries(lexicon, tokens, MATCH_LINT) == []
-        assert len(match_entries(lexicon, tokens, MATCH_PIPELINE)) == 1
+        lexicon = Lexicon([entry("segera", status=status, tags=("IMP",))])
+        assert match_entries(lexicon, tokens) == []
+        verified = Lexicon([entry("segera", status="verified", tags=("IMP",))])
+        assert len(match_entries(verified, tokens)) == 1
 
     def test_symbols_break_multiword_adjacency(self):
         lexicon = Lexicon([entry("data itu")])
-        assert match_entries(lexicon, all_tokens("data, itu"), MATCH_LINT) == []
+        assert match_entries(lexicon, all_tokens("data, itu")) == []
 
     def test_matches_against_reference_on_random_inputs(self):
         rng = random.Random(21)
@@ -240,7 +235,7 @@ class TestMatchEntries:
                     len(m.phrase),
                     m.phrase,
                 )
-                for span, m in match_entries(lexicon, tokens, MATCH_LINT)
+                for span, m in match_entries(lexicon, tokens)
             ]
             assert got == reference_longest_match(phrases, words)
 
