@@ -8,7 +8,7 @@ report per-attribute statistics.
 
 __version__ = "0.1.0"
 
-from .analyzer import Finding, LintConfig, LintReport, lint_document
+from .analyzer import Finding, LintReport, lint_document
 from .errors import KaburlintError
 from .extraction import (
     CandidateWord,
@@ -50,7 +50,6 @@ __all__ = [
     "KaburlintError",
     "Lexicon",
     "LexiconEntry",
-    "LintConfig",
     "LintReport",
     "PosDictionary",
     "ReviewDecision",

@@ -22,6 +22,7 @@ from .lexicon import (
     AttributeTag,
     Lexicon,
     PosDictionary,
+    longest_matches,
     match_entries,
     sorted_tags,
 )
@@ -55,8 +56,14 @@ CRITERIA = (
 SEVERITY_WARNING = "warning"
 SEVERITY_INFO = "info"
 
-DEFAULT_CONDITIONAL_MARKERS = ("jika", "sekiranya", "apabila")
-DEFAULT_ALTERNATIVE_MARKERS = ("jika tidak", "selainnya", "sebaliknya")
+# a word with at least this many recorded senses is a multi-sense finding
+SENSE_THRESHOLD = 2
+
+# dangling-else markers as normalized words: a conditional is one word, an
+# alternative a run of words
+CONDITIONAL_MARKERS = frozenset({"jika", "sekiranya", "apabila"})
+ALTERNATIVE_MARKERS = frozenset({("jika", "tidak"), ("selainnya",), ("sebaliknya",)})
+_ALTERNATIVE_LIMIT = max(map(len, ALTERNATIVE_MARKERS))
 
 # words that end in "nya" without being anaphoric
 _CLITIC_STOPLIST = frozenset({"hanya", "tanya", "punya"})
@@ -105,15 +112,6 @@ class LintReport:
         return counts
 
 
-@dataclass(frozen=True)
-class LintConfig:
-    filter_config: FilterConfig = field(default_factory=FilterConfig)
-    sense_threshold: int = 2
-    conditional_markers: tuple[str, ...] = DEFAULT_CONDITIONAL_MARKERS
-    alternative_markers: tuple[str, ...] = DEFAULT_ALTERNATIVE_MARKERS
-    flag_anaphoric_clitics: bool = False
-
-
 def check_multi_pos(
     token: Token,
     posdict: PosDictionary,
@@ -143,7 +141,7 @@ def check_multi_pos(
 def check_multi_sense(
     token: Token,
     posdict: PosDictionary,
-    threshold: int = 2,
+    threshold: int = SENSE_THRESHOLD,
     *,
     doc_id: str = "",
     sentence_index: int = 0,
@@ -164,54 +162,32 @@ def check_multi_sense(
     )
 
 
-def _contains_marker(words: Sequence[str], marker_words: tuple[str, ...]) -> int | None:
-    """Index of the first occurrence of a marker token run, else None."""
-    span = len(marker_words)
-    for i in range(len(words) - span + 1):
-        if tuple(words[i : i + span]) == marker_words:
-            return i
-    return None
-
-
 def check_dangling_else(
     sentence: Sentence,
     tokens: Sequence[Token],
-    cfg: LintConfig,
     *,
     next_tokens: Sequence[Token] = (),
     doc_id: str = "",
 ) -> Finding | None:
     """Conditional marker without an alternative branch nearby.
 
-    Fires when the sentence contains a conditional marker and neither this
-    sentence nor the immediately following one contains an alternative
-    marker.
+    Fires on the sentence's first conditional marker ("jika", "sekiranya",
+    "apabila") when neither this sentence nor the immediately following
+    one contains an alternative marker ("jika tidak", "selainnya",
+    "sebaliknya"). Markers match normalized tokens, so case is ignored.
     """
-    words = [t.normalized for t in tokens]
-    first_marker: tuple[int, int] | None = None
-    for marker in cfg.conditional_markers:
-        marker_words = tuple(marker.casefold().split())
-        at = _contains_marker(words, marker_words)
-        if at is not None and (first_marker is None or at < first_marker[0]):
-            first_marker = (at, len(marker_words))
-    if first_marker is None:
+    marker = next((t for t in tokens if t.normalized in CONDITIONAL_MARKERS), None)
+    if marker is None:
         return None
-    next_words = [t.normalized for t in next_tokens]
-    for alternative in cfg.alternative_markers:
-        alt_words = tuple(alternative.casefold().split())
-        if (
-            _contains_marker(words, alt_words) is not None
-            or _contains_marker(next_words, alt_words) is not None
-        ):
+    for run in (tokens, next_tokens):
+        words = [t.normalized for t in run]
+        if longest_matches(words, _ALTERNATIVE_LIMIT, ALTERNATIVE_MARKERS.__contains__):
             return None
-    start, length = first_marker
-    run = tokens[start : start + length]
-    span = Span(run[0].span.start, run[-1].span.end)
     return Finding(
         doc_id=doc_id,
         sentence_index=sentence.index,
-        span=span,
-        matched=" ".join(t.surface for t in run),
+        span=marker.span,
+        matched=marker.surface,
         phrase="",
         tags=frozenset({AttributeTag("CON", "dangling_else")}),
         criterion=DANGLING_ELSE,
@@ -243,15 +219,18 @@ def lint_document(
     doc: Document,
     lexicon: Lexicon,
     posdict: PosDictionary | None = None,
-    cfg: LintConfig | None = None,
+    filter_cfg: FilterConfig | None = None,
+    *,
+    sense_threshold: int = SENSE_THRESHOLD,
+    flag_anaphoric_clitics: bool = False,
 ) -> LintReport:
     """Lint one document; only verified lexicon entries participate."""
-    cfg = cfg or LintConfig()
+    filter_cfg = filter_cfg or FilterConfig()
     findings: list[Finding] = []
     # One sentence of lookahead serves the dangling-else check; earlier
     # sentences' tokens are dropped as the scan moves on, so the objects the
     # garbage collector must traverse do not grow with the document.
-    pairs = iter_sentence_tokens(doc, cfg.filter_config.abbreviations)
+    pairs = iter_sentence_tokens(doc, filter_cfg.abbreviations)
     following = next(pairs, None)
     while following is not None:
         sentence, tokens = following
@@ -269,7 +248,7 @@ def lint_document(
                     severity=SEVERITY_WARNING,
                 )
             )
-        report = apply_filters(tokens, cfg.filter_config)
+        report = apply_filters(tokens, filter_cfg)
         for token in report.kept:
             if token.kind != WORD:
                 continue
@@ -282,13 +261,13 @@ def lint_document(
                 hit = check_multi_sense(
                     token,
                     posdict,
-                    cfg.sense_threshold,
+                    sense_threshold,
                     doc_id=doc.id,
                     sentence_index=sentence.index,
                 )
                 if hit:
                     findings.append(hit)
-            if cfg.flag_anaphoric_clitics:
+            if flag_anaphoric_clitics:
                 hit = _check_anaphoric_clitic(
                     token, doc_id=doc.id, sentence_index=sentence.index
                 )
@@ -296,7 +275,7 @@ def lint_document(
                     findings.append(hit)
         next_tokens = following[1] if following is not None else ()
         hit = check_dangling_else(
-            sentence, tokens, cfg, next_tokens=next_tokens, doc_id=doc.id
+            sentence, tokens, next_tokens=next_tokens, doc_id=doc.id
         )
         if hit:
             findings.append(hit)

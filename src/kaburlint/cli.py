@@ -54,6 +54,7 @@ from .extraction import (
     merge_results,
     record_decision,
     save_candidates,
+    scan_document,
 )
 from .fileio import read_text
 from .filters import REASON_ORDER
@@ -159,8 +160,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     res = load_resources(cfg, require_lexicon=False)
     docs = _corpus_documents(Path(args.corpus))
-    extract = partial(
-        extract_candidates,
+    shared = dict(
         lex_hints=res.lexicon,
         posdict=res.posdict,
         rules=res.rules,
@@ -169,10 +169,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     )
     workers = min(cfg.jobs, len(docs))
     if workers > 1:
-        partials = _pool_map(extract, [[doc] for doc in docs], workers)
-        result = merge_results(partials, res.lexicon, res.posdict, res.rules)
+        scans = _pool_map(partial(scan_document, **shared), docs, workers)
+        result = merge_results(scans, res.lexicon, res.posdict, res.rules)
     else:
-        result = extract(docs)
+        result = extract_candidates(docs, **shared)
     save_candidates(result.candidates, args.output)
     summary = _extraction_summary(result)
     if args.summary:
@@ -357,7 +357,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
     res = load_resources(cfg)
     docs = [_read_document(Path(p)) for p in args.paths]
     lint = partial(
-        lint_document, lexicon=res.lexicon, posdict=res.posdict, cfg=res.lint_config
+        lint_document,
+        lexicon=res.lexicon,
+        posdict=res.posdict,
+        filter_cfg=res.filter_config,
+        sense_threshold=cfg.sense_threshold,
+        flag_anaphoric_clitics=cfg.flag_anaphoric_clitics,
     )
     workers = min(cfg.jobs, len(docs))
     if workers > 1:

@@ -2,13 +2,13 @@
 
 The config file holds one `key = value` pair per line with '#' comments.
 The keys are the fields of Config, and each key's type comes from its
-Config default: None means a path, otherwise an int, a bool, a tuple (a
-comma-separated marker list) or a str. Unknown keys are rejected and every
-referenced input file must exist at load time (the audit log is exempt: it
-is an output). The filter step has no keys: its six reasons always apply,
-and only the wordlists they consult are paths here. Relative paths are
-resolved against the config file's directory. CLI flags override config
-values; validate_config then checks the values once.
+Config default: None means a path, otherwise an int, a bool or a str.
+Unknown keys are rejected and every referenced input file must exist at
+load time (the audit log is exempt: it is an output). The filter step and
+the dangling-else markers have no keys: the six filter reasons always
+apply, and only the wordlists they consult are paths here. Relative
+paths are resolved against the config file's directory. CLI flags
+override config values; validate_config then checks the values once.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .analyzer import (
-    DEFAULT_ALTERNATIVE_MARKERS,
-    DEFAULT_CONDITIONAL_MARKERS,
-    LintConfig,
-    REPORT_FORMATS,
-)
+from .analyzer import REPORT_FORMATS, SENSE_THRESHOLD
 from .errors import ConfigError
 from .extraction import RuleLists
 from .fileio import read_lines
@@ -59,13 +54,11 @@ class Config:
     rules_referential: Path | None = None
     rules_variable: Path | None = None
     rules_weakness: Path | None = None
-    sense_threshold: int = 2
+    sense_threshold: int = SENSE_THRESHOLD
     jobs: int = 1
     format: str = "text"
     scope: str = "verified"
     flag_anaphoric_clitics: bool = False
-    conditional_markers: tuple[str, ...] = DEFAULT_CONDITIONAL_MARKERS
-    alternative_markers: tuple[str, ...] = DEFAULT_ALTERNATIVE_MARKERS
 
 
 # config key -> type of its Config default, which decides how its value parses
@@ -91,11 +84,6 @@ def _parse_value(key: str, value: str, base: Path, where: str) -> object:
         if lowered in ("false", "no", "0", "off"):
             return False
         raise ConfigError(f"{where}: {key} must be a boolean, got {value!r}")
-    if kind is tuple:  # a comma-separated marker list
-        items = tuple(v.strip() for v in value.split(",") if v.strip())
-        if not items:
-            raise ConfigError(f"{where}: {key} must list at least one marker")
-        return items
     return value
 
 
@@ -139,7 +127,6 @@ class Resources:
     posdict: PosDictionary | None
     rules: RuleLists
     filter_config: FilterConfig
-    lint_config: LintConfig
     config: Config
 
 
@@ -169,19 +156,11 @@ def load_resources(cfg: Config, *, require_lexicon: bool = True) -> Resources:
         ),
         abbreviations=abbreviations,
     )
-    lint_config = LintConfig(
-        filter_config=filter_config,
-        sense_threshold=cfg.sense_threshold,
-        conditional_markers=cfg.conditional_markers,
-        alternative_markers=cfg.alternative_markers,
-        flag_anaphoric_clitics=cfg.flag_anaphoric_clitics,
-    )
     return Resources(
         lexicon=lexicon,
         posdict=posdict,
         rules=rules,
         filter_config=filter_config,
-        lint_config=lint_config,
         config=cfg,
     )
 

@@ -14,7 +14,14 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .analyzer import ATTRIBUTE_MEMBER, CRITERIA, MULTI_POS, MULTI_SENSE, VAGUE_POS
+from .analyzer import (
+    ATTRIBUTE_MEMBER,
+    CRITERIA,
+    MULTI_POS,
+    MULTI_SENSE,
+    SENSE_THRESHOLD,
+    VAGUE_POS,
+)
 from .errors import LexiconError, ReviewError, WordlistError
 from .fileio import check_record, read_jsonl, read_lines, write_atomic
 from .filters import FilterConfig, FilterCounts, apply_filters
@@ -166,7 +173,7 @@ class ExtractionResult:
     documents: int = 0
 
 
-def _scan_document(
+def scan_document(
     doc: Document,
     lex_hints: Lexicon,
     posdict: PosDictionary | None,
@@ -174,7 +181,11 @@ def _scan_document(
     filter_cfg: FilterConfig,
     sense_threshold: int,
 ) -> ExtractionResult:
-    """One document's unmapped candidates, one per phrase, in scan order."""
+    """One document's unmapped candidates, one per phrase, in scan order.
+
+    merge_results combines, sorts and maps the scans of a corpus; --jobs N
+    runs this scan in the pool workers.
+    """
     counts = FilterCounts()
     tokens_read = 0
     limit = max(lex_hints.max_phrase_len, rules.max_phrase_len, 1)
@@ -209,7 +220,7 @@ def extract_candidates(
     rules: RuleLists,
     filter_cfg: FilterConfig | None = None,
     *,
-    sense_threshold: int = 2,
+    sense_threshold: int = SENSE_THRESHOLD,
 ) -> ExtractionResult:
     """Mine candidate phrases from a corpus (longest phrase wins per spot).
 
@@ -222,7 +233,7 @@ def extract_candidates(
     """
     filter_cfg = filter_cfg or FilterConfig()
     scans = [
-        _scan_document(doc, lex_hints, posdict, rules, filter_cfg, sense_threshold)
+        scan_document(doc, lex_hints, posdict, rules, filter_cfg, sense_threshold)
         for doc in corpus
     ]
     return merge_results(scans, lex_hints, posdict, rules)
@@ -239,8 +250,8 @@ def merge_results(
     Candidates become unique by phrase, with occurrences concatenated in
     input order and criterion hits united, then sorted by phrase and mapped
     onto suggested tags. extract_candidates ends here for --jobs 1, and
-    --jobs N merges its per-document results here, so both give the same
-    bytes.
+    --jobs N merges its workers' scan_document results here, so both give
+    the same bytes.
     """
     counts = FilterCounts()
     occurrences: dict[tuple[str, ...], list[Occurrence]] = {}

@@ -142,12 +142,15 @@ class Lexicon:
         entry.validate()
         if entry.phrase in self._entries:
             raise LexiconError(f"duplicate phrase {entry.phrase_text!r}")
-        self._entries[entry.phrase] = entry
-        self._max_phrase_len = max(self._max_phrase_len, len(entry.phrase))
+        self._insert(entry)
 
     def replace(self, entry: LexiconEntry) -> None:
         """Insert or overwrite the entry for entry.phrase."""
         entry.validate()
+        self._insert(entry)
+
+    def _insert(self, entry: LexiconEntry) -> None:
+        """Store an entry the caller has validated."""
         self._entries[entry.phrase] = entry
         self._max_phrase_len = max(self._max_phrase_len, len(entry.phrase))
 
@@ -213,13 +216,13 @@ def record_to_entry(record: object, where: str = "record") -> LexiconEntry:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Load a JSON-lines lexicon file, validating every record."""
+    """Load a JSON-lines lexicon file, validating every record once."""
     lexicon = Lexicon()
     for where, record in read_jsonl(path, "lexicon", LexiconError):
         entry = record_to_entry(record, where)
         if entry.phrase in lexicon:
             raise LexiconError(f"{where}: duplicate phrase {entry.phrase_text!r}")
-        lexicon.add(entry)
+        lexicon._insert(entry)
     return lexicon
 
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import analyzer_oracle as oracle
 from conftest import all_tokens, mk_doc
 from kaburlint.analyzer import (
     ATTRIBUTE_MEMBER,
     DANGLING_ELSE,
-    LintConfig,
     MULTI_POS,
     MULTI_SENSE,
     REFERENTIAL_SENTENCE,
@@ -23,7 +28,7 @@ from kaburlint.lexicon import (
     PosDictionary,
     normalize_phrase,
 )
-from kaburlint.textcore import segment_sentences, tokenize
+from kaburlint.textcore import iter_sentence_tokens, segment_sentences, tokenize
 
 
 def tag(text):
@@ -119,18 +124,15 @@ class TestLintDocument:
         }
 
     def test_heuristics_skip_filtered_tokens(self):
-        cfg = LintConfig(
-            filter_config=FilterConfig(english_words=frozenset({"papar"}))
-        )
+        filter_cfg = FilterConfig(english_words=frozenset({"papar"}))
         doc = mk_doc("guna papar sini")
-        report = lint_document(doc, seed_lexicon(), table_posdict(), cfg)
+        report = lint_document(doc, seed_lexicon(), table_posdict(), filter_cfg)
         assert report.findings == []
 
     def test_clitic_findings_are_off_by_default(self):
         doc = mk_doc("sila semak warnanya dahulu")
         assert lint_document(doc, seed_lexicon()).findings == []
-        cfg = LintConfig(flag_anaphoric_clitics=True)
-        report = lint_document(doc, seed_lexicon(), cfg=cfg)
+        report = lint_document(doc, seed_lexicon(), flag_anaphoric_clitics=True)
         assert [f.criterion for f in report.findings] == [REFERENTIAL_SENTENCE]
         assert report.findings[0].matched == "warnanya"
         assert report.findings[0].tags == frozenset({tag("REF")})
@@ -167,7 +169,7 @@ class TestCheckMultiPos:
 
 
 class TestDanglingElse:
-    def run(self, text, cfg=LintConfig()):
+    def run(self, text):
         doc = mk_doc(text)
         sentences = segment_sentences(doc)
         out = []
@@ -178,7 +180,7 @@ class TestDanglingElse:
             )
             out.append(
                 check_dangling_else(
-                    sentence, tokens, cfg, next_tokens=next_tokens, doc_id=doc.id
+                    sentence, tokens, next_tokens=next_tokens, doc_id=doc.id
                 )
             )
         return out
@@ -206,14 +208,63 @@ class TestDanglingElse:
         findings = self.run("Jika sah, terima. Rekod disimpan. Sebaliknya, tolak.")
         assert findings[0] is not None
 
-    def test_custom_markers(self):
-        cfg = LintConfig(
-            conditional_markers=("kalau",), alternative_markers=("kalau tidak",)
+
+# marker words in mixed case, near-misses, filler and punctuation; "." "?"
+# "!" and newlines end sentences, so a text is a run of sentence pairs
+DANGLING_ELSE_PIECES = [
+    "jika", "Jika", "JIKA", "jiKa", "sekiranya", "Sekiranya", "apabila",
+    "APABILA", "tidak", "Tidak", "TIDAK", "jika tidak", "Jika tidak",
+    "JIKA TIDAK", "selainnya", "Selainnya", "sebaliknya", "SEBALIKNYA",
+    "jikalau", "kalau", "jika-jika", "tidak-jika", "sebaliknya-nya",
+    "sistem", "sah", "terima", "tolak", "rekod", "3", "dll.", "Ä",
+    ",", ";", ":", "(", ")", ".", "?", "!", "\n",
+]
+
+
+def assert_dangling_else_matches_oracle(text):
+    """Each sentence's finding equals the configurable seed check's."""
+    doc = mk_doc(text)
+    pairs = list(iter_sentence_tokens(doc))
+    findings = []
+    for i, (sentence, tokens) in enumerate(pairs):
+        next_tokens = pairs[i + 1][1] if i + 1 < len(pairs) else ()
+        got = check_dangling_else(
+            sentence, tokens, next_tokens=next_tokens, doc_id=doc.id
         )
-        (finding,) = self.run("Kalau sah, terima.", cfg)
-        assert finding is not None
-        (finding,) = self.run("Kalau sah, terima, kalau tidak gagal.", cfg)
+        want = oracle.check_dangling_else(
+            sentence, tokens, next_tokens=next_tokens, doc_id=doc.id
+        )
+        # a Finding compares equal only with the same span and matched text
+        assert got == want, (text, sentence.index)
+        findings.append(got)
+    return findings
+
+
+class TestDanglingElseOracle:
+    """The fixed-marker check against the seed's configurable one."""
+
+    def test_seeded_random_texts(self):
+        rng = random.Random(1402)
+        fired = silent_with_marker = 0
+        for _ in range(2000):
+            pieces = rng.choices(DANGLING_ELSE_PIECES, k=rng.randint(0, 16))
+            text = " ".join(pieces)
+            findings = assert_dangling_else_matches_oracle(text)
+            fired += sum(f is not None for f in findings)
+            silent_with_marker += "jika" in text.casefold() and not any(findings)
+        # both outcomes occur, so the comparison is not vacuous
+        assert fired > 100 and silent_with_marker > 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(DANGLING_ELSE_PIECES), max_size=24))
+    def test_property(self, pieces):
+        assert_dangling_else_matches_oracle(" ".join(pieces))
+
+    def test_fixed_sentences(self):
+        (finding,) = assert_dangling_else_matches_oracle("apabila rekod sah, Jika tidak")
         assert finding is None
+        (finding,) = assert_dangling_else_matches_oracle("Apabila sah, JIKA perlu terima")
+        assert finding.matched == "Apabila" and finding.span.start == 0
 
 
 class TestRendering:

@@ -23,6 +23,7 @@ from kaburlint.extraction import (
     record_to_candidate,
     record_to_decision,
     replay_audit,
+    scan_document,
 )
 from kaburlint.lexicon import (
     ATTRIBUTES,
@@ -144,9 +145,9 @@ def _config_line(ws: Path, line: str) -> tuple[list[str], str]:
     return _stats(ws), f"kaburlint.conf:{len(lines) + 1}"
 
 
-def _removed_key(ws: Path, key: str) -> tuple[list[str], str]:
+def _removed_key(ws: Path, key: str, value: str = "false") -> tuple[list[str], str]:
     """A key the config no longer has is unknown; the error names line and key."""
-    argv, spot = _config_line(ws, f"{key} = false")
+    argv, spot = _config_line(ws, f"{key} = {value}")
     return argv, f"{spot}: unknown key {key!r}"
 
 
@@ -197,6 +198,12 @@ MALFORMED = {
     "config unknown key": lambda ws: _config_line(ws, "colour = blue"),
     "config bad boolean": lambda ws: _config_line(ws, "flag_anaphoric_clitics = maybe"),
     "config removed filter key": lambda ws: _removed_key(ws, "filter_numbers"),
+    "config removed conditional markers": lambda ws: _removed_key(
+        ws, "conditional_markers", "jika"
+    ),
+    "config removed alternative markers": lambda ws: _removed_key(
+        ws, "alternative_markers", "x"
+    ),
     "--jobs 0": lambda ws: (["lint", "--config", conf(ws), "--jobs", "0", *samples(ws)],
                             "jobs must be at least 1"),
     "--jobs -3": lambda ws: (["extract", "--config", conf(ws), "--jobs", "-3",
@@ -285,12 +292,6 @@ class TestConfig:
             ConfigError, match=r"kaburlint\.conf:1: flag_anaphoric_clitics must be a boolean"
         ):
             load_config(write_config(tmp_path, "flag_anaphoric_clitics = maybe"))
-
-    def test_marker_lists(self, tmp_path):
-        path = write_config(tmp_path, "conditional_markers = jika , apabila,, kalau tidak ,")
-        assert load_config(path).conditional_markers == ("jika", "apabila", "kalau tidak")
-        with pytest.raises(ConfigError, match=r"kaburlint\.conf:1: alternative_markers must list"):
-            load_config(write_config(tmp_path, "alternative_markers = , ,"))
 
     def test_string_keys_are_checked_after_overrides(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "format = xml", "scope = everything"))
@@ -409,8 +410,10 @@ class TestPool:
         assert pool.max_workers == 3
         (task,) = pool.initargs
         assert len(task.keywords["lex_hints"]) > 0
-        assert [[doc.id for doc in item] for item in pool.items] == [
-            [p.name] for p in sorted((ws / "sample").glob("*.txt"))
+        # workers scan documents; the parent merges and maps once
+        assert task.func is scan_document
+        assert [doc.id for doc in pool.items] == [
+            p.name for p in sorted((ws / "sample").glob("*.txt"))
         ]
 
     def test_single_document_runs_in_process(self, ws, fake_pool, capsys):

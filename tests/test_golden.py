@@ -1,0 +1,79 @@
+"""Byte stability: reports on the `init` seed tree equal the committed goldens.
+
+Each command runs through `kaburlint.cli.main` with the seed tree as the
+working directory and relative paths, so no output names a temporary
+directory. The stdout of `init` (and of `review`, not run here) names the
+target directory and is not compared.
+
+After an intended output change, rewrite the goldens with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import tempfile
+from pathlib import Path
+
+from kaburlint.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+CONF = "kaburlint.conf"
+DOCS = ("sample/daftar_pelajar.txt", "sample/sistem_klinik.txt")
+
+# golden file -> (argv, expected exit code, file whose bytes are the output;
+# None means stdout). Run in this order: extract writes the queue first.
+COMMANDS = {
+    "extract.stdout.txt": (["extract", "--config", CONF, "sample", "-o", "queue.jsonl"], 0, None),
+    "extract.queue.jsonl": (None, 0, "queue.jsonl"),
+    "lint.txt": (["lint", "--config", CONF, *DOCS], 1, None),
+    "lint.csv": (["lint", "--config", CONF, "--format", "csv", *DOCS], 1, None),
+    "lint.records.jsonl": (["lint", "--config", CONF, "--format", "records", *DOCS], 1, None),
+    "stats.txt": (["stats", "--config", CONF], 0, None),
+    "stats.csv": (["stats", "--config", CONF, "--format", "csv"], 0, None),
+}
+
+
+def run_commands(root: Path) -> dict[str, bytes]:
+    """Seed root, run COMMANDS inside it and return each golden's bytes."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["init", str(root)]) == 0
+    outputs = {}
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        for name, (argv, expected_rc, output_file) in COMMANDS.items():
+            if argv is not None:
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    rc = main(argv)
+                assert rc == expected_rc, (name, rc)
+            if output_file is None:
+                outputs[name] = stdout.getvalue().encode("utf-8")
+            else:
+                outputs[name] = Path(output_file).read_bytes()
+    finally:
+        os.chdir(cwd)
+    return outputs
+
+
+def test_seed_tree_outputs_match_goldens(tmp_path):
+    outputs = run_commands(tmp_path / "ws")
+    differ = [n for n, data in outputs.items() if data != (GOLDEN_DIR / n).read_bytes()]
+    assert differ == []
+
+
+def _rewrite_goldens() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = run_commands(Path(tmp) / "ws")
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, data in outputs.items():
+        (GOLDEN_DIR / name).write_bytes(data)
+        print(f"wrote {GOLDEN_DIR / name} ({len(data)} bytes)")
+
+
+if __name__ == "__main__":
+    _rewrite_goldens()
