@@ -47,12 +47,13 @@ from .extraction import (
     CandidateWord,
     ReviewDecision,
     append_audit,
+    candidate_criteria,
     extract_candidates,
     load_audit,
     load_candidates,
     map_candidate_attributes,
     merge_results,
-    record_decision,
+    replay_audit,
     save_candidates,
     scan_document,
 )
@@ -160,19 +161,19 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     res = load_resources(cfg, require_lexicon=False)
     docs = _corpus_documents(Path(args.corpus))
-    shared = dict(
-        lex_hints=res.lexicon,
-        posdict=res.posdict,
-        rules=res.rules,
-        filter_cfg=res.filter_config,
-        sense_threshold=cfg.sense_threshold,
-    )
     workers = min(cfg.jobs, len(docs))
     if workers > 1:
-        scans = _pool_map(partial(scan_document, **shared), docs, workers)
+        criteria = candidate_criteria(
+            res.lexicon, res.posdict, res.rules, cfg.sense_threshold
+        )
+        task = partial(scan_document, criteria=criteria, filter_cfg=res.filter_config)
+        scans = _pool_map(task, docs, workers)
         result = merge_results(scans, res.lexicon, res.posdict, res.rules)
     else:
-        result = extract_candidates(docs, **shared)
+        result = extract_candidates(
+            docs, res.lexicon, res.posdict, res.rules, res.filter_config,
+            sense_threshold=cfg.sense_threshold,
+        )
     save_candidates(result.candidates, args.output)
     summary = _extraction_summary(result)
     if args.summary:
@@ -244,25 +245,22 @@ def _apply_decisions(
     queue_path: Path,
     audit_path: Path,
 ) -> tuple[int, int]:
-    """Apply all decisions in memory, then persist repo, queue and audit."""
+    """Apply all decisions in memory, then append the audit log, then save.
+
+    A refused decision or a failed audit append leaves every file as it
+    was; the lexicon and queue are saved only after the batch is on disk
+    in the audit log.
+    """
+    replay_audit(res.lexicon, decisions)
     by_phrase = {c.phrase: c for c in queue}
-    accepted = rejected = 0
-    applied: list[ReviewDecision] = []
     for decision in decisions:
-        record_decision(res.lexicon, decision)
-        candidate = by_phrase[decision.phrase]
         status = ACCEPTED if decision.verdict == VERDICT_ACCEPT else REJECTED
-        by_phrase[decision.phrase] = replace(candidate, status=status)
-        if decision.verdict == VERDICT_ACCEPT:
-            accepted += 1
-        else:
-            rejected += 1
-        applied.append(decision)
+        by_phrase[decision.phrase] = replace(by_phrase[decision.phrase], status=status)
+    append_audit(audit_path, decisions)
     save_lexicon(res.lexicon, res.config.lexicon)
     save_candidates([by_phrase[c.phrase] for c in queue], queue_path)
-    for decision in applied:
-        append_audit(audit_path, decision)
-    return accepted, rejected
+    accepted = sum(d.verdict == VERDICT_ACCEPT for d in decisions)
+    return accepted, len(decisions) - accepted
 
 
 def _prompt_decision(candidate: CandidateWord, position: int, total: int) -> str:

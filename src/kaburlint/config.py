@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .analyzer import REPORT_FORMATS, SENSE_THRESHOLD
 from .errors import ConfigError
-from .extraction import RuleLists
+from .extraction import PhraseSets, load_rule_lists
 from .fileio import read_lines
 from .filters import FilterConfig, load_wordlist
 from .lexicon import Lexicon, PosDictionary, load_lexicon, load_pos_dictionary
@@ -125,7 +125,7 @@ class Resources:
 
     lexicon: Lexicon
     posdict: PosDictionary | None
-    rules: RuleLists
+    rules: PhraseSets
     filter_config: FilterConfig
     config: Config
 
@@ -138,12 +138,11 @@ def load_resources(cfg: Config, *, require_lexicon: bool = True) -> Resources:
     else:
         lexicon = load_lexicon(cfg.lexicon)
     posdict = load_pos_dictionary(cfg.pos_dict) if cfg.pos_dict else None
-    rule_paths = {
+    rules = load_rule_lists({
         attr: getattr(cfg, key)
         for key, attr in RULE_ATTRIBUTE_KEYS.items()
         if getattr(cfg, key) is not None
-    }
-    rules = RuleLists.load(rule_paths)
+    })
     abbreviations = (
         load_wordlist(cfg.abbreviations) if cfg.abbreviations else DEFAULT_ABBREVIATIONS
     )

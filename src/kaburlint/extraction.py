@@ -2,14 +2,18 @@
 
 Candidates are mined from the post-filter token stream, one per distinct
 normalized phrase, with occurrence spans kept as evidence for reviewers.
-Review decisions are appended to a JSON-lines audit log whose records are
-self-contained: replaying the log over the initial repository reproduces
-the final repository byte for byte.
+Which phrases are candidates, and with which criterion hits, comes from
+one candidate table built per run from the hint lexicon, the rule lists
+and the POS dictionary (candidate_criteria). Review decisions are
+appended to a JSON-lines audit log whose records are self-contained:
+replaying the log over the initial repository reproduces the final
+repository byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -26,9 +30,7 @@ from .errors import LexiconError, ReviewError, WordlistError
 from .fileio import check_record, read_jsonl, read_lines, write_atomic
 from .filters import FilterConfig, FilterCounts, apply_filters
 from .lexicon import (
-    ATTRIBUTES,
     POS_TO_CON_SUB,
-    STATUS_CANDIDATE,
     STATUS_REJECTED,
     STATUS_VERIFIED,
     AttributeTag,
@@ -75,78 +77,57 @@ class CandidateWord:
         return not self.suggested_tags
 
 
-class RuleLists:
-    """Per-attribute phrase lists driving the attribute mapping step."""
-
-    def __init__(self, by_attribute: dict[str, Iterable[Sequence[str]]] | None = None):
-        self._phrases: dict[str, frozenset[tuple[str, ...]]] = {}
-        self._max_len = 1
-        for attribute in ATTRIBUTES:
-            phrases = frozenset(
-                tuple(p) for p in (by_attribute or {}).get(attribute, ())
-            )
-            self._phrases[attribute] = phrases
-            for p in phrases:
-                self._max_len = max(self._max_len, len(p))
-
-    @classmethod
-    def load(cls, paths: dict[str, str | Path]) -> "RuleLists":
-        """Load one phrase-per-line list files keyed by attribute."""
-        by_attribute: dict[str, list[tuple[str, ...]]] = {}
-        for attribute, path in paths.items():
-            if attribute not in ATTRIBUTES:
-                raise WordlistError(f"unknown rule list attribute {attribute!r}")
-            by_attribute[attribute] = [
-                normalize_phrase(entry)
-                for _where, entry in read_lines(path, "rule list", WordlistError)
-            ]
-        return cls(by_attribute)
-
-    def attributes_for(self, phrase: Sequence[str]) -> set[str]:
-        key = tuple(phrase)
-        return {a for a, phrases in self._phrases.items() if key in phrases}
-
-    def tags_for(self, phrase: Sequence[str]) -> set[AttributeTag]:
-        return {AttributeTag(a) for a in self.attributes_for(phrase)}
-
-    @property
-    def max_phrase_len(self) -> int:
-        return self._max_len
+# phrase -> a set of names: rule-list attributes or criterion hits
+PhraseSets = dict[tuple[str, ...], frozenset[str]]
 
 
-def _phrase_criteria(
-    phrase: tuple[str, ...],
+def load_rule_lists(paths: dict[str, str | Path]) -> PhraseSets:
+    """Load one phrase-per-line list files keyed by attribute.
+
+    A phrase maps to the attributes of every list that holds it.
+    """
+    rules: dict[tuple[str, ...], set[str]] = {}
+    for attribute, path in paths.items():
+        for _where, line in read_lines(path, "rule list", WordlistError):
+            rules.setdefault(normalize_phrase(line), set()).add(attribute)
+    return {phrase: frozenset(attrs) for phrase, attrs in rules.items()}
+
+
+def candidate_criteria(
     lex_hints: Lexicon,
     posdict: PosDictionary | None,
-    rules: RuleLists,
+    rules: PhraseSets,
     sense_threshold: int,
-) -> set[str]:
-    """Criterion hits that make this phrase a candidate (empty set: none)."""
-    hits: set[str] = set()
-    entry = lex_hints.get(phrase)
-    if entry is not None and entry.status in (STATUS_CANDIDATE, STATUS_VERIFIED):
+) -> PhraseSets:
+    """phrase -> criterion hits, for every phrase that makes a candidate.
+
+    Built once per run: a phrase hits attribute_member when the hint
+    lexicon holds it undecided or verified, or a rule list holds it (the
+    IMP list also seeds vague_pos); a POS-dictionary word hits multi_pos
+    with two or more classes and multi_sense at the sense threshold.
+    """
+    table: dict[tuple[str, ...], set[str]] = {}
+    for entry in lex_hints.entries():
+        if entry.status != STATUS_REJECTED:
+            table.setdefault(entry.phrase, set()).add(ATTRIBUTE_MEMBER)
+    for phrase, attributes in rules.items():
+        hits = table.setdefault(phrase, set())
         hits.add(ATTRIBUTE_MEMBER)
-    rule_attrs = rules.attributes_for(phrase)
-    if rule_attrs:
-        hits.add(ATTRIBUTE_MEMBER)
-        if "IMP" in rule_attrs:
-            # the IMP list seeds the vague adjective/adverb/verb criterion
+        if "IMP" in attributes:
             hits.add(VAGUE_POS)
-    if len(phrase) == 1 and posdict is not None:
-        word = phrase[0]
-        if len(posdict.pos_classes(word)) >= 2:
-            hits.add(MULTI_POS)
-        senses = posdict.sense_count(word)
+    for word, classes, senses in posdict.items() if posdict is not None else ():
+        if len(classes) >= 2:
+            table.setdefault((word,), set()).add(MULTI_POS)
         if senses is not None and senses >= sense_threshold:
-            hits.add(MULTI_SENSE)
-    return hits
+            table.setdefault((word,), set()).add(MULTI_SENSE)
+    return {phrase: frozenset(hits) for phrase, hits in table.items()}
 
 
 def map_candidate_attributes(
     candidate: CandidateWord,
     lex_hints: Lexicon,
     posdict: PosDictionary | None,
-    rules: RuleLists,
+    rules: PhraseSets,
 ) -> frozenset[AttributeTag]:
     """Suggest tags: lexicon hints, rule lists and POS-derived CON subs.
 
@@ -156,7 +137,7 @@ def map_candidate_attributes(
     entry = lex_hints.get(candidate.phrase)
     if entry is not None and entry.status != STATUS_REJECTED:
         tags |= entry.tags
-    tags |= rules.tags_for(candidate.phrase)
+    tags.update(AttributeTag(a) for a in rules.get(candidate.phrase, ()))
     if len(candidate.phrase) == 1 and posdict is not None:
         for pos in posdict.pos_classes(candidate.phrase[0]):
             sub = POS_TO_CON_SUB.get(pos)
@@ -175,39 +156,33 @@ class ExtractionResult:
 
 def scan_document(
     doc: Document,
-    lex_hints: Lexicon,
-    posdict: PosDictionary | None,
-    rules: RuleLists,
+    criteria: PhraseSets,
     filter_cfg: FilterConfig,
-    sense_threshold: int,
 ) -> ExtractionResult:
     """One document's unmapped candidates, one per phrase, in scan order.
 
-    merge_results combines, sorts and maps the scans of a corpus; --jobs N
-    runs this scan in the pool workers.
+    `criteria` is the run's candidate table from candidate_criteria; each
+    probe of the greedy longest match is one lookup in it. merge_results
+    combines, sorts and maps the scans of a corpus; --jobs N runs this scan
+    in the pool workers.
     """
     counts = FilterCounts()
     tokens_read = 0
-    limit = max(lex_hints.max_phrase_len, rules.max_phrase_len, 1)
+    limit = max(map(len, criteria), default=0)
     occurrences: dict[tuple[str, ...], list[Occurrence]] = {}
-    hits_by_phrase: dict[tuple[str, ...], set[str]] = {}
-
-    def criteria(phrase: tuple[str, ...]) -> set[str]:
-        return _phrase_criteria(phrase, lex_hints, posdict, rules, sense_threshold)
-
     for _sentence, tokens in iter_sentence_tokens(doc, filter_cfg.abbreviations):
         tokens_read += len(tokens)
         sentence_report = apply_filters(tokens, filter_cfg)
         counts.add(sentence_report)
         kept = sentence_report.kept
         words = [t.normalized for t in kept]
-        for start, end, hits in longest_matches(words, limit, criteria):
-            phrase = tuple(words[start:end])
+        for start, end, _hits in longest_matches(words, limit, criteria.get):
             span = Span(kept[start].span.start, kept[end - 1].span.end)
-            occurrences.setdefault(phrase, []).append(Occurrence(doc.id, span))
-            hits_by_phrase.setdefault(phrase, set()).update(hits)
+            occurrences.setdefault(tuple(words[start:end]), []).append(
+                Occurrence(doc.id, span)
+            )
     candidates = [
-        CandidateWord(p, tuple(spots), criterion_hits=frozenset(hits_by_phrase[p]))
+        CandidateWord(p, tuple(spots), criterion_hits=criteria[p])
         for p, spots in occurrences.items()
     ]
     return ExtractionResult(candidates, counts, tokens_read, documents=1)
@@ -217,7 +192,7 @@ def extract_candidates(
     corpus: Sequence[Document],
     lex_hints: Lexicon,
     posdict: PosDictionary | None,
-    rules: RuleLists,
+    rules: PhraseSets,
     filter_cfg: FilterConfig | None = None,
     *,
     sense_threshold: int = SENSE_THRESHOLD,
@@ -226,16 +201,15 @@ def extract_candidates(
 
     A kept word (or kept-adjacent phrase) becomes a candidate when it has
     two or more POS classes, reaches the sense-count threshold, appears in
-    the hint lexicon as candidate/verified, or appears in a rule list.
-    Each document is scanned on its own and the scans end in one
-    merge_results call, the same reduction that combines per-document
-    results under --jobs N, so any job count gives the same result.
+    the hint lexicon as candidate/verified, or appears in a rule list. These
+    criteria are compiled into one candidate table per run. Each document
+    is scanned against it on its own and the scans end in one merge_results
+    call, the same reduction that combines per-document results under
+    --jobs N, so any job count gives the same result.
     """
+    criteria = candidate_criteria(lex_hints, posdict, rules, sense_threshold)
     filter_cfg = filter_cfg or FilterConfig()
-    scans = [
-        scan_document(doc, lex_hints, posdict, rules, filter_cfg, sense_threshold)
-        for doc in corpus
-    ]
+    scans = [scan_document(doc, criteria, filter_cfg) for doc in corpus]
     return merge_results(scans, lex_hints, posdict, rules)
 
 
@@ -243,19 +217,20 @@ def merge_results(
     results: Sequence[ExtractionResult],
     lex_hints: Lexicon,
     posdict: PosDictionary | None,
-    rules: RuleLists,
+    rules: PhraseSets,
 ) -> ExtractionResult:
     """The one reduction of per-document extraction results, in input order.
 
     Candidates become unique by phrase, with occurrences concatenated in
-    input order and criterion hits united, then sorted by phrase and mapped
-    onto suggested tags. extract_candidates ends here for --jobs 1, and
-    --jobs N merges its workers' scan_document results here, so both give
-    the same bytes.
+    input order, then sorted by phrase and mapped onto suggested tags; a
+    phrase's criterion hits come from the run's one candidate table, so
+    every scan carries the same ones. extract_candidates ends here for
+    --jobs 1, and --jobs N merges its workers' scan_document results here,
+    so both give the same bytes.
     """
     counts = FilterCounts()
     occurrences: dict[tuple[str, ...], list[Occurrence]] = {}
-    hits_by_phrase: dict[tuple[str, ...], set[str]] = {}
+    hits_by_phrase: dict[tuple[str, ...], frozenset[str]] = {}
     tokens_read = 0
     documents = 0
     for result in results:
@@ -264,15 +239,11 @@ def merge_results(
         documents += result.documents
         for candidate in result.candidates:
             occurrences.setdefault(candidate.phrase, []).extend(candidate.occurrences)
-            hits_by_phrase.setdefault(candidate.phrase, set()).update(
-                candidate.criterion_hits
-            )
+            hits_by_phrase.setdefault(candidate.phrase, candidate.criterion_hits)
     candidates = []
     for phrase in sorted(occurrences):
         candidate = CandidateWord(
-            phrase,
-            tuple(occurrences[phrase]),
-            criterion_hits=frozenset(hits_by_phrase[phrase]),
+            phrase, tuple(occurrences[phrase]), criterion_hits=hits_by_phrase[phrase]
         )
         tags = map_candidate_attributes(candidate, lex_hints, posdict, rules)
         candidates.append(replace(candidate, suggested_tags=tags))
@@ -448,9 +419,15 @@ def record_to_decision(record: object, where: str = "record") -> ReviewDecision:
     return decision
 
 
-def append_audit(path: str | Path, decision: ReviewDecision) -> None:
+def append_audit(path: str | Path, decisions: Iterable[ReviewDecision]) -> None:
+    """Append a batch of decisions in one write and flush it to disk."""
+    text = "".join(
+        json.dumps(decision_to_record(d), ensure_ascii=False) + "\n" for d in decisions
+    )
     with open(path, "a", encoding="utf-8", newline="\n") as handle:
-        handle.write(json.dumps(decision_to_record(decision), ensure_ascii=False) + "\n")
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def load_audit(path: str | Path, what: str = "audit log") -> list[ReviewDecision]:

@@ -13,7 +13,7 @@ count. Lookup anywhere in this module is case-insensitive (case-folded).
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -310,6 +310,11 @@ class PosDictionary:
 
     def sense_count(self, word: str) -> int | None:
         return self._senses.get(word.casefold())
+
+    def items(self) -> Iterator[tuple[str, frozenset[str], int | None]]:
+        """(word, POS classes, sense count or None) per case-folded word."""
+        for word, classes in self._classes.items():
+            yield word, classes, self._senses.get(word)
 
     def __contains__(self, word: str) -> bool:
         return word.casefold() in self._classes

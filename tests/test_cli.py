@@ -242,6 +242,17 @@ def test_forced_rereview_replays_to_the_same_bytes(ws, capsys):
     assert dumps_lexicon(replayed) == (ws / "lexicon.jsonl").read_text(encoding="utf-8")
 
 
+def test_review_whose_audit_log_cannot_be_written_changes_nothing(ws, capsys):
+    # the config may name an audit log in a directory that does not exist
+    _config_line(ws, "audit_log = logs/audit.jsonl")
+    before = {name: (ws / name).read_bytes() for name in ("lexicon.jsonl", "queue.jsonl")}
+    argv, _ = _decisions(ws, {"phrase": ["segera"], "verdict": "reject", "force": True})
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2 and "audit.jsonl" in err
+    assert {name: (ws / name).read_bytes() for name in before} == before
+    assert not (ws / "logs").exists()
+
+
 # --- config parsing ---
 
 
@@ -409,8 +420,9 @@ class TestPool:
         (pool,) = fake_pool
         assert pool.max_workers == 3
         (task,) = pool.initargs
-        assert len(task.keywords["lex_hints"]) > 0
-        # workers scan documents; the parent merges and maps once
+        # the candidate table travels once; workers scan documents and the
+        # parent merges and maps once
+        assert len(task.keywords["criteria"]) > 0
         assert task.func is scan_document
         assert [doc.id for doc in pool.items] == [
             p.name for p in sorted((ws / "sample").glob("*.txt"))

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import extraction_oracle as oracle
 from conftest import mk_doc, random_lexicon, random_phrase, random_tags
 from kaburlint.analyzer import ATTRIBUTE_MEMBER, MULTI_POS, MULTI_SENSE, VAGUE_POS
 from kaburlint.errors import ReviewError
@@ -14,19 +19,24 @@ from kaburlint.extraction import (
     CandidateWord,
     Occurrence,
     ReviewDecision,
-    RuleLists,
     append_audit,
+    candidate_criteria,
     extract_candidates,
     load_audit,
     load_candidates,
+    load_rule_lists,
     map_candidate_attributes,
     merge_results,
     record_decision,
     replay_audit,
     save_candidates,
+    scan_document,
 )
 from kaburlint.filters import FilterConfig
 from kaburlint.lexicon import (
+    ATTRIBUTES,
+    POS_LABELS,
+    STATUSES,
     AttributeTag,
     Lexicon,
     LexiconEntry,
@@ -43,17 +53,18 @@ def tag(text: str) -> AttributeTag:
     return AttributeTag.parse(text)
 
 
-def seed_rules() -> RuleLists:
-    return RuleLists(
-        {
-            "IMP": [("efisien",), ("segera",), ("secepat", "mungkin")],
-            "CON": [("beberapa",)],
-            "T": [("bulanan",)],
-            "REF": [("sebelum",), ("begini",)],
-            "VAR": [("data", "itu")],
-            "WN": [("anggaran",)],
-        }
-    )
+def seed_rules() -> dict[tuple[str, ...], frozenset[str]]:
+    return {
+        ("efisien",): frozenset({"IMP"}),
+        ("segera",): frozenset({"IMP"}),
+        ("secepat", "mungkin"): frozenset({"IMP"}),
+        ("beberapa",): frozenset({"CON"}),
+        ("bulanan",): frozenset({"T"}),
+        ("sebelum",): frozenset({"REF"}),
+        ("begini",): frozenset({"REF"}),
+        ("data", "itu"): frozenset({"VAR"}),
+        ("anggaran",): frozenset({"WN"}),
+    }
 
 
 def seed_posdict() -> PosDictionary:
@@ -81,7 +92,7 @@ class TestExtractCandidates:
     def test_multi_pos_criterion(self):
         docs = [mk_doc("sistem akan papar rekod baharu.")]
         result = extract_candidates(
-            docs, Lexicon(), seed_posdict(), RuleLists(), PLAIN_FILTERS
+            docs, Lexicon(), seed_posdict(), {}, PLAIN_FILTERS
         )
         phrases = {c.phrase: c for c in result.candidates}
         assert ("papar",) in phrases
@@ -90,20 +101,20 @@ class TestExtractCandidates:
     def test_lexicon_hint_criterion_and_suggestion(self):
         docs = [mk_doc("laporan mesti efisien.")]
         result = extract_candidates(
-            docs, Lexicon([entry("efisien")]), None, RuleLists(), PLAIN_FILTERS
+            docs, Lexicon([entry("efisien")]), None, {}, PLAIN_FILTERS
         )
         (candidate,) = [c for c in result.candidates if c.phrase == ("efisien",)]
         assert candidate.criterion_hits == frozenset({ATTRIBUTE_MEMBER})
         assert candidate.suggested_tags == frozenset({tag("IMP")})
 
     def test_empty_corpus(self):
-        result = extract_candidates([], Lexicon(), None, RuleLists(), PLAIN_FILTERS)
+        result = extract_candidates([], Lexicon(), None, {}, PLAIN_FILTERS)
         assert result.candidates == []
 
     def test_sense_threshold(self):
         docs = [mk_doc("ia akan berlaku.")]
         result = extract_candidates(
-            docs, Lexicon(), seed_posdict(), RuleLists(), PLAIN_FILTERS
+            docs, Lexicon(), seed_posdict(), {}, PLAIN_FILTERS
         )
         phrases = {c.phrase: c for c in result.candidates}
         assert phrases[("akan",)].criterion_hits == frozenset({MULTI_SENSE})
@@ -111,7 +122,7 @@ class TestExtractCandidates:
             docs,
             Lexicon(),
             seed_posdict(),
-            RuleLists(),
+            {},
             PLAIN_FILTERS,
             sense_threshold=3,
         )
@@ -151,7 +162,7 @@ class TestExtractCandidates:
             docs,
             Lexicon([entry("efisien", status="rejected")]),
             None,
-            RuleLists(),
+            {},
             PLAIN_FILTERS,
         )
         assert result.candidates == []
@@ -214,19 +225,19 @@ class TestMapping:
         candidate = CandidateWord(
             phrase=("papar",), occurrences=(Occurrence("d", Span(0, 5)),)
         )
-        tags = map_candidate_attributes(candidate, Lexicon(), seed_posdict(), RuleLists())
+        tags = map_candidate_attributes(candidate, Lexicon(), seed_posdict(), {})
         assert tags == frozenset({tag("CON.adjective"), tag("CON.verb")})
         candidate = CandidateWord(
             phrase=("amat",), occurrences=(Occurrence("d", Span(0, 4)),)
         )
-        tags = map_candidate_attributes(candidate, Lexicon(), seed_posdict(), RuleLists())
+        tags = map_candidate_attributes(candidate, Lexicon(), seed_posdict(), {})
         assert tags == frozenset({tag("CON.verb"), tag("CON.adverb")})
 
     def test_unmapped_candidate_is_flagged(self):
         candidate = CandidateWord(
             phrase=("akan",), occurrences=(Occurrence("d", Span(0, 4)),)
         )
-        mapped = map_candidate_attributes(candidate, Lexicon(), seed_posdict(), RuleLists())
+        mapped = map_candidate_attributes(candidate, Lexicon(), seed_posdict(), {})
         assert mapped == frozenset()
         assert CandidateWord(
             phrase=("akan",),
@@ -357,7 +368,7 @@ class TestQueueAndAuditFiles:
             ),
         ]
         for decision in decisions:
-            append_audit(path, decision)
+            append_audit(path, [decision])
         assert load_audit(path) == decisions
 
 
@@ -394,7 +405,7 @@ class TestAuditReplay:
                     force=decided,
                 )
                 record_decision(repo, decision)
-                append_audit(audit_path, decision)
+                append_audit(audit_path, [decision])
                 status[phrase] = (
                     "verified" if verdict == "accept" else "rejected"
                 )
@@ -404,3 +415,143 @@ class TestAuditReplay:
             final_bytes = dumps_lexicon(repo).encode()
             replayed = replay_audit(load_lexicon(initial_path), load_audit(audit_path))
             assert dumps_lexicon(replayed).encode() == final_bytes
+
+
+# --- the candidate table against the per-probe seed extraction ---
+
+# words whose case variants fold together: "straße", "STRASSE" and "Strasse"
+# all probe "strasse"
+ORACLE_WORDS = [
+    "segera", "data", "itu", "efisien", "alam", "papar", "masa", "nyata",
+    "laporan", "ss", "ß", "strasse", "straße",
+]
+ORACLE_PUNCT = [",", ".", "!", "\n", "3", "dll."]
+ORACLE_FILTERS = [
+    FilterConfig(),
+    FilterConfig(
+        english_words=frozenset({"data"}),
+        malay_words=frozenset({"segera", "data", "itu", "masa"}),
+    ),
+]
+ORACLE_TAGS = ["IMP", "IMP.general", "CON.verb", "T", "WN"]
+
+# mostly lower case: a capitalized word mid-sentence is filtered as a name
+cased_words = st.tuples(
+    st.sampled_from(ORACLE_WORDS),
+    st.sampled_from([str.lower, str.lower, str.lower, str.upper, str.title]),
+).map(lambda pair: pair[1](pair[0]))
+phrases = st.lists(cased_words, min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def extraction_inputs(draw):
+    """A corpus with a hint lexicon, rule lists and a POS dictionary over it."""
+    hints = draw(st.lists(st.tuples(
+        phrases,
+        st.sampled_from(STATUSES),
+        st.sets(st.sampled_from(ORACLE_TAGS), min_size=1, max_size=2),
+    ), max_size=8))
+    entries = {}
+    for text, status, tags in hints:
+        phrase = normalize_phrase(text)
+        entries.setdefault(phrase, LexiconEntry(
+            phrase, tags=frozenset(map(AttributeTag.parse, tags)), status=status
+        ))
+    listed = draw(st.lists(st.tuples(
+        phrases, st.sets(st.sampled_from(ATTRIBUTES), min_size=1, max_size=3)
+    ), max_size=6))
+    rule_lines = {attribute: [] for attribute in ATTRIBUTES}
+    for text, attributes in listed:
+        for attribute in attributes:
+            rule_lines[attribute].append(text)
+    words = draw(st.lists(st.tuples(
+        cased_words,
+        st.sets(st.sampled_from(sorted(POS_LABELS)), max_size=3),
+        st.none() | st.integers(0, 4),
+    ), max_size=6))
+    posdict = PosDictionary()
+    for word, classes, senses in words:
+        if word not in posdict:
+            posdict.add(word, classes, senses)
+    # the texts also quote the drawn phrases and words, so that they occur
+    pieces = cased_words | st.sampled_from(ORACLE_PUNCT)
+    known = [text for text, *_ in hints + listed + words]
+    if known:
+        pieces |= st.sampled_from(known)
+    texts = draw(st.lists(
+        st.lists(pieces, min_size=4, max_size=40).map(" ".join),
+        min_size=1,
+        max_size=3,
+    ))
+    return (
+        Lexicon(entries.values()),
+        rule_lines,
+        draw(st.none() | st.just(posdict)),
+        [mk_doc(text, doc_id=f"d{i}") for i, text in enumerate(texts)],
+        draw(st.sampled_from(ORACLE_FILTERS)),
+        draw(st.integers(0, 4)),
+    )
+
+
+def assert_table_matches_oracle(lexicon, rule_lines, posdict, docs, cfg, threshold):
+    """Serial and --jobs-style extraction equal the seed's, field by field."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for attribute, lines in rule_lines.items():
+            paths[attribute] = Path(tmp) / f"{attribute}.txt"
+            paths[attribute].write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        rules = load_rule_lists(paths)
+        seed_rules = oracle.RuleLists.load(paths)
+    want = oracle.extract_candidates(
+        docs, lexicon, posdict, seed_rules, cfg, sense_threshold=threshold
+    )
+    got = extract_candidates(docs, lexicon, posdict, rules, cfg, sense_threshold=threshold)
+    criteria = candidate_criteria(lexicon, posdict, rules, threshold)
+    pooled = merge_results(
+        [scan_document(doc, criteria, cfg) for doc in docs], lexicon, posdict, rules
+    )
+    for result in (got, pooled):
+        # CandidateWord equality covers occurrences, suggested tags and hits
+        assert result.candidates == want.candidates
+        assert result.filter_counts == want.filter_counts
+        assert (result.tokens_read, result.documents) == (want.tokens_read, want.documents)
+    return got
+
+
+class TestCandidateTableOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(extraction_inputs())
+    def test_property(self, inputs):
+        assert_table_matches_oracle(*inputs)
+
+    def test_every_criterion_and_case_variant(self):
+        lexicon = Lexicon([
+            entry("masa nyata", tags=("T",), status="candidate"),
+            entry("laporan", tags=("WN",), status="rejected"),
+            entry("straße", tags=("VAR",)),
+        ])
+        rule_lines = {attribute: [] for attribute in ATTRIBUTES}
+        rule_lines["IMP"] = ["Segera", "data itu"]
+        rule_lines["T"] = ["SEGERA", "masa"]
+        rule_lines["WN"] = ["laporan"]
+        posdict = PosDictionary()
+        posdict.add("STRASSE", {"kk", "adj"}, 3)
+        posdict.add("alam", {"kk"}, 2)
+        posdict.add("papar", {"kk", "kn"}, 1)
+        docs = [
+            mk_doc("Sistem segera papar data itu. Masa nyata, straße dan alam.", doc_id="a"),
+            mk_doc("Straße laporan masa segera.", doc_id="b"),
+        ]
+        result = assert_table_matches_oracle(
+            lexicon, rule_lines, posdict, docs, PLAIN_FILTERS, 2
+        )
+        hits = {c.phrase: c.criterion_hits for c in result.candidates}
+        assert hits[("segera",)] == frozenset({ATTRIBUTE_MEMBER, VAGUE_POS})
+        assert hits[("data", "itu")] == frozenset({ATTRIBUTE_MEMBER, VAGUE_POS})
+        assert hits[("masa", "nyata")] == frozenset({ATTRIBUTE_MEMBER})
+        assert hits[("alam",)] == frozenset({MULTI_SENSE})
+        assert hits[("papar",)] == frozenset({MULTI_POS})
+        assert hits[("laporan",)] == frozenset({ATTRIBUTE_MEMBER})
+        assert hits[("strasse",)] == frozenset({ATTRIBUTE_MEMBER, MULTI_POS, MULTI_SENSE})
+        tags = {c.phrase: c.suggested_tags for c in result.candidates}
+        assert tags[("segera",)] == frozenset({tag("IMP"), tag("T")})

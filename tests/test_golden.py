@@ -2,8 +2,11 @@
 
 Each command runs through `kaburlint.cli.main` with the seed tree as the
 working directory and relative paths, so no output names a temporary
-directory. The stdout of `init` (and of `review`, not run here) names the
-target directory and is not compared.
+directory. The stdout of `init` and of `review` names the target directory
+and is not compared. `review` applies the committed batch file
+`golden/input.decisions.jsonl` (fixed reviewers and timestamps, forced
+decisions over the verified seed lexicon) and `map` then remaps the
+reviewed queue against the reviewed lexicon.
 
 After an intended output change, rewrite the goldens with
 
@@ -23,9 +26,11 @@ from kaburlint.cli import main
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CONF = "kaburlint.conf"
 DOCS = ("sample/daftar_pelajar.txt", "sample/sistem_klinik.txt")
+DECISIONS = str(GOLDEN_DIR / "input.decisions.jsonl")
 
 # golden file -> (argv, expected exit code, file whose bytes are the output;
-# None means stdout). Run in this order: extract writes the queue first.
+# None means stdout). Run in this order: extract writes the queue first, and
+# review changes the lexicon after lint and stats have read it.
 COMMANDS = {
     "extract.stdout.txt": (["extract", "--config", CONF, "sample", "-o", "queue.jsonl"], 0, None),
     "extract.queue.jsonl": (None, 0, "queue.jsonl"),
@@ -34,6 +39,15 @@ COMMANDS = {
     "lint.records.jsonl": (["lint", "--config", CONF, "--format", "records", *DOCS], 1, None),
     "stats.txt": (["stats", "--config", CONF], 0, None),
     "stats.csv": (["stats", "--config", CONF, "--format", "csv"], 0, None),
+    "review.lexicon.jsonl": (
+        ["review", "--config", CONF, "queue.jsonl", "--decisions", DECISIONS,
+         "--reviewer", "penyemak"],
+        0,
+        "lexicon.jsonl",
+    ),
+    "review.queue.jsonl": (None, 0, "queue.jsonl"),
+    "review.audit.jsonl": (None, 0, "audit.jsonl"),
+    "map.queue.jsonl": (["map", "--config", CONF, "queue.jsonl", "-o", "mapped.jsonl"], 0, "mapped.jsonl"),
 }
 
 
