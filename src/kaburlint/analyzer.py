@@ -196,7 +196,7 @@ def check_dangling_else(
 
 
 def _check_anaphoric_clitic(
-    token: Token, *, doc_id: str, sentence_index: int
+    token: Token, *, doc_id: str = "", sentence_index: int = 0
 ) -> Finding | None:
     normalized = token.normalized
     if len(normalized) <= 3 or not normalized.endswith("nya"):
@@ -215,6 +215,26 @@ def _check_anaphoric_clitic(
     )
 
 
+def _word_hits(
+    token: Token,
+    posdict: PosDictionary | None,
+    sense_threshold: int,
+    flag_anaphoric_clitics: bool,
+) -> tuple[tuple[str, frozenset[AttributeTag]], ...]:
+    """(criterion, tags) of each per-word heuristic that fires on the token.
+
+    All three heuristics read only the normalized word, so lint_document
+    asks once per word and builds each token's findings from the answer.
+    """
+    hits = []
+    if posdict is not None:
+        hits.append(check_multi_pos(token, posdict))
+        hits.append(check_multi_sense(token, posdict, sense_threshold))
+    if flag_anaphoric_clitics:
+        hits.append(_check_anaphoric_clitic(token))
+    return tuple((hit.criterion, hit.tags) for hit in hits if hit)
+
+
 def lint_document(
     doc: Document,
     lexicon: Lexicon,
@@ -227,6 +247,8 @@ def lint_document(
     """Lint one document; only verified lexicon entries participate."""
     filter_cfg = filter_cfg or FilterConfig()
     findings: list[Finding] = []
+    # normalized word -> its heuristic (criterion, tags) pairs
+    word_hits: dict[str, tuple[tuple[str, frozenset[AttributeTag]], ...]] = {}
     # One sentence of lookahead serves the dangling-else check; earlier
     # sentences' tokens are dropped as the scan moves on, so the objects the
     # garbage collector must traverse do not grow with the document.
@@ -248,31 +270,19 @@ def lint_document(
                     severity=SEVERITY_WARNING,
                 )
             )
-        report = apply_filters(tokens, filter_cfg)
-        for token in report.kept:
+        for token in apply_filters(tokens, filter_cfg).kept:
             if token.kind != WORD:
                 continue
-            if posdict is not None:
-                hit = check_multi_pos(
-                    token, posdict, doc_id=doc.id, sentence_index=sentence.index
+            hits = word_hits.get(token.normalized)
+            if hits is None:
+                hits = word_hits[token.normalized] = _word_hits(
+                    token, posdict, sense_threshold, flag_anaphoric_clitics
                 )
-                if hit:
-                    findings.append(hit)
-                hit = check_multi_sense(
-                    token,
-                    posdict,
-                    sense_threshold,
-                    doc_id=doc.id,
-                    sentence_index=sentence.index,
+            for criterion, tags in hits:
+                findings.append(
+                    Finding(doc.id, sentence.index, token.span, token.surface, "",
+                            tags, criterion, SEVERITY_INFO)
                 )
-                if hit:
-                    findings.append(hit)
-            if flag_anaphoric_clitics:
-                hit = _check_anaphoric_clitic(
-                    token, doc_id=doc.id, sentence_index=sentence.index
-                )
-                if hit:
-                    findings.append(hit)
         next_tokens = following[1] if following is not None else ()
         hit = check_dangling_else(
             sentence, tokens, next_tokens=next_tokens, doc_id=doc.id

@@ -104,11 +104,16 @@ def candidate_criteria(
     Built once per run: a phrase hits attribute_member when the hint
     lexicon holds it undecided or verified, or a rule list holds it (the
     IMP list also seeds vague_pos); a POS-dictionary word hits multi_pos
-    with two or more classes and multi_sense at the sense threshold.
+    with two or more classes and multi_sense at the sense threshold. A
+    phrase the hint lexicon holds as rejected is never a candidate: a
+    reviewer has decided it, whatever else names it.
     """
     table: dict[tuple[str, ...], set[str]] = {}
+    rejected = set()
     for entry in lex_hints.entries():
-        if entry.status != STATUS_REJECTED:
+        if entry.status == STATUS_REJECTED:
+            rejected.add(entry.phrase)
+        else:
             table.setdefault(entry.phrase, set()).add(ATTRIBUTE_MEMBER)
     for phrase, attributes in rules.items():
         hits = table.setdefault(phrase, set())
@@ -120,7 +125,11 @@ def candidate_criteria(
             table.setdefault((word,), set()).add(MULTI_POS)
         if senses is not None and senses >= sense_threshold:
             table.setdefault((word,), set()).add(MULTI_SENSE)
-    return {phrase: frozenset(hits) for phrase, hits in table.items()}
+    return {
+        phrase: frozenset(hits)
+        for phrase, hits in table.items()
+        if phrase not in rejected
+    }
 
 
 def map_candidate_attributes(

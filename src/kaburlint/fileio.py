@@ -104,14 +104,33 @@ def check_record(
 
 
 def write_atomic(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file and rename, with LF newlines."""
+    """Write text to path via a temp file and rename, with LF newlines.
+
+    Durable as well as atomic: the temp file is flushed to disk before the
+    rename, and the directory after it, so a crash leaves either the old
+    file or the new one, never an empty or a missing one.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
+        _fsync_directory(path.parent)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Flush a directory's entries (a rename in it) to disk, where POSIX allows."""
+    if os.name != "posix":
+        return
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -6,7 +6,10 @@ reduplication, short_form, proper_noun, loanword. Only the wordlists that
 the reasons consult are configurable. The outcome for a token depends only
 on the token itself, whether it is its sentence's first word and the
 wordlists, so filtering is order-independent and re-filtering the kept
-tokens excludes nothing further.
+tokens excludes nothing further. That is why apply_filters decides each
+surface once per sentence position and configuration and keeps the
+answer in the FilterConfig, where it lives and dies with the wordlists
+it came from.
 
 Both token-level and type-level elimination counts are reported, since an
 aggregate like "N words eliminated" is ambiguous between the two.
@@ -58,11 +61,21 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """The wordlists the six filters consult; the reasons themselves are fixed."""
+    """The wordlists the six filters consult; the reasons themselves are fixed.
+
+    _reasons memoizes apply_filters' outcomes for this configuration: one
+    dict per sentence position (not initial, initial) from a token's
+    surface to its exclusion reason, None for kept. The wordlists never
+    change, so an entry stays true for as long as the configuration
+    lives; two configurations never share one.
+    """
 
     english_words: frozenset[str] = frozenset()
     malay_words: frozenset[str] | None = None
     abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
+    _reasons: tuple[dict[str, str | None], dict[str, str | None]] = field(
+        default_factory=lambda: ({}, {}), init=False, repr=False, compare=False
+    )
 
 
 def is_short_form(token: Token, abbrev_list: frozenset[str] | set[str]) -> bool:
@@ -134,19 +147,36 @@ class FilterReport:
     excluded: list[tuple[Token, str]] = field(default_factory=list)
 
 
+_UNSEEN = object()
+
+
 def apply_filters(tokens: Sequence[Token], cfg: FilterConfig) -> FilterReport:
     """Partition one sentence's tokens into kept and excluded.
 
-    The sentence's first word token is its sentence-initial one.
+    The sentence's first word token is its sentence-initial one. A token's
+    kind and normalized form are functions of its surface (see tokenize),
+    so classify_token runs once per surface and sentence position within
+    one FilterConfig; later tokens read the outcome from cfg._reasons.
     """
-    initial = next((token for token in tokens if token.kind == WORD), None)
     report = FilterReport()
+    kept = report.kept
+    excluded = report.excluded
+    memo, initial_memo = cfg._reasons
+    initial_seen = False
     for token in tokens:
-        reason = classify_token(token, token is initial, cfg)
-        if reason is None:
-            report.kept.append(token)
+        if initial_seen or token.kind != WORD:
+            reason = memo.get(token.surface, _UNSEEN)
+            if reason is _UNSEEN:
+                reason = memo[token.surface] = classify_token(token, False, cfg)
         else:
-            report.excluded.append((token, reason))
+            initial_seen = True
+            reason = initial_memo.get(token.surface, _UNSEEN)
+            if reason is _UNSEEN:
+                reason = initial_memo[token.surface] = classify_token(token, True, cfg)
+        if reason is None:
+            kept.append(token)
+        else:
+            excluded.append((token, reason))
     return report
 
 

@@ -135,6 +135,7 @@ class Lexicon:
     def __init__(self, entries: Iterable[LexiconEntry] = ()) -> None:
         self._entries: dict[tuple[str, ...], LexiconEntry] = {}
         self._max_phrase_len = 0
+        self._verified: tuple[dict[tuple[str, ...], LexiconEntry], int] | None = None
         for entry in entries:
             self.add(entry)
 
@@ -153,6 +154,22 @@ class Lexicon:
         """Store an entry the caller has validated."""
         self._entries[entry.phrase] = entry
         self._max_phrase_len = max(self._max_phrase_len, len(entry.phrase))
+        self._verified = None
+
+    def verified(self) -> tuple[dict[tuple[str, ...], LexiconEntry], int]:
+        """The verified entries by phrase, and the longest such phrase's length.
+
+        Built on first use and dropped by every add and replace, so it
+        always reflects the entries stored now.
+        """
+        if self._verified is None:
+            index = {
+                phrase: entry
+                for phrase, entry in self._entries.items()
+                if entry.status == STATUS_VERIFIED
+            }
+            self._verified = index, max(map(len, index), default=0)
+        return self._verified
 
     def get(self, phrase: Sequence[str]) -> LexiconEntry | None:
         return self._entries.get(tuple(phrase))
@@ -269,18 +286,14 @@ def match_entries(
 
     At each position the longest matching phrase wins and its tokens are
     consumed, so matches never overlap. Matching is on normalized token
-    text. Candidate and rejected entries never match.
+    text. Candidate and rejected entries never match: each probe is one
+    lookup in the lexicon's verified index.
     """
-    entries = lexicon._entries
-
-    def lookup(phrase: tuple[str, ...]) -> LexiconEntry | None:
-        entry = entries.get(phrase)
-        return entry if entry is not None and entry.status == STATUS_VERIFIED else None
-
+    index, limit = lexicon.verified()
     words = [t.normalized for t in tokens]
     return [
         (Span(tokens[start].span.start, tokens[end - 1].span.end), entry)
-        for start, end, entry in longest_matches(words, lexicon.max_phrase_len, lookup)
+        for start, end, entry in longest_matches(words, limit, index.get)
     ]
 
 
@@ -293,6 +306,9 @@ class PosDictionary:
 
     def add(self, word: str, pos: Iterable[str], senses: int | None = None) -> None:
         word = word.casefold()
+        if word.split() != [word]:
+            # a lookup is one token, so such a word could never be found
+            raise WordlistError(f"POS dictionary word {word!r} contains whitespace")
         classes = frozenset(pos)
         unknown = classes - POS_LABELS
         if unknown:

@@ -12,6 +12,13 @@ bisects a line-start table that the map builds on first use. The
 tokenizer scans with compiled regular expressions and falls back to
 per-character rules only at '.' and ',' (decimals and abbreviations).
 
+Span, Sentence and Token are built once per sentence or token, so they
+are slot classes, not dataclasses: values whose equality, hashing, repr
+and pickling come from one small base, with no check beyond Span's
+0 <= start < end. A token's kind and normalized form are functions of
+its surface, which lets later stages keep per-surface facts
+(filters.apply_filters).
+
 Normalization is case-folding only. Hyphenated words ("rekod-rekod") are
 kept as single tokens so the reduplication filter can see them whole, and
 clitic suffixes are never split off.
@@ -107,16 +114,47 @@ class _OffsetMap:
         return line, char - starts[line - 1] + 1
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open byte range [start, end) within a document's UTF-8 text."""
+class _Value:
+    """Base of the slot classes below: a value made of its slots.
 
-    start: int
-    end: int
+    Equality, hashing, repr and pickling all follow the slots in order, as
+    a frozen dataclass's would; instances are never changed once built.
+    """
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.start >= self.end:
-            raise ValueError(f"invalid span [{self.start}, {self.end})")
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Span(_Value):
+    """Half-open byte range [start, end) within a document's UTF-8 text.
+
+    Built once per token, so its only check is 0 <= start < end.
+    """
+
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: int, end: int) -> None:
+        if not 0 <= start < end:
+            raise ValueError(f"invalid span [{start}, {end})")
+        self.start = start
+        self.end = end
 
 
 @dataclass
@@ -140,18 +178,31 @@ class Document:
         return self._offsets
 
 
-@dataclass(frozen=True)
-class Sentence:
-    span: Span
-    index: int
+class Sentence(_Value):
+    """A sentence's span and its 0-based position in the document."""
+
+    __slots__ = ("span", "index")
+
+    def __init__(self, span: Span, index: int) -> None:
+        self.span = span
+        self.index = index
 
 
-@dataclass(frozen=True)
-class Token:
-    span: Span
-    surface: str
-    normalized: str
-    kind: str  # WORD, SYMBOL or NUMBER
+class Token(_Value):
+    """One token: its span, text, case-folded text and kind.
+
+    Built by tokenize, where the kind and the normalized form are functions
+    of the surface, so facts about a token that do not depend on its
+    position can be kept per surface (see filters.apply_filters).
+    """
+
+    __slots__ = ("span", "surface", "normalized", "kind")
+
+    def __init__(self, span: Span, surface: str, normalized: str, kind: str) -> None:
+        self.span = span
+        self.surface = surface
+        self.normalized = normalized
+        self.kind = kind  # WORD, SYMBOL or NUMBER
 
 
 def slice_span(doc: Document, span: Span) -> str:
@@ -285,7 +336,7 @@ def tokenize(
                     break
                 pos = _WORD_TAIL.match(text, pos, b).end()
             surface = text[i:pos]
-            if any(map(str.isalpha, surface)):
+            if surface[0].isalpha() or any(map(str.isalpha, surface)):
                 kind = WORD
             elif any(map(str.isdigit, surface)):
                 kind = NUMBER

@@ -5,9 +5,11 @@ phrase set per attribute and scans all six for every lookup,
 ``_phrase_criteria`` asks the hint lexicon, the rule lists and the POS
 dictionary again at every probe of every length at every position, and
 ``scan_document`` and ``merge_results`` unite the criterion hits of every
-occurrence. It is kept unchanged as the definition of correct output; the
+occurrence. It is kept as the definition of correct output; the
 candidate table must give the same candidates, occurrences, criterion
-hits, suggested tags and filter counts on every corpus.
+hits, suggested tags and filter counts on every corpus. One rule changed
+since the seed, here as in the table: a phrase the hint lexicon holds as
+rejected is never a candidate, whichever rule list or POS row names it.
 """
 
 from __future__ import annotations
@@ -88,9 +90,14 @@ def _phrase_criteria(
     rules: RuleLists,
     sense_threshold: int,
 ) -> set[str]:
-    """Criterion hits that make this phrase a candidate (empty set: none)."""
+    """Criterion hits that make this phrase a candidate (empty set: none).
+
+    A phrase the hint lexicon holds as rejected is never a candidate.
+    """
     hits: set[str] = set()
     entry = lex_hints.get(phrase)
+    if entry is not None and entry.status == STATUS_REJECTED:
+        return hits
     if entry is not None and entry.status in (STATUS_CANDIDATE, STATUS_VERIFIED):
         hits.add(ATTRIBUTE_MEMBER)
     rule_attrs = rules.attributes_for(phrase)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import analyzer_oracle as oracle
+import lint_oracle
+import textcore_oracle
 from conftest import all_tokens, mk_doc
 from kaburlint.analyzer import (
     ATTRIBUTE_MEMBER,
@@ -265,6 +267,103 @@ class TestDanglingElseOracle:
         assert finding is None
         (finding,) = assert_dangling_else_matches_oracle("Apabila sah, JIKA perlu terima")
         assert finding.matched == "Apabila" and finding.span.start == 0
+
+
+# Words for whole-document lint differentials. Each surface can land at a
+# sentence start and elsewhere ("Papar" is kept sentence-initially and a
+# proper noun mid-sentence unless the Malay list decides), and the two
+# filter configurations below disagree on many of them, so a memo shared
+# between configurations or sentence positions would change the findings.
+LINT_PIECES = [
+    "efisien", "Efisien", "EFISIEN", "segera", "secepat", "mungkin", "mudah",
+    "papar", "Papar", "amat", "alam", "Alam", "abstrak", "warnanya", "Warnanya",
+    "hanya", "nya", "jika", "Jika", "tidak", "selainnya", "database", "Server",
+    "login", "rekod-rekod", "dll.", "tel.", "pljr", "3.5", "kafé", "Kafé",
+    "sistem", "Aminah", ",", "—", ".", "?", "\n",
+]
+LINT_FILTERS = [
+    FilterConfig(
+        english_words=frozenset({"database", "server", "papar", "kafé"}),
+        malay_words=frozenset({"papar", "efisien", "sistem", "alam", "jika", "mudah"}),
+    ),
+    FilterConfig(
+        english_words=frozenset({"efisien", "login", "alam"}),
+        abbreviations=frozenset({"dll.", "tel."}),
+    ),
+]
+
+
+def lint_lexicon():
+    return Lexicon(
+        [
+            *seed_lexicon().entries(),
+            entry("jika tidak", ("CON.dangling_else",)),
+            entry("warnanya", ("REF",)),
+            entry("mudah", ("IMP",), status="candidate"),
+            entry("papar", ("CON.verb",), status="rejected"),
+        ]
+    )
+
+
+def finding_fields(findings):
+    return [
+        (f.doc_id, f.sentence_index, f.span.start, f.span.end, f.matched, f.phrase,
+         f.tags, f.criterion, f.severity)
+        for f in findings
+    ]
+
+
+def assert_lint_matches_oracle(text, posdict, filter_cfg, clitics):
+    """Every finding, field by field, equals the reference lint's."""
+    got = lint_document(
+        mk_doc(text), lint_lexicon(), posdict, filter_cfg,
+        flag_anaphoric_clitics=clitics,
+    ).findings
+    want = lint_oracle.lint_document(
+        textcore_oracle.OracleDocument(id="doc", text=text), lint_lexicon(), posdict,
+        filter_cfg, flag_anaphoric_clitics=clitics,
+    )
+    assert finding_fields(got) == finding_fields(want), text
+    return got
+
+
+class TestLintOracle:
+    """The memoized lint against the per-token reference."""
+
+    def test_seeded_random_texts(self):
+        rng = random.Random(6764)
+        posdicts = [None, table_posdict()]
+        criteria = set()
+        for _ in range(1500):
+            text = " ".join(rng.choices(LINT_PIECES, k=rng.randint(0, 30)))
+            findings = assert_lint_matches_oracle(
+                text, rng.choice(posdicts), rng.choice(LINT_FILTERS), rng.random() < 0.5
+            )
+            criteria.update(f.criterion for f in findings)
+        # every finding kind occurs, so the comparison is not vacuous
+        assert criteria == {
+            ATTRIBUTE_MEMBER, MULTI_POS, MULTI_SENSE, REFERENTIAL_SENTENCE, DANGLING_ELSE,
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(LINT_PIECES), max_size=30).map(" ".join),
+        st.booleans(),
+        st.sampled_from(LINT_FILTERS),
+        st.booleans(),
+    )
+    def test_property(self, text, with_posdict, filter_cfg, clitics):
+        posdict = table_posdict() if with_posdict else None
+        assert_lint_matches_oracle(text, posdict, filter_cfg, clitics)
+
+    def test_one_surface_at_a_sentence_start_and_inside(self):
+        malay, other = LINT_FILTERS
+        text = "Alam luas. Sila Alam luas. Alam"
+        found = assert_lint_matches_oracle(text, table_posdict(), malay, False)
+        # a known Malay word at both sentence starts, a proper noun inside
+        assert [f.span.start for f in found] == [0, 27]
+        # a loanword everywhere for the other configuration
+        assert assert_lint_matches_oracle(text, table_posdict(), other, False) == []
 
 
 class TestRendering:

@@ -104,6 +104,13 @@ def _append_lexicon(ws: Path, record: dict) -> tuple[list[str], str]:
     return ["stats", "--config", conf(ws)], f"lexicon.jsonl:{len(lines) + 1}"
 
 
+def _append_pos_row(ws: Path, row: str) -> tuple[list[str], str]:
+    path = ws / "pos_dict.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + [row]) + "\n", encoding="utf-8")
+    return ["stats", "--config", conf(ws)], f"pos_dict.tsv:{len(lines) + 1}"
+
+
 def _queue(ws: Path, text: str) -> tuple[list[str], str]:
     (ws / "queue.jsonl").write_text(text, encoding="utf-8")
     return ["map", "--config", conf(ws), str(ws / "queue.jsonl")], "queue.jsonl:1"
@@ -163,6 +170,9 @@ MALFORMED = {
     ),
     "lexicon tag is a number": lambda ws: _append_lexicon(
         ws, {"phrase": ["x"], "tags": [5], "status": "verified"}
+    ),
+    "POS dictionary word with whitespace": lambda ws: _append_pos_row(
+        ws, "secepat mungkin\tadj,kk\t3"
     ),
     "queue line is a bare number": lambda ws: _queue(ws, "5\n"),
     "queue occurrence doc is a number": lambda ws: _queue(
@@ -240,6 +250,20 @@ def test_forced_rereview_replays_to_the_same_bytes(ws, capsys):
     assert '"force": true' in (ws / "audit.jsonl").read_text(encoding="utf-8")
     replayed = replay_audit(initial, load_audit(ws / "audit.jsonl"))
     assert dumps_lexicon(replayed) == (ws / "lexicon.jsonl").read_text(encoding="utf-8")
+
+
+def test_rejected_phrase_is_not_queued_again(ws, capsys):
+    # anggaran is a verified seed entry and a weakness rule-list phrase
+    assert ("anggaran",) in [c.phrase for c in load_candidates(ws / "queue.jsonl")]
+    argv, _ = _decisions(ws, {"phrase": ["anggaran"], "verdict": "reject", "force": True})
+    assert run(capsys, *argv)[0] == 0
+    assert load_lexicon(ws / "lexicon.jsonl").get(("anggaran",)).status == "rejected"
+    rc, _, _ = run(
+        capsys, "extract", "--config", conf(ws), ws / "sample", "-o", ws / "queue.jsonl"
+    )
+    assert rc == 0
+    queued = [c.phrase for c in load_candidates(ws / "queue.jsonl")]
+    assert ("anggaran",) not in queued and ("segera",) in queued
 
 
 def test_review_whose_audit_log_cannot_be_written_changes_nothing(ws, capsys):

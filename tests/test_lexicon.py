@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
+import stat
 
 import pytest
 
 from conftest import all_tokens, mk_doc, random_lexicon
+from kaburlint import fileio
 from kaburlint.errors import LexiconError, WordlistError
 from kaburlint.lexicon import (
     AttributeTag,
@@ -152,6 +155,26 @@ class TestLoadSave:
             "rejected",
         ]  # sorted by phrase: dua, satu, tiga
 
+    def test_save_fsyncs_the_file_before_the_rename_and_the_directory_after(
+        self, tmp_path, monkeypatch
+    ):
+        events = []
+        fsync, rename = fileio.os.fsync, fileio.os.replace
+
+        def logged_fsync(fd):
+            events.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+            fsync(fd)
+
+        def logged_replace(src, dst):
+            events.append(("replace", None))
+            rename(src, dst)
+
+        monkeypatch.setattr(fileio.os, "fsync", logged_fsync)
+        monkeypatch.setattr(fileio.os, "replace", logged_replace)
+        save_lexicon(Lexicon([entry("satu")]), tmp_path / "lex.jsonl")
+        assert events == [("fsync", False), ("replace", None), ("fsync", True)]
+        assert load_lexicon(tmp_path / "lex.jsonl").get(("satu",)) is not None
+
     def test_output_sorted_by_phrase(self):
         lexicon = Lexicon([entry("zebra"), entry("alpha"), entry("data itu")])
         dumped = dumps_lexicon(lexicon)
@@ -205,6 +228,21 @@ class TestMatchEntries:
         assert match_entries(lexicon, tokens) == []
         verified = Lexicon([entry("segera", status="verified", tags=("IMP",))])
         assert len(match_entries(verified, tokens)) == 1
+
+    def test_replace_and_add_are_seen_by_the_next_match(self):
+        tokens = all_tokens("papar dengan segera")
+        lexicon = Lexicon([entry("segera", status="candidate", tags=("IMP",))])
+        assert match_entries(lexicon, tokens) == []
+        lexicon.replace(entry("segera", status="verified", tags=("IMP",)))
+        assert [m.phrase for _, m in match_entries(lexicon, tokens)] == [("segera",)]
+        # a longer verified phrase added later wins over the shorter one
+        lexicon.add(entry("dengan segera", tags=("T",)))
+        assert [m.phrase for _, m in match_entries(lexicon, tokens)] == [
+            ("dengan", "segera")
+        ]
+        lexicon.replace(entry("dengan segera", status="rejected"))
+        lexicon.replace(entry("segera", status="rejected"))
+        assert match_entries(lexicon, tokens) == []
 
     def test_symbols_break_multiword_adjacency(self):
         lexicon = Lexicon([entry("data itu")])
@@ -285,4 +323,8 @@ class TestPosDictionary:
             load_pos_dictionary(path)
         path.write_text("papar\tkk\npapar\tadj\n", encoding="utf-8")
         with pytest.raises(WordlistError, match="duplicate"):
+            load_pos_dictionary(path)
+        # a probe is one token, so a word with a space could never match
+        path.write_text("papar\tkk\nsecepat mungkin\tadj,kk\t3\n", encoding="utf-8")
+        with pytest.raises(WordlistError, match="pos.tsv:2: .*whitespace"):
             load_pos_dictionary(path)
