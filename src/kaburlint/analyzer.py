@@ -112,6 +112,39 @@ class LintReport:
         return counts
 
 
+def _info(
+    token: Token, tags: frozenset[AttributeTag], criterion: str, doc_id: str, sentence_index: int
+) -> Finding:
+    """The info finding a heuristic gives on one token."""
+    return Finding(
+        doc_id, sentence_index, token.span, token.surface, "", tags, criterion, SEVERITY_INFO
+    )
+
+
+def _multi_pos_tags(word: str, posdict: PosDictionary) -> frozenset[AttributeTag] | None:
+    classes = posdict.pos_classes(word)
+    if len(classes) < 2:
+        return None
+    return frozenset(
+        AttributeTag("CON", POS_TO_CON_SUB[p]) for p in classes if p in POS_TO_CON_SUB
+    ) or frozenset({AttributeTag("CON")})
+
+
+def _multi_sense_tags(
+    word: str, posdict: PosDictionary, threshold: int
+) -> frozenset[AttributeTag] | None:
+    senses = posdict.sense_count(word)
+    if senses is None or senses < threshold:
+        return None
+    return frozenset({AttributeTag("VAR")})
+
+
+def _clitic_tags(word: str) -> frozenset[AttributeTag] | None:
+    if len(word) <= 3 or not word.endswith("nya") or word in _CLITIC_STOPLIST:
+        return None
+    return frozenset({AttributeTag("REF")})
+
+
 def check_multi_pos(
     token: Token,
     posdict: PosDictionary,
@@ -120,22 +153,8 @@ def check_multi_pos(
     sentence_index: int = 0,
 ) -> Finding | None:
     """Info finding when the dictionary gives the word two or more classes."""
-    classes = posdict.pos_classes(token.normalized)
-    if len(classes) < 2:
-        return None
-    tags = frozenset(
-        AttributeTag("CON", POS_TO_CON_SUB[p]) for p in classes if p in POS_TO_CON_SUB
-    ) or frozenset({AttributeTag("CON")})
-    return Finding(
-        doc_id=doc_id,
-        sentence_index=sentence_index,
-        span=token.span,
-        matched=token.surface,
-        phrase="",
-        tags=tags,
-        criterion=MULTI_POS,
-        severity=SEVERITY_INFO,
-    )
+    tags = _multi_pos_tags(token.normalized, posdict)
+    return None if tags is None else _info(token, tags, MULTI_POS, doc_id, sentence_index)
 
 
 def check_multi_sense(
@@ -147,19 +166,8 @@ def check_multi_sense(
     sentence_index: int = 0,
 ) -> Finding | None:
     """Info finding when the recorded sense count reaches the threshold."""
-    senses = posdict.sense_count(token.normalized)
-    if senses is None or senses < threshold:
-        return None
-    return Finding(
-        doc_id=doc_id,
-        sentence_index=sentence_index,
-        span=token.span,
-        matched=token.surface,
-        phrase="",
-        tags=frozenset({AttributeTag("VAR")}),
-        criterion=MULTI_SENSE,
-        severity=SEVERITY_INFO,
-    )
+    tags = _multi_sense_tags(token.normalized, posdict, threshold)
+    return None if tags is None else _info(token, tags, MULTI_SENSE, doc_id, sentence_index)
 
 
 def check_dangling_else(
@@ -183,56 +191,39 @@ def check_dangling_else(
         words = [t.normalized for t in run]
         if longest_matches(words, _ALTERNATIVE_LIMIT, ALTERNATIVE_MARKERS.__contains__):
             return None
-    return Finding(
-        doc_id=doc_id,
-        sentence_index=sentence.index,
-        span=marker.span,
-        matched=marker.surface,
-        phrase="",
-        tags=frozenset({AttributeTag("CON", "dangling_else")}),
-        criterion=DANGLING_ELSE,
-        severity=SEVERITY_INFO,
-    )
-
-
-def _check_anaphoric_clitic(
-    token: Token, *, doc_id: str = "", sentence_index: int = 0
-) -> Finding | None:
-    normalized = token.normalized
-    if len(normalized) <= 3 or not normalized.endswith("nya"):
-        return None
-    if normalized in _CLITIC_STOPLIST:
-        return None
-    return Finding(
-        doc_id=doc_id,
-        sentence_index=sentence_index,
-        span=token.span,
-        matched=token.surface,
-        phrase="",
-        tags=frozenset({AttributeTag("REF")}),
-        criterion=REFERENTIAL_SENTENCE,
-        severity=SEVERITY_INFO,
+    return _info(
+        marker,
+        frozenset({AttributeTag("CON", "dangling_else")}),
+        DANGLING_ELSE,
+        doc_id,
+        sentence.index,
     )
 
 
 def _word_hits(
-    token: Token,
+    word: str,
     posdict: PosDictionary | None,
     sense_threshold: int,
     flag_anaphoric_clitics: bool,
 ) -> tuple[tuple[str, frozenset[AttributeTag]], ...]:
-    """(criterion, tags) of each per-word heuristic that fires on the token.
+    """(criterion, tags) of each per-word heuristic that fires on a word.
 
     All three heuristics read only the normalized word, so lint_document
     asks once per word and builds each token's findings from the answer.
     """
     hits = []
     if posdict is not None:
-        hits.append(check_multi_pos(token, posdict))
-        hits.append(check_multi_sense(token, posdict, sense_threshold))
+        tags = _multi_pos_tags(word, posdict)
+        if tags is not None:
+            hits.append((MULTI_POS, tags))
+        tags = _multi_sense_tags(word, posdict, sense_threshold)
+        if tags is not None:
+            hits.append((MULTI_SENSE, tags))
     if flag_anaphoric_clitics:
-        hits.append(_check_anaphoric_clitic(token))
-    return tuple((hit.criterion, hit.tags) for hit in hits if hit)
+        tags = _clitic_tags(word)
+        if tags is not None:
+            hits.append((REFERENTIAL_SENTENCE, tags))
+    return tuple(hits)
 
 
 def lint_document(
@@ -247,7 +238,8 @@ def lint_document(
     """Lint one document; only verified lexicon entries participate."""
     filter_cfg = filter_cfg or FilterConfig()
     findings: list[Finding] = []
-    # normalized word -> its heuristic (criterion, tags) pairs
+    # normalized word -> its heuristic (criterion, tags) pairs; this pays
+    # where words repeat, and costs a miss and an insert per new word
     word_hits: dict[str, tuple[tuple[str, frozenset[AttributeTag]], ...]] = {}
     # One sentence of lookahead serves the dangling-else check; earlier
     # sentences' tokens are dropped as the scan moves on, so the objects the
@@ -276,13 +268,10 @@ def lint_document(
             hits = word_hits.get(token.normalized)
             if hits is None:
                 hits = word_hits[token.normalized] = _word_hits(
-                    token, posdict, sense_threshold, flag_anaphoric_clitics
+                    token.normalized, posdict, sense_threshold, flag_anaphoric_clitics
                 )
             for criterion, tags in hits:
-                findings.append(
-                    Finding(doc.id, sentence.index, token.span, token.surface, "",
-                            tags, criterion, SEVERITY_INFO)
-                )
+                findings.append(_info(token, tags, criterion, doc.id, sentence.index))
         next_tokens = following[1] if following is not None else ()
         hit = check_dangling_else(
             sentence, tokens, next_tokens=next_tokens, doc_id=doc.id

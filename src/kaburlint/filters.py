@@ -67,7 +67,9 @@ class FilterConfig:
     dict per sentence position (not initial, initial) from a token's
     surface to its exclusion reason, None for kept. The wordlists never
     change, so an entry stays true for as long as the configuration
-    lives; two configurations never share one.
+    lives; two configurations never share one. The memo pays where
+    surfaces repeat; each new surface costs a miss and an insert, and
+    the memo keeps one entry per distinct surface it has seen.
     """
 
     english_words: frozenset[str] = frozenset()

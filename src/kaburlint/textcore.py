@@ -13,11 +13,11 @@ tokenizer scans with compiled regular expressions and falls back to
 per-character rules only at '.' and ',' (decimals and abbreviations).
 
 Span, Sentence and Token are built once per sentence or token, so they
-are slot classes, not dataclasses: values whose equality, hashing, repr
-and pickling come from one small base, with no check beyond Span's
-0 <= start < end. A token's kind and normalized form are functions of
-its surface, which lets later stages keep per-surface facts
-(filters.apply_filters).
+are slots dataclasses that are not frozen: their __init__ assigns
+plainly, with no check beyond Span's 0 <= start < end, and they keep
+the value equality, hashing and repr of a frozen dataclass. A token's
+kind and normalized form are functions of its surface, which lets later
+stages keep per-surface facts (filters.apply_filters).
 
 Normalization is case-folding only. Hyphenated words ("rekod-rekod") are
 kept as single tokens so the reduplication filter can see them whole, and
@@ -114,47 +114,29 @@ class _OffsetMap:
         return line, char - starts[line - 1] + 1
 
 
-class _Value:
-    """Base of the slot classes below: a value made of its slots.
-
-    Equality, hashing, repr and pickling all follow the slots in order, as
-    a frozen dataclass's would; instances are never changed once built.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
+def _reduce(value):
+    # a slots dataclass that is not frozen pickles at protocols 0 and 1
+    # only from Python 3.11 on; rebuilding from the fields works on all
+    return type(value), tuple(getattr(value, name) for name in value.__slots__)
 
 
-class Span(_Value):
+@dataclass(slots=True, unsafe_hash=True)
+class Span:
     """Half-open byte range [start, end) within a document's UTF-8 text.
 
     Built once per token, so its only check is 0 <= start < end.
     """
 
-    __slots__ = ("start", "end")
+    start: int
+    end: int
 
     def __init__(self, start: int, end: int) -> None:
         if not 0 <= start < end:
             raise ValueError(f"invalid span [{start}, {end})")
         self.start = start
         self.end = end
+
+    __reduce__ = _reduce
 
 
 @dataclass
@@ -178,17 +160,18 @@ class Document:
         return self._offsets
 
 
-class Sentence(_Value):
+@dataclass(slots=True, unsafe_hash=True)
+class Sentence:
     """A sentence's span and its 0-based position in the document."""
 
-    __slots__ = ("span", "index")
+    span: Span
+    index: int
 
-    def __init__(self, span: Span, index: int) -> None:
-        self.span = span
-        self.index = index
+    __reduce__ = _reduce
 
 
-class Token(_Value):
+@dataclass(slots=True, unsafe_hash=True)
+class Token:
     """One token: its span, text, case-folded text and kind.
 
     Built by tokenize, where the kind and the normalized form are functions
@@ -196,13 +179,12 @@ class Token(_Value):
     position can be kept per surface (see filters.apply_filters).
     """
 
-    __slots__ = ("span", "surface", "normalized", "kind")
+    span: Span
+    surface: str
+    normalized: str
+    kind: str  # WORD, SYMBOL or NUMBER
 
-    def __init__(self, span: Span, surface: str, normalized: str, kind: str) -> None:
-        self.span = span
-        self.surface = surface
-        self.normalized = normalized
-        self.kind = kind  # WORD, SYMBOL or NUMBER
+    __reduce__ = _reduce
 
 
 def slice_span(doc: Document, span: Span) -> str:
