@@ -8,7 +8,7 @@ report per-attribute statistics.
 
 __version__ = "0.1.0"
 
-from .analyzer import Finding, LintReport, lint_document
+from .analyzer import Finding, LintReport, lint_document, word_heuristics
 from .errors import KaburlintError
 from .extraction import (
     CandidateWord,
@@ -69,4 +69,5 @@ __all__ = [
     "save_lexicon",
     "segment_sentences",
     "tokenize",
+    "word_heuristics",
 ]

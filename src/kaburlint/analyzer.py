@@ -2,19 +2,23 @@
 
 Word matches against verified lexicon entries produce warnings; the
 criterion heuristics (multiple POS classes, multiple senses, dangling
-else) produce candidate-grade info findings. Reports are deterministically
-ordered by (document, start offset) with fixed tiebreakers, so serialized
-reports are byte-stable across runs and job counts.
+else, optionally the "-nya" clitic) produce candidate-grade info
+findings. The two dictionary heuristics are decided once per run for
+every POS-dictionary word (word_heuristics), and lint and extraction
+both read that one table. Reports are deterministically ordered by
+(document, start offset) with fixed tiebreakers, so serialized reports
+are byte-stable across runs and job counts.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache
 
+from .fileio import dumps_jsonl
 from .filters import FilterConfig, apply_filters
 from .lexicon import (
     ATTRIBUTES,
@@ -24,7 +28,7 @@ from .lexicon import (
     PosDictionary,
     longest_matches,
     match_entries,
-    sorted_tags,
+    tag_texts,
 )
 from .textcore import (
     WORD,
@@ -67,6 +71,7 @@ _ALTERNATIVE_LIMIT = max(map(len, ALTERNATIVE_MARKERS))
 
 # words that end in "nya" without being anaphoric
 _CLITIC_STOPLIST = frozenset({"hanya", "tanya", "punya"})
+_REF = frozenset({AttributeTag("REF")})
 
 
 @dataclass(frozen=True)
@@ -121,53 +126,46 @@ def _info(
     )
 
 
-def _multi_pos_tags(word: str, posdict: PosDictionary) -> frozenset[AttributeTag] | None:
-    classes = posdict.pos_classes(word)
-    if len(classes) < 2:
-        return None
-    return frozenset(
-        AttributeTag("CON", POS_TO_CON_SUB[p]) for p in classes if p in POS_TO_CON_SUB
-    ) or frozenset({AttributeTag("CON")})
+# one word's heuristic hits: (criterion, tags) per heuristic that fires
+WordHits = tuple[tuple[str, frozenset[AttributeTag]], ...]
 
 
-def _multi_sense_tags(
-    word: str, posdict: PosDictionary, threshold: int
-) -> frozenset[AttributeTag] | None:
-    senses = posdict.sense_count(word)
-    if senses is None or senses < threshold:
-        return None
-    return frozenset({AttributeTag("VAR")})
+@cache  # bounded: POS classes are subsets of the five POS_LABELS
+def _dictionary_hits(classes: frozenset[str], multi_sense: bool) -> WordHits:
+    hits = []
+    if len(classes) >= 2:
+        tags = frozenset(
+            AttributeTag("CON", POS_TO_CON_SUB[p]) for p in classes if p in POS_TO_CON_SUB
+        )
+        hits.append((MULTI_POS, tags or frozenset({AttributeTag("CON")})))
+    if multi_sense:
+        hits.append((MULTI_SENSE, frozenset({AttributeTag("VAR")})))
+    return tuple(hits)
 
 
-def _clitic_tags(word: str) -> frozenset[AttributeTag] | None:
-    if len(word) <= 3 or not word.endswith("nya") or word in _CLITIC_STOPLIST:
-        return None
-    return frozenset({AttributeTag("REF")})
+def word_heuristics(
+    posdict: PosDictionary | None, sense_threshold: int = SENSE_THRESHOLD
+) -> dict[str, WordHits]:
+    """Case-folded word -> the dictionary heuristics that fire on it.
+
+    A word with two or more POS classes hits multi_pos, tagged with the CON
+    sub-attribute of each class that has one (plain CON if none has); a
+    word whose recorded sense count reaches sense_threshold hits
+    multi_sense (VAR). Words on which neither fires are absent. Both read
+    only the dictionary, so this is one table per run: lint probes it once
+    per kept word and extraction takes its dictionary criteria from it.
+    Words with the same classes and sense outcome share one hits tuple.
+    """
+    table: dict[str, WordHits] = {}
+    for word, classes, senses in posdict.items() if posdict is not None else ():
+        multi_sense = senses is not None and senses >= sense_threshold
+        if len(classes) >= 2 or multi_sense:
+            table[word] = _dictionary_hits(classes, multi_sense)
+    return table
 
 
-def check_multi_pos(
-    token: Token,
-    posdict: PosDictionary,
-    *,
-    doc_id: str = "",
-    sentence_index: int = 0,
-) -> Finding | None:
-    """Info finding when the dictionary gives the word two or more classes."""
-    tags = _multi_pos_tags(token.normalized, posdict)
-    return None if tags is None else _info(token, tags, MULTI_POS, doc_id, sentence_index)
-
-
-def check_multi_sense(
-    token: Token,
-    posdict: PosDictionary,
-    threshold: int = SENSE_THRESHOLD,
-    *,
-    doc_id: str = "",
-    sentence_index: int = 0,
-) -> Finding | None:
-    """Info finding when the recorded sense count reaches the threshold."""
-    tags = _multi_sense_tags(token.normalized, posdict, threshold)
-    return None if tags is None else _info(token, tags, MULTI_SENSE, doc_id, sentence_index)
+def _is_anaphoric_clitic(word: str) -> bool:
+    return len(word) > 3 and word.endswith("nya") and word not in _CLITIC_STOPLIST
 
 
 def check_dangling_else(
@@ -200,47 +198,25 @@ def check_dangling_else(
     )
 
 
-def _word_hits(
-    word: str,
-    posdict: PosDictionary | None,
-    sense_threshold: int,
-    flag_anaphoric_clitics: bool,
-) -> tuple[tuple[str, frozenset[AttributeTag]], ...]:
-    """(criterion, tags) of each per-word heuristic that fires on a word.
-
-    All three heuristics read only the normalized word, so lint_document
-    asks once per word and builds each token's findings from the answer.
-    """
-    hits = []
-    if posdict is not None:
-        tags = _multi_pos_tags(word, posdict)
-        if tags is not None:
-            hits.append((MULTI_POS, tags))
-        tags = _multi_sense_tags(word, posdict, sense_threshold)
-        if tags is not None:
-            hits.append((MULTI_SENSE, tags))
-    if flag_anaphoric_clitics:
-        tags = _clitic_tags(word)
-        if tags is not None:
-            hits.append((REFERENTIAL_SENTENCE, tags))
-    return tuple(hits)
-
-
 def lint_document(
     doc: Document,
     lexicon: Lexicon,
-    posdict: PosDictionary | None = None,
+    heuristics: dict[str, WordHits] | None = None,
     filter_cfg: FilterConfig | None = None,
     *,
-    sense_threshold: int = SENSE_THRESHOLD,
     flag_anaphoric_clitics: bool = False,
 ) -> LintReport:
-    """Lint one document; only verified lexicon entries participate."""
+    """Lint one document; only verified lexicon entries participate.
+
+    Matches of verified lexicon phrases are warnings. Each kept word gets
+    the info findings of its entry in heuristics (the run's word_heuristics
+    table; None runs no dictionary heuristics) and, with
+    flag_anaphoric_clitics, a referential finding when it ends in the
+    "-nya" clitic. Every sentence gets the dangling-else check.
+    """
     filter_cfg = filter_cfg or FilterConfig()
+    heuristics = heuristics or {}
     findings: list[Finding] = []
-    # normalized word -> its heuristic (criterion, tags) pairs; this pays
-    # where words repeat, and costs a miss and an insert per new word
-    word_hits: dict[str, tuple[tuple[str, frozenset[AttributeTag]], ...]] = {}
     # One sentence of lookahead serves the dangling-else check; earlier
     # sentences' tokens are dropped as the scan moves on, so the objects the
     # garbage collector must traverse do not grow with the document.
@@ -265,13 +241,12 @@ def lint_document(
         for token in apply_filters(tokens, filter_cfg).kept:
             if token.kind != WORD:
                 continue
-            hits = word_hits.get(token.normalized)
-            if hits is None:
-                hits = word_hits[token.normalized] = _word_hits(
-                    token.normalized, posdict, sense_threshold, flag_anaphoric_clitics
-                )
-            for criterion, tags in hits:
+            for criterion, tags in heuristics.get(token.normalized, ()):
                 findings.append(_info(token, tags, criterion, doc.id, sentence.index))
+            if flag_anaphoric_clitics and _is_anaphoric_clitic(token.normalized):
+                findings.append(
+                    _info(token, _REF, REFERENTIAL_SENTENCE, doc.id, sentence.index)
+                )
         next_tokens = following[1] if following is not None else ()
         hit = check_dangling_else(
             sentence, tokens, next_tokens=next_tokens, doc_id=doc.id
@@ -288,19 +263,15 @@ FORMAT_RECORDS = "records"
 REPORT_FORMATS = (FORMAT_TEXT, FORMAT_CSV, FORMAT_RECORDS)
 
 
-def _tags_text(tags: frozenset[AttributeTag]) -> str:
-    return " ".join(str(t) for t in sorted_tags(tags))
-
-
 def render_text(report: LintReport, docs: dict[str, Document]) -> str:
     out = []
     for f in report.findings:
         doc = docs[f.doc_id]
         line, col = line_col(doc, f.span.start)
         location = doc.source_path or doc.id
+        tags = " ".join(tag_texts(f.tags))
         out.append(
-            f"{location}:{line}:{col}: {f.severity}: '{f.matched}' "
-            f"[{_tags_text(f.tags)}] {f.criterion}"
+            f"{location}:{line}:{col}: {f.severity}: '{f.matched}' [{tags}] {f.criterion}"
         )
     warnings = sum(1 for f in report.findings if f.severity == SEVERITY_WARNING)
     infos = len(report.findings) - warnings
@@ -347,7 +318,7 @@ def render_csv(report: LintReport, docs: dict[str, Document]) -> str:
                 f.sentence_index,
                 f.matched,
                 f.phrase,
-                _tags_text(f.tags),
+                " ".join(tag_texts(f.tags)),
                 f.criterion,
                 f.severity,
             ]
@@ -356,25 +327,20 @@ def render_csv(report: LintReport, docs: dict[str, Document]) -> str:
 
 
 def render_records(report: LintReport) -> str:
-    lines = []
-    for f in report.findings:
-        lines.append(
-            json.dumps(
-                {
-                    "doc": f.doc_id,
-                    "sentence": f.sentence_index,
-                    "start": f.span.start,
-                    "end": f.span.end,
-                    "matched": f.matched,
-                    "phrase": f.phrase,
-                    "tags": [str(t) for t in sorted_tags(f.tags)],
-                    "criterion": f.criterion,
-                    "severity": f.severity,
-                },
-                ensure_ascii=False,
-            )
-        )
-    return "".join(line + "\n" for line in lines)
+    return dumps_jsonl(
+        {
+            "doc": f.doc_id,
+            "sentence": f.sentence_index,
+            "start": f.span.start,
+            "end": f.span.end,
+            "matched": f.matched,
+            "phrase": f.phrase,
+            "tags": tag_texts(f.tags),
+            "criterion": f.criterion,
+            "severity": f.severity,
+        }
+        for f in report.findings
+    )
 
 
 def render_report(

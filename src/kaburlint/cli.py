@@ -27,6 +27,7 @@ from .analyzer import (
     LintReport,
     lint_document,
     render_report,
+    word_heuristics,
 )
 from .config import (
     Config,
@@ -194,7 +195,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         replace(
             c,
             suggested_tags=map_candidate_attributes(
-                c, res.lexicon, res.posdict, res.rules
+                c.phrase, res.lexicon, res.posdict, res.rules
             ),
         )
         for c in candidates
@@ -357,9 +358,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     lint = partial(
         lint_document,
         lexicon=res.lexicon,
-        posdict=res.posdict,
+        heuristics=word_heuristics(res.posdict, cfg.sense_threshold),
         filter_cfg=res.filter_config,
-        sense_threshold=cfg.sense_threshold,
         flag_anaphoric_clitics=cfg.flag_anaphoric_clitics,
     )
     workers = min(cfg.jobs, len(docs))
@@ -464,10 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KaburlintError as exc:
-        print(f"kaburlint: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (KaburlintError, OSError) as exc:
         print(f"kaburlint: error: {exc}", file=sys.stderr)
         return 2
 

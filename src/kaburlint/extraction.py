@@ -12,22 +12,20 @@ repository byte for byte.
 
 from __future__ import annotations
 
-import json
 import os
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .analyzer import (
     ATTRIBUTE_MEMBER,
     CRITERIA,
-    MULTI_POS,
-    MULTI_SENSE,
     SENSE_THRESHOLD,
     VAGUE_POS,
+    word_heuristics,
 )
 from .errors import LexiconError, ReviewError, WordlistError
-from .fileio import check_record, read_jsonl, read_lines, write_atomic
+from .fileio import check_record, dumps_jsonl, read_jsonl, read_lines, write_atomic
 from .filters import FilterConfig, FilterCounts, apply_filters
 from .lexicon import (
     POS_TO_CON_SUB,
@@ -39,7 +37,7 @@ from .lexicon import (
     PosDictionary,
     longest_matches,
     normalize_phrase,
-    sorted_tags,
+    tag_texts,
 )
 from .textcore import Document, Span, iter_sentence_tokens
 
@@ -103,10 +101,10 @@ def candidate_criteria(
 
     Built once per run: a phrase hits attribute_member when the hint
     lexicon holds it undecided or verified, or a rule list holds it (the
-    IMP list also seeds vague_pos); a POS-dictionary word hits multi_pos
-    with two or more classes and multi_sense at the sense threshold. A
-    phrase the hint lexicon holds as rejected is never a candidate: a
-    reviewer has decided it, whatever else names it.
+    IMP list also seeds vague_pos); a POS-dictionary word hits the
+    criteria of its word_heuristics entry (multi_pos, multi_sense), the
+    table lint uses. A phrase the hint lexicon holds as rejected is never
+    a candidate: a reviewer has decided it, whatever else names it.
     """
     table: dict[tuple[str, ...], set[str]] = {}
     rejected = set()
@@ -120,11 +118,10 @@ def candidate_criteria(
         hits.add(ATTRIBUTE_MEMBER)
         if "IMP" in attributes:
             hits.add(VAGUE_POS)
-    for word, classes, senses in posdict.items() if posdict is not None else ():
-        if len(classes) >= 2:
-            table.setdefault((word,), set()).add(MULTI_POS)
-        if senses is not None and senses >= sense_threshold:
-            table.setdefault((word,), set()).add(MULTI_SENSE)
+    for word, hits in word_heuristics(posdict, sense_threshold).items():
+        names = table.setdefault((word,), set())
+        for criterion, _tags in hits:
+            names.add(criterion)
     return {
         phrase: frozenset(hits)
         for phrase, hits in table.items()
@@ -133,7 +130,7 @@ def candidate_criteria(
 
 
 def map_candidate_attributes(
-    candidate: CandidateWord,
+    phrase: tuple[str, ...],
     lex_hints: Lexicon,
     posdict: PosDictionary | None,
     rules: PhraseSets,
@@ -143,12 +140,12 @@ def map_candidate_attributes(
     An empty result marks the candidate as unmapped for the reviewer.
     """
     tags: set[AttributeTag] = set()
-    entry = lex_hints.get(candidate.phrase)
+    entry = lex_hints.get(phrase)
     if entry is not None and entry.status != STATUS_REJECTED:
         tags |= entry.tags
-    tags.update(AttributeTag(a) for a in rules.get(candidate.phrase, ()))
-    if len(candidate.phrase) == 1 and posdict is not None:
-        for pos in posdict.pos_classes(candidate.phrase[0]):
+    tags.update(AttributeTag(a) for a in rules.get(phrase, ()))
+    if len(phrase) == 1 and posdict is not None:
+        for pos in posdict.pos_classes(phrase[0]):
             sub = POS_TO_CON_SUB.get(pos)
             if sub is not None:
                 tags.add(AttributeTag("CON", sub))
@@ -249,13 +246,15 @@ def merge_results(
         for candidate in result.candidates:
             occurrences.setdefault(candidate.phrase, []).extend(candidate.occurrences)
             hits_by_phrase.setdefault(candidate.phrase, candidate.criterion_hits)
-    candidates = []
-    for phrase in sorted(occurrences):
-        candidate = CandidateWord(
-            phrase, tuple(occurrences[phrase]), criterion_hits=hits_by_phrase[phrase]
+    candidates = [
+        CandidateWord(
+            phrase,
+            tuple(occurrences[phrase]),
+            suggested_tags=map_candidate_attributes(phrase, lex_hints, posdict, rules),
+            criterion_hits=hits_by_phrase[phrase],
         )
-        tags = map_candidate_attributes(candidate, lex_hints, posdict, rules)
-        candidates.append(replace(candidate, suggested_tags=tags))
+        for phrase in sorted(occurrences)
+    ]
     return ExtractionResult(candidates, counts, tokens_read, documents)
 
 
@@ -346,7 +345,7 @@ _DECISION_KINDS = {
 def candidate_to_record(candidate: CandidateWord) -> dict:
     return {
         "phrase": list(candidate.phrase),
-        "tags": [str(t) for t in sorted_tags(candidate.suggested_tags)],
+        "tags": tag_texts(candidate.suggested_tags),
         "criteria": sorted(candidate.criterion_hits, key=CRITERIA.index),
         "occurrences": [
             {"doc": o.doc_id, "start": o.span.start, "end": o.span.end}
@@ -382,8 +381,7 @@ def record_to_candidate(record: object, where: str = "record") -> CandidateWord:
 
 
 def save_candidates(candidates: Sequence[CandidateWord], path: str | Path) -> None:
-    lines = [json.dumps(candidate_to_record(c), ensure_ascii=False) for c in candidates]
-    write_atomic(path, "".join(line + "\n" for line in lines))
+    write_atomic(path, dumps_jsonl(map(candidate_to_record, candidates)))
 
 
 def load_candidates(path: str | Path) -> list[CandidateWord]:
@@ -397,7 +395,7 @@ def decision_to_record(decision: ReviewDecision) -> dict:
     record: dict = {
         "phrase": list(decision.phrase),
         "verdict": decision.verdict,
-        "tags": [str(t) for t in sorted_tags(decision.final_tags)],
+        "tags": tag_texts(decision.final_tags),
         "reviewer": decision.reviewer,
         "timestamp": decision.timestamp,
     }
@@ -430,9 +428,7 @@ def record_to_decision(record: object, where: str = "record") -> ReviewDecision:
 
 def append_audit(path: str | Path, decisions: Iterable[ReviewDecision]) -> None:
     """Append a batch of decisions in one write and flush it to disk."""
-    text = "".join(
-        json.dumps(decision_to_record(d), ensure_ascii=False) + "\n" for d in decisions
-    )
+    text = dumps_jsonl(map(decision_to_record, decisions))
     with open(path, "a", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
         handle.flush()

@@ -1,4 +1,4 @@
-"""The package's one line reader, one JSON-lines reader and atomic writer.
+"""The package's one line reader, one JSON-lines reader and writer, one atomic writer.
 
 Every input file is UTF-8 text. Both readers yield ``("<file>:<line>",
 value)`` pairs so callers can report the exact spot of a bad line, and
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 
@@ -50,6 +50,15 @@ def read_jsonl(
         except (ValueError, RecursionError) as exc:
             raise error(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
         yield where, value
+
+
+def dumps_jsonl(records: Iterable[object]) -> str:
+    """JSON-lines text, one record per line, non-ASCII kept as is.
+
+    The counterpart of read_jsonl: every JSON-lines file the package
+    writes and every records report is this text.
+    """
+    return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
 
 
 _KIND_NAMES = {

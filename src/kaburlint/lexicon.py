@@ -12,13 +12,12 @@ count. Lookup anywhere in this module is case-insensitive (case-folded).
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LexiconError, WordlistError
-from .fileio import check_record, read_jsonl, read_lines, write_atomic
+from .fileio import check_record, dumps_jsonl, read_jsonl, read_lines, write_atomic
 from .textcore import Span, Token
 
 ATTRIBUTES = ("IMP", "CON", "T", "REF", "VAR", "WN")
@@ -76,8 +75,9 @@ def tag_sort_key(tag: AttributeTag) -> tuple[int, str]:
     return ATTRIBUTES.index(tag.attribute), tag.sub or ""
 
 
-def sorted_tags(tags: Iterable[AttributeTag]) -> list[AttributeTag]:
-    return sorted(tags, key=tag_sort_key)
+def tag_texts(tags: Iterable[AttributeTag]) -> list[str]:
+    """The tags as written in files and reports ("IMP.general"), in ATTRIBUTES order."""
+    return [str(t) for t in sorted(tags, key=tag_sort_key)]
 
 
 def normalize_phrase(phrase: str | Sequence[str]) -> tuple[str, ...]:
@@ -206,7 +206,7 @@ def entry_to_record(entry: LexiconEntry) -> dict:
     record: dict = {"phrase": list(entry.phrase), "pos": sorted(entry.pos_classes)}
     if entry.sense_count is not None:
         record["senses"] = entry.sense_count
-    record["tags"] = [str(t) for t in sorted_tags(entry.tags)]
+    record["tags"] = tag_texts(entry.tags)
     record["status"] = entry.status
     if entry.note is not None:
         record["note"] = entry.note
@@ -244,10 +244,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 
 def dumps_lexicon(lexicon: Lexicon) -> str:
-    lines = [
-        json.dumps(entry_to_record(e), ensure_ascii=False) for e in lexicon.entries()
-    ]
-    return "".join(line + "\n" for line in lines)
+    return dumps_jsonl(map(entry_to_record, lexicon.entries()))
 
 
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:

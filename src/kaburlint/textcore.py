@@ -38,7 +38,9 @@ NUMBER = "number"
 TERMINATORS = frozenset(".?!")
 
 # Default sentence-internal abbreviations; configurable via the
-# abbreviations wordlist. Entries carry their trailing dot.
+# abbreviations wordlist. Entries carry their trailing dot and, like every
+# abbreviation set passed in here, are already case-folded (load_wordlist
+# folds them), since the text is folded before each lookup.
 DEFAULT_ABBREVIATIONS = frozenset({"dll.", "dsb.", "spt."})
 
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
@@ -232,13 +234,13 @@ def segment_sentences(
     """Split a document into sentences.
 
     Terminators are '.', '?' and '!'; every newline also ends the current
-    block. Periods inside the configured abbreviations ("dll.") or between
-    digits do not split. Returns sentences ordered by start offset.
+    block. Periods inside the configured abbreviations ("dll."; case-folded
+    entries) or between digits do not split. Returns sentences ordered by
+    start offset.
     """
     text = doc.text
     offsets = doc.offsets()
-    abbrevs = frozenset(a.casefold() for a in abbreviations)
-    longest = max(map(len, abbrevs), default=0)
+    longest = max(map(len, abbreviations), default=0)
     sentences: list[Sentence] = []
 
     def emit(cs: int, ce: int) -> None:
@@ -268,7 +270,8 @@ def segment_sentences(
         if start is None:
             start = i
         if text[i] == "." and (
-            _decimal_period(text, i) or _abbreviation_period(text, i, abbrevs, longest)
+            _decimal_period(text, i)
+            or _abbreviation_period(text, i, abbreviations, longest)
         ):
             continue
         pos = _TERMINATOR_RUN.match(text, i).end()
@@ -290,13 +293,13 @@ def tokenize(
 
     Hyphens join word characters on both sides into a single token
     ("rekod-rekod"); '.' and ',' between digits stay inside number tokens;
-    a period stays inside a token when the result is a listed abbreviation
-    ("dll."); runs of other punctuation become one symbol token.
-    Whitespace never appears inside a token.
+    a period stays inside a token when the case-folded result is a listed
+    abbreviation ("dll."; entries are case-folded); runs of other
+    punctuation become one symbol token. Whitespace never appears inside a
+    token.
     """
     text = doc.text
     offsets = doc.offsets()
-    abbrevs = frozenset(a.casefold() for a in abbreviations)
     base = sentence.span.start
     a = offsets.byte_to_char(base)
     b = offsets.byte_to_char(sentence.span.end)
@@ -312,7 +315,7 @@ def tokenize(
             while pos < b and text[pos] in ".,":
                 if text[pos - 1].isdigit() and pos + 1 < b and text[pos + 1].isdigit():
                     pos += 1
-                elif text[pos] == "." and text[i : pos + 1].casefold() in abbrevs:
+                elif text[pos] == "." and text[i : pos + 1].casefold() in abbreviations:
                     pos += 1
                 else:
                     break

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import analyzer_oracle as oracle
 import lint_oracle
 import textcore_oracle
-from conftest import all_tokens, mk_doc
+from conftest import mk_doc
 from kaburlint.analyzer import (
     ATTRIBUTE_MEMBER,
     DANGLING_ELSE,
@@ -18,9 +18,9 @@ from kaburlint.analyzer import (
     MULTI_SENSE,
     REFERENTIAL_SENTENCE,
     check_dangling_else,
-    check_multi_pos,
     lint_document,
     render_report,
+    word_heuristics,
 )
 from kaburlint.filters import FilterConfig
 from kaburlint.lexicon import (
@@ -64,6 +64,10 @@ def table_posdict():
     return posdict
 
 
+def table_heuristics():
+    return word_heuristics(table_posdict())
+
+
 class TestLintDocument:
     def test_two_seed_findings(self):
         doc = mk_doc("Sistem mesti efisien dan segera.")
@@ -79,8 +83,8 @@ class TestLintDocument:
 
     def test_deterministic(self):
         doc = mk_doc("Sistem mesti efisien. Jika gagal, berhenti. secepat mungkin")
-        first = lint_document(doc, seed_lexicon(), table_posdict())
-        second = lint_document(doc, seed_lexicon(), table_posdict())
+        first = lint_document(doc, seed_lexicon(), table_heuristics())
+        second = lint_document(doc, seed_lexicon(), table_heuristics())
         assert first.findings == second.findings
 
     def test_only_verified_entries_fire(self):
@@ -118,7 +122,7 @@ class TestLintDocument:
 
     def test_multi_pos_and_multi_sense_info_findings(self):
         doc = mk_doc("papar alam")
-        report = lint_document(doc, seed_lexicon(), table_posdict())
+        report = lint_document(doc, seed_lexicon(), table_heuristics())
         got = {(f.criterion, f.matched, f.severity) for f in report.findings}
         assert got == {
             (MULTI_POS, "papar", "info"),
@@ -128,7 +132,7 @@ class TestLintDocument:
     def test_heuristics_skip_filtered_tokens(self):
         filter_cfg = FilterConfig(english_words=frozenset({"papar"}))
         doc = mk_doc("guna papar sini")
-        report = lint_document(doc, seed_lexicon(), table_posdict(), filter_cfg)
+        report = lint_document(doc, seed_lexicon(), table_heuristics(), filter_cfg)
         assert report.findings == []
 
     def test_clitic_findings_are_off_by_default(self):
@@ -147,27 +151,29 @@ class TestLintDocument:
         assert report.criterion_counts == {ATTRIBUTE_MEMBER: 2}
 
 
-class TestCheckMultiPos:
+class TestWordHeuristics:
     def test_table_entries(self):
-        posdict = table_posdict()
-        papar = all_tokens("papar")[0]
-        finding = check_multi_pos(papar, posdict)
-        assert finding is not None and finding.criterion == MULTI_POS
-        assert finding.tags == frozenset({tag("CON.adjective"), tag("CON.verb")})
-        abstrak = all_tokens("abstrak")[0]
-        finding = check_multi_pos(abstrak, posdict)
-        assert finding is not None
-        assert finding.tags == frozenset({tag("CON.verb")})
+        table = table_heuristics()
+        assert table["papar"] == (
+            (MULTI_POS, frozenset({tag("CON.adjective"), tag("CON.verb")})),
+        )
+        assert table["abstrak"] == ((MULTI_POS, frozenset({tag("CON.verb")})),)
 
     def test_single_class_word_is_silent(self):
-        assert check_multi_pos(all_tokens("alam")[0], table_posdict()) is None
+        posdict = PosDictionary()
+        posdict.add("alam", {"kk"})
+        assert word_heuristics(posdict) == {}
 
     def test_unknown_word_is_silent(self):
-        assert check_multi_pos(all_tokens("tiada")[0], table_posdict()) is None
+        assert "tiada" not in table_heuristics()
+        assert word_heuristics(None) == {}
 
-    def test_severity_is_info(self):
-        finding = check_multi_pos(all_tokens("amat")[0], table_posdict())
-        assert finding is not None and finding.severity == "info"
+    def test_multi_sense_from_the_threshold_on(self):
+        posdict = PosDictionary()
+        posdict.add("alam", {"kk"}, 3)
+        var = frozenset({tag("VAR")})
+        assert word_heuristics(posdict, 3) == {"alam": ((MULTI_SENSE, var),)}
+        assert word_heuristics(posdict, 4) == {}
 
 
 class TestDanglingElse:
@@ -316,7 +322,7 @@ def finding_fields(findings):
 def assert_lint_matches_oracle(text, posdict, filter_cfg, clitics):
     """Every finding, field by field, equals the reference lint's."""
     got = lint_document(
-        mk_doc(text), lint_lexicon(), posdict, filter_cfg,
+        mk_doc(text), lint_lexicon(), word_heuristics(posdict), filter_cfg,
         flag_anaphoric_clitics=clitics,
     ).findings
     want = lint_oracle.lint_document(
@@ -328,7 +334,7 @@ def assert_lint_matches_oracle(text, posdict, filter_cfg, clitics):
 
 
 class TestLintOracle:
-    """The memoized lint against the per-token reference."""
+    """The table-driven lint against the per-token reference."""
 
     def test_seeded_random_texts(self):
         rng = random.Random(6764)

@@ -361,6 +361,18 @@ class TestConfig:
             load_config(tmp_path / "absent.conf")
 
 
+@pytest.mark.parametrize("listed, tokens", [("DLL.", 3), ("dsb.", 4)])
+def test_abbreviations_file_is_case_folded(ws, capsys, listed, tokens):
+    # "dll." stays one token only when the file lists it, in any case
+    (ws / "wordlists" / "abbreviations.txt").write_text(listed + "\n", encoding="utf-8")
+    corpus = ws / "abbrev"
+    corpus.mkdir()
+    (corpus / "doc.txt").write_text("kafe dll. tiga\n", encoding="utf-8")
+    rc, out, _ = run(capsys, "extract", "--config", conf(ws), corpus, "-o", ws / "q.jsonl")
+    assert rc == 0
+    assert f"tokens read: {tokens}\n" in out
+
+
 # --- --jobs byte identity ---
 
 
@@ -427,9 +439,12 @@ class TestPool:
         assert run(capsys, "lint", "--config", conf(ws), "--jobs", "64", *docs) == serial
         (pool,) = fake_pool
         assert pool.max_workers == len(docs) == 3
-        # the lexicon travels once, with the initializer; items are documents
+        # the lexicon and the heuristics table travel once, with the
+        # initializer; items are documents
         (task,) = pool.initargs
         assert len(task.keywords["lexicon"]) > 0
+        assert len(task.keywords["heuristics"]) > 0
+        assert "posdict" not in task.keywords
         assert [doc.source_path for doc in pool.items] == docs
 
     def test_extract_workers_capped_at_document_count(self, ws, fake_pool, capsys):

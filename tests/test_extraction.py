@@ -201,43 +201,25 @@ class TestExtractCandidates:
 class TestMapping:
     def test_rule_list_tags(self):
         rules = seed_rules()
-        candidate = CandidateWord(
-            phrase=("bulanan",), occurrences=(Occurrence("d", Span(0, 7)),)
-        )
-        assert map_candidate_attributes(candidate, Lexicon(), None, rules) == frozenset(
+        assert map_candidate_attributes(("bulanan",), Lexicon(), None, rules) == frozenset(
             {tag("T")}
         )
-        candidate = CandidateWord(
-            phrase=("sebelum",), occurrences=(Occurrence("d", Span(0, 7)),)
-        )
-        assert map_candidate_attributes(candidate, Lexicon(), None, rules) == frozenset(
+        assert map_candidate_attributes(("sebelum",), Lexicon(), None, rules) == frozenset(
             {tag("REF")}
         )
 
     def test_weakness_included(self):
-        candidate = CandidateWord(
-            phrase=("anggaran",), occurrences=(Occurrence("d", Span(0, 8)),)
-        )
-        tags = map_candidate_attributes(candidate, Lexicon(), None, seed_rules())
+        tags = map_candidate_attributes(("anggaran",), Lexicon(), None, seed_rules())
         assert tag("WN") in tags
 
     def test_pos_derived_con_subs(self):
-        candidate = CandidateWord(
-            phrase=("papar",), occurrences=(Occurrence("d", Span(0, 5)),)
-        )
-        tags = map_candidate_attributes(candidate, Lexicon(), seed_posdict(), {})
+        tags = map_candidate_attributes(("papar",), Lexicon(), seed_posdict(), {})
         assert tags == frozenset({tag("CON.adjective"), tag("CON.verb")})
-        candidate = CandidateWord(
-            phrase=("amat",), occurrences=(Occurrence("d", Span(0, 4)),)
-        )
-        tags = map_candidate_attributes(candidate, Lexicon(), seed_posdict(), {})
+        tags = map_candidate_attributes(("amat",), Lexicon(), seed_posdict(), {})
         assert tags == frozenset({tag("CON.verb"), tag("CON.adverb")})
 
     def test_unmapped_candidate_is_flagged(self):
-        candidate = CandidateWord(
-            phrase=("akan",), occurrences=(Occurrence("d", Span(0, 4)),)
-        )
-        mapped = map_candidate_attributes(candidate, Lexicon(), seed_posdict(), {})
+        mapped = map_candidate_attributes(("akan",), Lexicon(), seed_posdict(), {})
         assert mapped == frozenset()
         assert CandidateWord(
             phrase=("akan",),
@@ -249,12 +231,9 @@ class TestMapping:
         rng = random.Random(3)
         rules = seed_rules()
         for _ in range(50):
-            candidate = CandidateWord(
-                phrase=random_phrase(rng),
-                occurrences=(Occurrence("d", Span(0, 1)),),
-            )
-            first = map_candidate_attributes(candidate, Lexicon(), seed_posdict(), rules)
-            second = map_candidate_attributes(candidate, Lexicon(), seed_posdict(), rules)
+            phrase = random_phrase(rng)
+            first = map_candidate_attributes(phrase, Lexicon(), seed_posdict(), rules)
+            second = map_candidate_attributes(phrase, Lexicon(), seed_posdict(), rules)
             assert first == second
 
 
