@@ -12,7 +12,6 @@ are byte-stable across runs and job counts.
 
 from __future__ import annotations
 
-import csv
 import io
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ from .textcore import (
     Token,
     iter_sentence_tokens,
     line_col,
+    pickle_fields,
     slice_span,
 )
 
@@ -74,9 +74,13 @@ _CLITIC_STOPLIST = frozenset({"hanya", "tanya", "punya"})
 _REF = frozenset({AttributeTag("REF")})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Finding:
-    """One lint hit, spanning the matched text within its sentence."""
+    """One lint hit, spanning the matched text within its sentence.
+
+    A slots dataclass like Token, for the same reason: one is built per
+    hit, and findings cross the --jobs pool.
+    """
 
     doc_id: str
     sentence_index: int
@@ -86,6 +90,8 @@ class Finding:
     tags: frozenset[AttributeTag]
     criterion: str
     severity: str
+
+    __reduce__ = pickle_fields
 
 
 def _finding_sort_key(f: Finding) -> tuple:
@@ -288,6 +294,8 @@ def render_text(report: LintReport, docs: dict[str, Document]) -> str:
 
 
 def render_csv(report: LintReport, docs: dict[str, Document]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

@@ -6,16 +6,15 @@ input files and configuration; --jobs N changes wall time, never output.
 lint and extract run documents in a process pool of at most --jobs and
 never more workers than documents; with one worker they run in-process.
 Each worker receives the lexicon and other shared resources once, at
-start-up, and then only documents.
+start-up, and then only documents. The process pool is imported only when
+more than one worker runs, because it is the largest import in start-up.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
@@ -31,8 +30,8 @@ from .analyzer import (
 )
 from .config import (
     Config,
-    Resources,
     SCOPE_NAMES,
+    configured_lexicon,
     default_audit_path,
     load_config,
     load_resources,
@@ -60,8 +59,7 @@ from .extraction import (
 )
 from .fileio import read_text
 from .filters import REASON_ORDER
-from .lexicon import AttributeTag, save_lexicon
-from .seeds import write_seed_tree
+from .lexicon import AttributeTag, Lexicon, load_lexicon, save_lexicon
 from .stats import compute_attribute_stats, render_table
 from .textcore import Document
 
@@ -91,6 +89,8 @@ def _pool_map(task, items: list, workers: int) -> list:
     `task` (a partial over the shared resources) is sent to each worker
     once, not with every item.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(task,)
     ) as pool:
@@ -117,6 +117,8 @@ def _load_cfg(args: argparse.Namespace) -> Config:
 
 
 def cmd_init(args: argparse.Namespace) -> int:
+    from .seeds import write_seed_tree
+
     written = write_seed_tree(Path(args.directory))
     for path in written:
         print(f"wrote {path}")
@@ -211,6 +213,8 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def _now_iso() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
@@ -240,7 +244,8 @@ def _load_batch_decisions(path: Path) -> list[ReviewDecision]:
 
 
 def _apply_decisions(
-    res: Resources,
+    lexicon: Lexicon,
+    lexicon_path: Path,
     queue: list[CandidateWord],
     decisions: list[ReviewDecision],
     queue_path: Path,
@@ -252,13 +257,13 @@ def _apply_decisions(
     was; the lexicon and queue are saved only after the batch is on disk
     in the audit log.
     """
-    replay_audit(res.lexicon, decisions)
+    replay_audit(lexicon, decisions)
     by_phrase = {c.phrase: c for c in queue}
     for decision in decisions:
         status = ACCEPTED if decision.verdict == VERDICT_ACCEPT else REJECTED
         by_phrase[decision.phrase] = replace(by_phrase[decision.phrase], status=status)
     append_audit(audit_path, decisions)
-    save_lexicon(res.lexicon, res.config.lexicon)
+    save_lexicon(lexicon, lexicon_path)
     save_candidates([by_phrase[c.phrase] for c in queue], queue_path)
     accepted = sum(d.verdict == VERDICT_ACCEPT for d in decisions)
     return accepted, len(decisions) - accepted
@@ -320,7 +325,7 @@ def cmd_review(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     if cfg.lexicon is None:
         raise ConfigError("review needs a lexicon path (config key or --lexicon)")
-    res = load_resources(cfg)
+    lexicon = load_lexicon(cfg.lexicon)
     queue_path = Path(args.queue)
     queue = load_candidates(queue_path)
     by_phrase = {c.phrase: c for c in queue}
@@ -340,7 +345,9 @@ def cmd_review(args: argparse.Namespace) -> int:
     if not decisions:
         print("no decisions recorded; lexicon unchanged")
         return 0
-    accepted, rejected = _apply_decisions(res, queue, decisions, queue_path, audit_path)
+    accepted, rejected = _apply_decisions(
+        lexicon, cfg.lexicon, queue, decisions, queue_path, audit_path
+    )
     print(
         f"accepted {accepted}, rejected {rejected}; "
         f"lexicon saved to {cfg.lexicon}, audit appended to {audit_path}"
@@ -380,10 +387,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    res = load_resources(cfg)
+    lexicon = load_lexicon(configured_lexicon(cfg))
     if cfg.format not in (FORMAT_TEXT, FORMAT_CSV):
         raise ConfigError("stats supports --format text or csv")
-    stats = compute_attribute_stats(res.lexicon.entries(), SCOPE_NAMES[cfg.scope])
+    stats = compute_attribute_stats(lexicon.entries(), SCOPE_NAMES[cfg.scope])
     print(render_table(stats, cfg.format), end="")
     return 0
 

@@ -130,13 +130,19 @@ class Resources:
     config: Config
 
 
-def load_resources(cfg: Config, *, require_lexicon: bool = True) -> Resources:
+def configured_lexicon(cfg: Config) -> Path:
+    """The lexicon path; an error when neither the config nor --lexicon sets one."""
     if cfg.lexicon is None:
-        if require_lexicon:
-            raise ConfigError("no lexicon configured (set --lexicon or config key)")
+        raise ConfigError("no lexicon configured (set --lexicon or config key)")
+    return cfg.lexicon
+
+
+def load_resources(cfg: Config, *, require_lexicon: bool = True) -> Resources:
+    """Every file the config names: what lint, extract and map read."""
+    if cfg.lexicon is None and not require_lexicon:
         lexicon = Lexicon()
     else:
-        lexicon = load_lexicon(cfg.lexicon)
+        lexicon = load_lexicon(configured_lexicon(cfg))
     posdict = load_pos_dictionary(cfg.pos_dict) if cfg.pos_dict else None
     rules = load_rule_lists({
         attr: getattr(cfg, key)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -52,13 +51,17 @@ def read_jsonl(
         yield where, value
 
 
+# json.dumps(record, ensure_ascii=False) without building an encoder per record
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def dumps_jsonl(records: Iterable[object]) -> str:
     """JSON-lines text, one record per line, non-ASCII kept as is.
 
     The counterpart of read_jsonl: every JSON-lines file the package
     writes and every records report is this text.
     """
-    return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+    return "".join(_encode_json(record) + "\n" for record in records)
 
 
 _KIND_NAMES = {
@@ -119,6 +122,8 @@ def write_atomic(path: str | Path, text: str) -> None:
     rename, and the directory after it, so a crash leaves either the old
     file or the new one, never an empty or a missing one.
     """
+    import tempfile
+
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:

@@ -65,19 +65,32 @@ class AttributeTag:
     @classmethod
     def parse(cls, text: str) -> "AttributeTag":
         """Parse "ATTR" or "ATTR.SUB" (e.g. "T", "IMP.general")."""
+        tag = _TAGS.get(text)
+        if tag is not None:
+            return tag
+        # not a valid tag: the checks below and in __post_init__ say why
         attribute, dot, sub = text.partition(".")
         if dot and not sub:
             raise LexiconError(f"malformed tag {text!r}")
         return cls(attribute, sub if dot else None)
 
 
-def tag_sort_key(tag: AttributeTag) -> tuple[int, str]:
-    return ATTRIBUTES.index(tag.attribute), tag.sub or ""
+# every valid tag by its text, in the order files and reports list them:
+# ATTRIBUTES order, each attribute before its sub-attributes
+_TAGS = {
+    str(tag): tag
+    for tag in (
+        AttributeTag(attribute, sub)
+        for attribute in ATTRIBUTES
+        for sub in (None, *sorted(SUB_ATTRIBUTES[attribute]))
+    )
+}
+_TAG_KEYS = {tag: (rank, text) for rank, (text, tag) in enumerate(_TAGS.items())}
 
 
 def tag_texts(tags: Iterable[AttributeTag]) -> list[str]:
     """The tags as written in files and reports ("IMP.general"), in ATTRIBUTES order."""
-    return [str(t) for t in sorted(tags, key=tag_sort_key)]
+    return [text for _, text in sorted(map(_TAG_KEYS.__getitem__, tags))]
 
 
 def normalize_phrase(phrase: str | Sequence[str]) -> tuple[str, ...]:

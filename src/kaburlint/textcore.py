@@ -116,9 +116,12 @@ class _OffsetMap:
         return line, char - starts[line - 1] + 1
 
 
-def _reduce(value):
-    # a slots dataclass that is not frozen pickles at protocols 0 and 1
-    # only from Python 3.11 on; rebuilding from the fields works on all
+def pickle_fields(value):
+    """__reduce__ of the package's slots dataclasses: rebuild from the fields.
+
+    A slots dataclass that is not frozen pickles at protocols 0 and 1 only
+    from Python 3.11 on; rebuilding from the fields works on all.
+    """
     return type(value), tuple(getattr(value, name) for name in value.__slots__)
 
 
@@ -138,7 +141,7 @@ class Span:
         self.start = start
         self.end = end
 
-    __reduce__ = _reduce
+    __reduce__ = pickle_fields
 
 
 @dataclass
@@ -169,7 +172,7 @@ class Sentence:
     span: Span
     index: int
 
-    __reduce__ = _reduce
+    __reduce__ = pickle_fields
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -186,7 +189,7 @@ class Token:
     normalized: str
     kind: str  # WORD, SYMBOL or NUMBER
 
-    __reduce__ = _reduce
+    __reduce__ = pickle_fields
 
 
 def slice_span(doc: Document, span: Span) -> str:

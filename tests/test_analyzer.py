@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,6 +152,35 @@ class TestLintDocument:
         assert report.attribute_counts["IMP"] == 2
         assert report.attribute_counts["T"] == 1
         assert report.criterion_counts == {ATTRIBUTE_MEMBER: 2}
+
+
+class TestFinding:
+    def findings(self):
+        doc = mk_doc("papar alam, jika gagal secepat mungkin.")
+        return lint_document(doc, seed_lexicon(), table_heuristics()).findings
+
+    def test_value_semantics(self):
+        first, again = self.findings(), self.findings()
+        assert first == again and len(first) == 4
+        assert [hash(f) for f in first] == [hash(f) for f in again]
+        assert len(set(first + again)) == 4
+        assert first[0] != first[1]
+        assert replace(first[0], severity="warning") != first[0]
+        assert not hasattr(first[0], "__dict__")
+        assert repr(first[1]) == (
+            "Finding(doc_id='doc', sentence_index=0, span=Span(start=6, end=10), "
+            "matched='alam', phrase='', tags=frozenset({AttributeTag(attribute='VAR', "
+            "sub=None)}), criterion='multi_sense', severity='info')"
+        )
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        findings = self.findings()
+        copied = pickle.loads(pickle.dumps(findings, protocol))
+        assert copied == findings
+        assert [tuple(getattr(f, name) for name in f.__slots__) for f in copied] == [
+            tuple(getattr(f, name) for name in f.__slots__) for f in findings
+        ]
 
 
 class TestWordHeuristics:

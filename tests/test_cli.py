@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 import pickle
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -108,7 +112,7 @@ def _append_pos_row(ws: Path, row: str) -> tuple[list[str], str]:
     path = ws / "pos_dict.tsv"
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(lines + [row]) + "\n", encoding="utf-8")
-    return ["stats", "--config", conf(ws)], f"pos_dict.tsv:{len(lines) + 1}"
+    return _lint(ws), f"pos_dict.tsv:{len(lines) + 1}"
 
 
 def _queue(ws: Path, text: str) -> tuple[list[str], str]:
@@ -133,6 +137,15 @@ def _bad_utf8(name: str, argv_for):
 
 def _stats(ws: Path) -> list[str]:
     return ["stats", "--config", conf(ws)]
+
+
+# stats and review read only the lexicon; these commands read the rest
+def _lint(ws: Path) -> list[str]:
+    return ["lint", "--config", conf(ws), *samples(ws)]
+
+
+def _extract(ws: Path) -> list[str]:
+    return ["extract", "--config", conf(ws), str(ws / "sample"), "-o", str(ws / "q.jsonl")]
 
 
 def _review(ws: Path) -> list[str]:
@@ -191,19 +204,17 @@ MALFORMED = {
     ),
     "decision is an array": lambda ws: _decisions(ws, ["papar"]),
     "lexicon is not UTF-8": _bad_utf8("lexicon.jsonl", _stats),
-    "POS dictionary is not UTF-8": _bad_utf8("pos_dict.tsv", _stats),
-    "English wordlist is not UTF-8": _bad_utf8("wordlists/english.txt", _stats),
-    "Malay wordlist is not UTF-8": _bad_utf8("wordlists/malay.txt", _stats),
-    "abbreviations are not UTF-8": _bad_utf8("wordlists/abbreviations.txt", _stats),
-    "rule list is not UTF-8": _bad_utf8("rules/temporal.txt", _stats),
+    "POS dictionary is not UTF-8": _bad_utf8("pos_dict.tsv", _lint),
+    "English wordlist is not UTF-8": _bad_utf8("wordlists/english.txt", _lint),
+    "Malay wordlist is not UTF-8": _bad_utf8("wordlists/malay.txt", _lint),
+    "abbreviations are not UTF-8": _bad_utf8("wordlists/abbreviations.txt", _lint),
+    "rule list is not UTF-8": _bad_utf8("rules/temporal.txt", _extract),
     "config is not UTF-8": _bad_utf8("kaburlint.conf", _stats),
     "queue is not UTF-8": _bad_utf8(
         "queue.jsonl", lambda ws: ["map", "--config", conf(ws), str(ws / "queue.jsonl")]
     ),
     "decisions are not UTF-8": _bad_utf8("decisions.jsonl", _review),
-    "document is not UTF-8": _bad_utf8(
-        "sample/extra.txt", lambda ws: ["lint", "--config", conf(ws), *samples(ws)]
-    ),
+    "document is not UTF-8": _bad_utf8("sample/extra.txt", _lint),
     "config jobs = 0": lambda ws: (_config_line(ws, "jobs = 0")[0], "jobs must be at least 1"),
     "config unknown key": lambda ws: _config_line(ws, "colour = blue"),
     "config bad boolean": lambda ws: _config_line(ws, "flag_anaphoric_clitics = maybe"),
@@ -216,9 +227,7 @@ MALFORMED = {
     ),
     "--jobs 0": lambda ws: (["lint", "--config", conf(ws), "--jobs", "0", *samples(ws)],
                             "jobs must be at least 1"),
-    "--jobs -3": lambda ws: (["extract", "--config", conf(ws), "--jobs", "-3",
-                              str(ws / "sample"), "-o", str(ws / "q.jsonl")],
-                             "jobs must be at least 1"),
+    "--jobs -3": lambda ws: ([*_extract(ws), "--jobs", "-3"], "jobs must be at least 1"),
 }
 
 
@@ -230,6 +239,13 @@ def test_malformed_input_exits_2_and_names_the_spot(ws, capsys, case):
     assert err.startswith("kaburlint: error: ")
     assert spot in err
     assert "Traceback" not in err
+
+
+def test_stats_does_not_read_a_malformed_pos_dictionary(ws, capsys):
+    before = run(capsys, *_stats(ws))
+    argv, _ = _append_pos_row(ws, "secepat mungkin\tadj,kk\t3")
+    assert run(capsys, *argv)[0] == 2
+    assert before[0] == 0 and run(capsys, *_stats(ws)) == before
 
 
 def test_string_force_cannot_redecide_a_verified_entry(ws, capsys):
@@ -426,7 +442,8 @@ class FakeExecutor:
 @pytest.fixture
 def fake_pool(monkeypatch):
     FakeExecutor.created = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    # _pool_map imports the executor when it is called
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(cli, "_worker_task", None)
     return FakeExecutor.created
 
@@ -476,6 +493,53 @@ class TestPool:
                          "-o", ws / "q.jsonl")
         assert rc == 0 and out.startswith("documents: 1\n")
         assert fake_pool == []
+
+
+# --- start-up imports ---
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs sys.argv[2:] through the CLI, if given, in a fresh interpreter, then
+# writes the names in sys.modules to the file sys.argv[1].
+MODULES_AFTER = """\
+import sys
+if sys.argv[2:]:
+    from kaburlint.cli import main
+    rc = main(sys.argv[2:])
+    print("exit", rc, file=sys.stderr)
+with open(sys.argv[1], "w", encoding="utf-8") as listing:
+    listing.write("\\n".join(sys.modules))
+"""
+
+# modules that only --jobs > 1, review's timestamps and csv reports need
+SINGLE_USE = frozenset({"concurrent.futures.process", "multiprocessing", "csv", "datetime"})
+
+
+def modules_after(ws: Path, *argv: str, rc: int | None = None) -> set[str]:
+    listing = ws.parent / "modules.txt"
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_AFTER, str(listing), *argv],
+        cwd=ws,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        check=True,
+    )
+    if rc is not None:
+        assert proc.stderr.splitlines()[-1:] == [f"exit {rc}"], proc.stderr
+    return set(listing.read_text(encoding="utf-8").split())
+
+
+def test_serial_commands_do_not_import_the_pool_or_single_use_modules(ws):
+    bare = modules_after(ws)
+    for argv, rc in (
+        ([*_lint(ws), "--jobs", "1"], 1),
+        (_extract(ws), 0),
+        (_stats(ws), 0),
+    ):
+        assert (modules_after(ws, *argv, rc=rc) - bare) & SINGLE_USE == set(), argv
+    assert "concurrent.futures.process" in modules_after(ws, *_lint(ws), "--jobs", "2", rc=1)
 
 
 # --- round trip on the seed tree ---

@@ -12,6 +12,8 @@ from conftest import all_tokens, mk_doc, random_lexicon
 from kaburlint import fileio
 from kaburlint.errors import LexiconError, WordlistError
 from kaburlint.lexicon import (
+    ATTRIBUTES,
+    SUB_ATTRIBUTES,
     AttributeTag,
     Lexicon,
     LexiconEntry,
@@ -21,6 +23,7 @@ from kaburlint.lexicon import (
     match_entries,
     normalize_phrase,
     save_lexicon,
+    tag_texts,
 )
 from kaburlint.textcore import slice_span
 
@@ -55,6 +58,31 @@ class TestAttributeTag:
     def test_rejects_trailing_dot(self):
         with pytest.raises(LexiconError):
             AttributeTag.parse("IMP.")
+
+    @pytest.mark.parametrize("text, message", [
+        ("X", "unknown attribute 'X'"),
+        ("IMP.nope", "unknown sub-attribute 'nope' for IMP"),
+        ("IMP.", "malformed tag 'IMP.'"),
+    ])
+    def test_invalid_text_keeps_its_error(self, text, message):
+        with pytest.raises(LexiconError) as caught:
+            AttributeTag.parse(text)
+        assert str(caught.value) == message
+
+    def test_parse_and_tag_texts_cover_every_valid_tag(self):
+        tags = [
+            AttributeTag(attribute, sub)
+            for attribute in ATTRIBUTES
+            for sub in (None, *SUB_ATTRIBUTES[attribute])
+        ]
+        assert len(tags) == 15
+        for tag in tags:
+            assert AttributeTag.parse(str(tag)) == tag
+        # ATTRIBUTES order, each attribute before its sub-attributes by name
+        expected = sorted(tags, key=lambda t: (ATTRIBUTES.index(t.attribute), t.sub or ""))
+        assert tag_texts(frozenset(tags)) == [str(t) for t in expected]
+        assert tag_texts(frozenset({AttributeTag("WN"), AttributeTag("CON", "adverb"),
+                                    AttributeTag("CON")})) == ["CON", "CON.adverb", "WN"]
 
 
 class TestEntryValidation:
