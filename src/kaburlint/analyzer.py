@@ -21,10 +21,10 @@ from .fileio import dumps_jsonl
 from .filters import FilterConfig, apply_filters
 from .lexicon import (
     ATTRIBUTES,
-    POS_TO_CON_SUB,
     AttributeTag,
     Lexicon,
     PosDictionary,
+    con_sub_tags,
     longest_matches,
     match_entries,
     tag_texts,
@@ -104,9 +104,6 @@ class LintReport:
 
     findings: list[Finding] = field(default_factory=list)
 
-    def extend(self, other: "LintReport") -> None:
-        self.findings.extend(other.findings)
-
     @property
     def attribute_counts(self) -> dict[str, int]:
         counts = {a: 0 for a in ATTRIBUTES}
@@ -140,10 +137,7 @@ WordHits = tuple[tuple[str, frozenset[AttributeTag]], ...]
 def _dictionary_hits(classes: frozenset[str], multi_sense: bool) -> WordHits:
     hits = []
     if len(classes) >= 2:
-        tags = frozenset(
-            AttributeTag("CON", POS_TO_CON_SUB[p]) for p in classes if p in POS_TO_CON_SUB
-        )
-        hits.append((MULTI_POS, tags or frozenset({AttributeTag("CON")})))
+        hits.append((MULTI_POS, con_sub_tags(classes) or frozenset({AttributeTag("CON")})))
     if multi_sense:
         hits.append((MULTI_SENSE, frozenset({AttributeTag("VAR")})))
     return tuple(hits)

@@ -3,11 +3,12 @@
 Exit codes follow linter convention: 0 clean, 1 findings present (lint
 only), 2 on any error. Every subcommand is deterministic given identical
 input files and configuration; --jobs N changes wall time, never output.
-lint and extract run documents in a process pool of at most --jobs and
-never more workers than documents; with one worker they run in-process.
-Each worker receives the lexicon and other shared resources once, at
-start-up, and then only documents. The process pool is imported only when
-more than one worker runs, because it is the largest import in start-up.
+lint and extract take one code path at any --jobs: _pool_map runs their
+documents on at most --jobs workers and never more workers than
+documents. With one worker it runs them in-process and does not import
+the process pool, the largest import in start-up; otherwise each worker
+receives the lexicon and other shared resources once, at start-up, and
+then only documents.
 """
 
 from __future__ import annotations
@@ -47,15 +48,12 @@ from .extraction import (
     CandidateWord,
     ReviewDecision,
     append_audit,
-    candidate_criteria,
     extract_candidates,
     load_audit,
     load_candidates,
     map_candidate_attributes,
-    merge_results,
     replay_audit,
     save_candidates,
-    scan_document,
 )
 from .fileio import read_text
 from .filters import REASON_ORDER
@@ -83,12 +81,17 @@ def _run_task(item):
     return _worker_task(item)
 
 
-def _pool_map(task, items: list, workers: int) -> list:
-    """[task(item) for item in items] across `workers` processes.
+def _pool_map(task, items: list, jobs: int) -> list:
+    """[task(item) for item in items] on at most `jobs` workers.
 
-    `task` (a partial over the shared resources) is sent to each worker
-    once, not with every item.
+    There are never more workers than items. One worker runs the items
+    in-process, without importing the pool. Otherwise `task` (a partial
+    over the shared resources) is sent to each worker process once, not
+    with every item.
     """
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [task(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
@@ -163,20 +166,12 @@ def _extraction_summary(result) -> str:
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     res = load_resources(cfg, require_lexicon=False)
-    docs = _corpus_documents(Path(args.corpus))
-    workers = min(cfg.jobs, len(docs))
-    if workers > 1:
-        criteria = candidate_criteria(
-            res.lexicon, res.posdict, res.rules, cfg.sense_threshold
-        )
-        task = partial(scan_document, criteria=criteria, filter_cfg=res.filter_config)
-        scans = _pool_map(task, docs, workers)
-        result = merge_results(scans, res.lexicon, res.posdict, res.rules)
-    else:
-        result = extract_candidates(
-            docs, res.lexicon, res.posdict, res.rules, res.filter_config,
-            sense_threshold=cfg.sense_threshold,
-        )
+    result = extract_candidates(
+        _corpus_documents(Path(args.corpus)),
+        res.lexicon, res.posdict, res.rules, res.filter_config,
+        sense_threshold=cfg.sense_threshold,
+        map_documents=partial(_pool_map, jobs=cfg.jobs),
+    )
     save_candidates(result.candidates, args.output)
     summary = _extraction_summary(result)
     if args.summary:
@@ -283,9 +278,7 @@ def _prompt_decision(candidate: CandidateWord, position: int, total: int) -> str
     return input("  [a]ccept [tags...], [r]eject, [s]kip, [q]uit> ").strip()
 
 
-def _interactive_decisions(
-    queue: list[CandidateWord], reviewer: str, force: bool
-):
+def _interactive_decisions(queue: list[CandidateWord]):
     pending = [c for c in queue if c.status == PENDING]
     for position, candidate in enumerate(pending, start=1):
         while True:
@@ -304,14 +297,7 @@ def _interactive_decisions(
                     tags = frozenset(AttributeTag.parse(t) for t in raw_tags)
                     if verdict == VERDICT_ACCEPT and not tags:
                         tags = candidate.suggested_tags
-                    decision = ReviewDecision(
-                        phrase=candidate.phrase,
-                        verdict=verdict,
-                        final_tags=tags,
-                        reviewer=reviewer,
-                        timestamp=_now_iso(),
-                        force=force,
-                    )
+                    decision = ReviewDecision(candidate.phrase, verdict, tags)
                     decision.validate()
                 except KaburlintError as exc:
                     print(f"  ! {exc}")
@@ -333,15 +319,10 @@ def cmd_review(args: argparse.Namespace) -> int:
     reviewer = args.reviewer or "anonymous"
 
     if args.decisions:
-        raw = _load_batch_decisions(Path(args.decisions))
-        decisions = [
-            _resolve_decision(d, by_phrase, reviewer, args.force) for d in raw
-        ]
+        source = _load_batch_decisions(Path(args.decisions))
     else:
-        decisions = [
-            _resolve_decision(d, by_phrase, reviewer, args.force)
-            for d in _interactive_decisions(queue, reviewer, args.force)
-        ]
+        source = _interactive_decisions(queue)
+    decisions = [_resolve_decision(d, by_phrase, reviewer, args.force) for d in source]
     if not decisions:
         print("no decisions recorded; lexicon unchanged")
         return 0
@@ -369,14 +350,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
         filter_cfg=res.filter_config,
         flag_anaphoric_clitics=cfg.flag_anaphoric_clitics,
     )
-    workers = min(cfg.jobs, len(docs))
-    if workers > 1:
-        reports = _pool_map(lint, docs, workers)
-    else:
-        reports = [lint(doc) for doc in docs]
-    merged = LintReport()
-    for report in reports:
-        merged.extend(report)
+    reports = _pool_map(lint, docs, cfg.jobs)
+    merged = LintReport([f for report in reports for f in report.findings])
     doc_map = {doc.id: doc for doc in docs}
     print(render_report(merged, cfg.format, doc_map), end="")
     return 1 if merged.findings else 0

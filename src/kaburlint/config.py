@@ -127,7 +127,6 @@ class Resources:
     posdict: PosDictionary | None
     rules: PhraseSets
     filter_config: FilterConfig
-    config: Config
 
 
 def configured_lexicon(cfg: Config) -> Path:
@@ -166,7 +165,6 @@ def load_resources(cfg: Config, *, require_lexicon: bool = True) -> Resources:
         posdict=posdict,
         rules=rules,
         filter_config=filter_config,
-        config=cfg,
     )
 
 

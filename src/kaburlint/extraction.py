@@ -13,8 +13,9 @@ repository byte for byte.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .analyzer import (
@@ -28,13 +29,13 @@ from .errors import LexiconError, ReviewError, WordlistError
 from .fileio import check_record, dumps_jsonl, read_jsonl, read_lines, write_atomic
 from .filters import FilterConfig, FilterCounts, apply_filters
 from .lexicon import (
-    POS_TO_CON_SUB,
     STATUS_REJECTED,
     STATUS_VERIFIED,
     AttributeTag,
     Lexicon,
     LexiconEntry,
     PosDictionary,
+    con_sub_tags,
     longest_matches,
     normalize_phrase,
     tag_texts,
@@ -145,10 +146,7 @@ def map_candidate_attributes(
         tags |= entry.tags
     tags.update(AttributeTag(a) for a in rules.get(phrase, ()))
     if len(phrase) == 1 and posdict is not None:
-        for pos in posdict.pos_classes(phrase[0]):
-            sub = POS_TO_CON_SUB.get(pos)
-            if sub is not None:
-                tags.add(AttributeTag("CON", sub))
+        tags |= con_sub_tags(posdict.pos_classes(phrase[0]))
     return frozenset(tags)
 
 
@@ -168,9 +166,9 @@ def scan_document(
     """One document's unmapped candidates, one per phrase, in scan order.
 
     `criteria` is the run's candidate table from candidate_criteria; each
-    probe of the greedy longest match is one lookup in it. merge_results
-    combines, sorts and maps the scans of a corpus; --jobs N runs this scan
-    in the pool workers.
+    probe of the greedy longest match is one lookup in it. extract_candidates
+    maps this scan over a corpus and merge_results combines, sorts and maps
+    the scans.
     """
     counts = FilterCounts()
     tokens_read = 0
@@ -202,6 +200,7 @@ def extract_candidates(
     filter_cfg: FilterConfig | None = None,
     *,
     sense_threshold: int = SENSE_THRESHOLD,
+    map_documents: Callable[..., Iterable[ExtractionResult]] = map,
 ) -> ExtractionResult:
     """Mine candidate phrases from a corpus (longest phrase wins per spot).
 
@@ -209,30 +208,32 @@ def extract_candidates(
     two or more POS classes, reaches the sense-count threshold, appears in
     the hint lexicon as candidate/verified, or appears in a rule list. These
     criteria are compiled into one candidate table per run. Each document
-    is scanned against it on its own and the scans end in one merge_results
-    call, the same reduction that combines per-document results under
-    --jobs N, so any job count gives the same result.
+    is scanned against it on its own, and the scans end in one
+    merge_results call. map_documents(task, corpus) runs the scans: the
+    builtin map in-process, or the CLI's pool for --jobs N. The scans
+    arrive in corpus order either way, so any job count gives the same
+    result.
     """
     criteria = candidate_criteria(lex_hints, posdict, rules, sense_threshold)
-    filter_cfg = filter_cfg or FilterConfig()
-    scans = [scan_document(doc, criteria, filter_cfg) for doc in corpus]
+    task = partial(scan_document, criteria=criteria, filter_cfg=filter_cfg or FilterConfig())
+    # all scans first, so a span around merge_results times the merge alone
+    scans = list(map_documents(task, corpus))
     return merge_results(scans, lex_hints, posdict, rules)
 
 
 def merge_results(
-    results: Sequence[ExtractionResult],
+    results: Iterable[ExtractionResult],
     lex_hints: Lexicon,
     posdict: PosDictionary | None,
     rules: PhraseSets,
 ) -> ExtractionResult:
     """The one reduction of per-document extraction results, in input order.
 
-    Candidates become unique by phrase, with occurrences concatenated in
-    input order, then sorted by phrase and mapped onto suggested tags; a
-    phrase's criterion hits come from the run's one candidate table, so
-    every scan carries the same ones. extract_candidates ends here for
-    --jobs 1, and --jobs N merges its workers' scan_document results here,
-    so both give the same bytes.
+    `results` is any iterable of scans, consumed once. Candidates become
+    unique by phrase, with occurrences concatenated in input order, then
+    sorted by phrase and mapped onto suggested tags; a phrase's criterion
+    hits come from the run's one candidate table, so every scan carries the
+    same ones. extract_candidates ends here at any job count.
     """
     counts = FilterCounts()
     occurrences: dict[tuple[str, ...], list[Occurrence]] = {}

@@ -93,6 +93,13 @@ def tag_texts(tags: Iterable[AttributeTag]) -> list[str]:
     return [text for _, text in sorted(map(_TAG_KEYS.__getitem__, tags))]
 
 
+def con_sub_tags(pos_classes: Iterable[str]) -> frozenset[AttributeTag]:
+    """The CON sub-attribute tag of each POS class that has one (POS_TO_CON_SUB)."""
+    return frozenset(
+        AttributeTag("CON", POS_TO_CON_SUB[p]) for p in pos_classes if p in POS_TO_CON_SUB
+    )
+
+
 def normalize_phrase(phrase: str | Sequence[str]) -> tuple[str, ...]:
     """Case-fold a phrase given as a string or token sequence."""
     words = phrase.split() if isinstance(phrase, str) else list(phrase)

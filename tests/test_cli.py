@@ -282,6 +282,28 @@ def test_rejected_phrase_is_not_queued_again(ws, capsys):
     assert ("anggaran",) not in queued and ("segera",) in queued
 
 
+def test_interactive_review_resolves_like_a_batch(ws, capsys, monkeypatch):
+    queue = load_candidates(ws / "queue.jsonl")
+    first, second = queue[0], queue[1]
+    # a bad tag re-prompts; then accept with the suggested tags, reject, quit
+    answers = iter(["a NOPE", "a", "r", "q"])
+    monkeypatch.setattr("builtins.input", lambda _prompt: next(answers))
+    initial = load_lexicon(ws / "lexicon.jsonl")
+    rc, out, _ = run(capsys, "review", "--config", conf(ws), ws / "queue.jsonl",
+                     "--reviewer", "tester", "--force")
+    assert rc == 0 and "! unknown attribute 'NOPE'" in out
+    assert "accepted 1, rejected 1;" in out
+    decisions = load_audit(ws / "audit.jsonl")
+    assert [(d.phrase, d.verdict) for d in decisions] == [
+        (first.phrase, "accept"), (second.phrase, "reject")
+    ]
+    assert decisions[0].final_tags == first.suggested_tags
+    assert decisions[1].final_tags == second.suggested_tags
+    assert all(d.reviewer == "tester" and d.force and d.timestamp for d in decisions)
+    replayed = replay_audit(initial, decisions)
+    assert dumps_lexicon(replayed) == (ws / "lexicon.jsonl").read_text(encoding="utf-8")
+
+
 def test_review_whose_audit_log_cannot_be_written_changes_nothing(ws, capsys):
     # the config may name an audit log in a directory that does not exist
     _config_line(ws, "audit_log = logs/audit.jsonl")

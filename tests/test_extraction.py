@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import tempfile
 from dataclasses import replace
@@ -20,7 +21,6 @@ from kaburlint.extraction import (
     Occurrence,
     ReviewDecision,
     append_audit,
-    candidate_criteria,
     extract_candidates,
     load_audit,
     load_candidates,
@@ -30,7 +30,6 @@ from kaburlint.extraction import (
     record_decision,
     replay_audit,
     save_candidates,
-    scan_document,
 )
 from kaburlint.filters import FilterConfig
 from kaburlint.lexicon import (
@@ -472,6 +471,17 @@ def extraction_inputs(draw):
     )
 
 
+def through_pickle(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+def pickling_map(task, docs):
+    """In-process stand-in for the CLI's pool: the task, each document and
+    each result go through pickle, as they would to and from a worker."""
+    task = through_pickle(task)
+    return [through_pickle(task(through_pickle(doc))) for doc in docs]
+
+
 def assert_table_matches_oracle(lexicon, rule_lines, posdict, docs, cfg, threshold):
     """Serial and --jobs-style extraction equal the seed's, field by field."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -485,9 +495,9 @@ def assert_table_matches_oracle(lexicon, rule_lines, posdict, docs, cfg, thresho
         docs, lexicon, posdict, seed_rules, cfg, sense_threshold=threshold
     )
     got = extract_candidates(docs, lexicon, posdict, rules, cfg, sense_threshold=threshold)
-    criteria = candidate_criteria(lexicon, posdict, rules, threshold)
-    pooled = merge_results(
-        [scan_document(doc, criteria, cfg) for doc in docs], lexicon, posdict, rules
+    pooled = extract_candidates(
+        docs, lexicon, posdict, rules, cfg, sense_threshold=threshold,
+        map_documents=pickling_map,
     )
     for result in (got, pooled):
         # CandidateWord equality covers occurrences, suggested tags and hits
