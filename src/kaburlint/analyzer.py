@@ -8,6 +8,12 @@ every POS-dictionary word (word_heuristics), and lint and extraction
 both read that one table. Reports are deterministically ordered by
 (document, start offset) with fixed tiebreakers, so serialized reports
 are byte-stable across runs and job counts.
+
+lint_document reads each sentence as columns: the surfaces and words
+from tokenize, the kept positions from apply_filters and the lexicon hits
+from match_entries; a kept word's dictionary heuristics are one lookup in
+the word_heuristics table. A Finding, with its byte span and matched
+text, is built only for a hit.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import io
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain, pairwise
 
 from .fileio import dumps_jsonl
 from .filters import FilterConfig, apply_filters
@@ -23,6 +30,7 @@ from .lexicon import (
     ATTRIBUTES,
     AttributeTag,
     Lexicon,
+    PhraseIndex,
     PosDictionary,
     con_sub_tags,
     longest_matches,
@@ -30,15 +38,15 @@ from .lexicon import (
     tag_texts,
 )
 from .textcore import (
-    WORD,
     Document,
-    Sentence,
     Span,
     Token,
-    iter_sentence_tokens,
+    Tokens,
     line_col,
     pickle_fields,
-    slice_span,
+    segment_sentences,
+    token_words,
+    tokenize,
 )
 
 MULTI_POS = "multi_pos"
@@ -67,11 +75,12 @@ SENSE_THRESHOLD = 2
 # alternative a run of words
 CONDITIONAL_MARKERS = frozenset({"jika", "sekiranya", "apabila"})
 ALTERNATIVE_MARKERS = frozenset({("jika", "tidak"), ("selainnya",), ("sebaliknya",)})
-_ALTERNATIVE_LIMIT = max(map(len, ALTERNATIVE_MARKERS))
+_ALTERNATIVES = PhraseIndex(dict.fromkeys(ALTERNATIVE_MARKERS, True))
 
 # words that end in "nya" without being anaphoric
 _CLITIC_STOPLIST = frozenset({"hanya", "tanya", "punya"})
 _REF = frozenset({AttributeTag("REF")})
+_DANGLING_ELSE = frozenset({AttributeTag("CON", "dangling_else")})
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -120,15 +129,6 @@ class LintReport:
         return counts
 
 
-def _info(
-    token: Token, tags: frozenset[AttributeTag], criterion: str, doc_id: str, sentence_index: int
-) -> Finding:
-    """The info finding a heuristic gives on one token."""
-    return Finding(
-        doc_id, sentence_index, token.span, token.surface, "", tags, criterion, SEVERITY_INFO
-    )
-
-
 # one word's heuristic hits: (criterion, tags) per heuristic that fires
 WordHits = tuple[tuple[str, frozenset[AttributeTag]], ...]
 
@@ -164,38 +164,54 @@ def word_heuristics(
     return table
 
 
+def _info(
+    doc_id: str,
+    index: int,
+    tokens: Tokens,
+    k: int,
+    tags: frozenset[AttributeTag],
+    criterion: str,
+) -> Finding:
+    """An info finding on token k of sentence index, read from the columns."""
+    return Finding(
+        doc_id, index, tokens.span(k, k), tokens.surfaces[k], "", tags, criterion,
+        SEVERITY_INFO,
+    )
+
+
 def _is_anaphoric_clitic(word: str) -> bool:
     return len(word) > 3 and word.endswith("nya") and word not in _CLITIC_STOPLIST
 
 
+def _dangling_marker(words: Sequence[str], next_words: Sequence[str]) -> int | None:
+    """Position of the first conditional marker when no alternative is near."""
+    if CONDITIONAL_MARKERS.isdisjoint(words):
+        return None
+    if longest_matches(words, _ALTERNATIVES) or longest_matches(next_words, _ALTERNATIVES):
+        return None
+    return next(k for k, word in enumerate(words) if word in CONDITIONAL_MARKERS)
+
+
 def check_dangling_else(
-    sentence: Sentence,
-    tokens: Sequence[Token],
+    index: int,
+    tokens: Tokens,
     *,
     next_tokens: Sequence[Token] = (),
     doc_id: str = "",
 ) -> Finding | None:
     """Conditional marker without an alternative branch nearby.
 
-    Fires on the sentence's first conditional marker ("jika", "sekiranya",
-    "apabila") when neither this sentence nor the immediately following
-    one contains an alternative marker ("jika tidak", "selainnya",
-    "sebaliknya"). Markers match normalized tokens, so case is ignored.
+    Fires on the first conditional marker ("jika", "sekiranya",
+    "apabila") of sentence index when neither this sentence nor the
+    immediately following one contains an alternative marker ("jika
+    tidak", "selainnya", "sebaliknya"). Markers match normalized tokens,
+    so case is ignored. tokens is the sentence's tokenize result;
+    next_tokens may be any sequence of tokens.
     """
-    marker = next((t for t in tokens if t.normalized in CONDITIONAL_MARKERS), None)
-    if marker is None:
+    k = _dangling_marker(token_words(tokens), token_words(next_tokens))
+    if k is None:
         return None
-    for run in (tokens, next_tokens):
-        words = [t.normalized for t in run]
-        if longest_matches(words, _ALTERNATIVE_LIMIT, ALTERNATIVE_MARKERS.__contains__):
-            return None
-    return _info(
-        marker,
-        frozenset({AttributeTag("CON", "dangling_else")}),
-        DANGLING_ELSE,
-        doc_id,
-        sentence.index,
-    )
+    return _info(doc_id, index, tokens, k, _DANGLING_ELSE, DANGLING_ELSE)
 
 
 def lint_document(
@@ -213,44 +229,39 @@ def lint_document(
     table; None runs no dictionary heuristics) and, with
     flag_anaphoric_clitics, a referential finding when it ends in the
     "-nya" clitic. Every sentence gets the dangling-else check.
+
+    The scan reads each sentence's columns (Tokens, FilterReport, Matches)
+    and builds a Finding, and the byte span in it, only for a hit.
     """
     filter_cfg = filter_cfg or FilterConfig()
     heuristics = heuristics or {}
+    doc_id = doc.id
     findings: list[Finding] = []
-    # One sentence of lookahead serves the dangling-else check; earlier
-    # sentences' tokens are dropped as the scan moves on, so the objects the
-    # garbage collector must traverse do not grow with the document.
-    pairs = iter_sentence_tokens(doc, filter_cfg.abbreviations)
-    following = next(pairs, None)
-    while following is not None:
-        sentence, tokens = following
-        following = next(pairs, None)
-        for span, entry in match_entries(lexicon, tokens):
+    abbreviations = filter_cfg.abbreviations
+    runs = (
+        tokenize(doc, chars, abbreviations)
+        for chars in segment_sentences(doc, abbreviations).ranges()
+    )
+    # pairwise holds one sentence of lookahead for the dangling-else check;
+    # earlier sentences' tokens are dropped as the scan moves on, so the
+    # objects the garbage collector must traverse do not grow with the
+    # document.
+    for index, (tokens, next_tokens) in enumerate(pairwise(chain(runs, [()]))):
+        for start, end, entry in match_entries(lexicon, tokens).hits:
             findings.append(
                 Finding(
-                    doc_id=doc.id,
-                    sentence_index=sentence.index,
-                    span=span,
-                    matched=slice_span(doc, span),
-                    phrase=entry.phrase_text,
-                    tags=entry.tags,
-                    criterion=ATTRIBUTE_MEMBER,
-                    severity=SEVERITY_WARNING,
+                    doc_id, index, tokens.span(start, end - 1), tokens.text(start, end - 1),
+                    entry.phrase_text, entry.tags, ATTRIBUTE_MEMBER, SEVERITY_WARNING,
                 )
             )
-        for token in apply_filters(tokens, filter_cfg).kept:
-            if token.kind != WORD:
-                continue
-            for criterion, tags in heuristics.get(token.normalized, ()):
-                findings.append(_info(token, tags, criterion, doc.id, sentence.index))
-            if flag_anaphoric_clitics and _is_anaphoric_clitic(token.normalized):
-                findings.append(
-                    _info(token, _REF, REFERENTIAL_SENTENCE, doc.id, sentence.index)
-                )
-        next_tokens = following[1] if following is not None else ()
-        hit = check_dangling_else(
-            sentence, tokens, next_tokens=next_tokens, doc_id=doc.id
-        )
+        words = tokens.words
+        for k in apply_filters(tokens, filter_cfg).kept_index:  # kept tokens are words
+            word = words[k]
+            for criterion, tags in heuristics.get(word, ()):
+                findings.append(_info(doc_id, index, tokens, k, tags, criterion))
+            if flag_anaphoric_clitics and _is_anaphoric_clitic(word):
+                findings.append(_info(doc_id, index, tokens, k, _REF, REFERENTIAL_SENTENCE))
+        hit = check_dangling_else(index, tokens, next_tokens=next_tokens, doc_id=doc_id)
         if hit:
             findings.append(hit)
     findings.sort(key=_finding_sort_key)

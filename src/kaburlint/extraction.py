@@ -3,11 +3,13 @@
 Candidates are mined from the post-filter token stream, one per distinct
 normalized phrase, with occurrence spans kept as evidence for reviewers.
 Which phrases are candidates, and with which criterion hits, comes from
-one candidate table built per run from the hint lexicon, the rule lists
-and the POS dictionary (candidate_criteria). Review decisions are
-appended to a JSON-lines audit log whose records are self-contained:
-replaying the log over the initial repository reproduces the final
-repository byte for byte.
+one candidate index built per run from the hint lexicon, the rule lists
+and the POS dictionary (candidate_criteria, a lexicon.PhraseIndex). The
+scan matches it against each sentence's kept words, read from the filter
+report's columns, and builds an Occurrence and its span only for a hit.
+Review decisions are appended to a JSON-lines audit log whose records are
+self-contained: replaying the log over the initial repository reproduces
+the final repository byte for byte.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from .lexicon import (
     AttributeTag,
     Lexicon,
     LexiconEntry,
+    PhraseIndex,
     PosDictionary,
     con_sub_tags,
     longest_matches,
     normalize_phrase,
     tag_texts,
 )
-from .textcore import Document, Span, iter_sentence_tokens
+from .textcore import Document, Span, segment_sentences, tokenize
 
 PENDING = "pending"
 ACCEPTED = "accepted"
@@ -97,8 +100,8 @@ def candidate_criteria(
     posdict: PosDictionary | None,
     rules: PhraseSets,
     sense_threshold: int,
-) -> PhraseSets:
-    """phrase -> criterion hits, for every phrase that makes a candidate.
+) -> PhraseIndex:
+    """The candidate index: each phrase that makes a candidate -> its criterion hits.
 
     Built once per run: a phrase hits attribute_member when the hint
     lexicon holds it undecided or verified, or a rule list holds it (the
@@ -106,28 +109,38 @@ def candidate_criteria(
     criteria of its word_heuristics entry (multi_pos, multi_sense), the
     table lint uses. A phrase the hint lexicon holds as rejected is never
     a candidate: a reviewer has decided it, whatever else names it.
+    Phrases with the same hits share one frozenset, so a dictionary of
+    many words costs one set per distinct outcome, not one per word.
     """
-    table: dict[tuple[str, ...], set[str]] = {}
+    shared: dict[frozenset[str], frozenset[str]] = {}
+    table: dict[tuple[str, ...], frozenset[str]] = {}
+
+    def add(phrase: tuple[str, ...], names: frozenset[str]) -> None:
+        held = table.get(phrase)
+        if held is not None:
+            names = held | names
+        table[phrase] = shared.setdefault(names, names)
+
     rejected = set()
+    member = frozenset({ATTRIBUTE_MEMBER})
     for entry in lex_hints.entries():
         if entry.status == STATUS_REJECTED:
             rejected.add(entry.phrase)
         else:
-            table.setdefault(entry.phrase, set()).add(ATTRIBUTE_MEMBER)
+            add(entry.phrase, member)
+    vague_member = frozenset({ATTRIBUTE_MEMBER, VAGUE_POS})
     for phrase, attributes in rules.items():
-        hits = table.setdefault(phrase, set())
-        hits.add(ATTRIBUTE_MEMBER)
-        if "IMP" in attributes:
-            hits.add(VAGUE_POS)
+        add(phrase, vague_member if "IMP" in attributes else member)
+    # word_heuristics shares one hits tuple among words with the same outcome
+    names_of: dict[tuple, frozenset[str]] = {}
     for word, hits in word_heuristics(posdict, sense_threshold).items():
-        names = table.setdefault((word,), set())
-        for criterion, _tags in hits:
-            names.add(criterion)
-    return {
-        phrase: frozenset(hits)
-        for phrase, hits in table.items()
-        if phrase not in rejected
-    }
+        names = names_of.get(hits)
+        if names is None:
+            names = names_of[hits] = frozenset(criterion for criterion, _tags in hits)
+        add((word,), names)
+    for phrase in rejected:
+        table.pop(phrase, None)
+    return PhraseIndex(table)
 
 
 def map_candidate_attributes(
@@ -160,33 +173,34 @@ class ExtractionResult:
 
 def scan_document(
     doc: Document,
-    criteria: PhraseSets,
+    criteria: PhraseIndex,
     filter_cfg: FilterConfig,
 ) -> ExtractionResult:
     """One document's unmapped candidates, one per phrase, in scan order.
 
-    `criteria` is the run's candidate table from candidate_criteria; each
-    probe of the greedy longest match is one lookup in it. extract_candidates
-    maps this scan over a corpus and merge_results combines, sorts and maps
-    the scans.
+    `criteria` is the run's candidate index from candidate_criteria; the
+    greedy longest match runs over each sentence's kept words, read from
+    the filter report's columns, and only an occurrence gets a span.
+    extract_candidates maps this scan over a corpus and merge_results
+    combines, sorts and maps the scans.
     """
     counts = FilterCounts()
     tokens_read = 0
-    limit = max(map(len, criteria), default=0)
+    abbreviations = filter_cfg.abbreviations
     occurrences: dict[tuple[str, ...], list[Occurrence]] = {}
-    for _sentence, tokens in iter_sentence_tokens(doc, filter_cfg.abbreviations):
+    for chars in segment_sentences(doc, abbreviations).ranges():
+        tokens = tokenize(doc, chars, abbreviations)
         tokens_read += len(tokens)
-        sentence_report = apply_filters(tokens, filter_cfg)
-        counts.add(sentence_report)
-        kept = sentence_report.kept
-        words = [t.normalized for t in kept]
-        for start, end, _hits in longest_matches(words, limit, criteria.get):
-            span = Span(kept[start].span.start, kept[end - 1].span.end)
+        report = apply_filters(tokens, filter_cfg)
+        counts.add(report)
+        kept = report.kept_index
+        words = [tokens.words[k] for k in kept]
+        for start, end, _hits in longest_matches(words, criteria):
             occurrences.setdefault(tuple(words[start:end]), []).append(
-                Occurrence(doc.id, span)
+                Occurrence(doc.id, tokens.span(kept[start], kept[end - 1]))
             )
     candidates = [
-        CandidateWord(p, tuple(spots), criterion_hits=criteria[p])
+        CandidateWord(p, tuple(spots), criterion_hits=criteria.table[p])
         for p, spots in occurrences.items()
     ]
     return ExtractionResult(candidates, counts, tokens_read, documents=1)

@@ -4,12 +4,16 @@ The filter step is fixed: all six reasons always apply, and each token gets
 at most one, the first that matches in this order: symbol, number,
 reduplication, short_form, proper_noun, loanword. Only the wordlists that
 the reasons consult are configurable. The outcome for a token depends only
-on the token itself, whether it is its sentence's first word and the
+on its surface, whether it is its sentence's first word and the
 wordlists, so filtering is order-independent and re-filtering the kept
-tokens excludes nothing further. That is why apply_filters decides each
-surface once per sentence position and configuration and keeps the
-answer in the FilterConfig, where it lives and dies with the wordlists
-it came from.
+tokens excludes nothing further.
+
+That is why one table per run (SurfaceTable, kept by the FilterConfig)
+maps each surface to its kind and its reason at each sentence position;
+its normalized form is the tokenizer's column. It fills on a miss, so
+each distinct surface is decided once; apply_filters reads a sentence's
+surface column through it and returns a columnar FilterReport (facts and
+kept positions) that builds tokens only when a caller reads them.
 
 Both token-level and type-level elimination counts are reported, since an
 aggregate like "N words eliminated" is ambiguous between the two.
@@ -21,6 +25,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import WordlistError
 from .fileio import read_lines
@@ -29,8 +34,12 @@ from .textcore import (
     NUMBER,
     SYMBOL,
     WORD,
+    Columns,
     Token,
+    Tokens,
     detect_reduplication,
+    token_kind,
+    token_words,
 )
 
 LOANWORD = "loanword"
@@ -59,25 +68,38 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
     return frozenset({entry.casefold() for _where, entry in lines})
 
 
+class SurfaceFacts(NamedTuple):
+    """What a token's surface decides about it, wherever it occurs."""
+
+    kind: str
+    reason: str | None  # exclusion reason (None: kept) but as its sentence's first word
+    initial_reason: str | None  # the same as its sentence's first word
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     """The wordlists the six filters consult; the reasons themselves are fixed.
 
-    _reasons memoizes apply_filters' outcomes for this configuration: one
-    dict per sentence position (not initial, initial) from a token's
-    surface to its exclusion reason, None for kept. The wordlists never
-    change, so an entry stays true for as long as the configuration
-    lives; two configurations never share one. The memo pays where
-    surfaces repeat; each new surface costs a miss and an insert, and
-    the memo keeps one entry per distinct surface it has seen.
+    It also keeps the run's SurfaceTable (surface_table), which lives and
+    dies with the wordlists it came from: the wordlists never change, so
+    an entry stays true for as long as the configuration lives. Two
+    configurations never share one.
     """
 
     english_words: frozenset[str] = frozenset()
     malay_words: frozenset[str] | None = None
     abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
-    _reasons: tuple[dict[str, str | None], dict[str, str | None]] = field(
-        default_factory=lambda: ({}, {}), init=False, repr=False, compare=False
+    _surfaces: SurfaceTable | None = field(
+        default=None, init=False, repr=False, compare=False
     )
+
+    def surface_table(self) -> SurfaceTable:
+        """This configuration's surface table, made on first use."""
+        table = self._surfaces
+        if table is None:
+            table = SurfaceTable(self)
+            object.__setattr__(self, "_surfaces", table)  # a cache, not a field value
+        return table
 
 
 def is_short_form(token: Token, abbrev_list: frozenset[str] | set[str]) -> bool:
@@ -141,45 +163,138 @@ def classify_token(
     return None
 
 
-@dataclass
+class SurfaceTable(dict):
+    """surface -> SurfaceFacts under one FilterConfig.
+
+    A surface's kind and normalized form are functions of it (see
+    tokenize), and so is its filter outcome at each sentence position.
+    The table fills on a miss (__missing__), so a surface seen before
+    costs one dict lookup and a new one costs what deciding it once
+    costs. It holds one entry per distinct surface it has seen, and
+    surfaces with the same outcome share one SurfaceFacts; the normalized
+    form, which differs per surface, is Tokens.words' column. A pickled
+    table arrives empty.
+    """
+
+    __slots__ = ("cfg", "_shared")
+
+    def __init__(self, cfg: FilterConfig) -> None:
+        super().__init__()
+        self.cfg = cfg
+        self._shared: dict[SurfaceFacts, SurfaceFacts] = {}
+
+    def __missing__(self, surface: str) -> SurfaceFacts:
+        normalized = surface.casefold()
+        kind = token_kind(surface)
+        # the filters read a token's surface, normalized form and kind only
+        token = Token(None, surface, normalized, kind)
+        reason = classify_token(token, False, self.cfg)
+        # only the proper-noun rule reads the position, and as the first
+        # word it fires on a subset of the words it fires on elsewhere
+        initial = classify_token(token, True, self.cfg) if reason == PROPER_NOUN else reason
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        facts = tuple.__new__(SurfaceFacts, (kind, reason, initial))
+        facts = self[surface] = self._shared.setdefault(facts, facts)
+        return facts
+
+    def __reduce__(self):
+        return SurfaceTable, (self.cfg,)
+
+
+class _Kept(Columns):
+    __slots__ = ("_tokens", "_index")
+
+    def __init__(self, tokens: Sequence[Token], index: list[int]) -> None:
+        self._tokens = tokens
+        self._index = index
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def _item(self, k: int) -> Token:
+        return self._tokens[self._index[k]]
+
+
+class _Excluded(Columns):
+    __slots__ = ("_report", "_reasons", "_index")
+
+    def __init__(self, report: FilterReport) -> None:
+        self._report = report
+        self._reasons: list[str | None] | None = None
+        self._index: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self._report.facts) - len(self._report.kept_index)
+
+    def _item(self, k: int) -> tuple[Token, str]:
+        reasons = self._reasons
+        if reasons is None:  # first read: one pass over the report
+            reasons = self._reasons = self._report.reasons()
+            self._index = [i for i, r in enumerate(reasons) if r is not None]
+        i = self._index[k]
+        return self._report.tokens[i], reasons[i]
+
+
 class FilterReport:
-    """Partition of one sentence's tokens into kept and excluded-with-reason."""
+    """Partition of one sentence's tokens into kept and excluded-with-reason.
 
-    kept: list[Token] = field(default_factory=list)
-    excluded: list[tuple[Token, str]] = field(default_factory=list)
+    Kept as columns: facts[k] is token k's SurfaceFacts, initial the
+    position of the sentence's first word (None: no word), and kept_index
+    the kept positions in order. kept (tokens) and excluded ((token,
+    reason) pairs) are views that build a token only when it is read.
+    """
 
+    __slots__ = ("tokens", "facts", "initial", "kept_index")
 
-_UNSEEN = object()
+    def __init__(
+        self,
+        tokens: Sequence[Token],
+        facts: list[SurfaceFacts],
+        initial: int | None,
+        kept_index: list[int],
+    ) -> None:
+        self.tokens = tokens
+        self.facts = facts
+        self.initial = initial
+        self.kept_index = kept_index
+
+    def reasons(self) -> list[str | None]:
+        """Each token's exclusion reason; None for a kept one."""
+        reasons = [f.reason for f in self.facts]
+        if self.initial is not None:
+            reasons[self.initial] = self.facts[self.initial].initial_reason
+        return reasons
+
+    @property
+    def kept(self) -> Sequence[Token]:
+        return _Kept(self.tokens, self.kept_index)
+
+    @property
+    def excluded(self) -> Sequence[tuple[Token, str]]:
+        return _Excluded(self)
 
 
 def apply_filters(tokens: Sequence[Token], cfg: FilterConfig) -> FilterReport:
     """Partition one sentence's tokens into kept and excluded.
 
-    The sentence's first word token is its sentence-initial one. A token's
-    kind and normalized form are functions of its surface (see tokenize),
-    so classify_token runs once per surface and sentence position within
-    one FilterConfig; later tokens read the outcome from cfg._reasons.
+    The sentence's first word token is its sentence-initial one. Every
+    outcome is read from cfg's surface table by surface: a Tokens
+    sequence's column, or each Token's.
     """
-    report = FilterReport()
-    kept = report.kept
-    excluded = report.excluded
-    memo, initial_memo = cfg._reasons
-    initial_seen = False
-    for token in tokens:
-        if initial_seen or token.kind != WORD:
-            reason = memo.get(token.surface, _UNSEEN)
-            if reason is _UNSEEN:
-                reason = memo[token.surface] = classify_token(token, False, cfg)
-        else:
-            initial_seen = True
-            reason = initial_memo.get(token.surface, _UNSEEN)
-            if reason is _UNSEEN:
-                reason = initial_memo[token.surface] = classify_token(token, True, cfg)
-        if reason is None:
-            kept.append(token)
-        else:
-            excluded.append((token, reason))
-    return report
+    table = cfg.surface_table()
+    surfaces = tokens.surfaces if isinstance(tokens, Tokens) else [t.surface for t in tokens]
+    facts = list(map(table.__getitem__, surfaces))
+    kept_index = [k for k, f in enumerate(facts) if f.reason is None]
+    for initial, first in enumerate(facts):
+        if first.kind == WORD:
+            # only symbols and numbers come before it, so a word that is
+            # kept as the first word alone goes first
+            if first.initial_reason is None and first.reason is not None:
+                kept_index.insert(0, initial)
+            break
+    else:
+        initial = None
+    return FilterReport(tokens, facts, initial, kept_index)
 
 
 @dataclass
@@ -197,9 +312,10 @@ class FilterCounts:
     )
 
     def add(self, report: FilterReport) -> None:
-        self.kept += len(report.kept)
-        for token, reason in report.excluded:
-            self.excluded[reason][token.normalized] += 1
+        self.kept += len(report.kept_index)
+        for word, reason in zip(token_words(report.tokens), report.reasons()):
+            if reason is not None:
+                self.excluded[reason][word] += 1
 
     def update(self, other: "FilterCounts") -> None:
         self.kept += other.kept

@@ -8,17 +8,27 @@ files are byte-stable and save(load(f)) reproduces f for valid input.
 
 The POS dictionary is a TSV: word, comma-separated classes, optional sense
 count. Lookup anywhere in this module is case-insensitive (case-folded).
+
+Phrase matching is greedy leftmost-longest and non-overlapping, over one
+PhraseIndex per phrase table: the table, every phrase's first word and
+every proper prefix of a phrase. A position whose word starts no phrase
+is skipped, and a run grows only while it is a proper prefix (the prefix
+stop of Aho and Corasick's automaton, without its failure links, which
+only overlapping matches would need). The verified lexicon, extraction's
+candidate table and the dangling-else alternatives each build one index
+per run. match_entries returns the hits as columns (Matches) and builds a
+byte span only when one is read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LexiconError, WordlistError
 from .fileio import check_record, dumps_jsonl, read_jsonl, read_lines, write_atomic
-from .textcore import Span, Token
+from .textcore import Columns, Span, Token, run_span, token_words
 
 ATTRIBUTES = ("IMP", "CON", "T", "REF", "VAR", "WN")
 
@@ -155,7 +165,7 @@ class Lexicon:
     def __init__(self, entries: Iterable[LexiconEntry] = ()) -> None:
         self._entries: dict[tuple[str, ...], LexiconEntry] = {}
         self._max_phrase_len = 0
-        self._verified: tuple[dict[tuple[str, ...], LexiconEntry], int] | None = None
+        self._verified: PhraseIndex | None = None
         for entry in entries:
             self.add(entry)
 
@@ -176,19 +186,18 @@ class Lexicon:
         self._max_phrase_len = max(self._max_phrase_len, len(entry.phrase))
         self._verified = None
 
-    def verified(self) -> tuple[dict[tuple[str, ...], LexiconEntry], int]:
-        """The verified entries by phrase, and the longest such phrase's length.
+    def verified(self) -> PhraseIndex:
+        """The phrase index of the verified entries (phrase -> entry).
 
         Built on first use and dropped by every add and replace, so it
         always reflects the entries stored now.
         """
         if self._verified is None:
-            index = {
+            self._verified = PhraseIndex({
                 phrase: entry
                 for phrase, entry in self._entries.items()
                 if entry.status == STATUS_VERIFIED
-            }
-            self._verified = index, max(map(len, index), default=0)
+            })
         return self._verified
 
     def get(self, phrase: Sequence[str]) -> LexiconEntry | None:
@@ -272,46 +281,100 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
     write_atomic(path, dumps_lexicon(lexicon))
 
 
+class PhraseIndex:
+    """A phrase table for greedy longest matching, with its prefix stop.
+
+    table maps each phrase (a tuple of normalized words) to a truthy
+    value; prefixes holds every proper prefix of a phrase and firsts every
+    phrase's first word. Built once per table: the verified lexicon
+    (Lexicon.verified), extraction's candidate table (candidate_criteria)
+    and the dangling-else alternatives.
+    """
+
+    __slots__ = ("table", "prefixes", "firsts")
+
+    def __init__(self, table: Mapping[tuple[str, ...], object]) -> None:
+        self.table = table
+        self.prefixes = frozenset(
+            phrase[:k] for phrase in table for k in range(1, len(phrase))
+        )
+        self.firsts = frozenset(phrase[0] for phrase in table)
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+
 def longest_matches(
-    words: Sequence[str], limit: int, lookup: Callable[[tuple[str, ...]], object]
+    words: Sequence[str], index: PhraseIndex
 ) -> list[tuple[int, int, object]]:
     """Greedy longest match over words: (start, end, value) per hit.
 
-    Scans left to right; at each position the longest run of at most limit
-    words for which lookup returns a truthy value wins and its words are
-    consumed, so hits never overlap.
+    Scans left to right; at each position the longest run of words that
+    index.table holds wins and its words are consumed, so hits never
+    overlap. Only positions whose word starts a phrase are tried, and a
+    run grows only while it is a proper prefix of some phrase, since no
+    longer phrase can start with it otherwise.
     """
-    hits = []
+    firsts = index.firsts
+    if firsts.isdisjoint(words):
+        return []
+    table = index.table
+    prefixes = index.prefixes
     count = len(words)
-    i = 0
-    while i < count:
-        for end in range(min(i + limit, count), i, -1):
-            value = lookup(tuple(words[i:end]))
+    hits = []
+    pos = 0
+    for i in [k for k, word in enumerate(words) if word in firsts]:
+        if i < pos:
+            continue  # inside the previous hit
+        run = (words[i],)
+        end = i + 1
+        best = None
+        while True:
+            value = table.get(run)
             if value:
-                hits.append((i, end, value))
-                i = end
+                best = (i, end, value)
+            if end == count or run not in prefixes:
                 break
-        else:
-            i += 1
+            run += (words[end],)
+            end += 1
+        if best is not None:
+            hits.append(best)
+            pos = best[1]
     return hits
 
 
-def match_entries(
-    lexicon: Lexicon, tokens: Sequence[Token]
-) -> list[tuple[Span, LexiconEntry]]:
+class Matches(Columns):
+    """One sentence's lexicon matches as (Span, LexiconEntry) items.
+
+    Kept as hits, the (start, end, entry) token ranges of longest_matches;
+    an item's span is built when it is read.
+    """
+
+    __slots__ = ("tokens", "hits")
+
+    def __init__(
+        self, tokens: Sequence[Token], hits: list[tuple[int, int, LexiconEntry]]
+    ) -> None:
+        self.tokens = tokens
+        self.hits = hits
+
+    def __len__(self) -> int:
+        return len(self.hits)
+
+    def _item(self, k: int) -> tuple[Span, LexiconEntry]:
+        start, end, entry = self.hits[k]
+        return run_span(self.tokens, start, end - 1), entry
+
+
+def match_entries(lexicon: Lexicon, tokens: Sequence[Token]) -> Matches:
     """Greedy longest-match of verified lexicon phrases over one sentence's tokens.
 
     At each position the longest matching phrase wins and its tokens are
     consumed, so matches never overlap. Matching is on normalized token
-    text. Candidate and rejected entries never match: each probe is one
-    lookup in the lexicon's verified index.
+    text against the lexicon's verified index, so candidate and rejected
+    entries never match.
     """
-    index, limit = lexicon.verified()
-    words = [t.normalized for t in tokens]
-    return [
-        (Span(tokens[start].span.start, tokens[end - 1].span.end), entry)
-        for start, end, entry in longest_matches(words, limit, index.get)
-    ]
+    return Matches(tokens, longest_matches(token_words(tokens), lexicon.verified()))
 
 
 class PosDictionary:

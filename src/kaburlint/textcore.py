@@ -1,23 +1,33 @@
-"""Sentence segmentation and tokenization with byte-accurate spans.
+"""Sentence segmentation and tokenization, kept as columns.
 
 Spans are byte offsets into the UTF-8 encoding of the document text and
 always fall on character boundaries, so reports stay editor-friendly and
 bit-exact across platforms. Everything here is a pure function over an
 immutable document; per-document parallel use is safe.
 
+Segmentation and tokenization work in character offsets and return
+columns, not objects. A document's sentences (SentenceList) are their
+character starts and ends; one sentence's tokens (Tokens) are their
+surfaces, with character starts and ends and case-folded words computed
+on first use. Both are sequences that build a Sentence or Token, with its
+byte Span, only when an item is read, so later stages read plain lists
+and convert to bytes only for the tokens that give a finding.
+
 Every step is linear in the document. A document's offset map converts
 by identity when the text is ASCII; otherwise it keeps a sparse table of
 the non-ASCII characters only and converts with ``bisect``. ``line_col``
 bisects a line-start table that the map builds on first use. The
-tokenizer scans with compiled regular expressions and falls back to
-per-character rules only at '.' and ',' (decimals and abbreviations).
+tokenizer splits a sentence at whitespace, which no token spans: an alnum
+chunk is one word and a word with a final '.' or ',' is decided by one
+abbreviation lookup; other chunks go through the token pattern and the
+per-character rules at '.' and ',' (decimals and abbreviations).
 
-Span, Sentence and Token are built once per sentence or token, so they
-are slots dataclasses that are not frozen: their __init__ assigns
-plainly, with no check beyond Span's 0 <= start < end, and they keep
-the value equality, hashing and repr of a frozen dataclass. A token's
-kind and normalized form are functions of its surface, which lets later
-stages keep per-surface facts (filters.apply_filters).
+Span, Sentence and Token are slots dataclasses that are not frozen: their
+__init__ assigns plainly, with no check beyond Span's 0 <= start < end,
+and they keep the value equality, hashing and repr of a frozen
+dataclass. A token's kind and normalized form are functions of its
+surface, which lets later stages keep per-surface facts
+(filters.SurfaceTable).
 
 Normalization is case-folding only. Hyphenated words ("rekod-rekod") are
 kept as single tokens so the reduplication filter can see them whole, and
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -51,8 +62,9 @@ _BREAK = re.compile(r"[\n.?!]")
 _TERMINATOR_RUN = re.compile(r"[.?!]+")
 # Re's \w is str.isalnum() plus "_" and its \s is str.isspace(), so a token
 # starts at the first match: a word run (alnum characters, single hyphens
-# between them) or a symbol run (neither alnum nor space).
-_TOKEN = re.compile(r"([^\W_]+(?:-[^\W_]+)*)|(?:[^\w\s]|_)+")
+# between them) or a symbol run (neither alnum nor space). A match is a word
+# run exactly when its first character is alnum.
+_TOKEN = re.compile(r"[^\W_]+(?:-[^\W_]+)*|(?:[^\w\s]|_)+")
 # what may follow a '.' or ',' that a number or abbreviation took in
 _WORD_TAIL = re.compile(r"(?:-?[^\W_]+)*")
 
@@ -129,7 +141,8 @@ def pickle_fields(value):
 class Span:
     """Half-open byte range [start, end) within a document's UTF-8 text.
 
-    Built once per token, so its only check is 0 <= start < end.
+    Built for every finding and occurrence, so its only check is
+    0 <= start < end.
     """
 
     start: int
@@ -179,9 +192,10 @@ class Sentence:
 class Token:
     """One token: its span, text, case-folded text and kind.
 
-    Built by tokenize, where the kind and the normalized form are functions
-    of the surface, so facts about a token that do not depend on its
-    position can be kept per surface (see filters.apply_filters).
+    Built from Tokens' columns when one is read. The kind and the
+    normalized form are functions of the surface, so facts about a token
+    that do not depend on its position can be kept per surface (see
+    filters.SurfaceTable).
     """
 
     span: Span
@@ -231,9 +245,155 @@ def _abbreviation_period(
     return candidate in abbrevs
 
 
+class Columns(Sequence):
+    """A sequence kept as columns that builds an item only when it is read.
+
+    It equals a list or tuple of the same items, and pickles as a list.
+    """
+
+    __slots__ = ()
+
+    def _item(self, k: int):
+        raise NotImplementedError
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._item(i) for i in range(len(self))[k]]
+        return self._item(range(len(self))[k])
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (Columns, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+class SentenceList(Columns):
+    """A document's sentences: the character starts and ends of each.
+
+    Indexing builds the Sentence, with its byte span; ranges() gives the
+    character ranges that tokenize takes without one.
+    """
+
+    __slots__ = ("offsets", "starts", "ends")
+
+    def __init__(self, offsets: _OffsetMap, starts: list[int], ends: list[int]) -> None:
+        self.offsets = offsets
+        self.starts = starts
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def _item(self, k: int) -> Sentence:
+        to_byte = self.offsets.char_to_byte
+        return Sentence(Span(to_byte(self.starts[k]), to_byte(self.ends[k])), k)
+
+    def ranges(self):
+        """(start, end) character range per sentence, in order."""
+        return zip(self.starts, self.ends)
+
+
+def token_kind(surface: str) -> str:
+    """WORD with a letter, else NUMBER with a digit, else SYMBOL."""
+    if surface[0].isalpha() or any(map(str.isalpha, surface)):
+        return WORD
+    if any(map(str.isdigit, surface)):
+        return NUMBER
+    return SYMBOL
+
+
+class Tokens(Columns):
+    """One sentence's tokens: surfaces, and character starts and ends.
+
+    The starts and ends are computed on first use (bounds), and words, the
+    case-folded surfaces, on first read. Indexing builds the Token, with
+    its byte span; span() and text() give the span and the text of a run
+    of tokens without one.
+    """
+
+    __slots__ = ("doc", "surfaces", "_start", "_starts", "_ends", "_words")
+
+    def __init__(self, doc: Document, surfaces: list[str], start: int) -> None:
+        self.doc = doc
+        self.surfaces = surfaces
+        self._start = start  # the sentence's first character
+        self._starts: list[int] | None = None
+        self._ends: list[int] | None = None
+        self._words: list[str] | None = None
+
+    def __len__(self) -> int:
+        return len(self.surfaces)
+
+    @property
+    def words(self) -> list[str]:
+        """The normalized (case-folded) surfaces."""
+        if self._words is None:
+            self._words = list(map(str.casefold, self.surfaces))
+        return self._words
+
+    def bounds(self) -> tuple[list[int], list[int]]:
+        """The character starts and ends of the tokens.
+
+        Every non-space character of a sentence is in some token, so each
+        token starts where its surface next occurs after the previous one.
+        """
+        if self._starts is None:
+            find = self.doc.text.find
+            starts: list[int] = []
+            ends: list[int] = []
+            pos = self._start
+            for surface in self.surfaces:
+                pos = find(surface, pos)
+                starts.append(pos)
+                pos += len(surface)
+                ends.append(pos)
+            self._starts, self._ends = starts, ends
+        return self._starts, self._ends
+
+    def span(self, first: int, last: int) -> Span:
+        """Byte span from the start of token first to the end of token last."""
+        starts, ends = self.bounds()
+        to_byte = self.doc.offsets().char_to_byte
+        return Span(to_byte(starts[first]), to_byte(ends[last]))
+
+    def text(self, first: int, last: int) -> str:
+        """Document text from the start of token first to the end of token last."""
+        starts, ends = self.bounds()
+        return self.doc.text[starts[first] : ends[last]]
+
+    def _item(self, k: int) -> Token:
+        surface = self.surfaces[k]
+        return Token(self.span(k, k), surface, surface.casefold(), token_kind(surface))
+
+
+def token_words(tokens: Sequence[Token]) -> list[str]:
+    """The normalized words of a token sequence: Tokens' column, or read off each Token."""
+    if isinstance(tokens, Tokens):
+        return tokens.words
+    return [t.normalized for t in tokens]
+
+
+def run_span(tokens: Sequence[Token], first: int, last: int) -> Span:
+    """Byte span from the start of tokens[first] to the end of tokens[last]."""
+    if isinstance(tokens, Tokens):
+        return tokens.span(first, last)
+    return Span(tokens[first].span.start, tokens[last].span.end)
+
+
 def segment_sentences(
     doc: Document, abbreviations: frozenset[str] | set[str] = DEFAULT_ABBREVIATIONS
-) -> list[Sentence]:
+) -> SentenceList:
     """Split a document into sentences.
 
     Terminators are '.', '?' and '!'; every newline also ends the current
@@ -242,17 +402,16 @@ def segment_sentences(
     start offset.
     """
     text = doc.text
-    offsets = doc.offsets()
     longest = max(map(len, abbreviations), default=0)
-    sentences: list[Sentence] = []
+    starts: list[int] = []
+    ends: list[int] = []
 
     def emit(cs: int, ce: int) -> None:
         while ce > cs and text[ce - 1].isspace():
             ce -= 1
-        if ce <= cs:
-            return
-        span = Span(offsets.char_to_byte(cs), offsets.char_to_byte(ce))
-        sentences.append(Sentence(span, len(sentences)))
+        if ce > cs:
+            starts.append(cs)
+            ends.append(ce)
 
     # Only newlines and terminators change state; a sentence starts at the
     # first non-space character after the previous break.
@@ -284,36 +443,17 @@ def segment_sentences(
         start = first.start()
     if start is not None:
         emit(start, len(text))
-    return sentences
+    return SentenceList(doc.offsets(), starts, ends)
 
 
-def tokenize(
-    doc: Document,
-    sentence: Sentence,
-    abbreviations: frozenset[str] | set[str] = DEFAULT_ABBREVIATIONS,
-) -> list[Token]:
-    """Split one sentence into word, number and symbol tokens.
-
-    Hyphens join word characters on both sides into a single token
-    ("rekod-rekod"); '.' and ',' between digits stay inside number tokens;
-    a period stays inside a token when the case-folded result is a listed
-    abbreviation ("dll."; entries are case-folded); runs of other
-    punctuation become one symbol token. Whitespace never appears inside a
-    token.
-    """
-    text = doc.text
-    offsets = doc.offsets()
-    base = sentence.span.start
-    a = offsets.byte_to_char(base)
-    b = offsets.byte_to_char(sentence.span.end)
-    to_byte = None if text[a:b].isascii() else offsets.char_to_byte
-    tokens: list[Token] = []
-
-    pos = a
-    while (m := _TOKEN.search(text, pos, b)) is not None:
+def _scan(text: str, abbreviations: frozenset[str] | set[str]) -> list[str]:
+    """The token surfaces of text, match by match."""
+    surfaces: list[str] = []
+    pos = 0
+    b = len(text)
+    while (m := _TOKEN.search(text, pos)) is not None:
         i, pos = m.span()
-        kind = SYMBOL
-        if m.lastindex:
+        if text[i].isalnum():
             # a '.' or ',' may extend a word run (decimal or abbreviation rule)
             while pos < b and text[pos] in ".,":
                 if text[pos - 1].isdigit() and pos + 1 < b and text[pos + 1].isdigit():
@@ -323,27 +463,72 @@ def tokenize(
                 else:
                     break
                 pos = _WORD_TAIL.match(text, pos, b).end()
-            surface = text[i:pos]
-            if surface[0].isalpha() or any(map(str.isalpha, surface)):
-                kind = WORD
-            elif any(map(str.isdigit, surface)):
-                kind = NUMBER
+        surfaces.append(text[i:pos])
+    return surfaces
+
+
+def _surfaces(text: str, abbreviations: frozenset[str] | set[str]) -> list[str]:
+    """The token surfaces of a sentence's text, chunk by whitespace-free chunk.
+
+    No token spans whitespace and the rules look at nothing beyond the
+    token they extend, so the chunks tokenize on their own: an alnum chunk
+    is one word, a word and a final '.' or ',' is two tokens unless the
+    abbreviation rule joins them, and any other chunk goes through _scan.
+    str.split and the token pattern agree on what whitespace is.
+    """
+    surfaces: list[str] = []
+    append = surfaces.append
+    for chunk in text.split():
+        if chunk.isalnum():
+            append(chunk)
+        elif chunk[-1] in ".," and chunk[:-1].isalnum():
+            if chunk[-1] == "." and chunk.casefold() in abbreviations:
+                append(chunk)
+            else:
+                append(chunk[:-1])
+                append(chunk[-1])
         else:
-            surface = m.group()
-        if to_byte is None:
-            span = Span(base + i - a, base + pos - a)
-        else:
-            span = Span(to_byte(i), to_byte(pos))
-        tokens.append(Token(span, surface, surface.casefold(), kind))
-    return tokens
+            surfaces += _scan(chunk, abbreviations)
+    return surfaces
+
+
+def tokenize(
+    doc: Document,
+    sentence: Sentence | tuple[int, int],
+    abbreviations: frozenset[str] | set[str] = DEFAULT_ABBREVIATIONS,
+) -> Tokens:
+    """Split one sentence into word, number and symbol tokens.
+
+    Hyphens join word characters on both sides into a single token
+    ("rekod-rekod"); '.' and ',' between digits stay inside number tokens;
+    a period stays inside a token when the case-folded result is a listed
+    abbreviation ("dll."; entries are case-folded); runs of other
+    punctuation become one symbol token. Whitespace never appears inside a
+    token. `sentence` is a Sentence or its character range, as
+    SentenceList.ranges() gives it. The tokens' character offsets are
+    computed only when a caller asks for them (Tokens.bounds).
+    """
+    if isinstance(sentence, Sentence):
+        offsets = doc.offsets()
+        a = offsets.byte_to_char(sentence.span.start)
+        b = offsets.byte_to_char(sentence.span.end)
+    else:
+        a, b = sentence
+    return Tokens(doc, _surfaces(doc.text[a:b], abbreviations), a)
 
 
 def iter_sentence_tokens(
     doc: Document, abbreviations: frozenset[str] | set[str] = DEFAULT_ABBREVIATIONS
 ):
-    """Yield (sentence, tokens) pairs for a whole document."""
-    for sentence in segment_sentences(doc, abbreviations):
-        yield sentence, tokenize(doc, sentence, abbreviations)
+    """Yield (sentence, tokens) pairs for a whole document.
+
+    This builds every Sentence. lint and extraction do not: they tokenize
+    SentenceList.ranges() and keep a sentence's index only. It serves
+    callers that want the Sentence objects, such as the test oracles.
+    """
+    sentences = segment_sentences(doc, abbreviations)
+    for k, chars in enumerate(sentences.ranges()):
+        yield sentences[k], tokenize(doc, chars, abbreviations)
 
 
 def detect_reduplication(token: Token) -> bool:

@@ -3,7 +3,8 @@
 This is the per-probe version of extraction: ``RuleLists`` keeps one
 phrase set per attribute and scans all six for every lookup,
 ``_phrase_criteria`` asks the hint lexicon, the rule lists and the POS
-dictionary again at every probe of every length at every position, and
+dictionary again at every probe of every length at every position (the
+seed's ``longest_matches`` loop, copied here, not imported), and
 ``scan_document`` and ``merge_results`` unite the criterion hits of every
 occurrence. It is kept as the definition of correct output; the
 candidate table must give the same candidates, occurrences, criterion
@@ -14,7 +15,7 @@ rejected is never a candidate, whichever rule list or POS row names it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,10 +39,33 @@ from kaburlint.lexicon import (
     AttributeTag,
     Lexicon,
     PosDictionary,
-    longest_matches,
     normalize_phrase,
 )
 from kaburlint.textcore import Document, Span, iter_sentence_tokens
+
+
+def longest_matches(
+    words: Sequence[str], limit: int, lookup: Callable[[tuple[str, ...]], object]
+) -> list[tuple[int, int, object]]:
+    """Greedy longest match over words: (start, end, value) per hit.
+
+    Scans left to right; at each position the longest run of at most limit
+    words for which lookup returns a truthy value wins and its words are
+    consumed, so hits never overlap.
+    """
+    hits = []
+    count = len(words)
+    i = 0
+    while i < count:
+        for end in range(min(i + limit, count), i, -1):
+            value = lookup(tuple(words[i:end]))
+            if value:
+                hits.append((i, end, value))
+                i = end
+                break
+        else:
+            i += 1
+    return hits
 
 
 class RuleLists:

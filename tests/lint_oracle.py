@@ -4,16 +4,17 @@ This is ``lint_document`` as it was before tokens became slot classes and
 per-word facts were memoized: every kept token is classified by the filter
 predicates again, every heuristic asks the POS dictionary again and builds
 its finding from scratch, and lexicon matching filters entries by status
-in a closure at every probe. The text layer is ``textcore_oracle``'s and
-the dangling-else check is ``analyzer_oracle``'s, so nothing here shares
-the optimized code paths. It is kept unchanged as the definition of
+in a closure at every probe of ``longest_matches``, the seed's loop that
+tries every run length at every position (copied here, not imported).
+The text layer is ``textcore_oracle``'s and the dangling-else check is
+``analyzer_oracle``'s, so nothing here shares the optimized code paths. It is kept unchanged as the definition of
 correct output; the optimized lint must give the same findings, spans,
 matched text, tags and criteria on every document.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import analyzer_oracle
 import textcore_oracle
@@ -47,11 +48,34 @@ from kaburlint.lexicon import (
     Lexicon,
     LexiconEntry,
     PosDictionary,
-    longest_matches,
 )
 from kaburlint.textcore import NUMBER, SYMBOL, WORD, Span, Token, detect_reduplication
 
 _CLITIC_STOPLIST = frozenset({"hanya", "tanya", "punya"})
+
+
+def longest_matches(
+    words: Sequence[str], limit: int, lookup: Callable[[tuple[str, ...]], object]
+) -> list[tuple[int, int, object]]:
+    """Greedy longest match over words: (start, end, value) per hit.
+
+    Scans left to right; at each position the longest run of at most limit
+    words for which lookup returns a truthy value wins and its words are
+    consumed, so hits never overlap.
+    """
+    hits = []
+    count = len(words)
+    i = 0
+    while i < count:
+        for end in range(min(i + limit, count), i, -1):
+            value = lookup(tuple(words[i:end]))
+            if value:
+                hits.append((i, end, value))
+                i = end
+                break
+        else:
+            i += 1
+    return hits
 
 
 def classify_token(token: Token, sentence_initial: bool, cfg: FilterConfig) -> str | None:

@@ -220,7 +220,7 @@ class TestDanglingElse:
             )
             out.append(
                 check_dangling_else(
-                    sentence, tokens, next_tokens=next_tokens, doc_id=doc.id
+                    sentence.index, tokens, next_tokens=next_tokens, doc_id=doc.id
                 )
             )
         return out
@@ -269,7 +269,7 @@ def assert_dangling_else_matches_oracle(text):
     for i, (sentence, tokens) in enumerate(pairs):
         next_tokens = pairs[i + 1][1] if i + 1 < len(pairs) else ()
         got = check_dangling_else(
-            sentence, tokens, next_tokens=next_tokens, doc_id=doc.id
+            sentence.index, tokens, next_tokens=next_tokens, doc_id=doc.id
         )
         want = oracle.check_dangling_else(
             sentence, tokens, next_tokens=next_tokens, doc_id=doc.id
@@ -393,6 +393,36 @@ class TestLintOracle:
     def test_property(self, text, with_posdict, filter_cfg, clitics):
         posdict = table_posdict() if with_posdict else None
         assert_lint_matches_oracle(text, posdict, filter_cfg, clitics)
+
+    @pytest.mark.parametrize("clitics", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(LINT_PIECES), max_size=30).map(" ".join),
+            min_size=1,
+            max_size=4,
+        ),
+        st.booleans(),
+        st.sampled_from(LINT_FILTERS),
+    )
+    def test_one_run_over_many_documents(self, clitics, texts, with_posdict, filters):
+        # as in the CLI: every document of a run goes through the same
+        # configuration and heuristics table, so the surface table that the
+        # first documents fill serves the later ones
+        posdict = table_posdict() if with_posdict else None
+        heuristics = word_heuristics(posdict)
+        filter_cfg = replace(filters)  # a new configuration starts an empty table
+        lexicon = lint_lexicon()
+        for text in texts:
+            got = lint_document(
+                mk_doc(text), lexicon, heuristics, filter_cfg,
+                flag_anaphoric_clitics=clitics,
+            ).findings
+            want = lint_oracle.lint_document(
+                textcore_oracle.OracleDocument(id="doc", text=text), lexicon, posdict,
+                filter_cfg, flag_anaphoric_clitics=clitics,
+            )
+            assert finding_fields(got) == finding_fields(want), text
 
     def test_one_surface_at_a_sentence_start_and_inside(self):
         malay, other = LINT_FILTERS

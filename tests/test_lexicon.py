@@ -7,7 +7,10 @@ import random
 import stat
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import lint_oracle
 from conftest import all_tokens, mk_doc, random_lexicon
 from kaburlint import fileio
 from kaburlint.errors import LexiconError, WordlistError
@@ -17,9 +20,11 @@ from kaburlint.lexicon import (
     AttributeTag,
     Lexicon,
     LexiconEntry,
+    PhraseIndex,
     dumps_lexicon,
     load_lexicon,
     load_pos_dictionary,
+    longest_matches,
     match_entries,
     normalize_phrase,
     save_lexicon,
@@ -228,6 +233,43 @@ def reference_longest_match(phrases: set[tuple[str, ...]], words: list[str]):
             matches.append((i, hit, tuple(words[i : i + hit])))
             i += hit
     return matches
+
+
+PHRASE_WORDS = st.sampled_from(["a", "b", "c", "d"])
+
+
+class TestPhraseIndex:
+    """The prefix-stop matcher against the loop that probes every run length."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.lists(PHRASE_WORDS, min_size=1, max_size=4).map(tuple), max_size=8),
+        st.lists(PHRASE_WORDS, max_size=16),
+    )
+    @example([("a",), ("a", "b", "c")], ["a", "b", "d"])
+    @example([("a", "b"), ("b", "c")], ["a", "b", "c"])
+    def test_greedy_matches_equal_brute_force(self, phrases, words):
+        table = {phrase: n for n, phrase in enumerate(phrases, 1)}  # truthy values
+        limit = max(map(len, table), default=0)
+        want = lint_oracle.longest_matches(words, limit, table.get)
+        assert longest_matches(words, PhraseIndex(table)) == want
+
+    def test_a_prefix_that_is_no_phrase_falls_back_to_the_longest_hit(self):
+        index = PhraseIndex({("a",): "short", ("a", "b", "c"): "long"})
+        assert index.prefixes == {("a",), ("a", "b")}
+        assert index.firsts == {"a"}
+        assert longest_matches(["a", "b", "d"], index) == [(0, 1, "short")]
+        assert longest_matches(["a", "b", "c", "a"], index) == [
+            (0, 3, "long"), (3, 4, "short"),
+        ]
+        assert longest_matches(["b", "c"], index) == []
+
+    def test_verified_index_follows_add_and_replace(self):
+        lexicon = Lexicon([entry("segera", status="candidate", tags=("IMP",))])
+        assert len(lexicon.verified()) == 0
+        lexicon.add(entry("dengan segera", tags=("T",)))
+        assert set(lexicon.verified().table) == {("dengan", "segera")}
+        assert lexicon.verified().prefixes == {("dengan",)}
 
 
 class TestMatchEntries:

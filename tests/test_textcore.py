@@ -314,8 +314,54 @@ def assert_matches_oracle(text: str, abbreviations) -> None:
                 assert slice_span(doc, span) == expected
 
 
+# hyphens next to letters, digits, spaces and each other
+COLUMN_PIECES = [*ORACLE_PIECES, "rekod-", "-rekod", "x-1.5", "a--b", "Kafé-kafé", "ß-ß"]
+
+
+def assert_columns_match_oracle(text: str, abbreviations) -> None:
+    """Sentence ranges and token columns give the oracle's spans and text."""
+    doc = Document(id="d", text=text)
+    ref = oracle.OracleDocument(id="d", text=text)
+    to_byte = ref.offsets().char_to_byte
+    sentences = segment_sentences(doc, abbreviations)
+    expected = oracle.segment_sentences(ref, abbreviations)
+    assert [(to_byte[a], to_byte[b]) for a, b in sentences.ranges()] == [
+        (s.span.start, s.span.end) for s in expected
+    ]
+    for chars, sentence in zip(sentences.ranges(), expected):
+        tokens = tokenize(doc, chars, abbreviations)
+        want = oracle.tokenize(ref, sentence, abbreviations)
+        assert tokens.surfaces == [t.surface for t in want]
+        assert tokens.words == [t.normalized for t in want]
+        starts, ends = tokens.bounds()
+        assert [(to_byte[a], to_byte[b]) for a, b in zip(starts, ends)] == [
+            (t.span.start, t.span.end) for t in want
+        ]
+        for first in range(len(want)):
+            for last in range(first, len(want)):
+                span = Span(want[first].span.start, want[last].span.end)
+                assert tokens.span(first, last) == span
+                assert tokens.text(first, last) == oracle.slice_span(ref, span)
+
+
 class TestOracle:
     """The optimized text layer against the per-character reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(COLUMN_PIECES), max_size=30).map("".join),
+        st.sampled_from(ORACLE_ABBREVIATIONS),
+    )
+    def test_column_spans(self, text, abbreviations):
+        assert_columns_match_oracle(text, abbreviations)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\ufeffKafé 3.14 dll.\r\nrekod-rekod, x-1.5!", "ß. a.a. ²,5 ٣.٣ — “ya”\r\n"],
+    )
+    def test_fixed_column_spans(self, text):
+        for abbreviations in ORACLE_ABBREVIATIONS:
+            assert_columns_match_oracle(text, abbreviations)
 
     def test_seeded_random_texts(self):
         rng = random.Random(1402)
