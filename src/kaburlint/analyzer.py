@@ -40,12 +40,10 @@ from .lexicon import (
 from .textcore import (
     Document,
     Span,
-    Token,
     Tokens,
     line_col,
     pickle_fields,
     segment_sentences,
-    token_words,
     tokenize,
 )
 
@@ -196,7 +194,7 @@ def check_dangling_else(
     index: int,
     tokens: Tokens,
     *,
-    next_tokens: Sequence[Token] = (),
+    next_tokens: Tokens | None = None,
     doc_id: str = "",
 ) -> Finding | None:
     """Conditional marker without an alternative branch nearby.
@@ -205,10 +203,11 @@ def check_dangling_else(
     "apabila") of sentence index when neither this sentence nor the
     immediately following one contains an alternative marker ("jika
     tidak", "selainnya", "sebaliknya"). Markers match normalized tokens,
-    so case is ignored. tokens is the sentence's tokenize result;
-    next_tokens may be any sequence of tokens.
+    so case is ignored. tokens is the sentence's tokenize result and
+    next_tokens the following sentence's, or None after the last one.
     """
-    k = _dangling_marker(token_words(tokens), token_words(next_tokens))
+    next_words = () if next_tokens is None else next_tokens.words
+    k = _dangling_marker(tokens.words, next_words)
     if k is None:
         return None
     return _info(doc_id, index, tokens, k, _DANGLING_ELSE, DANGLING_ELSE)
@@ -246,7 +245,7 @@ def lint_document(
     # earlier sentences' tokens are dropped as the scan moves on, so the
     # objects the garbage collector must traverse do not grow with the
     # document.
-    for index, (tokens, next_tokens) in enumerate(pairwise(chain(runs, [()]))):
+    for index, (tokens, next_tokens) in enumerate(pairwise(chain(runs, [None]))):
         for start, end, entry in match_entries(lexicon, tokens).hits:
             findings.append(
                 Finding(

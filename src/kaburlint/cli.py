@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .analyzer import (
+    CRITERIA,
     FORMAT_CSV,
     FORMAT_TEXT,
     REPORT_FORMATS,
@@ -57,7 +58,7 @@ from .extraction import (
 )
 from .fileio import read_text
 from .filters import REASON_ORDER
-from .lexicon import AttributeTag, Lexicon, load_lexicon, save_lexicon
+from .lexicon import AttributeTag, Lexicon, load_lexicon, save_lexicon, tag_texts
 from .stats import compute_attribute_stats, render_table
 from .textcore import Document
 
@@ -266,9 +267,11 @@ def _apply_decisions(
 
 def _prompt_decision(candidate: CandidateWord, position: int, total: int) -> str:
     print(f"[{position}/{total}] {candidate.phrase_text}")
-    tags = " ".join(str(t) for t in sorted(candidate.suggested_tags, key=str))
+    # tags and criteria in the order the queue file lists them
+    tags = " ".join(tag_texts(candidate.suggested_tags))
+    criteria = " ".join(sorted(candidate.criterion_hits, key=CRITERIA.index))
     print(f"  suggested tags: {tags or '(unmapped)'}")
-    print(f"  criteria: {' '.join(sorted(candidate.criterion_hits)) or '-'}")
+    print(f"  criteria: {criteria or '-'}")
     spots = ", ".join(
         f"{o.doc_id}:{o.span.start}-{o.span.end}" for o in candidate.occurrences[:3]
     )

@@ -9,11 +9,13 @@ wordlists, so filtering is order-independent and re-filtering the kept
 tokens excludes nothing further.
 
 That is why one table per run (SurfaceTable, kept by the FilterConfig)
-maps each surface to its kind and its reason at each sentence position;
-its normalized form is the tokenizer's column. It fills on a miss, so
-each distinct surface is decided once; apply_filters reads a sentence's
-surface column through it and returns a columnar FilterReport (facts and
-kept positions) that builds tokens only when a caller reads them.
+maps each surface to its reason as a word that is not its sentence's
+first; only the proper-noun rule reads the position, so the first word's
+reason is looked up again (SurfaceTable.initial) only when it is a proper
+noun there. The table fills on a miss, so each distinct surface is
+decided once. apply_filters reads a sentence's surface column (Tokens)
+through it and returns a columnar FilterReport, one reason per token and
+the kept positions, that builds tokens only when a caller reads them.
 
 Both token-level and type-level elimination counts are reported, since an
 aggregate like "N words eliminated" is ambiguous between the two.
@@ -25,7 +27,6 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import WordlistError
 from .fileio import read_lines
@@ -33,13 +34,11 @@ from .textcore import (
     DEFAULT_ABBREVIATIONS,
     NUMBER,
     SYMBOL,
-    WORD,
     Columns,
     Token,
     Tokens,
     detect_reduplication,
     token_kind,
-    token_words,
 )
 
 LOANWORD = "loanword"
@@ -66,14 +65,6 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
     """Load a one-entry-per-line wordlist; '#' comments and blanks allowed."""
     lines = read_lines(path, "wordlist", WordlistError)
     return frozenset({entry.casefold() for _where, entry in lines})
-
-
-class SurfaceFacts(NamedTuple):
-    """What a token's surface decides about it, wherever it occurs."""
-
-    kind: str
-    reason: str | None  # exclusion reason (None: kept) but as its sentence's first word
-    initial_reason: str | None  # the same as its sentence's first word
 
 
 @dataclass(frozen=True)
@@ -147,7 +138,11 @@ def is_loanword(
 def classify_token(
     token: Token, sentence_initial: bool, cfg: FilterConfig
 ) -> str | None:
-    """Return the exclusion reason for one token, or None to keep it."""
+    """Return the exclusion reason for one token, or None to keep it.
+
+    Kind is tested first, so the reason is symbol or number exactly when
+    the token's kind is SYMBOL or NUMBER.
+    """
     if token.kind == SYMBOL:
         return SYMBOL_REASON
     if token.kind == NUMBER:
@@ -163,39 +158,40 @@ def classify_token(
     return None
 
 
-class SurfaceTable(dict):
-    """surface -> SurfaceFacts under one FilterConfig.
+def _surface_token(surface: str) -> Token:
+    # the filters read a token's surface, normalized form and kind only
+    return Token(None, surface, surface.casefold(), token_kind(surface))
 
-    A surface's kind and normalized form are functions of it (see
-    tokenize), and so is its filter outcome at each sentence position.
-    The table fills on a miss (__missing__), so a surface seen before
-    costs one dict lookup and a new one costs what deciding it once
-    costs. It holds one entry per distinct surface it has seen, and
-    surfaces with the same outcome share one SurfaceFacts; the normalized
-    form, which differs per surface, is Tokens.words' column. A pickled
-    table arrives empty.
+
+class SurfaceTable(dict):
+    """surface -> exclusion reason (None: kept) under one FilterConfig.
+
+    The reason is the one for a word that is not its sentence's first.
+    Only the proper-noun rule reads the position, and as the first word it
+    fires on a subset of the words it fires on elsewhere, so initial() is
+    asked only for a first word whose reason here is PROPER_NOUN. Both
+    fill on a miss, so a surface seen before costs one dict lookup and a
+    new one costs what deciding it once costs. A pickled table arrives
+    empty.
     """
 
-    __slots__ = ("cfg", "_shared")
+    __slots__ = ("cfg", "_initial")
 
     def __init__(self, cfg: FilterConfig) -> None:
         super().__init__()
         self.cfg = cfg
-        self._shared: dict[SurfaceFacts, SurfaceFacts] = {}
+        self._initial: dict[str, str | None] = {}
 
-    def __missing__(self, surface: str) -> SurfaceFacts:
-        normalized = surface.casefold()
-        kind = token_kind(surface)
-        # the filters read a token's surface, normalized form and kind only
-        token = Token(None, surface, normalized, kind)
-        reason = classify_token(token, False, self.cfg)
-        # only the proper-noun rule reads the position, and as the first
-        # word it fires on a subset of the words it fires on elsewhere
-        initial = classify_token(token, True, self.cfg) if reason == PROPER_NOUN else reason
-        # tuple.__new__ skips the NamedTuple's Python-level __new__
-        facts = tuple.__new__(SurfaceFacts, (kind, reason, initial))
-        facts = self[surface] = self._shared.setdefault(facts, facts)
-        return facts
+    def __missing__(self, surface: str) -> str | None:
+        reason = self[surface] = classify_token(_surface_token(surface), False, self.cfg)
+        return reason
+
+    def initial(self, surface: str) -> str | None:
+        """The reason of surface as its sentence's first word."""
+        memo = self._initial
+        if surface not in memo:
+            memo[surface] = classify_token(_surface_token(surface), True, self.cfg)
+        return memo[surface]
 
     def __reduce__(self):
         return SurfaceTable, (self.cfg,)
@@ -204,7 +200,7 @@ class SurfaceTable(dict):
 class _Kept(Columns):
     __slots__ = ("_tokens", "_index")
 
-    def __init__(self, tokens: Sequence[Token], index: list[int]) -> None:
+    def __init__(self, tokens: Tokens, index: list[int]) -> None:
         self._tokens = tokens
         self._index = index
 
@@ -216,20 +212,18 @@ class _Kept(Columns):
 
 
 class _Excluded(Columns):
-    __slots__ = ("_report", "_reasons", "_index")
+    __slots__ = ("_report", "_index")
 
     def __init__(self, report: FilterReport) -> None:
         self._report = report
-        self._reasons: list[str | None] | None = None
-        self._index: list[int] = []
+        self._index: list[int] | None = None  # the excluded positions, found on first read
 
     def __len__(self) -> int:
-        return len(self._report.facts) - len(self._report.kept_index)
+        return len(self._report.reasons) - len(self._report.kept_index)
 
     def _item(self, k: int) -> tuple[Token, str]:
-        reasons = self._reasons
-        if reasons is None:  # first read: one pass over the report
-            reasons = self._reasons = self._report.reasons()
+        reasons = self._report.reasons
+        if self._index is None:
             self._index = [i for i, r in enumerate(reasons) if r is not None]
         i = self._index[k]
         return self._report.tokens[i], reasons[i]
@@ -238,32 +232,20 @@ class _Excluded(Columns):
 class FilterReport:
     """Partition of one sentence's tokens into kept and excluded-with-reason.
 
-    Kept as columns: facts[k] is token k's SurfaceFacts, initial the
-    position of the sentence's first word (None: no word), and kept_index
-    the kept positions in order. kept (tokens) and excluded ((token,
-    reason) pairs) are views that build a token only when it is read.
+    Kept as columns: reasons[k] is token k's exclusion reason (None:
+    kept) and kept_index the kept positions in order. kept (tokens) and
+    excluded ((token, reason) pairs) are views that build a token only
+    when it is read.
     """
 
-    __slots__ = ("tokens", "facts", "initial", "kept_index")
+    __slots__ = ("tokens", "reasons", "kept_index")
 
     def __init__(
-        self,
-        tokens: Sequence[Token],
-        facts: list[SurfaceFacts],
-        initial: int | None,
-        kept_index: list[int],
+        self, tokens: Tokens, reasons: list[str | None], kept_index: list[int]
     ) -> None:
         self.tokens = tokens
-        self.facts = facts
-        self.initial = initial
+        self.reasons = reasons
         self.kept_index = kept_index
-
-    def reasons(self) -> list[str | None]:
-        """Each token's exclusion reason; None for a kept one."""
-        reasons = [f.reason for f in self.facts]
-        if self.initial is not None:
-            reasons[self.initial] = self.facts[self.initial].initial_reason
-        return reasons
 
     @property
     def kept(self) -> Sequence[Token]:
@@ -274,27 +256,24 @@ class FilterReport:
         return _Excluded(self)
 
 
-def apply_filters(tokens: Sequence[Token], cfg: FilterConfig) -> FilterReport:
+def apply_filters(tokens: Tokens, cfg: FilterConfig) -> FilterReport:
     """Partition one sentence's tokens into kept and excluded.
 
-    The sentence's first word token is its sentence-initial one. Every
-    outcome is read from cfg's surface table by surface: a Tokens
-    sequence's column, or each Token's.
+    Every reason is read from cfg's surface table by the tokens' surface
+    column. A token's reason is symbol or number exactly when its kind
+    is, so the sentence's first word, the only token whose reason may
+    depend on its position, is the first token with any other reason.
     """
     table = cfg.surface_table()
-    surfaces = tokens.surfaces if isinstance(tokens, Tokens) else [t.surface for t in tokens]
-    facts = list(map(table.__getitem__, surfaces))
-    kept_index = [k for k, f in enumerate(facts) if f.reason is None]
-    for initial, first in enumerate(facts):
-        if first.kind == WORD:
-            # only symbols and numbers come before it, so a word that is
-            # kept as the first word alone goes first
-            if first.initial_reason is None and first.reason is not None:
-                kept_index.insert(0, initial)
+    surfaces = tokens.surfaces
+    reasons = list(map(table.__getitem__, surfaces))
+    for k, reason in enumerate(reasons):
+        if reason not in (SYMBOL_REASON, NUMBER_REASON):
+            if reason == PROPER_NOUN:
+                reasons[k] = table.initial(surfaces[k])
             break
-    else:
-        initial = None
-    return FilterReport(tokens, facts, initial, kept_index)
+    kept_index = [k for k, reason in enumerate(reasons) if reason is None]
+    return FilterReport(tokens, reasons, kept_index)
 
 
 @dataclass
@@ -313,7 +292,7 @@ class FilterCounts:
 
     def add(self, report: FilterReport) -> None:
         self.kept += len(report.kept_index)
-        for word, reason in zip(token_words(report.tokens), report.reasons()):
+        for word, reason in zip(report.tokens.words, report.reasons):
             if reason is not None:
                 self.excluded[reason][word] += 1
 

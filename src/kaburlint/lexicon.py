@@ -16,8 +16,9 @@ is skipped, and a run grows only while it is a proper prefix (the prefix
 stop of Aho and Corasick's automaton, without its failure links, which
 only overlapping matches would need). The verified lexicon, extraction's
 candidate table and the dangling-else alternatives each build one index
-per run. match_entries returns the hits as columns (Matches) and builds a
-byte span only when one is read.
+per run. match_entries reads a sentence's word column (Tokens.words),
+returns the hits as columns (Matches) and builds a byte span only when
+one is read.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from .errors import LexiconError, WordlistError
 from .fileio import check_record, dumps_jsonl, read_jsonl, read_lines, write_atomic
-from .textcore import Columns, Span, Token, run_span, token_words
+from .textcore import Columns, Span, Tokens
 
 ATTRIBUTES = ("IMP", "CON", "T", "REF", "VAR", "WN")
 
@@ -164,7 +165,6 @@ class Lexicon:
 
     def __init__(self, entries: Iterable[LexiconEntry] = ()) -> None:
         self._entries: dict[tuple[str, ...], LexiconEntry] = {}
-        self._max_phrase_len = 0
         self._verified: PhraseIndex | None = None
         for entry in entries:
             self.add(entry)
@@ -183,7 +183,6 @@ class Lexicon:
     def _insert(self, entry: LexiconEntry) -> None:
         """Store an entry the caller has validated."""
         self._entries[entry.phrase] = entry
-        self._max_phrase_len = max(self._max_phrase_len, len(entry.phrase))
         self._verified = None
 
     def verified(self) -> PhraseIndex:
@@ -217,7 +216,8 @@ class Lexicon:
 
     @property
     def max_phrase_len(self) -> int:
-        return self._max_phrase_len
+        """The most words in any entry's phrase (0 when empty)."""
+        return max(map(len, self._entries), default=0)
 
 
 _ENTRY_KINDS = {
@@ -352,9 +352,7 @@ class Matches(Columns):
 
     __slots__ = ("tokens", "hits")
 
-    def __init__(
-        self, tokens: Sequence[Token], hits: list[tuple[int, int, LexiconEntry]]
-    ) -> None:
+    def __init__(self, tokens: Tokens, hits: list[tuple[int, int, LexiconEntry]]) -> None:
         self.tokens = tokens
         self.hits = hits
 
@@ -363,10 +361,10 @@ class Matches(Columns):
 
     def _item(self, k: int) -> tuple[Span, LexiconEntry]:
         start, end, entry = self.hits[k]
-        return run_span(self.tokens, start, end - 1), entry
+        return self.tokens.span(start, end - 1), entry
 
 
-def match_entries(lexicon: Lexicon, tokens: Sequence[Token]) -> Matches:
+def match_entries(lexicon: Lexicon, tokens: Tokens) -> Matches:
     """Greedy longest-match of verified lexicon phrases over one sentence's tokens.
 
     At each position the longest matching phrase wins and its tokens are
@@ -374,7 +372,7 @@ def match_entries(lexicon: Lexicon, tokens: Sequence[Token]) -> Matches:
     text against the lexicon's verified index, so candidate and rejected
     entries never match.
     """
-    return Matches(tokens, longest_matches(token_words(tokens), lexicon.verified()))
+    return Matches(tokens, longest_matches(tokens.words, lexicon.verified()))
 
 
 class PosDictionary:

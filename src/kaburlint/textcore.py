@@ -10,8 +10,10 @@ columns, not objects. A document's sentences (SentenceList) are their
 character starts and ends; one sentence's tokens (Tokens) are their
 surfaces, with character starts and ends and case-folded words computed
 on first use. Both are sequences that build a Sentence or Token, with its
-byte Span, only when an item is read, so later stages read plain lists
-and convert to bytes only for the tokens that give a finding.
+byte Span, only when an item is read. Every later stage (filters,
+lexicon matching, lint) takes a sentence as Tokens, reads its plain
+lists (surfaces, words) and converts to bytes (Tokens.span) only for the
+tokens that give a finding.
 
 Every step is linear in the document. A document's offset map converts
 by identity when the text is ASCII; otherwise it keeps a sparse table of
@@ -26,7 +28,7 @@ Span, Sentence and Token are slots dataclasses that are not frozen: their
 __init__ assigns plainly, with no check beyond Span's 0 <= start < end,
 and they keep the value equality, hashing and repr of a frozen
 dataclass. A token's kind and normalized form are functions of its
-surface, which lets later stages keep per-surface facts
+surface, which lets the filters decide each distinct surface once
 (filters.SurfaceTable).
 
 Normalization is case-folding only. Hyphenated words ("rekod-rekod") are
@@ -193,8 +195,8 @@ class Token:
     """One token: its span, text, case-folded text and kind.
 
     Built from Tokens' columns when one is read. The kind and the
-    normalized form are functions of the surface, so facts about a token
-    that do not depend on its position can be kept per surface (see
+    normalized form are functions of the surface, so an outcome that does
+    not depend on the token's position can be kept per surface (see
     filters.SurfaceTable).
     """
 
@@ -375,20 +377,6 @@ class Tokens(Columns):
     def _item(self, k: int) -> Token:
         surface = self.surfaces[k]
         return Token(self.span(k, k), surface, surface.casefold(), token_kind(surface))
-
-
-def token_words(tokens: Sequence[Token]) -> list[str]:
-    """The normalized words of a token sequence: Tokens' column, or read off each Token."""
-    if isinstance(tokens, Tokens):
-        return tokens.words
-    return [t.normalized for t in tokens]
-
-
-def run_span(tokens: Sequence[Token], first: int, last: int) -> Span:
-    """Byte span from the start of tokens[first] to the end of tokens[last]."""
-    if isinstance(tokens, Tokens):
-        return tokens.span(first, last)
-    return Span(tokens[first].span.start, tokens[last].span.end)
 
 
 def segment_sentences(

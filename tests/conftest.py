@@ -18,19 +18,16 @@ from kaburlint.lexicon import (
     LexiconEntry,
 )
 from kaburlint.seeds import write_seed_tree
-from kaburlint.textcore import Document, iter_sentence_tokens
+from kaburlint.textcore import Document, Tokens, tokenize
 
 
 def mk_doc(text: str, doc_id: str = "doc") -> Document:
     return Document(id=doc_id, text=text)
 
 
-def all_tokens(text: str, abbreviations=frozenset({"dll.", "dsb.", "spt."})):
-    doc = mk_doc(text)
-    out = []
-    for _sentence, tokens in iter_sentence_tokens(doc, abbreviations):
-        out.extend(tokens)
-    return out
+def all_tokens(text: str, abbreviations=frozenset({"dll.", "dsb.", "spt."})) -> Tokens:
+    """The tokens of text read as one sentence."""
+    return tokenize(mk_doc(text), (0, len(text)), abbreviations)
 
 
 @pytest.fixture

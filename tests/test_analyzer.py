@@ -216,7 +216,7 @@ class TestDanglingElse:
         for i, sentence in enumerate(sentences):
             tokens = tokenize(doc, sentence)
             next_tokens = (
-                tokenize(doc, sentences[i + 1]) if i + 1 < len(sentences) else ()
+                tokenize(doc, sentences[i + 1]) if i + 1 < len(sentences) else None
             )
             out.append(
                 check_dangling_else(
@@ -267,12 +267,12 @@ def assert_dangling_else_matches_oracle(text):
     pairs = list(iter_sentence_tokens(doc))
     findings = []
     for i, (sentence, tokens) in enumerate(pairs):
-        next_tokens = pairs[i + 1][1] if i + 1 < len(pairs) else ()
+        next_tokens = pairs[i + 1][1] if i + 1 < len(pairs) else None
         got = check_dangling_else(
             sentence.index, tokens, next_tokens=next_tokens, doc_id=doc.id
         )
         want = oracle.check_dangling_else(
-            sentence, tokens, next_tokens=next_tokens, doc_id=doc.id
+            sentence, tokens, next_tokens=next_tokens or (), doc_id=doc.id
         )
         # a Finding compares equal only with the same span and matched text
         assert got == want, (text, sentence.index)

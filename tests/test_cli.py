@@ -283,6 +283,13 @@ def test_rejected_phrase_is_not_queued_again(ws, capsys):
 
 
 def test_interactive_review_resolves_like_a_batch(ws, capsys, monkeypatch):
+    # give the first candidate tags and criteria that the queue file lists
+    # in neither alphabetical order
+    lines = (ws / "queue.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    records[0]["tags"] = ["IMP", "CON.verb", "T", "WN"]
+    records[0]["criteria"] = ["multi_pos", "vague_pos", "attribute_member"]
+    write_jsonl(ws / "queue.jsonl", records)
     queue = load_candidates(ws / "queue.jsonl")
     first, second = queue[0], queue[1]
     # a bad tag re-prompts; then accept with the suggested tags, reject, quit
@@ -293,6 +300,10 @@ def test_interactive_review_resolves_like_a_batch(ws, capsys, monkeypatch):
                      "--reviewer", "tester", "--force")
     assert rc == 0 and "! unknown attribute 'NOPE'" in out
     assert "accepted 1, rejected 1;" in out
+    # the prompt lists tags and criteria in the queue file's order
+    for record in records[:2]:
+        assert f"  suggested tags: {' '.join(record['tags'])}\n" in out
+        assert f"  criteria: {' '.join(record['criteria'])}\n" in out
     decisions = load_audit(ws / "audit.jsonl")
     assert [(d.phrase, d.verdict) for d in decisions] == [
         (first.phrase, "accept"), (second.phrase, "reject")

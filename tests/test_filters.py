@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from conftest import all_tokens, random_sentence_text
 from kaburlint.filters import (
     FilterConfig,
@@ -21,6 +23,7 @@ from kaburlint.filters import (
     is_short_form,
     load_wordlist,
 )
+from kaburlint.textcore import NUMBER, SYMBOL, token_kind
 
 MALAY = frozenset(
     w.casefold()
@@ -130,27 +133,46 @@ class TestApplyFilters:
             tokens = all_tokens(random_sentence_text(rng), ABBREVS)
             report = apply_filters(tokens, CFG)
             assert len(report.kept) + len(report.excluded) == len(tokens)
-            again = apply_filters(report.kept, CFG)
+            assert [r for _, r in report.excluded] == [r for r in report.reasons if r]
+            # no kept surface ends in '.', so the kept words re-read as themselves
+            kept = [t.surface for t in report.kept]
+            again = apply_filters(all_tokens(" ".join(kept), ABBREVS), CFG)
             assert again.excluded == []
-            assert again.kept == report.kept
+            assert [t.surface for t in again.kept] == kept
 
     def test_outcome_is_per_token(self):
         rng = random.Random(405)
         for _ in range(100):
             tokens = all_tokens(random_sentence_text(rng), ABBREVS)
-            report = apply_filters(tokens, CFG)
-            flags = [False] * len(tokens)
-            for i, token in enumerate(tokens):
-                if token.kind == "word":
-                    flags[i] = True
-                    break
-            expected = [classify_token(t, f, CFG) for t, f in zip(tokens, flags)]
-            got = []
-            kept_iter = iter(report.kept)
-            as_map = {id(t): r for t, r in report.excluded}
-            for token in tokens:
-                got.append(as_map.get(id(token)))
-            assert got == expected
+            initial = next((k for k, t in enumerate(tokens) if t.kind == "word"), None)
+            expected = [classify_token(t, k == initial, CFG) for k, t in enumerate(tokens)]
+            assert apply_filters(tokens, CFG).reasons == expected
+
+    @pytest.mark.parametrize("cfg", [CFG, FilterConfig(english_words=ENGLISH)])
+    def test_symbol_and_number_reasons_are_the_kinds(self, cfg):
+        # apply_filters finds the first word as the first token whose
+        # reason is neither symbol nor number
+        rng = random.Random(406)
+        surfaces = set()
+        for _ in range(300):
+            surfaces.update(all_tokens(random_sentence_text(rng), ABBREVS).surfaces)
+        table = cfg.surface_table()
+        for surface in sorted(surfaces):
+            kind = token_kind(surface)
+            for reason in (table[surface], table.initial(surface)):
+                assert (reason == SYMBOL_REASON) == (kind == SYMBOL), surface
+                assert (reason == NUMBER_REASON) == (kind == NUMBER), surface
+
+    @pytest.mark.parametrize("lead", ["«", "3", "« 3 ,"])
+    def test_first_word_after_leading_symbols_and_numbers(self, lead):
+        text = f"{lead} Zamrud simpan Zamrud"
+        report = apply_filters(all_tokens(text, ABBREVS), CFG)
+        # unknown to the Malay wordlist, so a proper noun even as the first word
+        assert report.reasons[-3:] == [PROPER_NOUN, None, PROPER_NOUN]
+        no_malay = FilterConfig(english_words=ENGLISH)
+        report = apply_filters(all_tokens(text, ABBREVS), no_malay)
+        assert report.reasons[-3:] == [None, None, PROPER_NOUN]
+        assert [t.surface for t in report.kept] == ["Zamrud", "simpan"]
 
 
 class TestWordlistLoading:
