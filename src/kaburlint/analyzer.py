@@ -19,7 +19,7 @@ text, is built only for a hit.
 from __future__ import annotations
 
 import io
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, pairwise
@@ -110,6 +110,10 @@ class LintReport:
     """Findings in a deterministic total order plus summary counts."""
 
     findings: list[Finding] = field(default_factory=list)
+
+    @property
+    def warnings(self) -> int:
+        return sum(f.severity == SEVERITY_WARNING for f in self.findings)
 
     @property
     def attribute_counts(self) -> dict[str, int]:
@@ -273,6 +277,9 @@ FORMAT_RECORDS = "records"
 REPORT_FORMATS = (FORMAT_TEXT, FORMAT_CSV, FORMAT_RECORDS)
 
 
+CSV_HEADER = "document,line,col,start,end,sentence,matched,phrase,tags,criterion,severity\n"
+
+
 def render_text(report: LintReport, docs: dict[str, Document]) -> str:
     out = []
     for f in report.findings:
@@ -281,20 +288,9 @@ def render_text(report: LintReport, docs: dict[str, Document]) -> str:
         location = doc.source_path or doc.id
         tags = " ".join(tag_texts(f.tags))
         out.append(
-            f"{location}:{line}:{col}: {f.severity}: '{f.matched}' [{tags}] {f.criterion}"
+            f"{location}:{line}:{col}: {f.severity}: '{f.matched}' [{tags}] {f.criterion}\n"
         )
-    warnings = sum(1 for f in report.findings if f.severity == SEVERITY_WARNING)
-    infos = len(report.findings) - warnings
-    out.append("")
-    out.append(f"total: {len(report.findings)} ({warnings} warning, {infos} info)")
-    counts = report.attribute_counts
-    out.append("by attribute: " + " ".join(f"{a}={counts[a]}" for a in ATTRIBUTES))
-    crit = report.criterion_counts
-    out.append(
-        "by criterion: "
-        + " ".join(f"{c}={crit[c]}" for c in CRITERIA if c in crit)
-    )
-    return "\n".join(out) + "\n"
+    return "".join(out)
 
 
 def render_csv(report: LintReport, docs: dict[str, Document]) -> str:
@@ -302,21 +298,6 @@ def render_csv(report: LintReport, docs: dict[str, Document]) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "document",
-            "line",
-            "col",
-            "start",
-            "end",
-            "sentence",
-            "matched",
-            "phrase",
-            "tags",
-            "criterion",
-            "severity",
-        ]
-    )
     for f in report.findings:
         doc = docs[f.doc_id]
         line, col = line_col(doc, f.span.start)
@@ -355,13 +336,56 @@ def render_records(report: LintReport) -> str:
     )
 
 
-def render_report(
-    report: LintReport, fmt: str, docs: dict[str, Document] | None = None
+def report_head(fmt: str) -> str:
+    """What a report opens with: the csv header row; nothing in text and records."""
+    return CSV_HEADER if fmt == FORMAT_CSV else ""
+
+
+def report_tail(
+    fmt: str,
+    warnings: int,
+    attribute_counts: Mapping[str, int],
+    criterion_counts: Mapping[str, int],
 ) -> str:
+    """What a report closes with: the text totals; nothing in csv and records.
+
+    The counts are LintReport's, so the totals of several documents are
+    the sums of theirs.
+    """
+    if fmt != FORMAT_TEXT:
+        return ""
+    total = sum(criterion_counts.values())
+    attributes = " ".join(f"{a}={attribute_counts[a]}" for a in ATTRIBUTES)
+    criteria = " ".join(f"{c}={criterion_counts[c]}" for c in CRITERIA if criterion_counts.get(c))
+    return (
+        f"\ntotal: {total} ({warnings} warning, {total - warnings} info)\n"
+        f"by attribute: {attributes}\n"
+        f"by criterion: {criteria}\n"
+    )
+
+
+def render_report(
+    report: LintReport,
+    fmt: str,
+    docs: dict[str, Document] | None = None,
+    *,
+    body_only: bool = False,
+) -> str:
+    """The report in fmt: report_head, one line per finding, report_tail.
+
+    body_only renders the findings' lines alone. That is one document's
+    part of a report over several; the caller writes the parts in input
+    order between report_head and the report_tail of the summed counts.
+    """
     if fmt == FORMAT_TEXT:
-        return render_text(report, docs or {})
-    if fmt == FORMAT_CSV:
-        return render_csv(report, docs or {})
-    if fmt == FORMAT_RECORDS:
-        return render_records(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+        body = render_text(report, docs or {})
+    elif fmt == FORMAT_CSV:
+        body = render_csv(report, docs or {})
+    elif fmt == FORMAT_RECORDS:
+        body = render_records(report)
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    if body_only:
+        return body
+    tail = report_tail(fmt, report.warnings, report.attribute_counts, report.criterion_counts)
+    return report_head(fmt) + body + tail

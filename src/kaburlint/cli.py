@@ -3,20 +3,22 @@
 Exit codes follow linter convention: 0 clean, 1 findings present (lint
 only), 2 on any error. Every subcommand is deterministic given identical
 input files and configuration; --jobs N changes wall time, never output.
-lint and extract take one code path at any --jobs: _pool_map runs their
-documents on at most --jobs workers and never more workers than
-documents. With one worker it runs them in-process and does not import
-the process pool, the largest import in start-up; otherwise each worker
-receives the lexicon and other shared resources once, at start-up, and
-then only documents.
+lint and extract take one code path at any --jobs: _pool_map, which
+runs at most --jobs workers and never more than items, the parent being
+the first. lint's items are paths: each worker reads, lints and renders
+its own documents, and the parent writes the rendered parts in input
+order, after the csv header or before the text totals. extract's items
+are documents, and the parent merges their scans.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 from functools import partial
+from itertools import pairwise
 from pathlib import Path
 
 from . import __version__
@@ -25,9 +27,10 @@ from .analyzer import (
     FORMAT_CSV,
     FORMAT_TEXT,
     REPORT_FORMATS,
-    LintReport,
     lint_document,
     render_report,
+    report_head,
+    report_tail,
     word_heuristics,
 )
 from .config import (
@@ -68,37 +71,76 @@ def _read_document(path: Path, doc_id: str | None = None) -> Document:
     return Document(id=doc_id or str(path), text=text, source_path=str(path))
 
 
-# the shared-resource partial a pool worker applies to each item; set once
-# per worker process by _init_worker
-_worker_task = None
+def _work_shard(task, shard: list, results) -> None:
+    """A child process's work: task over its shard, sent to the parent.
+
+    What the shard raises is sent in place of the results, so that the
+    parent can raise the error of the earliest failing item.
+    """
+    try:
+        value = [task(item) for item in shard]
+    except Exception as exc:
+        value = exc
+    results.send(value)
 
 
-def _init_worker(task) -> None:
-    global _worker_task
-    _worker_task = task
-
-
-def _run_task(item):
-    return _worker_task(item)
+def _receive(child, receiver) -> list:
+    """A child's results, read before it is joined; raises what it sent."""
+    try:
+        value = receiver.recv()
+    except EOFError:
+        child.join()
+        raise KaburlintError(
+            f"a --jobs worker exited with code {child.exitcode} before sending its results"
+        ) from None
+    child.join()
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def _pool_map(task, items: list, jobs: int) -> list:
-    """[task(item) for item in items] on at most `jobs` workers.
+    """[task(item) for item in items] on at most `jobs` processes.
 
-    There are never more workers than items. One worker runs the items
-    in-process, without importing the pool. Otherwise `task` (a partial
-    over the shared resources) is sent to each worker process once, not
-    with every item.
+    The items are cut into one contiguous shard per worker, never more
+    shards than items, with sizes that differ by at most one. The parent
+    works the first shard, so one shard starts no process and does not
+    import multiprocessing. Each other shard starts a child (the default
+    start method) that gets the task and its shard once and sends back its
+    results, or the exception it raised, over a one-way pipe. Children are
+    read in shard order, each before it is joined: a child blocked on a
+    full pipe cannot exit. On any error or interrupt every child is
+    terminated and joined before it is raised, so the error is the
+    earliest failing item's and no child outlives the call.
     """
     workers = min(jobs, len(items))
     if workers <= 1:
         return [task(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
 
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(task,)
-    ) as pool:
-        return list(pool.map(_run_task, items))
+    size, extra = divmod(len(items), workers)
+    bounds = [k * size + min(k, extra) for k in range(workers + 1)]
+    first, *rest = [items[a:b] for a, b in pairwise(bounds)]
+    children = []
+    try:
+        for shard in rest:
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_work_shard, args=(task, shard, sender))
+            child.start()
+            children.append((child, receiver))
+            sender.close()
+        results = [task(item) for item in first]
+        for child, receiver in children:
+            results.extend(_receive(child, receiver))
+        return results
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
 
 
 def _load_cfg(args: argparse.Namespace) -> Config:
@@ -342,22 +384,42 @@ def cmd_review(args: argparse.Namespace) -> int:
 # --- lint ---
 
 
+def _lint_path(path: str, fmt: str, **lint_args) -> tuple[str, int, dict, dict]:
+    """Read, lint and render one document.
+
+    Returns the document's report lines in fmt (no csv header, no text
+    totals) and its warning, attribute and criterion counts.
+    """
+    doc = _read_document(Path(path))
+    report = lint_document(doc, **lint_args)
+    body = render_report(report, fmt, {doc.id: doc}, body_only=True)
+    return body, report.warnings, report.attribute_counts, report.criterion_counts
+
+
 def cmd_lint(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     res = load_resources(cfg)
-    docs = [_read_document(Path(p)) for p in args.paths]
-    lint = partial(
-        lint_document,
+    task = partial(
+        _lint_path,
+        fmt=cfg.format,
         lexicon=res.lexicon,
         heuristics=word_heuristics(res.posdict, cfg.sense_threshold),
         filter_cfg=res.filter_config,
         flag_anaphoric_clitics=cfg.flag_anaphoric_clitics,
     )
-    reports = _pool_map(lint, docs, cfg.jobs)
-    merged = LintReport([f for report in reports for f in report.findings])
-    doc_map = {doc.id: doc for doc in docs}
-    print(render_report(merged, cfg.format, doc_map), end="")
-    return 1 if merged.findings else 0
+    parts = _pool_map(task, args.paths, cfg.jobs)
+    warnings = 0
+    attributes: Counter[str] = Counter()
+    criteria: Counter[str] = Counter()
+    for _, doc_warnings, doc_attributes, doc_criteria in parts:
+        warnings += doc_warnings
+        attributes.update(doc_attributes)
+        criteria.update(doc_criteria)
+    out = sys.stdout
+    out.write(report_head(cfg.format))
+    out.writelines(body for body, *_ in parts)
+    out.write(report_tail(cfg.format, warnings, attributes, criteria))
+    return 1 if criteria.total() else 0
 
 
 # --- stats ---

@@ -285,20 +285,28 @@ class PhraseIndex:
     """A phrase table for greedy longest matching, with its prefix stop.
 
     table maps each phrase (a tuple of normalized words) to a truthy
-    value; prefixes holds every proper prefix of a phrase and firsts every
-    phrase's first word. Built once per table: the verified lexicon
+    value, and firsts holds every phrase's first word. The proper prefixes
+    of the phrases are the stop: a one-word prefix is kept as its word in
+    prefix_words, and only longer ones as tuples in prefix_runs, since most
+    prefixes are one word long. Built once per table: the verified lexicon
     (Lexicon.verified), extraction's candidate table (candidate_criteria)
     and the dangling-else alternatives.
     """
 
-    __slots__ = ("table", "prefixes", "firsts")
+    __slots__ = ("table", "firsts", "prefix_words", "prefix_runs")
 
     def __init__(self, table: Mapping[tuple[str, ...], object]) -> None:
         self.table = table
-        self.prefixes = frozenset(
-            phrase[:k] for phrase in table for k in range(1, len(phrase))
-        )
         self.firsts = frozenset(phrase[0] for phrase in table)
+        self.prefix_words = frozenset(phrase[0] for phrase in table if len(phrase) > 1)
+        self.prefix_runs = frozenset(
+            phrase[:k] for phrase in table for k in range(2, len(phrase))
+        )
+
+    @property
+    def prefixes(self) -> frozenset[tuple[str, ...]]:
+        """Every proper prefix of a phrase, as a tuple of words."""
+        return self.prefix_runs.union((word,) for word in self.prefix_words)
 
     def __len__(self) -> int:
         return len(self.table)
@@ -319,7 +327,8 @@ def longest_matches(
     if firsts.isdisjoint(words):
         return []
     table = index.table
-    prefixes = index.prefixes
+    prefix_words = index.prefix_words
+    prefix_runs = index.prefix_runs
     count = len(words)
     hits = []
     pos = 0
@@ -328,15 +337,17 @@ def longest_matches(
             continue  # inside the previous hit
         run = (words[i],)
         end = i + 1
-        best = None
-        while True:
-            value = table.get(run)
-            if value:
-                best = (i, end, value)
-            if end == count or run not in prefixes:
-                break
-            run += (words[end],)
-            end += 1
+        value = table.get(run)
+        best = (i, end, value) if value else None
+        if end < count and words[i] in prefix_words:
+            while True:
+                run += (words[end],)
+                end += 1
+                value = table.get(run)
+                if value:
+                    best = (i, end, value)
+                if end == count or run not in prefix_runs:
+                    break
         if best is not None:
             hits.append(best)
             pos = best[1]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -20,11 +21,16 @@ from kaburlint.analyzer import (
     MULTI_POS,
     MULTI_SENSE,
     REFERENTIAL_SENTENCE,
+    REPORT_FORMATS,
+    LintReport,
     check_dangling_else,
     lint_document,
     render_report,
+    report_head,
+    report_tail,
     word_heuristics,
 )
+from kaburlint.config import load_config, load_resources
 from kaburlint.filters import FilterConfig
 from kaburlint.lexicon import (
     AttributeTag,
@@ -33,7 +39,8 @@ from kaburlint.lexicon import (
     PosDictionary,
     normalize_phrase,
 )
-from kaburlint.textcore import iter_sentence_tokens, segment_sentences, tokenize
+from kaburlint.seeds import write_seed_tree
+from kaburlint.textcore import Document, iter_sentence_tokens, segment_sentences, tokenize
 
 
 def tag(text):
@@ -487,3 +494,40 @@ class TestRendering:
         report = lint_document(doc, seed_lexicon())
         starts = [f.span.start for f in report.findings]
         assert starts == sorted(starts)
+
+
+@pytest.fixture(scope="module")
+def sample_reports(tmp_path_factory) -> list[tuple[Document, object]]:
+    """The seed sample documents and one clean document, each with its report."""
+    root = tmp_path_factory.mktemp("seed")
+    write_seed_tree(root)
+    cfg = load_config(root / "kaburlint.conf")
+    res = load_resources(cfg)
+    heuristics = word_heuristics(res.posdict, cfg.sense_threshold)
+    docs = [
+        Document(id=str(path), text=path.read_text(encoding="utf-8"), source_path=str(path))
+        for path in sorted((root / "sample").glob("*.txt"))
+    ]
+    docs.append(Document(id="clean.txt", text="Sistem simpan rekod pelajar.\n"))
+    reports = [(doc, lint_document(doc, res.lexicon, heuristics, res.filter_config))
+               for doc in docs]
+    assert [bool(report.findings) for _, report in reports] == [True, True, False]
+    return reports
+
+
+@settings(max_examples=60, deadline=None)
+@given(picks=st.lists(st.sampled_from(range(3)), unique=True), fmt=st.sampled_from(REPORT_FORMATS))
+def test_document_parts_join_to_the_merged_report(sample_reports, picks, fmt):
+    """The head, each document's body in order and the tail of the summed counts."""
+    chosen = [sample_reports[k] for k in picks]
+    bodies = [render_report(report, fmt, {doc.id: doc}, body_only=True) for doc, report in chosen]
+    warnings = sum(report.warnings for _, report in chosen)
+    attributes: Counter[str] = Counter()
+    criteria: Counter[str] = Counter()
+    for _, report in chosen:
+        attributes.update(report.attribute_counts)
+        criteria.update(report.criterion_counts)
+    merged = LintReport([f for _, report in chosen for f in report.findings])
+    whole = render_report(merged, fmt, {doc.id: doc for doc, _ in chosen})
+    parts = report_head(fmt) + "".join(bodies) + report_tail(fmt, warnings, attributes, criteria)
+    assert parts == whole

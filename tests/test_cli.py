@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
+import multiprocessing
 import os
 import pickle
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -445,40 +446,66 @@ def test_lint_and_extract_are_byte_identical_at_jobs_1_and_2(ws, capsys):
     assert b'"papar"' in outputs[0][1]
 
 
-class FakeExecutor:
-    """In-process stand-in for ProcessPoolExecutor that records its use.
+class FakeConnection:
+    """One end of an in-process pipe; what crosses it goes through pickle."""
 
-    The initializer arguments and every item go through pickle, as they
-    would to a real worker, but no process is started.
+    def __init__(self, sent: list) -> None:
+        self.sent = sent
+
+    def send(self, value) -> None:
+        self.sent.append(pickle.dumps(value))
+
+    def recv(self):
+        if not self.sent:
+            raise EOFError
+        return pickle.loads(self.sent.pop(0))
+
+    def close(self) -> None:
+        pass
+
+
+def fake_pipe(duplex: bool = True) -> tuple[FakeConnection, FakeConnection]:
+    sent: list = []
+    return FakeConnection(sent), FakeConnection(sent)
+
+
+class FakeProcess:
+    """In-process stand-in for multiprocessing.Process that records its use.
+
+    The task and the shard go through pickle, as they would to a spawned
+    child, but no process is started: start() runs the child's work.
     """
 
-    created: list["FakeExecutor"] = []
+    created: list["FakeProcess"] = []
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        self.max_workers = max_workers
-        self.initargs = pickle.loads(pickle.dumps(initargs))
-        self.items: list = []
-        initializer(*self.initargs)
-        FakeExecutor.created.append(self)
+    def __init__(self, target, args) -> None:
+        task, shard, self.sender = args
+        self.task, self.shard = pickle.loads(pickle.dumps((task, shard)))
+        self.target = target
+        FakeProcess.created.append(self)
 
-    def __enter__(self):
-        return self
+    def start(self) -> None:
+        self.target(self.task, self.shard, self.sender)
 
-    def __exit__(self, *exc):
-        return False
+    def terminate(self) -> None:
+        pass
 
-    def map(self, fn, items):
-        self.items = [pickle.loads(pickle.dumps(item)) for item in items]
-        return [fn(item) for item in self.items]
+    def join(self) -> None:
+        pass
 
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    FakeExecutor.created = []
-    # _pool_map imports the executor when it is called
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
-    monkeypatch.setattr(cli, "_worker_task", None)
-    return FakeExecutor.created
+    FakeProcess.created = []
+    # _pool_map imports multiprocessing when it is called
+    monkeypatch.setattr(multiprocessing, "Process", FakeProcess)
+    monkeypatch.setattr(multiprocessing, "Pipe", fake_pipe)
+    return FakeProcess.created
+
+
+def lint_formats(capsys, ws: Path, jobs: str, *paths) -> list[tuple[int, str, str]]:
+    return [run(capsys, "lint", "--config", conf(ws), "--format", fmt, "--jobs", jobs, *paths)
+            for fmt in ("text", "csv", "records")]
 
 
 class TestPool:
@@ -487,15 +514,48 @@ class TestPool:
         serial = run(capsys, "lint", "--config", conf(ws), "--jobs", "1", *docs)
         assert fake_pool == []
         assert run(capsys, "lint", "--config", conf(ws), "--jobs", "64", *docs) == serial
-        (pool,) = fake_pool
-        assert pool.max_workers == len(docs) == 3
-        # the lexicon and the heuristics table travel once, with the
-        # initializer; items are documents
-        (task,) = pool.initargs
-        assert len(task.keywords["lexicon"]) > 0
-        assert len(task.keywords["heuristics"]) > 0
-        assert "posdict" not in task.keywords
-        assert [doc.source_path for doc in pool.items] == docs
+        # three workers, one document each: the parent works the first
+        assert len(docs) == 3
+        assert [child.shard for child in fake_pool] == [[docs[1]], [docs[2]]]
+        # the lexicon and the heuristics table travel with the task, once
+        # per child; items are paths, read by the worker
+        for child in fake_pool:
+            assert child.task.func is cli._lint_path
+            assert len(child.task.keywords["lexicon"]) > 0
+            assert len(child.task.keywords["heuristics"]) > 0
+            assert "posdict" not in child.task.keywords
+
+    def test_lint_shards_are_contiguous_and_uneven_at_most_by_one(self, ws, fake_pool, capsys):
+        paths = samples(ws) * 2
+        serial = lint_formats(capsys, ws, "1", *paths)
+        for jobs, shards in (("2", [paths[3:]]), ("4", [paths[2:4], paths[4:5], paths[5:]])):
+            fake_pool.clear()
+            assert lint_formats(capsys, ws, jobs, *paths) == serial
+            # one child, and one task, per shard after the parent's; for
+            # each of text, csv and records
+            assert [child.shard for child in fake_pool] == shards * 3
+
+    def test_shards_without_findings(self, ws, fake_pool, capsys):
+        clean = []
+        for name in ("clean1.txt", "clean2.txt"):
+            clean.append(ws / name)
+            clean[-1].write_text("Sistem simpan rekod pelajar.\n", encoding="utf-8")
+        finding = samples(ws)[0]
+        # a child whose document has no finding gives an empty part
+        mixed = [finding, clean[0], clean[1]]
+        assert lint_formats(capsys, ws, "3", *mixed) == lint_formats(capsys, ws, "1", *mixed)
+        assert len(fake_pool) == 6
+        fake_pool.clear()
+        text, csv, records = lint_formats(capsys, ws, "2", *clean)
+        assert len(fake_pool) == 3
+        assert text == (0, (
+            "\ntotal: 0 (0 warning, 0 info)\n"
+            "by attribute: IMP=0 CON=0 T=0 REF=0 VAR=0 WN=0\n"
+            "by criterion: \n"
+        ), "")
+        assert csv == (0, "document,line,col,start,end,sentence,matched,phrase,tags,"
+                          "criterion,severity\n", "")
+        assert records == (0, "", "")
 
     def test_extract_workers_capped_at_document_count(self, ws, fake_pool, capsys):
         outputs = []
@@ -506,16 +566,14 @@ class TestPool:
             assert rc == 0
             outputs.append((out.replace(str(queue), "QUEUE"), queue.read_bytes()))
         assert outputs[0] == outputs[1]
-        (pool,) = fake_pool
-        assert pool.max_workers == 3
-        (task,) = pool.initargs
-        # the candidate table travels once; workers scan documents and the
-        # parent merges and maps once
-        assert len(task.keywords["criteria"]) > 0
-        assert task.func is scan_document
-        assert [doc.id for doc in pool.items] == [
-            p.name for p in sorted((ws / "sample").glob("*.txt"))
-        ]
+        # the candidate table travels once per child; workers scan
+        # documents and the parent merges and maps once
+        names = [p.name for p in sorted((ws / "sample").glob("*.txt"))]
+        assert len(names) == 3
+        assert [[doc.id for doc in child.shard] for child in fake_pool] == [names[1:2], names[2:]]
+        for child in fake_pool:
+            assert child.task.func is scan_document
+            assert len(child.task.keywords["criteria"]) > 0
 
     def test_single_document_runs_in_process(self, ws, fake_pool, capsys):
         one = ws / "one"
@@ -526,6 +584,57 @@ class TestPool:
                          "-o", ws / "q.jsonl")
         assert rc == 0 and out.startswith("documents: 1\n")
         assert fake_pool == []
+
+
+# --- no child outlives the command (real processes) ---
+
+
+@pytest.mark.parametrize("jobs, order", [
+    ("2", ["missing", 0, 1, "bad"]),  # in the parent's shard, and a later child fails too
+    ("2", [0, 1, "missing", "bad"]),  # in the child's shard
+    ("4", [0, "bad", 1, "missing"]),  # in the first of two failing children
+])
+def test_the_earliest_unreadable_path_fails_at_any_jobs(ws, capsys, jobs, order):
+    docs = samples(ws)
+    (ws / "bad.txt").write_bytes(BAD_UTF8)
+    named = {"missing": str(ws / "missing.txt"), "bad": str(ws / "bad.txt")}
+    paths = [named[p] if isinstance(p, str) else docs[p] for p in order]
+    serial = run(capsys, "lint", "--config", conf(ws), "--jobs", "1", *paths)
+    assert serial[:2] == (2, "")
+    assert named[next(p for p in order if isinstance(p, str))] in serial[2]
+    assert run(capsys, "lint", "--config", conf(ws), "--jobs", jobs, *paths) == serial
+    assert multiprocessing.active_children() == []
+
+
+def _fail_or_wait(item: str) -> str:
+    if item == "interrupt":
+        raise KeyboardInterrupt
+    if item == "raise":
+        raise ValueError(item)
+    if item == "exit":
+        os._exit(3)
+    if item == "wait":
+        time.sleep(60)
+    return item
+
+
+@pytest.mark.parametrize("items, error", [
+    (["interrupt", "wait", "wait"], KeyboardInterrupt),  # the parent's shard
+    (["ok", "raise", "wait"], ValueError),  # a child, while a later one still runs
+    (["ok", "exit", "wait"], KaburlintError),  # a child that dies without sending
+])
+def test_pool_map_stops_every_child_before_raising(items, error):
+    start = time.monotonic()
+    with pytest.raises(error):
+        cli._pool_map(_fail_or_wait, items, 3)
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - start < 30
+
+
+def test_pool_map_returns_results_in_item_order():
+    items = [str(n) for n in range(7)]
+    assert cli._pool_map(_fail_or_wait, items, 3) == items
+    assert multiprocessing.active_children() == []
 
 
 # --- start-up imports ---
@@ -545,7 +654,7 @@ with open(sys.argv[1], "w", encoding="utf-8") as listing:
 """
 
 # modules that only --jobs > 1, review's timestamps and csv reports need
-SINGLE_USE = frozenset({"concurrent.futures.process", "multiprocessing", "csv", "datetime"})
+SINGLE_USE = frozenset({"multiprocessing", "csv", "datetime"})
 
 
 def modules_after(ws: Path, *argv: str, rc: int | None = None) -> set[str]:
@@ -572,7 +681,7 @@ def test_serial_commands_do_not_import_the_pool_or_single_use_modules(ws):
         (_stats(ws), 0),
     ):
         assert (modules_after(ws, *argv, rc=rc) - bare) & SINGLE_USE == set(), argv
-    assert "concurrent.futures.process" in modules_after(ws, *_lint(ws), "--jobs", "2", rc=1)
+    assert "multiprocessing" in modules_after(ws, *_lint(ws), "--jobs", "2", rc=1)
 
 
 # --- round trip on the seed tree ---
