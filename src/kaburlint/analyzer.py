@@ -364,28 +364,17 @@ def report_tail(
     )
 
 
-def render_report(
-    report: LintReport,
-    fmt: str,
-    docs: dict[str, Document] | None = None,
-    *,
-    body_only: bool = False,
-) -> str:
-    """The report in fmt: report_head, one line per finding, report_tail.
+def render_report(report: LintReport, fmt: str, docs: dict[str, Document] | None = None) -> str:
+    """The report's findings in fmt, one line each.
 
-    body_only renders the findings' lines alone. That is one document's
-    part of a report over several; the caller writes the parts in input
-    order between report_head and the report_tail of the summed counts.
+    A whole report is report_head, then the findings' lines, then the
+    report_tail of the counts; over several documents, each document's
+    lines in input order and the tail of the summed counts.
     """
     if fmt == FORMAT_TEXT:
-        body = render_text(report, docs or {})
-    elif fmt == FORMAT_CSV:
-        body = render_csv(report, docs or {})
-    elif fmt == FORMAT_RECORDS:
-        body = render_records(report)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    if body_only:
-        return body
-    tail = report_tail(fmt, report.warnings, report.attribute_counts, report.criterion_counts)
-    return report_head(fmt) + body + tail
+        return render_text(report, docs or {})
+    if fmt == FORMAT_CSV:
+        return render_csv(report, docs or {})
+    if fmt == FORMAT_RECORDS:
+        return render_records(report)
+    raise ValueError(f"unknown report format {fmt!r}")

@@ -75,8 +75,13 @@ def _work_shard(task, shard: list, results) -> None:
     """A child process's work: task over its shard, sent to the parent.
 
     What the shard raises is sent in place of the results, so that the
-    parent can raise the error of the earliest failing item.
+    parent can raise the error of the earliest failing item. The child
+    ignores SIGINT: Ctrl-C reaches the parent too, which terminates every
+    child, so a child's own KeyboardInterrupt would only print a traceback.
     """
+    import signal  # loaded with multiprocessing already
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         value = [task(item) for item in shard]
     except Exception as exc:
@@ -392,7 +397,7 @@ def _lint_path(path: str, fmt: str, **lint_args) -> tuple[str, int, dict, dict]:
     """
     doc = _read_document(Path(path))
     report = lint_document(doc, **lint_args)
-    body = render_report(report, fmt, {doc.id: doc}, body_only=True)
+    body = render_report(report, fmt, {doc.id: doc})
     return body, report.warnings, report.attribute_counts, report.criterion_counts
 
 

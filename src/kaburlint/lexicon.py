@@ -337,17 +337,18 @@ def longest_matches(
             continue  # inside the previous hit
         run = (words[i],)
         end = i + 1
-        value = table.get(run)
-        best = (i, end, value) if value else None
-        if end < count and words[i] in prefix_words:
-            while True:
-                run += (words[end],)
-                end += 1
-                value = table.get(run)
-                if value:
-                    best = (i, end, value)
-                if end == count or run not in prefix_runs:
-                    break
+        best = None
+        # a one-word run is a prefix if its word is; a longer one, if its tuple is
+        key, prefixes = words[i], prefix_words
+        while True:
+            value = table.get(run)
+            if value:
+                best = (i, end, value)
+            if end == count or key not in prefixes:
+                break
+            run += (words[end],)
+            end += 1
+            key, prefixes = run, prefix_runs
         if best is not None:
             hits.append(best)
             pos = best[1]

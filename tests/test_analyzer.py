@@ -441,6 +441,12 @@ class TestLintOracle:
         assert assert_lint_matches_oracle(text, table_posdict(), other, False) == []
 
 
+def whole_report(report: LintReport, fmt: str, docs: dict[str, Document] | None = None) -> str:
+    """report_head, the findings' lines and report_tail, as lint writes them."""
+    tail = report_tail(fmt, report.warnings, report.attribute_counts, report.criterion_counts)
+    return report_head(fmt) + render_report(report, fmt, docs) + tail
+
+
 class TestRendering:
     def report(self):
         doc = mk_doc("Sistem mesti efisien dan segera.")
@@ -448,7 +454,7 @@ class TestRendering:
 
     def test_text_format(self):
         doc, report = self.report()
-        text = render_report(report, "text", {doc.id: doc})
+        text = whole_report(report, "text", {doc.id: doc})
         assert text == (
             "doc:1:14: warning: 'efisien' [IMP] attribute_member\n"
             "doc:1:26: warning: 'segera' [IMP] attribute_member\n"
@@ -460,7 +466,7 @@ class TestRendering:
 
     def test_csv_format(self):
         doc, report = self.report()
-        text = render_report(report, "csv", {doc.id: doc})
+        text = whole_report(report, "csv", {doc.id: doc})
         lines = text.splitlines()
         assert lines[0] == (
             "document,line,col,start,end,sentence,matched,phrase,tags,"
@@ -475,7 +481,7 @@ class TestRendering:
         import json
 
         _doc, report = self.report()
-        lines = render_report(report, "records").splitlines()
+        lines = whole_report(report, "records").splitlines()
         first = json.loads(lines[0])
         assert first == {
             "doc": "doc",
@@ -520,7 +526,7 @@ def sample_reports(tmp_path_factory) -> list[tuple[Document, object]]:
 def test_document_parts_join_to_the_merged_report(sample_reports, picks, fmt):
     """The head, each document's body in order and the tail of the summed counts."""
     chosen = [sample_reports[k] for k in picks]
-    bodies = [render_report(report, fmt, {doc.id: doc}, body_only=True) for doc, report in chosen]
+    bodies = [render_report(report, fmt, {doc.id: doc}) for doc, report in chosen]
     warnings = sum(report.warnings for _, report in chosen)
     attributes: Counter[str] = Counter()
     criteria: Counter[str] = Counter()
@@ -528,6 +534,6 @@ def test_document_parts_join_to_the_merged_report(sample_reports, picks, fmt):
         attributes.update(report.attribute_counts)
         criteria.update(report.criterion_counts)
     merged = LintReport([f for _, report in chosen for f in report.findings])
-    whole = render_report(merged, fmt, {doc.id: doc for doc, _ in chosen})
+    whole = whole_report(merged, fmt, {doc.id: doc for doc, _ in chosen})
     parts = report_head(fmt) + "".join(bodies) + report_tail(fmt, warnings, attributes, criteria)
     assert parts == whole

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pickle
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -473,7 +474,8 @@ class FakeProcess:
     """In-process stand-in for multiprocessing.Process that records its use.
 
     The task and the shard go through pickle, as they would to a spawned
-    child, but no process is started: start() runs the child's work.
+    child, but no process is started: start() runs the child's work, and
+    then restores the SIGINT handler that the child's work sets aside.
     """
 
     created: list["FakeProcess"] = []
@@ -485,7 +487,11 @@ class FakeProcess:
         FakeProcess.created.append(self)
 
     def start(self) -> None:
-        self.target(self.task, self.shard, self.sender)
+        handler = signal.getsignal(signal.SIGINT)
+        try:
+            self.target(self.task, self.shard, self.sender)
+        finally:
+            signal.signal(signal.SIGINT, handler)
 
     def terminate(self) -> None:
         pass
@@ -615,6 +621,8 @@ def _fail_or_wait(item: str) -> str:
         os._exit(3)
     if item == "wait":
         time.sleep(60)
+    if item == "sigint":
+        os.kill(os.getpid(), signal.SIGINT)
     return item
 
 
@@ -631,10 +639,13 @@ def test_pool_map_stops_every_child_before_raising(items, error):
     assert time.monotonic() - start < 30
 
 
-def test_pool_map_returns_results_in_item_order():
-    items = [str(n) for n in range(7)]
+def test_pool_map_returns_results_in_item_order(capfd):
+    # Ctrl-C reaches every child too, but the parent alone stops them: the
+    # last child, sent SIGINT, neither raises nor prints a traceback
+    items = [*(str(n) for n in range(6)), "sigint"]
     assert cli._pool_map(_fail_or_wait, items, 3) == items
     assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""
 
 
 # --- start-up imports ---
