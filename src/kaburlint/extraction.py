@@ -39,8 +39,10 @@ from .lexicon import (
     PhraseIndex,
     PosDictionary,
     con_sub_tags,
+    label_set,
     longest_matches,
     normalize_phrase,
+    parse_tags,
     tag_texts,
 )
 from .textcore import Document, Span, segment_sentences, tokenize
@@ -346,6 +348,7 @@ _CANDIDATE_KINDS = {
     "occurrences": {"doc": str, "start": int, "end": int},
     "status": str,
 }
+_KNOWN_CRITERIA = frozenset(CRITERIA)
 _DECISION_KINDS = {
     "phrase": list,
     "verdict": str,
@@ -379,8 +382,8 @@ def record_to_candidate(record: object, where: str = "record") -> CandidateWord:
                 Occurrence(o["doc"], Span(o["start"], o["end"]))
                 for o in record.get("occurrences", ())
             ),
-            suggested_tags=frozenset(map(AttributeTag.parse, record.get("tags", ()))),
-            criterion_hits=frozenset(record.get("criteria", ())),
+            suggested_tags=parse_tags(record.get("tags", ())),
+            criterion_hits=label_set(record.get("criteria", ()), _KNOWN_CRITERIA),
             status=record.get("status", PENDING),
         )
     except (LexiconError, ValueError) as exc:
@@ -389,7 +392,7 @@ def record_to_candidate(record: object, where: str = "record") -> CandidateWord:
         raise ReviewError(f"{where}: candidate must have at least one occurrence")
     if candidate.status not in CANDIDATE_STATUSES:
         raise ReviewError(f"{where}: unknown status {candidate.status!r}")
-    unknown_criteria = candidate.criterion_hits - set(CRITERIA)
+    unknown_criteria = candidate.criterion_hits - _KNOWN_CRITERIA
     if unknown_criteria:
         raise ReviewError(f"{where}: unknown criteria {sorted(unknown_criteria)}")
     return candidate
@@ -429,7 +432,7 @@ def record_to_decision(record: object, where: str = "record") -> ReviewDecision:
         decision = ReviewDecision(
             phrase=normalize_phrase(record["phrase"]),
             verdict=record["verdict"],
-            final_tags=frozenset(map(AttributeTag.parse, record.get("tags", ()))),
+            final_tags=parse_tags(record.get("tags", ())),
             reviewer=record.get("reviewer", ""),
             timestamp=record.get("timestamp", ""),
             note=record.get("note"),

@@ -5,6 +5,15 @@ value)`` pairs so callers can report the exact spot of a bad line, and
 both raise the caller's error class (a KaburlintError subclass) naming the
 path when the file cannot be read or is not valid UTF-8. check_record is
 the JSON type check that every JSON-lines record parser runs first.
+
+A JSON-lines file is split at '\n' only; read_text has already turned
+'\r\n' and '\r' into '\n'. dumps_jsonl writes U+2028, U+2029 and U+0085
+inside strings as they are, so these are never record separators (as
+str.splitlines would make them). Each line is decoded by one shared
+JSONDecoder.raw_decode and accepted when the value ends exactly at the end
+of the line. Any other line (blank, with surrounding whitespace, a BOM,
+extra data or invalid JSON) goes through json.loads, so every value and
+every error message is the one json.loads gives for that line.
 """
 
 from __future__ import annotations
@@ -35,20 +44,31 @@ def read_lines(
             yield f"{name}:{lineno}", line
 
 
+# json.loads(line) for a line that is one JSON value with nothing around it
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(
     path: str | Path, what: str, error: type[Exception]
 ) -> Iterator[tuple[str, object]]:
     """Decoded JSON values of a JSON-lines file, skipping blank lines."""
     name = os.path.basename(path)
-    for lineno, line in enumerate(read_text(path, what, error).splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{name}:{lineno}"
+    for lineno, line in enumerate(read_text(path, what, error).split("\n"), start=1):
         try:
-            value = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise error(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
-        yield where, value
+            value, end = _raw_decode(line)
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            # not one bare value: json.loads decides, and words any error
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise error(
+                    f"{name}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})"
+                ) from None
+        yield f"{name}:{lineno}", value
 
 
 # json.dumps(record, ensure_ascii=False) without building an encoder per record

@@ -6,6 +6,14 @@ phrase (array of tokens), pos (array), senses (optional integer), tags
 source. Saving orders entries by phrase and uses a canonical key order, so
 files are byte-stable and save(load(f)) reproduces f for valid input.
 
+Files repeat a few tag and POS lists across thousands of records, so
+each distinct list is parsed once: parse_tags (tags) and label_set (POS
+classes; extraction's criteria) are functools caches keyed by the list's
+tuple, and equal lists share one frozenset. Only valid lists are cached:
+an invalid tag raises, and a list with an unknown label gets a frozenset
+of its own for validate to reject. tag_texts renders each distinct tag
+set once and returns a new list on every call.
+
 The POS dictionary is a TSV: word, comma-separated classes, optional sense
 count. Lookup anywhere in this module is case-insensitive (case-folded).
 
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from .errors import LexiconError, WordlistError
@@ -100,8 +109,42 @@ _TAG_KEYS = {tag: (rank, text) for rank, (text, tag) in enumerate(_TAGS.items())
 
 
 def tag_texts(tags: Iterable[AttributeTag]) -> list[str]:
-    """The tags as written in files and reports ("IMP.general"), in ATTRIBUTES order."""
-    return [text for _, text in sorted(map(_TAG_KEYS.__getitem__, tags))]
+    """The tags as written in files and reports ("IMP.general"), in ATTRIBUTES order.
+
+    Each distinct set is sorted once; every call returns a new list.
+    """
+    return list(_sorted_tag_texts(frozenset(tags)))
+
+
+@cache  # bounded: subsets of the valid tags
+def _sorted_tag_texts(tags: frozenset[AttributeTag]) -> tuple[str, ...]:
+    return tuple(text for _, text in sorted(map(_TAG_KEYS.__getitem__, tags)))
+
+
+def parse_tags(texts: Sequence[str]) -> frozenset[AttributeTag]:
+    """The tags of a record's tag list; equal lists share one frozenset."""
+    return _parsed_tags(tuple(texts))
+
+
+@cache  # an invalid tag raises, so only lists of valid tags are kept
+def _parsed_tags(texts: tuple[str, ...]) -> frozenset[AttributeTag]:
+    return frozenset(map(AttributeTag.parse, texts))
+
+
+def label_set(values: Sequence[str], labels: frozenset[str]) -> frozenset[str]:
+    """frozenset(values), shared by equal lists whose values are all labels.
+
+    A list with a value outside labels gets a frozenset of its own, never
+    cached, so that the caller's check names the unknown value.
+    """
+    if labels.issuperset(values):
+        return _shared_set(tuple(values))
+    return frozenset(values)
+
+
+@cache
+def _shared_set(values: tuple[str, ...]) -> frozenset[str]:
+    return frozenset(values)
 
 
 def con_sub_tags(pos_classes: Iterable[str]) -> frozenset[AttributeTag]:
@@ -248,9 +291,9 @@ def record_to_entry(record: object, where: str = "record") -> LexiconEntry:
     try:
         entry = LexiconEntry(
             phrase=normalize_phrase(record["phrase"]),
-            pos_classes=frozenset(record.get("pos", ())),
+            pos_classes=label_set(record.get("pos", ()), POS_LABELS),
             sense_count=record.get("senses"),
-            tags=frozenset(map(AttributeTag.parse, record.get("tags", ()))),
+            tags=parse_tags(record.get("tags", ())),
             status=record.get("status", STATUS_CANDIDATE),
             note=record.get("note"),
             source=record.get("source", "user"),
@@ -302,11 +345,6 @@ class PhraseIndex:
         self.prefix_runs = frozenset(
             phrase[:k] for phrase in table for k in range(2, len(phrase))
         )
-
-    @property
-    def prefixes(self) -> frozenset[tuple[str, ...]]:
-        """Every proper prefix of a phrase, as a tuple of words."""
-        return self.prefix_runs.union((word,) for word in self.prefix_words)
 
     def __len__(self) -> int:
         return len(self.table)

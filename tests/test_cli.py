@@ -270,6 +270,18 @@ def test_forced_rereview_replays_to_the_same_bytes(ws, capsys):
     assert dumps_lexicon(replayed) == (ws / "lexicon.jsonl").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+def test_a_document_name_with_a_line_break_other_than_newline_reaches_map(ws, capsys, char):
+    (ws / "sample" / f"ekstra{char}dua.txt").write_text(EXTRA_DOC, encoding="utf-8")
+    queue = ws / "queue.jsonl"
+    assert run(capsys, "extract", "--config", conf(ws), ws / "sample", "-o", queue)[0] == 0
+    docs = {o.doc_id for c in load_candidates(queue) for o in c.occurrences}
+    assert f"ekstra{char}dua.txt" in docs
+    rc, _, err = run(capsys, "map", "--config", conf(ws), queue, "-o", ws / "mapped.jsonl")
+    assert (rc, err) == (0, "")
+    assert (ws / "mapped.jsonl").read_bytes() == queue.read_bytes()
+
+
 def test_rejected_phrase_is_not_queued_again(ws, capsys):
     # anggaran is a verified seed entry and a weakness rule-list phrase
     assert ("anggaran",) in [c.phrase for c in load_candidates(ws / "queue.jsonl")]

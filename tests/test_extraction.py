@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import extraction_oracle as oracle
 from conftest import mk_doc, random_lexicon, random_phrase, random_tags
-from kaburlint.analyzer import ATTRIBUTE_MEMBER, MULTI_POS, MULTI_SENSE, VAGUE_POS
+from kaburlint.analyzer import ATTRIBUTE_MEMBER, CRITERIA, MULTI_POS, MULTI_SENSE, VAGUE_POS
 from kaburlint.errors import ReviewError
 from kaburlint.extraction import (
     CandidateWord,
@@ -46,6 +46,8 @@ from kaburlint.lexicon import (
     save_lexicon,
 )
 from kaburlint.textcore import Span
+
+LINE_BREAKS = ["\u2028", "\u2029", "\x85"]  # str.splitlines breaks at these, JSON lines not
 
 
 def tag(text: str) -> AttributeTag:
@@ -348,6 +350,76 @@ class TestQueueAndAuditFiles:
         for decision in decisions:
             append_audit(path, [decision])
         assert load_audit(path) == decisions
+
+    @pytest.mark.parametrize("char", LINE_BREAKS)
+    def test_queue_doc_with_a_line_break_other_than_newline(self, tmp_path, char):
+        candidates = [
+            CandidateWord(("akan",), (Occurrence(f"a{char}b.txt", Span(0, 4)),)),
+            CandidateWord(("segera",), (Occurrence(char, Span(5, 11)),)),
+        ]
+        path = tmp_path / "queue.jsonl"
+        save_candidates(candidates, path)
+        assert path.read_text(encoding="utf-8").count("\n") == 2
+        assert load_candidates(path) == candidates
+
+    @pytest.mark.parametrize("char", LINE_BREAKS)
+    def test_audit_reviewer_with_a_line_break_other_than_newline(self, tmp_path, char):
+        decisions = [
+            ReviewDecision(("akan",), "reject", reviewer=f"pakar{char}dua"),
+            ReviewDecision(("segera",), "accept", frozenset({tag("T")}), reviewer=char),
+        ]
+        path = tmp_path / "audit.jsonl"
+        append_audit(path, decisions)
+        assert path.read_text(encoding="utf-8").count("\n") == 2
+        assert load_audit(path) == decisions
+
+    def test_curate_sized_files_read_back_to_the_same_bytes(self, tmp_path):
+        """save(load(f)) == f for a lexicon, a queue and an audit log of 3,000+ records."""
+        rng = random.Random(3016)
+        lexicon = random_lexicon(rng, size=3016)
+        lexicon_text = dumps_lexicon(lexicon)
+        path = tmp_path / "lexicon.jsonl"
+        path.write_text(lexicon_text, encoding="utf-8")
+        assert dumps_lexicon(load_lexicon(path)) == lexicon_text
+
+        phrases = [entry.phrase for entry in lexicon.entries()]
+        candidates = [
+            CandidateWord(
+                phrase,
+                tuple(
+                    Occurrence(rng.choice(["a.txt", "b.txt", "c\u2028.txt"]), Span(k, k + 5))
+                    for k in range(rng.randint(1, 3))
+                ),
+                suggested_tags=random_tags(rng, allow_empty=True),
+                criterion_hits=frozenset(rng.sample(sorted(CRITERIA), rng.randint(1, 2))),
+                status=rng.choice(["pending", "accepted", "rejected"]),
+            )
+            for phrase in phrases
+        ]
+        path = tmp_path / "queue.jsonl"
+        save_candidates(candidates, path)
+        queue_bytes = path.read_bytes()
+        save_candidates(load_candidates(path), tmp_path / "queue2.jsonl")
+        assert (tmp_path / "queue2.jsonl").read_bytes() == queue_bytes
+
+        decisions = [
+            ReviewDecision(
+                phrase,
+                verdict,
+                random_tags(rng, allow_empty=verdict == "reject"),
+                reviewer=rng.choice(["pakar", "penyemak", "p\x85"]),
+                timestamp="2026-01-01T00:00:00+00:00",
+                note=rng.choice([None, "nota", "baris\u2029dua"]),
+                force=rng.random() < 0.1,
+            )
+            for phrase in phrases
+            for verdict in [rng.choice(["accept", "reject"])]
+        ]
+        path = tmp_path / "audit.jsonl"
+        append_audit(path, decisions)
+        audit_bytes = path.read_bytes()
+        append_audit(tmp_path / "audit2.jsonl", load_audit(path))
+        assert (tmp_path / "audit2.jsonl").read_bytes() == audit_bytes
 
 
 class TestAuditReplay:

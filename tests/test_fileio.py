@@ -1,0 +1,92 @@
+"""The JSON-lines reader against json.loads, line by line."""
+
+from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kaburlint.errors import KaburlintError
+from kaburlint.fileio import read_jsonl
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+EDGE_LINES = [
+    "", " ", "\t", " \t ", "\x0c", "\x1c", "\u2028", "\xa0",  # blank to str.strip
+    " 1", "1 ", "\t{}", "{}\t", " [1, 2] ", "\ufeff{}", "\ufeff",
+    "NaN", "-Infinity", "[NaN, Infinity]", "1 2", "{}x", "{}{}", "[1,]", "{oops",
+    '"\u2028"', '{"a": "\u2029\x85"}', '{"a": 1}\u2028', "\u2028{}", DEEP,
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (
+        st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=5), children, max_size=4)
+    ),
+    max_leaves=12,
+)
+encoded_values = st.builds(
+    json.dumps,
+    json_values,
+    ensure_ascii=st.booleans(),
+    separators=st.sampled_from([None, (",", ":"), (" , ", " : ")]),
+)
+padding = st.sampled_from(["", "", "", " ", "\t", " \t"])
+any_lines = st.one_of(
+    encoded_values,
+    st.builds(lambda before, line, after: before + line + after, padding, encoded_values, padding),
+    st.sampled_from(EDGE_LINES),
+)
+
+
+class FileError(KaburlintError):
+    pass
+
+
+def loads_each_line(text: str, name: str) -> tuple[list[tuple[str, object]], str | None]:
+    """(where, json.loads(line)) per non-blank '\\n'-split line up to the first error."""
+    values = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            values.append((f"{name}:{lineno}", json.loads(line)))
+        except (ValueError, RecursionError) as exc:
+            return values, f"{name}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})"
+    return values, None
+
+
+def read_all(path: Path) -> tuple[list[tuple[str, object]], str | None]:
+    values = []
+    try:
+        for item in read_jsonl(path, "test file", FileError):
+            values.append(item)
+    except FileError as exc:
+        return values, str(exc)
+    return values, None
+
+
+@pytest.fixture(scope="module")
+def records_file():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp) / "records.jsonl"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(any_lines, max_size=8), st.booleans())
+@example(["{}", " 1", '"\u2028"', "2"], True)
+@example(["\ufeff{}"], False)
+@example([DEEP, "1"], True)
+def test_reader_yields_json_loads_of_each_line(records_file, lines, final_newline):
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    records_file.write_text(text, encoding="utf-8", newline="")
+    text = records_file.read_text(encoding="utf-8")  # as read_text reads it
+    want_values, want_error = loads_each_line(text, records_file.name)
+    got_values, got_error = read_all(records_file)
+    # repr tells 1 from 1.0 and True, keeps key order and matches NaN to NaN
+    assert repr(got_values) == repr(want_values)
+    assert got_error == want_error

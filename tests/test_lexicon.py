@@ -13,20 +13,24 @@ from hypothesis import strategies as st
 import lint_oracle
 from conftest import all_tokens, mk_doc, random_lexicon
 from kaburlint import fileio
+from kaburlint import lexicon as lexicon_module
 from kaburlint.errors import LexiconError, WordlistError
 from kaburlint.lexicon import (
     ATTRIBUTES,
+    POS_LABELS,
     SUB_ATTRIBUTES,
     AttributeTag,
     Lexicon,
     LexiconEntry,
     PhraseIndex,
     dumps_lexicon,
+    label_set,
     load_lexicon,
     load_pos_dictionary,
     longest_matches,
     match_entries,
     normalize_phrase,
+    parse_tags,
     save_lexicon,
     tag_texts,
 )
@@ -216,6 +220,51 @@ class TestLoadSave:
         assert '"data", "itu"' in lines[1]
         assert '"zebra"' in lines[2]
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_a_note_with_a_line_break_other_than_newline_round_trips(self, tmp_path, char):
+        lexicon = Lexicon([entry("satu", note=f"baris{char}kedua"), entry("dua", note=char)])
+        path = tmp_path / "lex.jsonl"
+        save_lexicon(lexicon, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.count(char) == 2 and text.count("\n") == 2
+        loaded = load_lexicon(path)
+        assert loaded.entries() == lexicon.entries()
+        assert dumps_lexicon(loaded) == text
+
+
+class TestRecordCaches:
+    def test_equal_lists_share_one_frozenset(self, tmp_path):
+        path = tmp_path / "lex.jsonl"
+        path.write_text(
+            '{"phrase": ["satu"], "pos": ["kn", "adj"], "tags": ["T", "IMP"]}\n'
+            '{"phrase": ["dua"], "pos": ["kn", "adj"], "tags": ["T", "IMP"]}\n',
+            encoding="utf-8",
+        )
+        first, second = load_lexicon(path).entries()
+        assert first.tags is second.tags
+        assert first.pos_classes is second.pos_classes
+        assert first.tags == {AttributeTag("IMP"), AttributeTag("T")}
+        assert first.pos_classes == {"kn", "adj"}
+
+    def test_tag_texts_returns_a_new_list_each_call(self):
+        tags = frozenset({AttributeTag("T"), AttributeTag("IMP", "general")})
+        first = tag_texts(tags)
+        first.append("WN")
+        first.reverse()
+        assert tag_texts(tags) == ["IMP.general", "T"]
+        assert tag_texts(tags) is not tag_texts(tags)
+
+    def test_invalid_lists_are_not_cached(self):
+        held = lexicon_module._parsed_tags.cache_info().currsize
+        with pytest.raises(LexiconError, match="ZZZ"):
+            parse_tags(["T", "ZZZ"])
+        assert lexicon_module._parsed_tags.cache_info().currsize == held
+        held = lexicon_module._shared_set.cache_info().currsize
+        first = label_set(["kn", "noun"], POS_LABELS)
+        assert first == {"kn", "noun"}
+        assert label_set(["kn", "noun"], POS_LABELS) is not first
+        assert lexicon_module._shared_set.cache_info().currsize == held
+
 
 def reference_longest_match(phrases: set[tuple[str, ...]], words: list[str]):
     """Independent greedy matcher over plain word lists."""
@@ -256,7 +305,8 @@ class TestPhraseIndex:
 
     def test_a_prefix_that_is_no_phrase_falls_back_to_the_longest_hit(self):
         index = PhraseIndex({("a",): "short", ("a", "b", "c"): "long"})
-        assert index.prefixes == {("a",), ("a", "b")}
+        assert index.prefix_words == {"a"}
+        assert index.prefix_runs == {("a", "b")}
         assert index.firsts == {"a"}
         assert longest_matches(["a", "b", "d"], index) == [(0, 1, "short")]
         assert longest_matches(["a", "b", "c", "a"], index) == [
@@ -269,7 +319,8 @@ class TestPhraseIndex:
         assert len(lexicon.verified()) == 0
         lexicon.add(entry("dengan segera", tags=("T",)))
         assert set(lexicon.verified().table) == {("dengan", "segera")}
-        assert lexicon.verified().prefixes == {("dengan",)}
+        assert lexicon.verified().prefix_words == {"dengan"}
+        assert lexicon.verified().prefix_runs == frozenset()
 
 
 class TestMatchEntries:
