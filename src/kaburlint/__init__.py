@@ -4,39 +4,12 @@ A lexicon-driven linter plus the pipeline that builds the lexicon: filter
 inappropriate tokens, mine candidate vague words, map them onto a
 six-attribute ambiguity taxonomy, record expert review decisions, and
 report per-attribute statistics.
+
+The names below load their module on first use (PEP 562), so a command
+imports only the modules it runs.
 """
 
 __version__ = "0.1.0"
-
-from .analyzer import Finding, LintReport, lint_document, word_heuristics
-from .errors import KaburlintError
-from .extraction import (
-    CandidateWord,
-    ReviewDecision,
-    extract_candidates,
-    map_candidate_attributes,
-    record_decision,
-)
-from .filters import FilterConfig, FilterReport, apply_filters
-from .lexicon import (
-    AttributeTag,
-    Lexicon,
-    LexiconEntry,
-    PosDictionary,
-    load_lexicon,
-    match_entries,
-    save_lexicon,
-)
-from .stats import CorpusStats, compute_attribute_stats, render_table
-from .textcore import (
-    Document,
-    Sentence,
-    Span,
-    Token,
-    detect_reduplication,
-    segment_sentences,
-    tokenize,
-)
 
 __all__ = [
     "__version__",
@@ -71,3 +44,34 @@ __all__ = [
     "tokenize",
     "word_heuristics",
 ]
+
+# the public names of each module, loaded on first use by __getattr__
+_EXPORTS = {
+    "analyzer": "Finding LintReport lint_document word_heuristics",
+    "errors": "KaburlintError",
+    "extraction": (
+        "CandidateWord ReviewDecision extract_candidates map_candidate_attributes"
+        " record_decision"
+    ),
+    "filters": "FilterConfig FilterReport apply_filters",
+    "lexicon": (
+        "AttributeTag Lexicon LexiconEntry PosDictionary load_lexicon match_entries"
+        " save_lexicon"
+    ),
+    "stats": "CorpusStats compute_attribute_stats render_table",
+    "textcore": "Document Sentence Span Token detect_reduplication segment_sentences tokenize",
+}
+_MODULES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+
+def __getattr__(name: str):
+    module = _MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

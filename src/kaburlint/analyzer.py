@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import io
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, pairwise
 
@@ -41,8 +40,8 @@ from .textcore import (
     Document,
     Span,
     Tokens,
+    Record,
     line_col,
-    pickle_fields,
     segment_sentences,
     tokenize,
 )
@@ -81,35 +80,49 @@ _REF = frozenset({AttributeTag("REF")})
 _DANGLING_ELSE = frozenset({AttributeTag("CON", "dangling_else")})
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Finding:
+class Finding(Record, hashable=True):
     """One lint hit, spanning the matched text within its sentence.
 
-    A slots dataclass like Token, for the same reason: one is built per
-    hit, and findings cross the --jobs pool.
+    A hashable Record like Token that is not frozen, so that __init__
+    assigns plainly: one is built per hit.
     """
 
-    doc_id: str
-    sentence_index: int
-    span: Span
-    matched: str
-    phrase: str  # lexicon phrase; empty for heuristic and sentence-level hits
-    tags: frozenset[AttributeTag]
-    criterion: str
-    severity: str
+    __slots__ = (
+        "doc_id", "sentence_index", "span", "matched", "phrase", "tags", "criterion", "severity"
+    )
 
-    __reduce__ = pickle_fields
+    def __init__(
+        self,
+        doc_id: str,
+        sentence_index: int,
+        span: Span,
+        matched: str,
+        phrase: str,  # lexicon phrase; empty for heuristic and sentence-level hits
+        tags: frozenset[AttributeTag],
+        criterion: str,
+        severity: str,
+    ) -> None:
+        self.doc_id = doc_id
+        self.sentence_index = sentence_index
+        self.span = span
+        self.matched = matched
+        self.phrase = phrase
+        self.tags = tags
+        self.criterion = criterion
+        self.severity = severity
 
 
 def _finding_sort_key(f: Finding) -> tuple:
     return (f.span.start, f.span.end, CRITERIA.index(f.criterion), f.phrase)
 
 
-@dataclass
-class LintReport:
+class LintReport(Record):
     """Findings in a deterministic total order plus summary counts."""
 
-    findings: list[Finding] = field(default_factory=list)
+    __slots__ = ("findings",)
+
+    def __init__(self, findings: list[Finding] | None = None) -> None:
+        self.findings = [] if findings is None else findings
 
     @property
     def warnings(self) -> int:

@@ -3,9 +3,11 @@
 Exit codes follow linter convention: 0 clean, 1 findings present (lint
 only), 2 on any error. Every subcommand is deterministic given identical
 input files and configuration; --jobs N changes wall time, never output.
-lint and extract take one code path at any --jobs: _pool_map, which
-runs at most --jobs workers and never more than items, the parent being
-the first. lint's items are paths: each worker reads, lints and renders
+A command imports a module that only some commands run (extraction for
+extract, map and review; stats for stats) when it runs, so lint loads
+neither. lint and extract take one code path at any --jobs: _pool_map,
+which runs at most --jobs workers and never more than items, the parent
+being the first. lint's items are paths: each worker reads, lints and renders
 its own documents, and the parent writes the rendered parts in input
 order, after the csv header or before the text totals. extract's items
 are documents, and the parent merges their scans.
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 from itertools import pairwise
 from pathlib import Path
@@ -43,27 +44,10 @@ from .config import (
     validate_config,
 )
 from .errors import ConfigError, KaburlintError, ReviewError
-from .extraction import (
-    PENDING,
-    ACCEPTED,
-    REJECTED,
-    VERDICT_ACCEPT,
-    VERDICT_REJECT,
-    CandidateWord,
-    ReviewDecision,
-    append_audit,
-    extract_candidates,
-    load_audit,
-    load_candidates,
-    map_candidate_attributes,
-    replay_audit,
-    save_candidates,
-)
 from .fileio import read_text
 from .filters import REASON_ORDER
 from .lexicon import AttributeTag, Lexicon, load_lexicon, save_lexicon, tag_texts
-from .stats import compute_attribute_stats, render_table
-from .textcore import Document
+from .textcore import Document, replace
 
 
 def _read_document(path: Path, doc_id: str | None = None) -> Document:
@@ -212,6 +196,8 @@ def _extraction_summary(result) -> str:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from .extraction import extract_candidates, save_candidates
+
     cfg = _load_cfg(args)
     res = load_resources(cfg, require_lexicon=False)
     result = extract_candidates(
@@ -233,6 +219,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    from .extraction import load_candidates, map_candidate_attributes, save_candidates
+
     cfg = _load_cfg(args)
     res = load_resources(cfg, require_lexicon=False)
     candidates = load_candidates(args.queue)
@@ -253,6 +241,8 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 # --- review ---
+# CandidateWord and ReviewDecision in the annotations below are extraction's;
+# annotations are not evaluated (PEP 563), so importing cli does not load it.
 
 
 def _now_iso() -> str:
@@ -267,6 +257,8 @@ def _resolve_decision(
     default_reviewer: str,
     force_flag: bool,
 ) -> ReviewDecision:
+    from .extraction import VERDICT_REJECT
+
     candidate = queue.get(decision.phrase)
     if candidate is None:
         raise ReviewError(f"no candidate in queue for phrase {' '.join(decision.phrase)!r}")
@@ -283,6 +275,8 @@ def _resolve_decision(
 
 
 def _load_batch_decisions(path: Path) -> list[ReviewDecision]:
+    from .extraction import load_audit
+
     return load_audit(path, "decisions file")
 
 
@@ -300,6 +294,15 @@ def _apply_decisions(
     was; the lexicon and queue are saved only after the batch is on disk
     in the audit log.
     """
+    from .extraction import (
+        ACCEPTED,
+        REJECTED,
+        VERDICT_ACCEPT,
+        append_audit,
+        replay_audit,
+        save_candidates,
+    )
+
     replay_audit(lexicon, decisions)
     by_phrase = {c.phrase: c for c in queue}
     for decision in decisions:
@@ -329,6 +332,8 @@ def _prompt_decision(candidate: CandidateWord, position: int, total: int) -> str
 
 
 def _interactive_decisions(queue: list[CandidateWord]):
+    from .extraction import PENDING, VERDICT_ACCEPT, VERDICT_REJECT, ReviewDecision
+
     pending = [c for c in queue if c.status == PENDING]
     for position, candidate in enumerate(pending, start=1):
         while True:
@@ -358,6 +363,8 @@ def _interactive_decisions(queue: list[CandidateWord]):
 
 
 def cmd_review(args: argparse.Namespace) -> int:
+    from .extraction import load_candidates
+
     cfg = _load_cfg(args)
     if cfg.lexicon is None:
         raise ConfigError("review needs a lexicon path (config key or --lexicon)")
@@ -431,6 +438,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .stats import compute_attribute_stats, render_table
+
     cfg = _load_cfg(args)
     lexicon = load_lexicon(configured_lexicon(cfg))
     if cfg.format not in (FORMAT_TEXT, FORMAT_CSV):

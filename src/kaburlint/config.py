@@ -13,17 +13,23 @@ override config values; validate_config then checks the values once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .analyzer import REPORT_FORMATS, SENSE_THRESHOLD
 from .errors import ConfigError
-from .extraction import PhraseSets, load_rule_lists
 from .fileio import read_lines
 from .filters import FilterConfig, load_wordlist
-from .lexicon import Lexicon, PosDictionary, load_lexicon, load_pos_dictionary
-from .stats import SCOPE_CANDIDATES, SCOPE_VERIFIED
-from .textcore import DEFAULT_ABBREVIATIONS
+from .lexicon import (
+    SCOPE_CANDIDATES,
+    SCOPE_VERIFIED,
+    Lexicon,
+    PhraseSets,
+    PosDictionary,
+    load_lexicon,
+    load_pos_dictionary,
+    load_rule_lists,
+)
+from .textcore import DEFAULT_ABBREVIATIONS, Record
 
 RULE_ATTRIBUTE_KEYS = {
     "rules_implicit": "IMP",
@@ -40,29 +46,30 @@ _OUTPUT_PATH_KEYS = frozenset({"audit_log"})
 SCOPE_NAMES = {"verified": SCOPE_VERIFIED, "candidates": SCOPE_CANDIDATES}
 
 
-@dataclass
-class Config:
-    lexicon: Path | None = None
-    pos_dict: Path | None = None
-    english_wordlist: Path | None = None
-    malay_wordlist: Path | None = None
-    abbreviations: Path | None = None
-    audit_log: Path | None = None
-    rules_implicit: Path | None = None
-    rules_connectives: Path | None = None
-    rules_temporal: Path | None = None
-    rules_referential: Path | None = None
-    rules_variable: Path | None = None
-    rules_weakness: Path | None = None
-    sense_threshold: int = SENSE_THRESHOLD
-    jobs: int = 1
-    format: str = "text"
-    scope: str = "verified"
-    flag_anaphoric_clitics: bool = False
+class Config(Record):
+    """Every config key, as a field with its default; a None default marks a path."""
+
+    _defaults = {
+        **dict.fromkeys((
+            "lexicon",
+            "pos_dict",
+            "english_wordlist",
+            "malay_wordlist",
+            "abbreviations",
+            "audit_log",
+            *RULE_ATTRIBUTE_KEYS,
+        )),
+        "sense_threshold": SENSE_THRESHOLD,
+        "jobs": 1,
+        "format": "text",
+        "scope": "verified",
+        "flag_anaphoric_clitics": False,
+    }
+    __slots__ = tuple(_defaults)
 
 
 # config key -> type of its Config default, which decides how its value parses
-_KEY_KINDS = {f.name: type(f.default) for f in fields(Config)}
+_KEY_KINDS = {key: type(default) for key, default in Config._defaults.items()}
 
 
 def _parse_value(key: str, value: str, base: Path, where: str) -> object:
@@ -119,10 +126,10 @@ def validate_config(cfg: Config) -> Config:
     return cfg
 
 
-@dataclass
-class Resources:
+class Resources(Record):
     """Loaded runtime objects derived from a Config."""
 
+    __slots__ = ("lexicon", "posdict", "rules", "filter_config")
     lexicon: Lexicon
     posdict: PosDictionary | None
     rules: PhraseSets

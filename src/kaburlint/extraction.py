@@ -10,13 +10,18 @@ report's columns, and builds an Occurrence and its span only for a hit.
 Review decisions are appended to a JSON-lines audit log whose records are
 self-contained: replaying the log over the initial repository reproduces
 the final repository byte for byte.
+
+A decision whose outcome the repository already holds (the same status,
+tags and note) changes nothing and needs no force flag. So a review that
+crashed after appending its batch to the audit log, but before saving the
+lexicon, can be run again: the log then holds the batch twice, and the
+second copy replays as a no-op.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -27,8 +32,8 @@ from .analyzer import (
     VAGUE_POS,
     word_heuristics,
 )
-from .errors import LexiconError, ReviewError, WordlistError
-from .fileio import check_record, dumps_jsonl, read_jsonl, read_lines, write_atomic
+from .errors import LexiconError, ReviewError
+from .fileio import check_record, dumps_jsonl, read_jsonl, write_atomic
 from .filters import FilterConfig, FilterCounts, apply_filters
 from .lexicon import (
     STATUS_REJECTED,
@@ -37,15 +42,17 @@ from .lexicon import (
     Lexicon,
     LexiconEntry,
     PhraseIndex,
+    PhraseSets,
     PosDictionary,
     con_sub_tags,
     label_set,
+    load_rule_lists,
     longest_matches,
     normalize_phrase,
     parse_tags,
     tag_texts,
 )
-from .textcore import Document, Span, segment_sentences, tokenize
+from .textcore import Document, Record, Span, segment_sentences, tokenize
 
 PENDING = "pending"
 ACCEPTED = "accepted"
@@ -56,21 +63,34 @@ VERDICT_ACCEPT = "accept"
 VERDICT_REJECT = "reject"
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    doc_id: str
-    span: Span
+class Occurrence(Record, frozen=True):
+    """Where a candidate phrase occurs: a document and a byte span in it."""
+
+    __slots__ = ("doc_id", "span")
+
+    def __init__(self, doc_id: str, span: Span) -> None:
+        object.__setattr__(self, "doc_id", doc_id)
+        object.__setattr__(self, "span", span)
 
 
-@dataclass(frozen=True)
-class CandidateWord:
+class CandidateWord(Record, frozen=True):
     """A potentially ambiguous phrase awaiting mapping and verification."""
 
-    phrase: tuple[str, ...]
-    occurrences: tuple[Occurrence, ...]
-    suggested_tags: frozenset[AttributeTag] = frozenset()
-    criterion_hits: frozenset[str] = frozenset()
-    status: str = PENDING
+    __slots__ = ("phrase", "occurrences", "suggested_tags", "criterion_hits", "status")
+
+    def __init__(
+        self,
+        phrase: tuple[str, ...],
+        occurrences: tuple[Occurrence, ...],
+        suggested_tags: frozenset[AttributeTag] = frozenset(),
+        criterion_hits: frozenset[str] = frozenset(),
+        status: str = PENDING,
+    ) -> None:
+        object.__setattr__(self, "phrase", phrase)
+        object.__setattr__(self, "occurrences", occurrences)
+        object.__setattr__(self, "suggested_tags", suggested_tags)
+        object.__setattr__(self, "criterion_hits", criterion_hits)
+        object.__setattr__(self, "status", status)
 
     @property
     def phrase_text(self) -> str:
@@ -79,22 +99,6 @@ class CandidateWord:
     @property
     def unmapped(self) -> bool:
         return not self.suggested_tags
-
-
-# phrase -> a set of names: rule-list attributes or criterion hits
-PhraseSets = dict[tuple[str, ...], frozenset[str]]
-
-
-def load_rule_lists(paths: dict[str, str | Path]) -> PhraseSets:
-    """Load one phrase-per-line list files keyed by attribute.
-
-    A phrase maps to the attributes of every list that holds it.
-    """
-    rules: dict[tuple[str, ...], set[str]] = {}
-    for attribute, path in paths.items():
-        for _where, line in read_lines(path, "rule list", WordlistError):
-            rules.setdefault(normalize_phrase(line), set()).add(attribute)
-    return {phrase: frozenset(attrs) for phrase, attrs in rules.items()}
 
 
 def candidate_criteria(
@@ -165,12 +169,15 @@ def map_candidate_attributes(
     return frozenset(tags)
 
 
-@dataclass
-class ExtractionResult:
+class ExtractionResult(Record):
+    """Candidates and filter totals of one document's scan or of a whole run."""
+
+    __slots__ = ("candidates", "filter_counts", "tokens_read", "documents")
+    _defaults = {"tokens_read": 0, "documents": 0}
     candidates: list[CandidateWord]
     filter_counts: FilterCounts
-    tokens_read: int = 0
-    documents: int = 0
+    tokens_read: int
+    documents: int
 
 
 def scan_document(
@@ -275,17 +282,28 @@ def merge_results(
     return ExtractionResult(candidates, counts, tokens_read, documents)
 
 
-@dataclass(frozen=True)
-class ReviewDecision:
+class ReviewDecision(Record, frozen=True):
     """A recorded expert verdict for one candidate phrase."""
 
-    phrase: tuple[str, ...]
-    verdict: str
-    final_tags: frozenset[AttributeTag] = frozenset()
-    reviewer: str = ""
-    timestamp: str = ""
-    note: str | None = None
-    force: bool = False
+    __slots__ = ("phrase", "verdict", "final_tags", "reviewer", "timestamp", "note", "force")
+
+    def __init__(
+        self,
+        phrase: tuple[str, ...],
+        verdict: str,
+        final_tags: frozenset[AttributeTag] = frozenset(),
+        reviewer: str = "",
+        timestamp: str = "",
+        note: str | None = None,
+        force: bool = False,
+    ) -> None:
+        object.__setattr__(self, "phrase", phrase)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "final_tags", final_tags)
+        object.__setattr__(self, "reviewer", reviewer)
+        object.__setattr__(self, "timestamp", timestamp)
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "force", force)
 
     def validate(self) -> None:
         if not self.phrase:
@@ -302,21 +320,14 @@ def record_decision(repo: Lexicon, decision: ReviewDecision) -> LexiconEntry:
     """Apply one decision to the repository and return the updated entry.
 
     Statuses only move forward (candidate or new to verified/rejected);
-    overriding an already-decided entry requires the decision's force flag.
-    Uses nothing but the repository and the decision itself, so an audit
-    log of decisions replays to an identical repository.
+    changing an already-decided entry requires the decision's force flag.
+    A decision whose outcome the entry already holds returns it unchanged,
+    forced or not. Uses nothing but the repository and the decision
+    itself, so an audit log of decisions replays to an identical
+    repository.
     """
     decision.validate()
     existing = repo.get(decision.phrase)
-    if (
-        existing is not None
-        and existing.status in (STATUS_VERIFIED, STATUS_REJECTED)
-        and not decision.force
-    ):
-        raise ReviewError(
-            f"{' '.join(decision.phrase)!r} is already {existing.status}; "
-            "re-review requires --force"
-        )
     if decision.verdict == VERDICT_ACCEPT:
         status = STATUS_VERIFIED
         tags = decision.final_tags
@@ -335,6 +346,14 @@ def record_decision(repo: Lexicon, decision: ReviewDecision) -> LexiconEntry:
         note=note,
         source=existing.source if existing else "extracted",
     )
+    if existing is not None and existing.status in (STATUS_VERIFIED, STATUS_REJECTED):
+        if entry == existing:
+            return existing
+        if not decision.force:
+            raise ReviewError(
+                f"{' '.join(decision.phrase)!r} is already {existing.status}; "
+                "re-review requires --force"
+            )
     repo.replace(entry)
     return entry
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import WordlistError
@@ -35,6 +34,7 @@ from .textcore import (
     NUMBER,
     SYMBOL,
     Columns,
+    Record,
     Token,
     Tokens,
     detect_reduplication,
@@ -67,8 +67,7 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
     return frozenset({entry.casefold() for _where, entry in lines})
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(Record, frozen=True):
     """The wordlists the six filters consult; the reasons themselves are fixed.
 
     It also keeps the run's SurfaceTable (surface_table), which lives and
@@ -77,12 +76,18 @@ class FilterConfig:
     configurations never share one.
     """
 
-    english_words: frozenset[str] = frozenset()
-    malay_words: frozenset[str] | None = None
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
-    _surfaces: SurfaceTable | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("english_words", "malay_words", "abbreviations", "_surfaces")
+
+    def __init__(
+        self,
+        english_words: frozenset[str] = frozenset(),
+        malay_words: frozenset[str] | None = None,
+        abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
+    ) -> None:
+        object.__setattr__(self, "english_words", english_words)
+        object.__setattr__(self, "malay_words", malay_words)
+        object.__setattr__(self, "abbreviations", abbreviations)
+        object.__setattr__(self, "_surfaces", None)
 
     def surface_table(self) -> SurfaceTable:
         """This configuration's surface table, made on first use."""
@@ -276,8 +281,7 @@ def apply_filters(tokens: Tokens, cfg: FilterConfig) -> FilterReport:
     return FilterReport(tokens, reasons, kept_index)
 
 
-@dataclass
-class FilterCounts:
+class FilterCounts(Record):
     """Totals of filter reports: all that an extraction summary needs.
 
     Keeps the kept count and, per reason, how many tokens of each word were
@@ -285,10 +289,11 @@ class FilterCounts:
     small and cheap to send between processes.
     """
 
-    kept: int = 0
-    excluded: dict[str, Counter[str]] = field(
-        default_factory=lambda: {reason: Counter() for reason in REASON_ORDER}
-    )
+    __slots__ = ("kept", "excluded")
+
+    def __init__(self, kept: int = 0, excluded: dict[str, Counter[str]] | None = None) -> None:
+        self.kept = kept
+        self.excluded = {r: Counter() for r in REASON_ORDER} if excluded is None else excluded
 
     def add(self, report: FilterReport) -> None:
         self.kept += len(report.kept_index)

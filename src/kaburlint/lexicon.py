@@ -15,7 +15,9 @@ of its own for validate to reject. tag_texts renders each distinct tag
 set once and returns a new list on every call.
 
 The POS dictionary is a TSV: word, comma-separated classes, optional sense
-count. Lookup anywhere in this module is case-insensitive (case-folded).
+count. A rule list holds one phrase per line, and each list is keyed by
+the attribute it names (load_rule_lists). Lookup anywhere in this module
+is case-insensitive (case-folded).
 
 Phrase matching is greedy leftmost-longest and non-overlapping, over one
 PhraseIndex per phrase table: the table, every phrase's first word and
@@ -32,13 +34,12 @@ one is read.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 from .errors import LexiconError, WordlistError
 from .fileio import check_record, dumps_jsonl, read_jsonl, read_lines, write_atomic
-from .textcore import Columns, Span, Tokens
+from .textcore import Columns, Record, Span, Tokens
 
 ATTRIBUTES = ("IMP", "CON", "T", "REF", "VAR", "WN")
 
@@ -64,20 +65,23 @@ STATUSES = (STATUS_CANDIDATE, STATUS_VERIFIED, STATUS_REJECTED)
 
 SOURCES = ("paper_seed", "extracted", "user")
 
-@dataclass(frozen=True)
-class AttributeTag:
+# which entries the stats count: verified ones, or every undecided or verified one
+SCOPE_VERIFIED = "verified_only"
+SCOPE_CANDIDATES = "all_candidates"
+
+
+class AttributeTag(Record, frozen=True):
     """One of the six ambiguity attributes, optionally with a sub-attribute."""
 
-    attribute: str
-    sub: str | None = None
+    __slots__ = ("attribute", "sub")
 
-    def __post_init__(self) -> None:
-        if self.attribute not in ATTRIBUTES:
-            raise LexiconError(f"unknown attribute {self.attribute!r}")
-        if self.sub is not None and self.sub not in SUB_ATTRIBUTES[self.attribute]:
-            raise LexiconError(
-                f"unknown sub-attribute {self.sub!r} for {self.attribute}"
-            )
+    def __init__(self, attribute: str, sub: str | None = None) -> None:
+        if attribute not in ATTRIBUTES:
+            raise LexiconError(f"unknown attribute {attribute!r}")
+        if sub is not None and sub not in SUB_ATTRIBUTES[attribute]:
+            raise LexiconError(f"unknown sub-attribute {sub!r} for {attribute}")
+        object.__setattr__(self, "attribute", attribute)
+        object.__setattr__(self, "sub", sub)
 
     def __str__(self) -> str:
         return self.attribute if self.sub is None else f"{self.attribute}.{self.sub}"
@@ -88,7 +92,7 @@ class AttributeTag:
         tag = _TAGS.get(text)
         if tag is not None:
             return tag
-        # not a valid tag: the checks below and in __post_init__ say why
+        # not a valid tag: the checks below and in __init__ say why
         attribute, dot, sub = text.partition(".")
         if dot and not sub:
             raise LexiconError(f"malformed tag {text!r}")
@@ -160,17 +164,28 @@ def normalize_phrase(phrase: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(map(str.casefold, words))
 
 
-@dataclass
-class LexiconEntry:
+class LexiconEntry(Record):
     """A word or multiword phrase with POS classes, tags and review status."""
 
-    phrase: tuple[str, ...]
-    pos_classes: frozenset[str] = frozenset()
-    sense_count: int | None = None
-    tags: frozenset[AttributeTag] = frozenset()
-    status: str = STATUS_CANDIDATE
-    note: str | None = None
-    source: str = "user"
+    __slots__ = ("phrase", "pos_classes", "sense_count", "tags", "status", "note", "source")
+
+    def __init__(
+        self,
+        phrase: tuple[str, ...],
+        pos_classes: frozenset[str] = frozenset(),
+        sense_count: int | None = None,
+        tags: frozenset[AttributeTag] = frozenset(),
+        status: str = STATUS_CANDIDATE,
+        note: str | None = None,
+        source: str = "user",
+    ) -> None:
+        self.phrase = phrase
+        self.pos_classes = pos_classes
+        self.sense_count = sense_count
+        self.tags = tags
+        self.status = status
+        self.note = note
+        self.source = source
 
     def validate(self) -> None:
         if not self.phrase:
@@ -302,6 +317,22 @@ def record_to_entry(record: object, where: str = "record") -> LexiconEntry:
     except LexiconError as exc:
         raise LexiconError(f"{where}: {exc}") from None
     return entry
+
+
+# phrase -> a set of names: rule-list attributes or criterion hits
+PhraseSets = dict[tuple[str, ...], frozenset[str]]
+
+
+def load_rule_lists(paths: dict[str, str | Path]) -> PhraseSets:
+    """Load one phrase-per-line list files keyed by attribute.
+
+    A phrase maps to the attributes of every list that holds it.
+    """
+    rules: dict[tuple[str, ...], set[str]] = {}
+    for attribute, path in paths.items():
+        for _where, line in read_lines(path, "rule list", WordlistError):
+            rules.setdefault(normalize_phrase(line), set()).add(attribute)
+    return {phrase: frozenset(attrs) for phrase, attrs in rules.items()}
 
 
 def load_lexicon(path: str | Path) -> Lexicon:

@@ -9,28 +9,33 @@ one decimal, which keeps rendered tables byte-stable across platforms.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .analyzer import FORMAT_CSV, FORMAT_TEXT
 from .errors import StatsError
-from .lexicon import ATTRIBUTES, LexiconEntry, STATUS_CANDIDATE, STATUS_VERIFIED
-
-SCOPE_VERIFIED = "verified_only"
-SCOPE_CANDIDATES = "all_candidates"
+from .lexicon import (
+    ATTRIBUTES,
+    SCOPE_CANDIDATES,
+    SCOPE_VERIFIED,
+    STATUS_CANDIDATE,
+    STATUS_VERIFIED,
+    LexiconEntry,
+)
+from .textcore import Record
 
 _SCOPE_STATUSES = {
     SCOPE_VERIFIED: frozenset({STATUS_VERIFIED}),
     SCOPE_CANDIDATES: frozenset({STATUS_CANDIDATE, STATUS_VERIFIED}),
 }
 
-@dataclass(frozen=True)
-class AttributeCounts:
+
+class AttributeCounts(Record, frozen=True):
+    __slots__ = ("counts", "total_words")
     counts: dict[str, int]
     total_words: int
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(Record, frozen=True):
+    __slots__ = ("counts", "percentages")
     counts: AttributeCounts
     percentages: dict[str, str]  # attribute -> "42.5"
 

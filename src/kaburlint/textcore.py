@@ -24,11 +24,12 @@ chunk is one word and a word with a final '.' or ',' is decided by one
 abbreviation lookup; other chunks go through the token pattern and the
 per-character rules at '.' and ',' (decimals and abbreviations).
 
-Span, Sentence and Token are slots dataclasses that are not frozen: their
-__init__ assigns plainly, with no check beyond Span's 0 <= start < end,
-and they keep the value equality, hashing and repr of a frozen
-dataclass. A token's kind and normalized form are functions of its
-surface, which lets the filters decide each distinct surface once
+Every value and container class of the package is a Record: a slots
+class whose fields are compared, hashed, shown and pickled as one tuple,
+with no generated code. Span, Sentence and Token are hashable but not
+frozen, so their __init__ assigns plainly, with no check beyond Span's
+0 <= start < end. A token's kind and normalized form are functions of
+its surface, which lets the filters decide each distinct surface once
 (filters.SurfaceTable).
 
 Normalization is case-folding only. Hyphenated words ("rekod-rekod") are
@@ -41,8 +42,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import attrgetter
 
 WORD = "word"
 SYMBOL = "symbol"
@@ -130,25 +131,90 @@ class _OffsetMap:
         return line, char - starts[line - 1] + 1
 
 
-def pickle_fields(value):
-    """__reduce__ of the package's slots dataclasses: rebuild from the fields.
+def _refuse_assignment(record, name: str, *value) -> None:
+    raise AttributeError(f"{type(record).__name__} is frozen: cannot set or delete {name!r}")
 
-    A slots dataclass that is not frozen pickles at protocols 0 and 1 only
-    from Python 3.11 on; rebuilding from the fields works on all.
+
+def _hash_fields(record) -> int:
+    return hash(record._values(record))
+
+
+class Record:
+    """Base of the package's value and container classes.
+
+    A subclass lists its fields in __slots__, in constructor order; a slot
+    whose name starts with '_' is a cache, not a field, and stays out of
+    equality, repr and pickling. Records are equal when they are of the
+    same class and their field tuples, read by one operator.attrgetter per
+    class, are equal. Made with frozen=True, a class refuses assignment
+    (AttributeError); frozen=True or hashable=True hashes the field tuple,
+    and any other class is unhashable. repr lists the fields as a
+    dataclass's does. Pickling (protocols 0-5) and replace() rebuild a
+    record through __init__, so its caches start empty.
+
+    The __init__ here takes the fields by position or keyword, with the
+    defaults in the class's _defaults. Classes built on hot paths write
+    their own, which a frozen class assigns with object.__setattr__.
     """
-    return type(value), tuple(getattr(value, name) for name in value.__slots__)
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, *, frozen: bool = False, hashable: bool = False, **kw) -> None:
+        super().__init_subclass__(**kw)
+        cls._fields = fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        get = attrgetter(*fields)
+        # the field tuple, also of a one-field class
+        cls._values = get if len(fields) > 1 else staticmethod(lambda record: (get(record),))
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse_assignment
+        if frozen or hashable:
+            cls.__hash__ = _hash_fields
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
+        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+        missing = [name for name in fields if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing field(s) {', '.join(missing)}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Span:
+def replace(record: Record, **changes) -> Record:
+    """A copy of record with the named fields changed, built through __init__."""
+    fields = zip(record._fields, record._values(record))
+    values = [changes.pop(name, value) for name, value in fields]
+    if changes:
+        raise TypeError(f"{type(record).__name__} has no field(s) {', '.join(changes)}")
+    return type(record)(*values)
+
+
+class Span(Record, hashable=True):
     """Half-open byte range [start, end) within a document's UTF-8 text.
 
     Built for every finding and occurrence, so its only check is
     0 <= start < end.
     """
 
-    start: int
-    end: int
+    __slots__ = ("start", "end")
 
     def __init__(self, start: int, end: int) -> None:
         if not 0 <= start < end:
@@ -156,23 +222,19 @@ class Span:
         self.start = start
         self.end = end
 
-    __reduce__ = pickle_fields
 
-
-@dataclass
-class Document:
+class Document(Record):
     """One input text, usually a whole requirement-specification file."""
 
-    id: str
-    text: str
-    source_path: str | None = None
-    _offsets: _OffsetMap | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("id", "text", "source_path", "_offsets")
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str, text: str, source_path: str | None = None) -> None:
+        if not id:
             raise ValueError("document id must be non-empty")
+        self.id = id
+        self.text = text
+        self.source_path = source_path
+        self._offsets: _OffsetMap | None = None
 
     def offsets(self) -> _OffsetMap:
         if self._offsets is None:
@@ -180,18 +242,15 @@ class Document:
         return self._offsets
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Sentence:
+class Sentence(Record, hashable=True):
     """A sentence's span and its 0-based position in the document."""
 
+    __slots__ = ("span", "index")
     span: Span
     index: int
 
-    __reduce__ = pickle_fields
 
-
-@dataclass(slots=True, unsafe_hash=True)
-class Token:
+class Token(Record, hashable=True):
     """One token: its span, text, case-folded text and kind.
 
     Built from Tokens' columns when one is read. The kind and the
@@ -200,12 +259,13 @@ class Token:
     filters.SurfaceTable).
     """
 
-    span: Span
-    surface: str
-    normalized: str
-    kind: str  # WORD, SYMBOL or NUMBER
+    __slots__ = ("span", "surface", "normalized", "kind")
 
-    __reduce__ = pickle_fields
+    def __init__(self, span: Span, surface: str, normalized: str, kind: str) -> None:
+        self.span = span
+        self.surface = surface
+        self.normalized = normalized
+        self.kind = kind  # WORD, SYMBOL or NUMBER
 
 
 def slice_span(doc: Document, span: Span) -> str:

@@ -16,7 +16,6 @@ rejected is never a candidate, whichever rule list or POS row names it.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import replace
 from pathlib import Path
 
 from kaburlint.analyzer import (
@@ -41,7 +40,7 @@ from kaburlint.lexicon import (
     PosDictionary,
     normalize_phrase,
 )
-from kaburlint.textcore import Document, Span, iter_sentence_tokens
+from kaburlint.textcore import Document, Span, iter_sentence_tokens, replace
 
 
 def longest_matches(

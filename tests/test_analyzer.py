@@ -5,7 +5,6 @@ from __future__ import annotations
 import pickle
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +39,13 @@ from kaburlint.lexicon import (
     normalize_phrase,
 )
 from kaburlint.seeds import write_seed_tree
-from kaburlint.textcore import Document, iter_sentence_tokens, segment_sentences, tokenize
+from kaburlint.textcore import (
+    Document,
+    iter_sentence_tokens,
+    replace,
+    segment_sentences,
+    tokenize,
+)
 
 
 def tag(text):

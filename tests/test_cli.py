@@ -12,7 +12,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -38,6 +37,7 @@ from kaburlint.lexicon import (
     load_lexicon,
     record_to_entry,
 )
+from kaburlint.textcore import replace
 
 EXTRA_DOC = "Sistem mesti papar laporan itu.\nJika data rosak, sistem papar amaran.\n"
 ACCEPT_PAPAR = {
@@ -338,6 +338,33 @@ def test_review_whose_audit_log_cannot_be_written_changes_nothing(ws, capsys):
     assert rc == 2 and "audit.jsonl" in err
     assert {name: (ws / name).read_bytes() for name in before} == before
     assert not (ws / "logs").exists()
+
+
+def test_review_rerun_after_a_crash_between_audit_and_lexicon_save_replays(
+    ws, capsys, monkeypatch
+):
+    initial = load_lexicon(ws / "lexicon.jsonl")
+    before = (ws / "lexicon.jsonl").read_bytes()
+    # one new phrase and one forced change of a verified seed entry
+    write_jsonl(ws / "decisions.jsonl", [
+        ACCEPT_PAPAR, {"phrase": ["segera"], "verdict": "reject", "force": True}
+    ])
+
+    def crash(lexicon, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_lexicon", crash)
+    rc, _, err = run(capsys, *_review(ws))
+    assert rc == 2 and "disk full" in err
+    assert (ws / "lexicon.jsonl").read_bytes() == before
+    assert len(load_audit(ws / "audit.jsonl")) == 2
+    monkeypatch.undo()
+    # the same batch again: the audit log now holds it twice
+    rc, out, _ = run(capsys, *_review(ws))
+    assert rc == 0 and out.startswith("accepted 1, rejected 1;")
+    assert len(load_audit(ws / "audit.jsonl")) == 4
+    replayed = replay_audit(initial, load_audit(ws / "audit.jsonl"))
+    assert dumps_lexicon(replayed).encode("utf-8") == (ws / "lexicon.jsonl").read_bytes()
 
 
 # --- config parsing ---
@@ -678,6 +705,8 @@ with open(sys.argv[1], "w", encoding="utf-8") as listing:
 
 # modules that only --jobs > 1, review's timestamps and csv reports need
 SINGLE_USE = frozenset({"multiprocessing", "csv", "datetime"})
+# the dataclass machinery, which no command needs
+NEVER = frozenset({"dataclasses", "inspect"})
 
 
 def modules_after(ws: Path, *argv: str, rc: int | None = None) -> set[str]:
@@ -698,12 +727,19 @@ def modules_after(ws: Path, *argv: str, rc: int | None = None) -> set[str]:
 
 def test_serial_commands_do_not_import_the_pool_or_single_use_modules(ws):
     bare = modules_after(ws)
+    mapped = ["map", "--config", conf(ws), str(ws / "queue.jsonl"), "-o", str(ws / "m.jsonl")]
+    loaded = {}
     for argv, rc in (
         ([*_lint(ws), "--jobs", "1"], 1),
         (_extract(ws), 0),
         (_stats(ws), 0),
+        (mapped, 0),
+        (_decisions(ws, ACCEPT_PAPAR)[0], 0),
     ):
-        assert (modules_after(ws, *argv, rc=rc) - bare) & SINGLE_USE == set(), argv
+        loaded[argv[0]] = modules_after(ws, *argv, rc=rc) - bare
+        assert loaded[argv[0]] & (SINGLE_USE | NEVER) == set(), argv
+    # lint runs neither extraction nor stats
+    assert loaded["lint"] & {"kaburlint.extraction", "kaburlint.stats"} == set()
     assert "multiprocessing" in modules_after(ws, *_lint(ws), "--jobs", "2", rc=1)
 
 
@@ -736,6 +772,11 @@ def test_init_extract_review_stats_lint_round_trip(ws, capsys):
     assert rc == 1
     assert "'papar' [CON.verb] attribute_member" in out
 
+    # the same decision again holds the lexicon's outcome: a no-op; another
+    # outcome for a decided phrase still needs --force
+    assert run(capsys, *_review(ws))[0] == 0
+    assert (ws / "lexicon.jsonl").read_text(encoding="utf-8") == final
+    write_jsonl(ws / "decisions.jsonl", [{"phrase": ["papar"], "verdict": "reject"}])
     rc, _, err = run(capsys, *_review(ws))
     assert rc == 2 and "already verified" in err
 

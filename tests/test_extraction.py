@@ -5,7 +5,6 @@ from __future__ import annotations
 import pickle
 import random
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,7 +44,7 @@ from kaburlint.lexicon import (
     normalize_phrase,
     save_lexicon,
 )
-from kaburlint.textcore import Span
+from kaburlint.textcore import Span, replace
 
 LINE_BREAKS = ["\u2028", "\u2029", "\x85"]  # str.splitlines breaks at these, JSON lines not
 
