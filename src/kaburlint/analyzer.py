@@ -9,19 +9,20 @@ both read that one table. Reports are deterministically ordered by
 (document, start offset) with fixed tiebreakers, so serialized reports
 are byte-stable across runs and job counts.
 
-lint_document reads each sentence as columns: the surfaces and words
-from tokenize, the kept positions from apply_filters and the lexicon hits
-from match_entries; a kept word's dictionary heuristics are one lookup in
-the word_heuristics table. A Finding, with its byte span and matched
-text, is built only for a hit.
+lint_document reads a window of sentences (textcore.SENTENCE_WINDOW) at
+a time as flat columns: the surfaces, words and sentence heads of one
+tokenize call, the kept positions of one apply_filters call and the hits
+of one match_entries call. One scan of the window's words each finds the
+heuristic words (one word_heuristics lookup), clitics and conditional
+markers. A Finding is built only for a hit, and only a sentence that
+holds one gets its token offsets.
 """
 
 from __future__ import annotations
 
 import io
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from functools import cache
-from itertools import chain, pairwise
 
 from .fileio import dumps_jsonl
 from .filters import FilterConfig, apply_filters
@@ -181,16 +182,16 @@ def word_heuristics(
 
 def _info(
     doc_id: str,
-    index: int,
+    base: int,
     tokens: Tokens,
     k: int,
     tags: frozenset[AttributeTag],
     criterion: str,
 ) -> Finding:
-    """An info finding on token k of sentence index, read from the columns."""
+    """An info finding on token k of a window whose first sentence is number base."""
     return Finding(
-        doc_id, index, tokens.span(k, k), tokens.surfaces[k], "", tags, criterion,
-        SEVERITY_INFO,
+        doc_id, base + tokens.sentence_of(k), tokens.span(k, k), tokens.surfaces[k], "", tags,
+        criterion, SEVERITY_INFO,
     )
 
 
@@ -198,13 +199,26 @@ def _is_anaphoric_clitic(word: str) -> bool:
     return len(word) > 3 and word.endswith("nya") and word not in _CLITIC_STOPLIST
 
 
-def _dangling_marker(words: Sequence[str], next_words: Sequence[str]) -> int | None:
-    """Position of the first conditional marker when no alternative is near."""
-    if CONDITIONAL_MARKERS.isdisjoint(words):
-        return None
-    if longest_matches(words, _ALTERNATIVES) or longest_matches(next_words, _ALTERNATIVES):
-        return None
-    return next(k for k, word in enumerate(words) if word in CONDITIONAL_MARKERS)
+def _has_alternative(tokens: Tokens, s: int) -> bool:
+    """Whether sentence s of the window holds an alternative marker."""
+    heads = tokens.heads
+    return bool(longest_matches(tokens.words[heads[s] : heads[s + 1]], _ALTERNATIVES))
+
+
+def _dangling_markers(tokens: Tokens) -> list[int]:
+    """The first conditional marker of each sentence with no alternative near.
+
+    Near is the same sentence or the next one. The window's last sentence
+    is checked against itself only: the caller checks the sentence after.
+    """
+    last = len(tokens.heads) - 2
+    first: dict[int, int] = {}  # sentence -> its first marker
+    for k in [k for k, word in enumerate(tokens.words) if word in CONDITIONAL_MARKERS]:
+        first.setdefault(tokens.sentence_of(k), k)
+    return [
+        k for s, k in first.items()
+        if not (_has_alternative(tokens, s) or s < last and _has_alternative(tokens, s + 1))
+    ]
 
 
 def check_dangling_else(
@@ -222,12 +236,12 @@ def check_dangling_else(
     tidak", "selainnya", "sebaliknya"). Markers match normalized tokens,
     so case is ignored. tokens is the sentence's tokenize result and
     next_tokens the following sentence's, or None after the last one.
+    lint_document runs the same check over a window of sentences at once.
     """
-    next_words = () if next_tokens is None else next_tokens.words
-    k = _dangling_marker(tokens.words, next_words)
-    if k is None:
+    found = _dangling_markers(tokens)
+    if not found or (next_tokens is not None and _has_alternative(next_tokens, 0)):
         return None
-    return _info(doc_id, index, tokens, k, _DANGLING_ELSE, DANGLING_ELSE)
+    return _info(doc_id, index, tokens, found[0], _DANGLING_ELSE, DANGLING_ELSE)
 
 
 def lint_document(
@@ -246,40 +260,51 @@ def lint_document(
     flag_anaphoric_clitics, a referential finding when it ends in the
     "-nya" clitic. Every sentence gets the dangling-else check.
 
-    The scan reads each sentence's columns (Tokens, FilterReport, Matches)
-    and builds a Finding, and the byte span in it, only for a hit.
+    The scan makes one tokenize, apply_filters and match_entries call per
+    window of sentences and builds a Finding only for a hit.
     """
     filter_cfg = filter_cfg or FilterConfig()
     heuristics = heuristics or {}
     doc_id = doc.id
     findings: list[Finding] = []
     abbreviations = filter_cfg.abbreviations
-    runs = (
-        tokenize(doc, chars, abbreviations)
-        for chars in segment_sentences(doc, abbreviations).ranges()
-    )
-    # pairwise holds one sentence of lookahead for the dangling-else check;
-    # earlier sentences' tokens are dropped as the scan moves on, so the
-    # objects the garbage collector must traverse do not grow with the
-    # document.
-    for index, (tokens, next_tokens) in enumerate(pairwise(chain(runs, [None]))):
+    base = 0  # the document index of the window's first sentence
+    # a dangling-else hit on a window's last sentence waits for the next
+    # window's first; one window is alive at a time (del below), so memory
+    # stays bounded
+    pending = None
+    for window in segment_sentences(doc, abbreviations).windows():
+        tokens = tokenize(doc, window, abbreviations)
+        if pending is not None and not _has_alternative(tokens, 0):
+            findings.append(pending)
         for start, end, entry in match_entries(lexicon, tokens).hits:
             findings.append(
                 Finding(
-                    doc_id, index, tokens.span(start, end - 1), tokens.text(start, end - 1),
-                    entry.phrase_text, entry.tags, ATTRIBUTE_MEMBER, SEVERITY_WARNING,
+                    doc_id, base + tokens.sentence_of(start), tokens.span(start, end - 1),
+                    tokens.text(start, end - 1), entry.phrase_text, entry.tags,
+                    ATTRIBUTE_MEMBER, SEVERITY_WARNING,
                 )
             )
         words = tokens.words
-        for k in apply_filters(tokens, filter_cfg).kept_index:  # kept tokens are words
-            word = words[k]
-            for criterion, tags in heuristics.get(word, ()):
-                findings.append(_info(doc_id, index, tokens, k, tags, criterion))
-            if flag_anaphoric_clitics and _is_anaphoric_clitic(word):
-                findings.append(_info(doc_id, index, tokens, k, _REF, REFERENTIAL_SENTENCE))
-        hit = check_dangling_else(index, tokens, next_tokens=next_tokens, doc_id=doc_id)
-        if hit:
-            findings.append(hit)
+        kept = apply_filters(tokens, filter_cfg).kept_index  # kept tokens are words
+        for k in [k for k in kept if words[k] in heuristics]:
+            for criterion, tags in heuristics[words[k]]:
+                findings.append(_info(doc_id, base, tokens, k, tags, criterion))
+        if flag_anaphoric_clitics:
+            for k in [k for k in kept if _is_anaphoric_clitic(words[k])]:
+                findings.append(_info(doc_id, base, tokens, k, _REF, REFERENTIAL_SENTENCE))
+        last = len(tokens.heads) - 2
+        pending = None
+        for k in _dangling_markers(tokens):
+            hit = _info(doc_id, base, tokens, k, _DANGLING_ELSE, DANGLING_ELSE)
+            if tokens.sentence_of(k) == last:
+                pending = hit
+            else:
+                findings.append(hit)
+        base += last + 1
+        del tokens, words, kept
+    if pending is not None:
+        findings.append(pending)
     findings.sort(key=_finding_sort_key)
     return LintReport(findings)
 

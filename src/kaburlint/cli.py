@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from collections.abc import Callable
 from functools import partial
 from itertools import pairwise
 from pathlib import Path
@@ -331,8 +332,15 @@ def _prompt_decision(candidate: CandidateWord, position: int, total: int) -> str
     return input("  [a]ccept [tags...], [r]eject, [s]kip, [q]uit> ").strip()
 
 
-def _interactive_decisions(queue: list[CandidateWord]):
+def _interactive_decisions(queue: list[CandidateWord], lexicon: Lexicon, resolve: Callable):
+    """The prompt's answers, each resolved as a batch decision is.
+
+    An answer record_decision would refuse (a decided phrase, without
+    --force) is reported and asked again, like a bad tag, so it never
+    throws the session's other decisions away.
+    """
     from .extraction import PENDING, VERDICT_ACCEPT, VERDICT_REJECT, ReviewDecision
+    from .extraction import record_decision
 
     pending = [c for c in queue if c.status == PENDING]
     for position, candidate in enumerate(pending, start=1):
@@ -352,8 +360,10 @@ def _interactive_decisions(queue: list[CandidateWord]):
                     tags = frozenset(AttributeTag.parse(t) for t in raw_tags)
                     if verdict == VERDICT_ACCEPT and not tags:
                         tags = candidate.suggested_tags
-                    decision = ReviewDecision(candidate.phrase, verdict, tags)
-                    decision.validate()
+                    decision = resolve(ReviewDecision(candidate.phrase, verdict, tags))
+                    # tried on a lexicon of the phrase's entry alone
+                    existing = lexicon.get(candidate.phrase)
+                    record_decision(Lexicon([existing] if existing else []), decision)
                 except KaburlintError as exc:
                     print(f"  ! {exc}")
                     continue
@@ -375,11 +385,13 @@ def cmd_review(args: argparse.Namespace) -> int:
     audit_path = Path(args.audit) if args.audit else default_audit_path(cfg)
     reviewer = args.reviewer or "anonymous"
 
+    resolve = partial(
+        _resolve_decision, queue=by_phrase, default_reviewer=reviewer, force_flag=args.force
+    )
     if args.decisions:
-        source = _load_batch_decisions(Path(args.decisions))
+        decisions = list(map(resolve, _load_batch_decisions(Path(args.decisions))))
     else:
-        source = _interactive_decisions(queue)
-    decisions = [_resolve_decision(d, by_phrase, reviewer, args.force) for d in source]
+        decisions = list(_interactive_decisions(queue, lexicon, resolve))
     if not decisions:
         print("no decisions recorded; lexicon unchanged")
         return 0

@@ -5,8 +5,9 @@ normalized phrase, with occurrence spans kept as evidence for reviewers.
 Which phrases are candidates, and with which criterion hits, comes from
 one candidate index built per run from the hint lexicon, the rule lists
 and the POS dictionary (candidate_criteria, a lexicon.PhraseIndex). The
-scan matches it against each sentence's kept words, read from the filter
-report's columns, and builds an Occurrence and its span only for a hit.
+scan matches it against a window of sentences' kept words at a time,
+read from the filter report's columns, and builds an Occurrence and its
+span only for a hit.
 Review decisions are appended to a JSON-lines audit log whose records are
 self-contained: replaying the log over the initial repository reproduces
 the final repository byte for byte.
@@ -21,6 +22,7 @@ second copy replays as a no-op.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 from pathlib import Path
@@ -188,8 +190,8 @@ def scan_document(
     """One document's unmapped candidates, one per phrase, in scan order.
 
     `criteria` is the run's candidate index from candidate_criteria; the
-    greedy longest match runs over each sentence's kept words, read from
-    the filter report's columns, and only an occurrence gets a span.
+    greedy longest match runs over a window's kept words at a time, within
+    each sentence, and only an occurrence gets a span.
     extract_candidates maps this scan over a corpus and merge_results
     combines, sorts and maps the scans.
     """
@@ -197,17 +199,20 @@ def scan_document(
     tokens_read = 0
     abbreviations = filter_cfg.abbreviations
     occurrences: dict[tuple[str, ...], list[Occurrence]] = {}
-    for chars in segment_sentences(doc, abbreviations).ranges():
-        tokens = tokenize(doc, chars, abbreviations)
+    for window in segment_sentences(doc, abbreviations).windows():
+        tokens = tokenize(doc, window, abbreviations)
         tokens_read += len(tokens)
         report = apply_filters(tokens, filter_cfg)
         counts.add(report)
         kept = report.kept_index
-        words = [tokens.words[k] for k in kept]
-        for start, end, _hits in longest_matches(words, criteria):
+        words = list(map(tokens.words.__getitem__, kept))
+        # each sentence's first position among the kept words
+        heads = [bisect_left(kept, head) for head in tokens.heads]
+        for start, end, _hits in longest_matches(words, criteria, heads):
             occurrences.setdefault(tuple(words[start:end]), []).append(
                 Occurrence(doc.id, tokens.span(kept[start], kept[end - 1]))
             )
+        del tokens, report, kept, words  # the next window is read without this one
     candidates = [
         CandidateWord(p, tuple(spots), criterion_hits=criteria.table[p])
         for p, spots in occurrences.items()

@@ -13,7 +13,7 @@ maps each surface to its reason as a word that is not its sentence's
 first; only the proper-noun rule reads the position, so the first word's
 reason is looked up again (SurfaceTable.initial) only when it is a proper
 noun there. The table fills on a miss, so each distinct surface is
-decided once. apply_filters reads a sentence's surface column (Tokens)
+decided once. apply_filters reads a window's surface column (Tokens)
 through it and returns a columnar FilterReport, one reason per token and
 the kept positions, that builds tokens only when a caller reads them.
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
+from itertools import pairwise
 from pathlib import Path
 
 from .errors import WordlistError
@@ -235,7 +236,7 @@ class _Excluded(Columns):
 
 
 class FilterReport:
-    """Partition of one sentence's tokens into kept and excluded-with-reason.
+    """Partition of a window's tokens into kept and excluded-with-reason.
 
     Kept as columns: reasons[k] is token k's exclusion reason (None:
     kept) and kept_index the kept positions in order. kept (tokens) and
@@ -262,21 +263,22 @@ class FilterReport:
 
 
 def apply_filters(tokens: Tokens, cfg: FilterConfig) -> FilterReport:
-    """Partition one sentence's tokens into kept and excluded.
+    """Partition a window's tokens (one sentence or more) into kept and excluded.
 
-    Every reason is read from cfg's surface table by the tokens' surface
-    column. A token's reason is symbol or number exactly when its kind
-    is, so the sentence's first word, the only token whose reason may
-    depend on its position, is the first token with any other reason.
+    Every reason is read from cfg's surface table by one map over the
+    tokens' surface column. A token's reason is symbol or number exactly
+    when its kind is, so each sentence's first word, the only token whose
+    reason may depend on its position, is the first token from the
+    sentence's head (Tokens.heads) with any other reason.
     """
     table = cfg.surface_table()
     surfaces = tokens.surfaces
     reasons = list(map(table.__getitem__, surfaces))
-    for k, reason in enumerate(reasons):
-        if reason not in (SYMBOL_REASON, NUMBER_REASON):
-            if reason == PROPER_NOUN:
-                reasons[k] = table.initial(surfaces[k])
-            break
+    for k, stop in pairwise(tokens.heads):
+        while k < stop and reasons[k] in (SYMBOL_REASON, NUMBER_REASON):
+            k += 1
+        if k < stop and reasons[k] == PROPER_NOUN:
+            reasons[k] = table.initial(surfaces[k])
     kept_index = [k for k, reason in enumerate(reasons) if reason is None]
     return FilterReport(tokens, reasons, kept_index)
 

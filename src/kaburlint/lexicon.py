@@ -26,13 +26,15 @@ is skipped, and a run grows only while it is a proper prefix (the prefix
 stop of Aho and Corasick's automaton, without its failure links, which
 only overlapping matches would need). The verified lexicon, extraction's
 candidate table and the dangling-else alternatives each build one index
-per run. match_entries reads a sentence's word column (Tokens.words),
+per run. match_entries reads a window's word column (Tokens.words) in
+one pass that keeps each match inside its sentence (Tokens.heads),
 returns the hits as columns (Matches) and builds a byte span only when
 one is read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cache
 from pathlib import Path
@@ -382,7 +384,7 @@ class PhraseIndex:
 
 
 def longest_matches(
-    words: Sequence[str], index: PhraseIndex
+    words: Sequence[str], index: PhraseIndex, heads: Sequence[int] | None = None
 ) -> list[tuple[int, int, object]]:
     """Greedy longest match over words: (start, end, value) per hit.
 
@@ -390,7 +392,9 @@ def longest_matches(
     index.table holds wins and its words are consumed, so hits never
     overlap. Only positions whose word starts a phrase are tried, and a
     run grows only while it is a proper prefix of some phrase, since no
-    longer phrase can start with it otherwise.
+    longer phrase can start with it otherwise. heads, when given, splits
+    words into sentences as Tokens.heads does (each sentence's first
+    position, then len(words)), and no run crosses a sentence's end.
     """
     firsts = index.firsts
     if firsts.isdisjoint(words):
@@ -398,12 +402,16 @@ def longest_matches(
     table = index.table
     prefix_words = index.prefix_words
     prefix_runs = index.prefix_runs
-    count = len(words)
+    if heads is None:
+        heads = (0, len(words))
     hits = []
     pos = 0
+    stop = 0  # the end of the sentence that holds position i
     for i in [k for k, word in enumerate(words) if word in firsts]:
         if i < pos:
             continue  # inside the previous hit
+        if i >= stop:
+            stop = heads[bisect_right(heads, i)]
         run = (words[i],)
         end = i + 1
         best = None
@@ -413,7 +421,7 @@ def longest_matches(
             value = table.get(run)
             if value:
                 best = (i, end, value)
-            if end == count or key not in prefixes:
+            if end == stop or key not in prefixes:
                 break
             run += (words[end],)
             end += 1
@@ -425,7 +433,7 @@ def longest_matches(
 
 
 class Matches(Columns):
-    """One sentence's lexicon matches as (Span, LexiconEntry) items.
+    """A window's lexicon matches as (Span, LexiconEntry) items.
 
     Kept as hits, the (start, end, entry) token ranges of longest_matches;
     an item's span is built when it is read.
@@ -446,14 +454,14 @@ class Matches(Columns):
 
 
 def match_entries(lexicon: Lexicon, tokens: Tokens) -> Matches:
-    """Greedy longest-match of verified lexicon phrases over one sentence's tokens.
+    """Greedy longest-match of verified lexicon phrases over a window's tokens.
 
     At each position the longest matching phrase wins and its tokens are
-    consumed, so matches never overlap. Matching is on normalized token
-    text against the lexicon's verified index, so candidate and rejected
-    entries never match.
+    consumed, so matches never overlap, and none crosses a sentence's
+    end. Matching is on normalized token text against the lexicon's
+    verified index, so candidate and rejected entries never match.
     """
-    return Matches(tokens, longest_matches(tokens.words, lexicon.verified()))
+    return Matches(tokens, longest_matches(tokens.words, lexicon.verified(), tokens.heads))
 
 
 class PosDictionary:

@@ -7,13 +7,13 @@ immutable document; per-document parallel use is safe.
 
 Segmentation and tokenization work in character offsets and return
 columns, not objects. A document's sentences (SentenceList) are their
-character starts and ends; one sentence's tokens (Tokens) are their
-surfaces, with character starts and ends and case-folded words computed
-on first use. Both are sequences that build a Sentence or Token, with its
-byte Span, only when an item is read. Every later stage (filters,
-lexicon matching, lint) takes a sentence as Tokens, reads its plain
-lists (surfaces, words) and converts to bytes (Tokens.span) only for the
-tokens that give a finding.
+character starts and ends; the tokens of a window of consecutive
+sentences (Tokens; one sentence is a window of one) are one flat surface
+column and each sentence's first token index, with offsets and
+case-folded words computed on first use. Both build a Sentence or Token,
+with its byte Span, only when an item is read. Every later stage takes
+a window as Tokens, reads its plain lists and converts to bytes
+(Tokens.span) only for the tokens that give a finding.
 
 Every step is linear in the document. A document's offset map converts
 by identity when the text is ASCII; otherwise it keeps a sparse table of
@@ -50,6 +50,10 @@ SYMBOL = "symbol"
 NUMBER = "number"
 
 TERMINATORS = frozenset(".?!")
+
+# Sentences per window in lint and extraction: every stage runs once per
+# window, and a window's columns keep memory bounded on a long document.
+SENTENCE_WINDOW = 64
 
 # Default sentence-internal abbreviations; configurable via the
 # abbreviations wordlist. Entries carry their trailing dot and, like every
@@ -365,6 +369,12 @@ class SentenceList(Columns):
         """(start, end) character range per sentence, in order."""
         return zip(self.starts, self.ends)
 
+    def windows(self):
+        """Consecutive SentenceLists of SENTENCE_WINDOW sentences (the last may hold fewer)."""
+        starts, ends, size = self.starts, self.ends, SENTENCE_WINDOW
+        for k in range(0, len(starts), size):
+            yield SentenceList(self.offsets, starts[k : k + size], ends[k : k + size])
+
 
 def token_kind(surface: str) -> str:
     """WORD with a letter, else NUMBER with a digit, else SYMBOL."""
@@ -376,22 +386,29 @@ def token_kind(surface: str) -> str:
 
 
 class Tokens(Columns):
-    """One sentence's tokens: surfaces, and character starts and ends.
+    """The tokens of a window of consecutive sentences, as flat columns.
 
-    The starts and ends are computed on first use (bounds), and words, the
-    case-folded surfaces, on first read. Indexing builds the Token, with
-    its byte span; span() and text() give the span and the text of a run
-    of tokens without one.
+    surfaces holds the window's tokens in order, and heads each sentence's
+    first token index followed by the token count, so sentence s is
+    surfaces[heads[s]:heads[s + 1]]; a single sentence is a window of one.
+    chars holds each sentence's first character. Words, the case-folded
+    surfaces, are computed on first read, and a sentence's character
+    starts and ends when one of its tokens is first located. Indexing
+    builds the Token, with its byte span; span() and text() give the span
+    and the text of a run of tokens without one.
     """
 
-    __slots__ = ("doc", "surfaces", "_start", "_starts", "_ends", "_words")
+    __slots__ = ("doc", "surfaces", "heads", "_chars", "_starts", "_ends", "_words")
 
-    def __init__(self, doc: Document, surfaces: list[str], start: int) -> None:
+    def __init__(
+        self, doc: Document, surfaces: list[str], heads: list[int], chars: list[int]
+    ) -> None:
         self.doc = doc
         self.surfaces = surfaces
-        self._start = start  # the sentence's first character
-        self._starts: list[int] | None = None
-        self._ends: list[int] | None = None
+        self.heads = heads
+        self._chars = chars
+        self._starts: list[int | None] | None = None
+        self._ends: list[int | None] | None = None
         self._words: list[str] | None = None
 
     def __len__(self) -> int:
@@ -404,35 +421,40 @@ class Tokens(Columns):
             self._words = list(map(str.casefold, self.surfaces))
         return self._words
 
-    def bounds(self) -> tuple[list[int], list[int]]:
-        """The character starts and ends of the tokens.
+    def sentence_of(self, k: int) -> int:
+        """The window position of the sentence that holds token k."""
+        return bisect_right(self.heads, k) - 1
 
-        Every non-space character of a sentence is in some token, so each
-        token starts where its surface next occurs after the previous one.
+    def _range(self, first: int, last: int) -> tuple[int, int]:
+        """Character range from the start of token first to the end of token last.
+
+        A sentence's offsets are found when one of its tokens is first read:
+        each token starts where its surface next occurs after the previous one.
         """
-        if self._starts is None:
-            find = self.doc.text.find
-            starts: list[int] = []
-            ends: list[int] = []
-            pos = self._start
-            for surface in self.surfaces:
-                pos = find(surface, pos)
-                starts.append(pos)
-                pos += len(surface)
-                ends.append(pos)
-            self._starts, self._ends = starts, ends
-        return self._starts, self._ends
+        starts, ends, surfaces = self._starts, self._ends, self.surfaces
+        if starts is None:
+            starts = self._starts = [None] * len(surfaces)
+            ends = self._ends = [None] * len(surfaces)
+        for k in (first, last):
+            if starts[k] is None:
+                s = self.sentence_of(k)
+                find = self.doc.text.find
+                pos = self._chars[s]
+                for i in range(self.heads[s], self.heads[s + 1]):
+                    starts[i] = pos = find(surfaces[i], pos)
+                    ends[i] = pos = pos + len(surfaces[i])
+        return starts[first], ends[last]
 
     def span(self, first: int, last: int) -> Span:
         """Byte span from the start of token first to the end of token last."""
-        starts, ends = self.bounds()
         to_byte = self.doc.offsets().char_to_byte
-        return Span(to_byte(starts[first]), to_byte(ends[last]))
+        a, b = self._range(first, last)
+        return Span(to_byte(a), to_byte(b))
 
     def text(self, first: int, last: int) -> str:
         """Document text from the start of token first to the end of token last."""
-        starts, ends = self.bounds()
-        return self.doc.text[starts[first] : ends[last]]
+        a, b = self._range(first, last)
+        return self.doc.text[a:b]
 
     def _item(self, k: int) -> Token:
         surface = self.surfaces[k]
@@ -515,54 +537,56 @@ def _scan(text: str, abbreviations: frozenset[str] | set[str]) -> list[str]:
     return surfaces
 
 
-def _surfaces(text: str, abbreviations: frozenset[str] | set[str]) -> list[str]:
-    """The token surfaces of a sentence's text, chunk by whitespace-free chunk.
-
-    No token spans whitespace and the rules look at nothing beyond the
-    token they extend, so the chunks tokenize on their own: an alnum chunk
-    is one word, a word and a final '.' or ',' is two tokens unless the
-    abbreviation rule joins them, and any other chunk goes through _scan.
-    str.split and the token pattern agree on what whitespace is.
-    """
-    surfaces: list[str] = []
-    append = surfaces.append
-    for chunk in text.split():
-        if chunk.isalnum():
-            append(chunk)
-        elif chunk[-1] in ".," and chunk[:-1].isalnum():
-            if chunk[-1] == "." and chunk.casefold() in abbreviations:
-                append(chunk)
-            else:
-                append(chunk[:-1])
-                append(chunk[-1])
-        else:
-            surfaces += _scan(chunk, abbreviations)
-    return surfaces
-
-
 def tokenize(
     doc: Document,
-    sentence: Sentence | tuple[int, int],
+    sentence: Sentence | tuple[int, int] | SentenceList,
     abbreviations: frozenset[str] | set[str] = DEFAULT_ABBREVIATIONS,
 ) -> Tokens:
-    """Split one sentence into word, number and symbol tokens.
+    """Split one sentence, or a window of sentences, into word, number and symbol tokens.
 
     Hyphens join word characters on both sides into a single token
     ("rekod-rekod"); '.' and ',' between digits stay inside number tokens;
     a period stays inside a token when the case-folded result is a listed
     abbreviation ("dll."; entries are case-folded); runs of other
     punctuation become one symbol token. Whitespace never appears inside a
-    token. `sentence` is a Sentence or its character range, as
-    SentenceList.ranges() gives it. The tokens' character offsets are
-    computed only when a caller asks for them (Tokens.bounds).
+    token. `sentence` is a Sentence, its character range as
+    SentenceList.ranges() gives it, or a window of consecutive sentences
+    as SentenceList.windows() gives it; each sentence is split on its own,
+    and Tokens.heads keeps where each one starts. The tokens' character
+    offsets are computed only when a caller asks for them.
     """
-    if isinstance(sentence, Sentence):
+    if isinstance(sentence, SentenceList):
+        starts, ends = sentence.starts, sentence.ends
+    elif isinstance(sentence, Sentence):
         offsets = doc.offsets()
-        a = offsets.byte_to_char(sentence.span.start)
-        b = offsets.byte_to_char(sentence.span.end)
+        starts = [offsets.byte_to_char(sentence.span.start)]
+        ends = [offsets.byte_to_char(sentence.span.end)]
     else:
-        a, b = sentence
-    return Tokens(doc, _surfaces(doc.text[a:b], abbreviations), a)
+        starts, ends = [sentence[0]], [sentence[1]]
+    text = doc.text
+    surfaces: list[str] = []
+    append = surfaces.append
+    heads = [0]
+    # No token spans whitespace and the rules look at nothing beyond the
+    # token they extend, so the whitespace-free chunks tokenize on their
+    # own: an alnum chunk is one word, a word and a final '.' or ',' is two
+    # tokens unless the abbreviation rule joins them, and any other chunk
+    # goes through _scan. str.split and the token pattern agree on what
+    # whitespace is.
+    for a, b in zip(starts, ends):
+        for chunk in text[a:b].split():
+            if chunk.isalnum():
+                append(chunk)
+            elif chunk[-1] in ".," and chunk[:-1].isalnum():
+                if chunk[-1] == "." and chunk.casefold() in abbreviations:
+                    append(chunk)
+                else:
+                    append(chunk[:-1])
+                    append(chunk[-1])
+            else:
+                surfaces += _scan(chunk, abbreviations)
+        heads.append(len(surfaces))
+    return Tokens(doc, surfaces, heads, starts)
 
 
 def iter_sentence_tokens(

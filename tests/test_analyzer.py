@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 import random
 from collections import Counter
@@ -37,9 +38,11 @@ from kaburlint.lexicon import (
     LexiconEntry,
     PosDictionary,
     normalize_phrase,
+    record_to_entry,
 )
-from kaburlint.seeds import write_seed_tree
+from kaburlint.seeds import seed_text, write_seed_tree
 from kaburlint.textcore import (
+    SENTENCE_WINDOW,
     Document,
     iter_sentence_tokens,
     replace,
@@ -444,6 +447,145 @@ class TestLintOracle:
         assert [f.span.start for f in found] == [0, 27]
         # a loanword everywhere for the other configuration
         assert assert_lint_matches_oracle(text, table_posdict(), other, False) == []
+
+
+# --- windows of sentences: lint reads SENTENCE_WINDOW sentences per stage call ---
+
+# A window's last sentence holds a conditional and, in two cases of three,
+# ends a line on "secepat" with no terminator; the next window's first opens
+# with "mungkin" (the rest of the verified "secepat mungkin"), a capitalized
+# word or a symbol, and holds the alternative in one case of three. Two
+# filler sentences inside a window straddle "secepat mungkin" the same way.
+WINDOW_LAST = [
+    "Sistem papar rekod jika data sah secepat",
+    "Jika data sah sistem papar rekod secepat",
+    "Sistem papar rekod secepat jika",
+]
+WINDOW_FIRST = [
+    "Tidak Aminah papar data.",  # "jika" then "tidak" across sentences is no alternative
+    "mungkin sebaliknya sistem padam data segera.",
+    "— Alam warnanya efisien, Papar rekod amat.",
+]
+WINDOW_FILLER = [
+    "Selainnya sistem mesti efisien dan segera.",
+    "Pengguna boleh papar warnanya secepat mungkin.",
+    "Apabila rekod sah, jika tidak padam data secepat",
+    # two markers, and the next alternative two sentences on
+    "mungkin apabila Aminah papar laporan jika hanya sekali!",
+    "Data 3.5 dll. disimpan amat baik?",
+]
+# one window less one sentence, one, one and a sentence, and three and a sentence
+WINDOW_COUNTS = [
+    SENTENCE_WINDOW - 1, SENTENCE_WINDOW, SENTENCE_WINDOW + 1, 3 * SENTENCE_WINDOW + 1
+]
+
+
+def window_text(count: int) -> str:
+    """count sentences, with the boundary cases at every window's end and start."""
+    sentences = []
+    for i in range(count):
+        window, k = divmod(i, SENTENCE_WINDOW)
+        if k == 0 and window:
+            sentences.append(WINDOW_FIRST[window % 3])
+        elif k == SENTENCE_WINDOW - 1 or i == count - 1:
+            sentences.append(WINDOW_LAST[window % 3])
+        else:
+            sentences.append(WINDOW_FILLER[i % len(WINDOW_FILLER)])
+    # a newline ends a sentence with no terminator, and every seventh one
+    return "".join(
+        s + ("\n" if s[-1] not in ".?!" or i % 7 == 6 else " ") for i, s in enumerate(sentences)
+    )
+
+
+class TestWindowBoundaries:
+    @pytest.mark.parametrize("clitics", [False, True])
+    @pytest.mark.parametrize("count", WINDOW_COUNTS)
+    def test_lint_equals_the_reference(self, count, clitics):
+        text = window_text(count)
+        assert len(segment_sentences(mk_doc(text))) == count
+        for filter_cfg in LINT_FILTERS:
+            assert_lint_matches_oracle(text, table_posdict(), filter_cfg, clitics)
+
+    def test_the_boundary_cases_occur(self):
+        w = SENTENCE_WINDOW
+        found = assert_lint_matches_oracle(
+            window_text(3 * w + 1), table_posdict(), LINT_FILTERS[0], True
+        )
+        # the conditional on a window's last sentence sees its alternative on
+        # the next window's first, and only there
+        fired = {f.sentence_index for f in found if f.criterion == DANGLING_ELSE}
+        assert {2 * w - 1, 3 * w - 1, 3} <= fired and w - 1 not in fired
+        # "secepat" and "mungkin" across a line end: no match
+        assert {f.matched for f in found if f.phrase == "secepat mungkin"} == {"secepat mungkin"}
+        # kept as a window's first word after a symbol, a proper noun inside
+        at_start = [(f.matched, f.criterion) for f in found if f.sentence_index == 2 * w]
+        assert ("Alam", MULTI_SENSE) in at_start and ("Papar", MULTI_POS) not in at_start
+        assert ("warnanya", REFERENTIAL_SENTENCE) in at_start
+
+
+# --- recall: every occurrence of a verified phrase starts inside a warning ---
+
+# the seed lexicon's words, a few more, and a word with a multibyte character
+RECALL_WORDS = [
+    "data", "itu", "secepat", "mungkin", "segera", "efisien", "sebelum", "rekod",
+    "papar", "masa", "nyata", "kafé", "sistem", "jika", "tidak",
+]
+recall_phrases = st.lists(
+    st.lists(st.sampled_from(RECALL_WORDS), min_size=2, max_size=3).map(tuple), max_size=5
+)
+recall_sentences = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.sampled_from(RECALL_WORDS), st.sampled_from([str.lower, str.title])),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from([". ", ".\n", "!\n", "? ", "\n"]),
+    ),
+    min_size=SENTENCE_WINDOW + 1,
+    max_size=2 * SENTENCE_WINDOW + 2,
+)
+
+
+def seed_tree_lexicon() -> Lexicon:
+    return Lexicon(
+        record_to_entry(json.loads(line)) for line in seed_text("lexicon.jsonl").splitlines()
+    )
+
+
+class TestRecall:
+    """Greedy longest match never skips the start of an occurrence (after SREE).
+
+    The first token of every occurrence of a verified phrase inside one
+    sentence lies inside some attribute_member finding; not every token
+    does, since with verified "a b" and "b c" the text "a b c" gives "a b"
+    alone.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(recall_phrases, recall_sentences)
+    def test_every_occurrence_starts_inside_a_warning(self, phrases, sentences):
+        lexicon = seed_tree_lexicon()
+        for phrase in phrases:
+            if phrase not in lexicon:
+                lexicon.add(entry(" ".join(phrase), ("IMP",)))
+        verified = [e.phrase for e in lexicon if e.status == "verified"]
+        text = ""
+        firsts = []  # the byte offset of each occurrence's first token
+        for words, end in sentences:
+            starts = []
+            for word, case in words:
+                starts.append(len(text.encode()))
+                text += case(word) + " "
+            text = text[:-1] + end
+            for i in range(len(words)):
+                run = [word for word, _case in words[i:]]
+                firsts += [starts[i] for p in verified if tuple(run[: len(p)]) == p]
+        assert len(segment_sentences(mk_doc(text))) == len(sentences)
+        found = lint_document(mk_doc(text), lexicon).findings
+        warnings = [f.span for f in found if f.criterion == ATTRIBUTE_MEMBER]
+        for start in firsts:
+            assert any(span.start <= start < span.end for span in warnings), (text, start)
 
 
 def whole_report(report: LintReport, fmt: str, docs: dict[str, Document] | None = None) -> str:

@@ -329,6 +329,37 @@ def test_interactive_review_resolves_like_a_batch(ws, capsys, monkeypatch):
     assert dumps_lexicon(replayed) == (ws / "lexicon.jsonl").read_text(encoding="utf-8")
 
 
+def test_interactive_review_asks_again_after_a_refused_answer(ws, capsys, monkeypatch):
+    # every seed phrase in the queue is verified: changing one needs --force
+    phrases = [c.phrase for c in load_candidates(ws / "queue.jsonl")]
+    assert phrases[0] == ("anggaran",)
+    assert load_lexicon(ws / "lexicon.jsonl").get(("papar",)) is None
+    skips = ["s"] * (phrases.index(("papar",)) - 1)
+    # refused, then the phrase's own outcome (a no-op), skips, a new phrase, quit
+    answers = iter(["a IMP", "a", *skips, "a CON.verb", "q"])
+    monkeypatch.setattr("builtins.input", lambda _prompt: next(answers))
+    initial = load_lexicon(ws / "lexicon.jsonl")
+    rc, out, err = run(capsys, "review", "--config", conf(ws), ws / "queue.jsonl")
+    assert (rc, err) == (0, "")
+    assert "  ! 'anggaran' is already verified; re-review requires --force\n" in out
+    assert out.count("] anggaran\n") == 2 and "accepted 2, rejected 0;" in out
+    decisions = load_audit(ws / "audit.jsonl")
+    assert [(d.phrase, d.verdict, d.force) for d in decisions] == [
+        (("anggaran",), "accept", False), (("papar",), "accept", False)
+    ]
+    lexicon = load_lexicon(ws / "lexicon.jsonl")
+    assert lexicon.get(("anggaran",)) == initial.get(("anggaran",))
+    assert lexicon.get(("papar",)).status == "verified"
+    replayed = replay_audit(initial, decisions)
+    assert dumps_lexicon(replayed) == (ws / "lexicon.jsonl").read_text(encoding="utf-8")
+    # skip, a refused answer, quit: nothing to write, and no error
+    answers = iter(["s", "a WN", "q"])  # beberapa is CON
+    before = {p.name: p.read_bytes() for p in ws.glob("*.jsonl")}
+    rc, out, err = run(capsys, "review", "--config", conf(ws), ws / "queue.jsonl")
+    assert (rc, err) == (0, "") and "no decisions recorded" in out
+    assert {p.name: p.read_bytes() for p in ws.glob("*.jsonl")} == before
+
+
 def test_review_whose_audit_log_cannot_be_written_changes_nothing(ws, capsys):
     # the config may name an audit log in a directory that does not exist
     _config_line(ws, "audit_log = logs/audit.jsonl")

@@ -44,7 +44,7 @@ from kaburlint.lexicon import (
     normalize_phrase,
     save_lexicon,
 )
-from kaburlint.textcore import Span, replace
+from kaburlint.textcore import SENTENCE_WINDOW, Span, replace, segment_sentences
 
 LINE_BREAKS = ["\u2028", "\u2029", "\x85"]  # str.splitlines breaks at these, JSON lines not
 
@@ -616,3 +616,54 @@ class TestCandidateTableOracle:
         assert hits[("strasse",)] == frozenset({ATTRIBUTE_MEMBER, MULTI_POS, MULTI_SENSE})
         tags = {c.phrase: c.suggested_tags for c in result.candidates}
         assert tags[("segera",)] == frozenset({tag("IMP"), tag("T")})
+
+
+# --- windows of sentences: a scan reads SENTENCE_WINDOW sentences per stage call ---
+
+# a window's last sentence ends on "masa" (of the verified hint "masa
+# nyata"); the next window's first opens with "nyata", a capitalized word or
+# a symbol; two filler sentences inside a window straddle "masa nyata" too
+WINDOW_LAST = ["Sistem papar data masa.", "Laporan itu segera masa!"]
+WINDOW_FIRST = ["nyata segera papar data.", "Segera papar data itu.", "— Segera alam, Papar."]
+WINDOW_FILLER = ["Sistem segera papar data masa.", "nyata, straße dan alam.", "Masa nyata 3 dll."]
+# one window less one sentence, one, one and a sentence, and three and a sentence
+WINDOW_COUNTS = [
+    SENTENCE_WINDOW - 1, SENTENCE_WINDOW, SENTENCE_WINDOW + 1, 3 * SENTENCE_WINDOW + 1
+]
+
+
+def window_document(count: int) -> str:
+    """count sentences, with the boundary cases at every window's end and start."""
+    sentences = []
+    for i in range(count):
+        window, k = divmod(i, SENTENCE_WINDOW)
+        if k == 0 and window:
+            sentences.append(WINDOW_FIRST[window % 3])
+        elif k == SENTENCE_WINDOW - 1 or i == count - 1:
+            sentences.append(WINDOW_LAST[window % 2])
+        else:
+            sentences.append(WINDOW_FILLER[i % len(WINDOW_FILLER)])
+    return "\n".join(sentences)
+
+
+class TestScanWindowBoundaries:
+    @pytest.mark.parametrize("count", WINDOW_COUNTS)
+    def test_scan_equals_the_reference(self, count):
+        lexicon = Lexicon([entry("masa nyata", tags=("T",)), entry("alam", tags=("WN",))])
+        rule_lines = {attribute: [] for attribute in ATTRIBUTES}
+        rule_lines["IMP"] = ["segera", "data itu"]
+        posdict = PosDictionary()
+        posdict.add("papar", {"kk", "kn"}, 1)
+        text = window_document(count)
+        assert len(segment_sentences(mk_doc(text))) == count
+        for cfg in ORACLE_FILTERS:
+            result = assert_table_matches_oracle(
+                lexicon, rule_lines, posdict, [mk_doc(text, doc_id="w")], cfg, 2
+            )
+            spots = {c.phrase: c.occurrences for c in result.candidates}
+            # "masa" then "nyata" across a sentence end never matches
+            matched = {
+                text.encode()[o.span.start : o.span.end].decode().casefold()
+                for o in spots[("masa", "nyata")]
+            }
+            assert matched == {"masa nyata"}

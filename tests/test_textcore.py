@@ -5,6 +5,7 @@ from __future__ import annotations
 import pickle
 import random
 import time
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -333,15 +334,22 @@ def assert_columns_match_oracle(text: str, abbreviations) -> None:
         want = oracle.tokenize(ref, sentence, abbreviations)
         assert tokens.surfaces == [t.surface for t in want]
         assert tokens.words == [t.normalized for t in want]
-        starts, ends = tokens.bounds()
-        assert [(to_byte[a], to_byte[b]) for a, b in zip(starts, ends)] == [
-            (t.span.start, t.span.end) for t in want
-        ]
         for first in range(len(want)):
             for last in range(first, len(want)):
                 span = Span(want[first].span.start, want[last].span.end)
                 assert tokens.span(first, last) == span
                 assert tokens.text(first, last) == oracle.slice_span(ref, span)
+    # the whole document as one window: the sentences' tokens, one after another
+    window = tokenize(doc, sentences, abbreviations)
+    want = [oracle.tokenize(ref, sentence, abbreviations) for sentence in expected]
+    assert window.heads == [0, *accumulate(map(len, want))]
+    flat = [(s, t) for s, sentence_tokens in enumerate(want) for t in sentence_tokens]
+    assert window.surfaces == [t.surface for _s, t in flat]
+    for k in reversed(range(len(flat))):  # a later sentence located first
+        s, t = flat[k]
+        assert (window.sentence_of(k), window.span(k, k), window.text(k, k)) == (
+            s, t.span, t.surface
+        )
 
 
 class TestOracle:
