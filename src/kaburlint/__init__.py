@@ -26,7 +26,6 @@ __all__ = [
     "LintReport",
     "PosDictionary",
     "ReviewDecision",
-    "Sentence",
     "Span",
     "Token",
     "apply_filters",
@@ -59,7 +58,7 @@ _EXPORTS = {
         " save_lexicon"
     ),
     "stats": "CorpusStats compute_attribute_stats render_table",
-    "textcore": "Document Sentence Span Token detect_reduplication segment_sentences tokenize",
+    "textcore": "Document Span Token detect_reduplication segment_sentences tokenize",
 }
 _MODULES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

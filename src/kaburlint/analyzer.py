@@ -11,11 +11,13 @@ are byte-stable across runs and job counts.
 
 lint_document reads a window of sentences (textcore.SENTENCE_WINDOW) at
 a time as flat columns: the surfaces, words and sentence heads of one
-tokenize call, the kept positions of one apply_filters call and the hits
-of one match_entries call. One scan of the window's words each finds the
-heuristic words (one word_heuristics lookup), clitics and conditional
-markers. A Finding is built only for a hit, and only a sentence that
-holds one gets its token offsets.
+tokenize call, the kept positions of one apply_filters call and the
+(start, end, entry) hits of one match_entries call. One scan of the
+window's words each finds the heuristic words (one word_heuristics
+lookup), clitics and conditional markers; a dangling-else hit on a
+window's last sentence waits for the next window's first sentence. A
+Finding is built only for a hit, and only a sentence that holds one gets
+its token offsets.
 """
 
 from __future__ import annotations
@@ -208,8 +210,11 @@ def _has_alternative(tokens: Tokens, s: int) -> bool:
 def _dangling_markers(tokens: Tokens) -> list[int]:
     """The first conditional marker of each sentence with no alternative near.
 
-    Near is the same sentence or the next one. The window's last sentence
-    is checked against itself only: the caller checks the sentence after.
+    A conditional marker ("jika", "sekiranya", "apabila") dangles when
+    neither its sentence nor the next one holds an alternative marker
+    ("jika tidak", "selainnya", "sebaliknya"). Markers match normalized
+    words, so case is ignored. The window's last sentence is checked
+    against itself only: the caller checks the sentence after.
     """
     last = len(tokens.heads) - 2
     first: dict[int, int] = {}  # sentence -> its first marker
@@ -219,29 +224,6 @@ def _dangling_markers(tokens: Tokens) -> list[int]:
         k for s, k in first.items()
         if not (_has_alternative(tokens, s) or s < last and _has_alternative(tokens, s + 1))
     ]
-
-
-def check_dangling_else(
-    index: int,
-    tokens: Tokens,
-    *,
-    next_tokens: Tokens | None = None,
-    doc_id: str = "",
-) -> Finding | None:
-    """Conditional marker without an alternative branch nearby.
-
-    Fires on the first conditional marker ("jika", "sekiranya",
-    "apabila") of sentence index when neither this sentence nor the
-    immediately following one contains an alternative marker ("jika
-    tidak", "selainnya", "sebaliknya"). Markers match normalized tokens,
-    so case is ignored. tokens is the sentence's tokenize result and
-    next_tokens the following sentence's, or None after the last one.
-    lint_document runs the same check over a window of sentences at once.
-    """
-    found = _dangling_markers(tokens)
-    if not found or (next_tokens is not None and _has_alternative(next_tokens, 0)):
-        return None
-    return _info(doc_id, index, tokens, found[0], _DANGLING_ELSE, DANGLING_ELSE)
 
 
 def lint_document(
@@ -277,7 +259,7 @@ def lint_document(
         tokens = tokenize(doc, window, abbreviations)
         if pending is not None and not _has_alternative(tokens, 0):
             findings.append(pending)
-        for start, end, entry in match_entries(lexicon, tokens).hits:
+        for start, end, entry in match_entries(lexicon, tokens):
             findings.append(
                 Finding(
                     doc_id, base + tokens.sentence_of(start), tokens.span(start, end - 1),
@@ -286,7 +268,7 @@ def lint_document(
                 )
             )
         words = tokens.words
-        kept = apply_filters(tokens, filter_cfg).kept_index  # kept tokens are words
+        kept = apply_filters(tokens, filter_cfg).kept  # kept tokens are words
         for k in [k for k in kept if words[k] in heuristics]:
             for criterion, tags in heuristics[words[k]]:
                 findings.append(_info(doc_id, base, tokens, k, tags, criterion))
@@ -402,7 +384,7 @@ def report_tail(
     )
 
 
-def render_report(report: LintReport, fmt: str, docs: dict[str, Document] | None = None) -> str:
+def render_report(report: LintReport, fmt: str, docs: dict[str, Document]) -> str:
     """The report's findings in fmt, one line each.
 
     A whole report is report_head, then the findings' lines, then the
@@ -410,9 +392,9 @@ def render_report(report: LintReport, fmt: str, docs: dict[str, Document] | None
     lines in input order and the tail of the summed counts.
     """
     if fmt == FORMAT_TEXT:
-        return render_text(report, docs or {})
+        return render_text(report, docs)
     if fmt == FORMAT_CSV:
-        return render_csv(report, docs or {})
+        return render_csv(report, docs)
     if fmt == FORMAT_RECORDS:
         return render_records(report)
     raise ValueError(f"unknown report format {fmt!r}")

@@ -204,7 +204,7 @@ def scan_document(
         tokens_read += len(tokens)
         report = apply_filters(tokens, filter_cfg)
         counts.add(report)
-        kept = report.kept_index
+        kept = report.kept
         words = list(map(tokens.words.__getitem__, kept))
         # each sentence's first position among the kept words
         heads = [bisect_left(kept, head) for head in tokens.heads]
@@ -261,9 +261,13 @@ def merge_results(
     unique by phrase, with occurrences concatenated in input order, then
     sorted by phrase and mapped onto suggested tags; a phrase's criterion
     hits come from the run's one candidate table, so every scan carries the
-    same ones. extract_candidates ends here at any job count.
+    same ones. A phrase the hint lexicon holds as verified is queued as
+    accepted, so review does not offer it again; every other one is
+    pending (rejected phrases are never candidates). extract_candidates
+    ends here at any job count.
     """
     counts = FilterCounts()
+    verified = lex_hints.verified().table
     occurrences: dict[tuple[str, ...], list[Occurrence]] = {}
     hits_by_phrase: dict[tuple[str, ...], frozenset[str]] = {}
     tokens_read = 0
@@ -281,6 +285,7 @@ def merge_results(
             tuple(occurrences[phrase]),
             suggested_tags=map_candidate_attributes(phrase, lex_hints, posdict, rules),
             criterion_hits=hits_by_phrase[phrase],
+            status=ACCEPTED if phrase in verified else PENDING,
         )
         for phrase in sorted(occurrences)
     ]

@@ -6,10 +6,11 @@ both raise the caller's error class (a KaburlintError subclass) naming the
 path when the file cannot be read or is not valid UTF-8. check_record is
 the JSON type check that every JSON-lines record parser runs first.
 
-A JSON-lines file is split at '\n' only; read_text has already turned
-'\r\n' and '\r' into '\n'. dumps_jsonl writes U+2028, U+2029 and U+0085
-inside strings as they are, so these are never record separators (as
-str.splitlines would make them). Each line is decoded by one shared
+Both readers split a file at '\n' only; read_text has already turned
+'\r\n' and '\r' into '\n'. So '\x0c', '\x1c', U+0085, U+2028 and the
+other separators of str.splitlines never split a line, and a line's
+number counts newlines alone. dumps_jsonl writes U+2028, U+2029 and
+U+0085 inside strings as they are. Each line is decoded by one shared
 JSONDecoder.raw_decode and accepted when the value ends exactly at the end
 of the line. Any other line (blank, with surrounding whitespace, a BOM,
 extra data or invalid JSON) goes through json.loads, so every value and
@@ -38,7 +39,7 @@ def read_lines(
 ) -> Iterator[tuple[str, str]]:
     """Stripped lines of a text file, skipping blanks and '#' comments."""
     name = os.path.basename(path)
-    for lineno, raw in enumerate(read_text(path, what, error).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, what, error).split("\n"), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield f"{name}:{lineno}", line

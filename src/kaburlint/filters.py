@@ -14,8 +14,9 @@ first; only the proper-noun rule reads the position, so the first word's
 reason is looked up again (SurfaceTable.initial) only when it is a proper
 noun there. The table fills on a miss, so each distinct surface is
 decided once. apply_filters reads a window's surface column (Tokens)
-through it and returns a columnar FilterReport, one reason per token and
-the kept positions, that builds tokens only when a caller reads them.
+through it and returns a FilterReport of positions: one reason per token
+and the kept positions. A Token, with no span, is built only for a
+surface the table has not decided yet, for the predicates to read.
 
 Both token-level and type-level elimination counts are reported, since an
 aggregate like "N words eliminated" is ambiguous between the two.
@@ -24,7 +25,6 @@ aggregate like "N words eliminated" is ambiguous between the two.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from itertools import pairwise
 from pathlib import Path
 
@@ -34,7 +34,6 @@ from .textcore import (
     DEFAULT_ABBREVIATIONS,
     NUMBER,
     SYMBOL,
-    Columns,
     Record,
     Token,
     Tokens,
@@ -203,63 +202,23 @@ class SurfaceTable(dict):
         return SurfaceTable, (self.cfg,)
 
 
-class _Kept(Columns):
-    __slots__ = ("_tokens", "_index")
-
-    def __init__(self, tokens: Tokens, index: list[int]) -> None:
-        self._tokens = tokens
-        self._index = index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def _item(self, k: int) -> Token:
-        return self._tokens[self._index[k]]
-
-
-class _Excluded(Columns):
-    __slots__ = ("_report", "_index")
-
-    def __init__(self, report: FilterReport) -> None:
-        self._report = report
-        self._index: list[int] | None = None  # the excluded positions, found on first read
-
-    def __len__(self) -> int:
-        return len(self._report.reasons) - len(self._report.kept_index)
-
-    def _item(self, k: int) -> tuple[Token, str]:
-        reasons = self._report.reasons
-        if self._index is None:
-            self._index = [i for i, r in enumerate(reasons) if r is not None]
-        i = self._index[k]
-        return self._report.tokens[i], reasons[i]
-
-
 class FilterReport:
     """Partition of a window's tokens into kept and excluded-with-reason.
 
-    Kept as columns: reasons[k] is token k's exclusion reason (None:
-    kept) and kept_index the kept positions in order. kept (tokens) and
-    excluded ((token, reason) pairs) are views that build a token only
-    when it is read.
+    reasons[k] is token k's exclusion reason (None: kept), kept the kept
+    positions in order and excluded the excluded ones.
     """
 
-    __slots__ = ("tokens", "reasons", "kept_index")
+    __slots__ = ("tokens", "reasons", "kept")
 
-    def __init__(
-        self, tokens: Tokens, reasons: list[str | None], kept_index: list[int]
-    ) -> None:
+    def __init__(self, tokens: Tokens, reasons: list[str | None], kept: list[int]) -> None:
         self.tokens = tokens
         self.reasons = reasons
-        self.kept_index = kept_index
+        self.kept = kept
 
     @property
-    def kept(self) -> Sequence[Token]:
-        return _Kept(self.tokens, self.kept_index)
-
-    @property
-    def excluded(self) -> Sequence[tuple[Token, str]]:
-        return _Excluded(self)
+    def excluded(self) -> list[int]:
+        return [k for k, reason in enumerate(self.reasons) if reason is not None]
 
 
 def apply_filters(tokens: Tokens, cfg: FilterConfig) -> FilterReport:
@@ -279,8 +238,8 @@ def apply_filters(tokens: Tokens, cfg: FilterConfig) -> FilterReport:
             k += 1
         if k < stop and reasons[k] == PROPER_NOUN:
             reasons[k] = table.initial(surfaces[k])
-    kept_index = [k for k, reason in enumerate(reasons) if reason is None]
-    return FilterReport(tokens, reasons, kept_index)
+    kept = [k for k, reason in enumerate(reasons) if reason is None]
+    return FilterReport(tokens, reasons, kept)
 
 
 class FilterCounts(Record):
@@ -298,7 +257,7 @@ class FilterCounts(Record):
         self.excluded = {r: Counter() for r in REASON_ORDER} if excluded is None else excluded
 
     def add(self, report: FilterReport) -> None:
-        self.kept += len(report.kept_index)
+        self.kept += len(report.kept)
         for word, reason in zip(report.tokens.words, report.reasons):
             if reason is not None:
                 self.excluded[reason][word] += 1

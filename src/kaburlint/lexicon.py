@@ -27,9 +27,9 @@ stop of Aho and Corasick's automaton, without its failure links, which
 only overlapping matches would need). The verified lexicon, extraction's
 candidate table and the dangling-else alternatives each build one index
 per run. match_entries reads a window's word column (Tokens.words) in
-one pass that keeps each match inside its sentence (Tokens.heads),
-returns the hits as columns (Matches) and builds a byte span only when
-one is read.
+one pass that keeps each match inside its sentence (Tokens.heads) and
+returns each hit as its token range and entry; a caller converts the
+range to bytes (Tokens.span) only for the hits it reports.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from pathlib import Path
 
 from .errors import LexiconError, WordlistError
 from .fileio import check_record, dumps_jsonl, read_jsonl, read_lines, write_atomic
-from .textcore import Columns, Record, Span, Tokens
+from .textcore import Record, Tokens
 
 ATTRIBUTES = ("IMP", "CON", "T", "REF", "VAR", "WN")
 
@@ -432,36 +432,17 @@ def longest_matches(
     return hits
 
 
-class Matches(Columns):
-    """A window's lexicon matches as (Span, LexiconEntry) items.
-
-    Kept as hits, the (start, end, entry) token ranges of longest_matches;
-    an item's span is built when it is read.
-    """
-
-    __slots__ = ("tokens", "hits")
-
-    def __init__(self, tokens: Tokens, hits: list[tuple[int, int, LexiconEntry]]) -> None:
-        self.tokens = tokens
-        self.hits = hits
-
-    def __len__(self) -> int:
-        return len(self.hits)
-
-    def _item(self, k: int) -> tuple[Span, LexiconEntry]:
-        start, end, entry = self.hits[k]
-        return self.tokens.span(start, end - 1), entry
-
-
-def match_entries(lexicon: Lexicon, tokens: Tokens) -> Matches:
+def match_entries(lexicon: Lexicon, tokens: Tokens) -> list[tuple[int, int, LexiconEntry]]:
     """Greedy longest-match of verified lexicon phrases over a window's tokens.
 
-    At each position the longest matching phrase wins and its tokens are
-    consumed, so matches never overlap, and none crosses a sentence's
-    end. Matching is on normalized token text against the lexicon's
-    verified index, so candidate and rejected entries never match.
+    Returns (start, end, entry) per hit, the window's token range
+    [start, end) and the entry it matches. At each position the longest
+    matching phrase wins and its tokens are consumed, so matches never
+    overlap, and none crosses a sentence's end. Matching is on normalized
+    token text against the lexicon's verified index, so candidate and
+    rejected entries never match.
     """
-    return Matches(tokens, longest_matches(tokens.words, lexicon.verified(), tokens.heads))
+    return longest_matches(tokens.words, lexicon.verified(), tokens.heads)
 
 
 class PosDictionary:

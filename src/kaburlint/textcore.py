@@ -7,13 +7,12 @@ immutable document; per-document parallel use is safe.
 
 Segmentation and tokenization work in character offsets and return
 columns, not objects. A document's sentences (SentenceList) are their
-character starts and ends; the tokens of a window of consecutive
-sentences (Tokens; one sentence is a window of one) are one flat surface
-column and each sentence's first token index, with offsets and
-case-folded words computed on first use. Both build a Sentence or Token,
-with its byte Span, only when an item is read. Every later stage takes
-a window as Tokens, reads its plain lists and converts to bytes
-(Tokens.span) only for the tokens that give a finding.
+character starts and ends, read a window of consecutive sentences at a
+time (SentenceList.windows; one sentence is a window of one). A window's
+tokens (Tokens) are one flat surface column and each sentence's first
+token index, with offsets and case-folded words computed on first use.
+Every later stage takes a window as Tokens, reads its plain lists and
+converts to bytes (Tokens.span) only for the tokens that give a finding.
 
 Every step is linear in the document. A document's offset map converts
 by identity when the text is ASCII; otherwise it keeps a sparse table of
@@ -26,11 +25,11 @@ per-character rules at '.' and ',' (decimals and abbreviations).
 
 Every value and container class of the package is a Record: a slots
 class whose fields are compared, hashed, shown and pickled as one tuple,
-with no generated code. Span, Sentence and Token are hashable but not
-frozen, so their __init__ assigns plainly, with no check beyond Span's
-0 <= start < end. A token's kind and normalized form are functions of
-its surface, which lets the filters decide each distinct surface once
-(filters.SurfaceTable).
+with no generated code. Span and Token are hashable but not frozen, so
+their __init__ assigns plainly, with no check beyond Span's
+0 <= start < end. A Token is what the filters' predicates read: its
+kind and normalized form are functions of its surface, which lets the
+filters decide each distinct surface once (filters.SurfaceTable).
 
 Normalization is case-folding only. Hyphenated words ("rekod-rekod") are
 kept as single tokens so the reduplication filter can see them whole, and
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from itertools import accumulate
 from operator import attrgetter
 
@@ -246,21 +244,13 @@ class Document(Record):
         return self._offsets
 
 
-class Sentence(Record, hashable=True):
-    """A sentence's span and its 0-based position in the document."""
-
-    __slots__ = ("span", "index")
-    span: Span
-    index: int
-
-
 class Token(Record, hashable=True):
     """One token: its span, text, case-folded text and kind.
 
-    Built from Tokens' columns when one is read. The kind and the
-    normalized form are functions of the surface, so an outcome that does
-    not depend on the token's position can be kept per surface (see
-    filters.SurfaceTable).
+    The filters' predicates take one, built from a surface alone. The kind
+    and the normalized form are functions of the surface, so an outcome
+    that does not depend on the token's position can be kept per surface
+    (see filters.SurfaceTable).
     """
 
     __slots__ = ("span", "surface", "normalized", "kind")
@@ -311,44 +301,11 @@ def _abbreviation_period(
     return candidate in abbrevs
 
 
-class Columns(Sequence):
-    """A sequence kept as columns that builds an item only when it is read.
-
-    It equals a list or tuple of the same items, and pickles as a list.
-    """
-
-    __slots__ = ()
-
-    def _item(self, k: int):
-        raise NotImplementedError
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._item(i) for i in range(len(self))[k]]
-        return self._item(range(len(self))[k])
-
-    def __iter__(self):
-        return map(self._item, range(len(self)))
-
-    def __eq__(self, other):
-        if isinstance(other, (Columns, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-    def __reduce__(self):
-        return list, (list(self),)
-
-
-class SentenceList(Columns):
+class SentenceList:
     """A document's sentences: the character starts and ends of each.
 
-    Indexing builds the Sentence, with its byte span; ranges() gives the
-    character ranges that tokenize takes without one.
+    Sentence k of the list is text[starts[k]:ends[k]]; windows() cuts the
+    list into the windows that tokenize takes.
     """
 
     __slots__ = ("offsets", "starts", "ends")
@@ -360,14 +317,6 @@ class SentenceList(Columns):
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    def _item(self, k: int) -> Sentence:
-        to_byte = self.offsets.char_to_byte
-        return Sentence(Span(to_byte(self.starts[k]), to_byte(self.ends[k])), k)
-
-    def ranges(self):
-        """(start, end) character range per sentence, in order."""
-        return zip(self.starts, self.ends)
 
     def windows(self):
         """Consecutive SentenceLists of SENTENCE_WINDOW sentences (the last may hold fewer)."""
@@ -385,7 +334,7 @@ def token_kind(surface: str) -> str:
     return SYMBOL
 
 
-class Tokens(Columns):
+class Tokens:
     """The tokens of a window of consecutive sentences, as flat columns.
 
     surfaces holds the window's tokens in order, and heads each sentence's
@@ -393,9 +342,8 @@ class Tokens(Columns):
     surfaces[heads[s]:heads[s + 1]]; a single sentence is a window of one.
     chars holds each sentence's first character. Words, the case-folded
     surfaces, are computed on first read, and a sentence's character
-    starts and ends when one of its tokens is first located. Indexing
-    builds the Token, with its byte span; span() and text() give the span
-    and the text of a run of tokens without one.
+    starts and ends when one of its tokens is first located: span() and
+    text() give the byte span and the text of a run of tokens.
     """
 
     __slots__ = ("doc", "surfaces", "heads", "_chars", "_starts", "_ends", "_words")
@@ -455,10 +403,6 @@ class Tokens(Columns):
         """Document text from the start of token first to the end of token last."""
         a, b = self._range(first, last)
         return self.doc.text[a:b]
-
-    def _item(self, k: int) -> Token:
-        surface = self.surfaces[k]
-        return Token(self.span(k, k), surface, surface.casefold(), token_kind(surface))
 
 
 def segment_sentences(
@@ -539,30 +483,23 @@ def _scan(text: str, abbreviations: frozenset[str] | set[str]) -> list[str]:
 
 def tokenize(
     doc: Document,
-    sentence: Sentence | tuple[int, int] | SentenceList,
+    window: SentenceList,
     abbreviations: frozenset[str] | set[str] = DEFAULT_ABBREVIATIONS,
 ) -> Tokens:
-    """Split one sentence, or a window of sentences, into word, number and symbol tokens.
+    """Split a window of sentences into word, number and symbol tokens.
 
     Hyphens join word characters on both sides into a single token
     ("rekod-rekod"); '.' and ',' between digits stay inside number tokens;
     a period stays inside a token when the case-folded result is a listed
     abbreviation ("dll."; entries are case-folded); runs of other
     punctuation become one symbol token. Whitespace never appears inside a
-    token. `sentence` is a Sentence, its character range as
-    SentenceList.ranges() gives it, or a window of consecutive sentences
-    as SentenceList.windows() gives it; each sentence is split on its own,
-    and Tokens.heads keeps where each one starts. The tokens' character
-    offsets are computed only when a caller asks for them.
+    token. window is consecutive sentences, as SentenceList.windows()
+    gives them, and one sentence is a window of one; each sentence is
+    split on its own, and Tokens.heads keeps where each one starts. The
+    tokens' character offsets are computed only when a caller asks for
+    them.
     """
-    if isinstance(sentence, SentenceList):
-        starts, ends = sentence.starts, sentence.ends
-    elif isinstance(sentence, Sentence):
-        offsets = doc.offsets()
-        starts = [offsets.byte_to_char(sentence.span.start)]
-        ends = [offsets.byte_to_char(sentence.span.end)]
-    else:
-        starts, ends = [sentence[0]], [sentence[1]]
+    starts, ends = window.starts, window.ends
     text = doc.text
     surfaces: list[str] = []
     append = surfaces.append
@@ -587,20 +524,6 @@ def tokenize(
                 surfaces += _scan(chunk, abbreviations)
         heads.append(len(surfaces))
     return Tokens(doc, surfaces, heads, starts)
-
-
-def iter_sentence_tokens(
-    doc: Document, abbreviations: frozenset[str] | set[str] = DEFAULT_ABBREVIATIONS
-):
-    """Yield (sentence, tokens) pairs for a whole document.
-
-    This builds every Sentence. lint and extraction do not: they tokenize
-    SentenceList.ranges() and keep a sentence's index only. It serves
-    callers that want the Sentence objects, such as the test oracles.
-    """
-    sentences = segment_sentences(doc, abbreviations)
-    for k, chars in enumerate(sentences.ranges()):
-        yield sentences[k], tokenize(doc, chars, abbreviations)
 
 
 def detect_reduplication(token: Token) -> bool:

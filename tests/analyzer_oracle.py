@@ -1,12 +1,13 @@
 """Reference dangling-else check for differential tests of ``kaburlint.analyzer``.
 
-This is the configurable version of ``check_dangling_else``: each marker is
+This is the configurable version of the dangling-else check: each marker is
 case-folded and split per call, ``_contains_marker`` walks every position
 for every marker, and the earliest conditional wins, ties going to the
 marker listed first. It is kept unchanged as the definition of correct
-output; the fixed-marker check must give the same finding, span and
-matched text on every sentence pair. The marker lists that used to come
-from ``LintConfig`` are keyword arguments with the same defaults.
+output; ``lint_document``'s fixed-marker check must give the same
+finding, span and matched text on every sentence pair. The marker lists
+that used to come from ``LintConfig`` are keyword arguments with the same
+defaults. ``Sentence`` is ``textcore_oracle``'s.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from collections.abc import Sequence
 
 from kaburlint.analyzer import DANGLING_ELSE, SEVERITY_INFO, Finding
 from kaburlint.lexicon import AttributeTag
-from kaburlint.textcore import Sentence, Span, Token
+from kaburlint.textcore import Span, Token
+from textcore_oracle import Sentence
 
 DEFAULT_CONDITIONAL_MARKERS = ("jika", "sekiranya", "apabila")
 DEFAULT_ALTERNATIVE_MARKERS = ("jika tidak", "selainnya", "sebaliknya")

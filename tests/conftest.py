@@ -18,7 +18,17 @@ from kaburlint.lexicon import (
     LexiconEntry,
 )
 from kaburlint.seeds import write_seed_tree
-from kaburlint.textcore import Document, Tokens, tokenize
+from kaburlint.textcore import (
+    DEFAULT_ABBREVIATIONS,
+    Document,
+    SentenceList,
+    Span,
+    Token,
+    Tokens,
+    segment_sentences,
+    token_kind,
+    tokenize,
+)
 
 
 def mk_doc(text: str, doc_id: str = "doc") -> Document:
@@ -26,8 +36,34 @@ def mk_doc(text: str, doc_id: str = "doc") -> Document:
 
 
 def all_tokens(text: str, abbreviations=frozenset({"dll.", "dsb.", "spt."})) -> Tokens:
-    """The tokens of text read as one sentence."""
-    return tokenize(mk_doc(text), (0, len(text)), abbreviations)
+    """The tokens of text read as one sentence: a window of one."""
+    doc = mk_doc(text)
+    return tokenize(doc, SentenceList(doc.offsets(), [0], [len(text)]), abbreviations)
+
+
+def token_at(tokens: Tokens, k: int) -> Token:
+    """Token k of a window, built from its columns."""
+    surface = tokens.surfaces[k]
+    return Token(tokens.span(k, k), surface, tokens.words[k], token_kind(surface))
+
+
+def token_list(tokens: Tokens) -> list[Token]:
+    return [token_at(tokens, k) for k in range(len(tokens))]
+
+
+def sentence_tokens(
+    doc: Document, abbreviations=DEFAULT_ABBREVIATIONS
+) -> list[tuple[Span, Tokens]]:
+    """Each sentence's byte span and its tokens, tokenized as a window of one."""
+    sentences = segment_sentences(doc, abbreviations)
+    to_byte = doc.offsets().char_to_byte
+    return [
+        (
+            Span(to_byte(a), to_byte(b)),
+            tokenize(doc, SentenceList(sentences.offsets, [a], [b]), abbreviations),
+        )
+        for a, b in zip(sentences.starts, sentences.ends)
+    ]
 
 
 @pytest.fixture

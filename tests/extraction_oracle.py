@@ -6,17 +6,24 @@ phrase set per attribute and scans all six for every lookup,
 dictionary again at every probe of every length at every position (the
 seed's ``longest_matches`` loop, copied here, not imported), and
 ``scan_document`` and ``merge_results`` unite the criterion hits of every
-occurrence. It is kept as the definition of correct output; the
-candidate table must give the same candidates, occurrences, criterion
-hits, suggested tags and filter counts on every corpus. One rule changed
-since the seed, here as in the table: a phrase the hint lexicon holds as
-rejected is never a candidate, whichever rule list or POS row names it.
+occurrence. Its text layer is ``textcore_oracle``'s, its filter step
+``lint_oracle``'s, and it tallies its own filter counts, so nothing here
+runs the optimized segmentation, tokenization or filters. It is kept as
+the definition of correct output; the candidate table must give the same
+candidates, occurrences, criterion hits, suggested tags, statuses and
+filter counts on every corpus. Two rules changed since the seed, here as
+in the table: a phrase the hint lexicon holds as rejected is never a
+candidate, whichever rule list or POS row names it, and one it holds as
+verified is queued as accepted.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
+
+import lint_oracle
+import textcore_oracle
 
 from kaburlint.analyzer import (
     ATTRIBUTE_MEMBER,
@@ -26,9 +33,9 @@ from kaburlint.analyzer import (
     VAGUE_POS,
 )
 from kaburlint.errors import WordlistError
-from kaburlint.extraction import CandidateWord, ExtractionResult, Occurrence
+from kaburlint.extraction import ACCEPTED, PENDING, CandidateWord, ExtractionResult, Occurrence
 from kaburlint.fileio import read_lines
-from kaburlint.filters import FilterConfig, FilterCounts, apply_filters
+from kaburlint.filters import FilterConfig, FilterCounts
 from kaburlint.lexicon import (
     ATTRIBUTES,
     POS_TO_CON_SUB,
@@ -40,7 +47,7 @@ from kaburlint.lexicon import (
     PosDictionary,
     normalize_phrase,
 )
-from kaburlint.textcore import Document, Span, iter_sentence_tokens, replace
+from kaburlint.textcore import WORD, Document, Span, replace
 
 
 def longest_matches(
@@ -177,11 +184,18 @@ def scan_document(
     def criteria(phrase: tuple[str, ...]) -> set[str]:
         return _phrase_criteria(phrase, lex_hints, posdict, rules, sense_threshold)
 
-    for _sentence, tokens in iter_sentence_tokens(doc, filter_cfg.abbreviations):
+    ref = textcore_oracle.OracleDocument(doc.id, doc.text)
+    abbreviations = filter_cfg.abbreviations
+    for sentence in textcore_oracle.segment_sentences(ref, abbreviations):
+        tokens = textcore_oracle.tokenize(ref, sentence, abbreviations)
         tokens_read += len(tokens)
-        sentence_report = apply_filters(tokens, filter_cfg)
-        counts.add(sentence_report)
-        kept = sentence_report.kept
+        kept = lint_oracle.kept_tokens(tokens, filter_cfg)
+        counts.kept += len(kept)
+        initial = next((t for t in tokens if t.kind == WORD), None)
+        for token in tokens:
+            reason = lint_oracle.classify_token(token, token is initial, filter_cfg)
+            if reason is not None:
+                counts.excluded[reason][token.normalized] += 1
         words = [t.normalized for t in kept]
         for start, end, hits in longest_matches(words, limit, criteria):
             phrase = tuple(words[start:end])
@@ -218,10 +232,12 @@ def merge_results(
             )
     candidates = []
     for phrase in sorted(occurrences):
+        entry = lex_hints.get(phrase)
         candidate = CandidateWord(
             phrase,
             tuple(occurrences[phrase]),
             criterion_hits=frozenset(hits_by_phrase[phrase]),
+            status=ACCEPTED if entry is not None and entry.status == STATUS_VERIFIED else PENDING,
         )
         tags = map_candidate_attributes(candidate, lex_hints, posdict, rules)
         candidates.append(replace(candidate, suggested_tags=tags))

@@ -26,7 +26,7 @@ from kaburlint.extraction import CandidateWord, ExtractionResult, Occurrence, Re
 from kaburlint.filters import FilterConfig, FilterCounts
 from kaburlint.lexicon import AttributeTag, LexiconEntry
 from kaburlint.stats import AttributeCounts, CorpusStats
-from kaburlint.textcore import Document, Record, Sentence, Span, Token, replace
+from kaburlint.textcore import Document, Record, Span, Token, replace
 
 _SPAN = Span(7, 12)
 _TAG = AttributeTag("CON", "verb")
@@ -60,7 +60,6 @@ CASES = [
         "Document(id='d1.txt', text='Sistem papar.', source_path='sample/d1.txt')",
         "mutable",
     ),
-    (Sentence(Span(0, 13), 0), "Sentence(span=Span(start=0, end=13), index=0)", "hashable"),
     (
         Token(_SPAN, "Papar", "papar", "word"),
         "Token(span=Span(start=7, end=12), surface='Papar', normalized='papar', kind='word')",

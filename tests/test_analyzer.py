@@ -23,7 +23,6 @@ from kaburlint.analyzer import (
     REFERENTIAL_SENTENCE,
     REPORT_FORMATS,
     LintReport,
-    check_dangling_else,
     lint_document,
     render_report,
     report_head,
@@ -41,14 +40,7 @@ from kaburlint.lexicon import (
     record_to_entry,
 )
 from kaburlint.seeds import seed_text, write_seed_tree
-from kaburlint.textcore import (
-    SENTENCE_WINDOW,
-    Document,
-    iter_sentence_tokens,
-    replace,
-    segment_sentences,
-    tokenize,
-)
+from kaburlint.textcore import SENTENCE_WINDOW, Document, replace, segment_sentences
 
 
 def tag(text):
@@ -223,44 +215,39 @@ class TestWordHeuristics:
         assert word_heuristics(posdict, 4) == {}
 
 
-class TestDanglingElse:
-    def run(self, text):
-        doc = mk_doc(text)
-        sentences = segment_sentences(doc)
-        out = []
-        for i, sentence in enumerate(sentences):
-            tokens = tokenize(doc, sentence)
-            next_tokens = (
-                tokenize(doc, sentences[i + 1]) if i + 1 < len(sentences) else None
-            )
-            out.append(
-                check_dangling_else(
-                    sentence.index, tokens, next_tokens=next_tokens, doc_id=doc.id
-                )
-            )
-        return out
+def dangling_else_findings(text: str) -> list:
+    """Each sentence's dangling_else finding from lint_document, or None."""
+    doc = mk_doc(text)
+    found = {
+        f.sentence_index: f
+        for f in lint_document(doc, Lexicon()).findings
+        if f.criterion == DANGLING_ELSE
+    }
+    return [found.get(i) for i in range(len(segment_sentences(doc)))]
 
+
+class TestDanglingElse:
     def test_conditional_without_alternative(self):
-        (finding,) = self.run("Jika kad tidak sah, sistem menolak kad.")
+        (finding,) = dangling_else_findings("Jika kad tidak sah, sistem menolak kad.")
         assert finding is not None
         assert finding.criterion == DANGLING_ELSE
         assert finding.tags == frozenset({tag("CON.dangling_else")})
         assert finding.matched == "Jika"
 
     def test_alternative_in_same_sentence(self):
-        (finding,) = self.run("Jika sah, terima; jika tidak, tolak.")
+        (finding,) = dangling_else_findings("Jika sah, terima; jika tidak, tolak.")
         assert finding is None
 
     def test_no_conditional(self):
-        (finding,) = self.run("Sistem menolak kad.")
+        (finding,) = dangling_else_findings("Sistem menolak kad.")
         assert finding is None
 
     def test_alternative_in_next_sentence(self):
-        findings = self.run("Jika sah, terima. Sebaliknya, tolak.")
+        findings = dangling_else_findings("Jika sah, terima. Sebaliknya, tolak.")
         assert findings == [None, None]
 
     def test_alternative_two_sentences_away_does_not_help(self):
-        findings = self.run("Jika sah, terima. Rekod disimpan. Sebaliknya, tolak.")
+        findings = dangling_else_findings("Jika sah, terima. Rekod disimpan. Sebaliknya, tolak.")
         assert findings[0] is not None
 
 
@@ -277,22 +264,25 @@ DANGLING_ELSE_PIECES = [
 
 
 def assert_dangling_else_matches_oracle(text):
-    """Each sentence's finding equals the configurable seed check's."""
-    doc = mk_doc(text)
-    pairs = list(iter_sentence_tokens(doc))
-    findings = []
-    for i, (sentence, tokens) in enumerate(pairs):
-        next_tokens = pairs[i + 1][1] if i + 1 < len(pairs) else None
-        got = check_dangling_else(
-            sentence.index, tokens, next_tokens=next_tokens, doc_id=doc.id
+    """Each sentence's finding equals the configurable seed check's.
+
+    The oracle runs over textcore_oracle's sentences and tokens, so no
+    part of the comparison shares the optimized text layer.
+    """
+    ref = textcore_oracle.OracleDocument(id="doc", text=text)
+    sentences = textcore_oracle.segment_sentences(ref)
+    token_runs = [textcore_oracle.tokenize(ref, sentence) for sentence in sentences]
+    want = [
+        oracle.check_dangling_else(
+            sentence, tokens,
+            next_tokens=token_runs[i + 1] if i + 1 < len(token_runs) else (), doc_id="doc",
         )
-        want = oracle.check_dangling_else(
-            sentence, tokens, next_tokens=next_tokens or (), doc_id=doc.id
-        )
-        # a Finding compares equal only with the same span and matched text
-        assert got == want, (text, sentence.index)
-        findings.append(got)
-    return findings
+        for i, (sentence, tokens) in enumerate(zip(sentences, token_runs))
+    ]
+    got = dangling_else_findings(text)
+    # a Finding compares equal only with the same span and matched text
+    assert got == want, text
+    return got
 
 
 class TestDanglingElseOracle:

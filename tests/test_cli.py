@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import multiprocessing
 import os
@@ -296,11 +297,40 @@ def test_rejected_phrase_is_not_queued_again(ws, capsys):
     assert ("anggaran",) not in queued and ("segera",) in queued
 
 
-def test_interactive_review_resolves_like_a_batch(ws, capsys, monkeypatch):
-    # give the first candidate tags and criteria that the queue file lists
-    # in neither alphabetical order
+def _queue_records(ws: Path, status: str | None = None) -> list[dict]:
+    """The queue's records; with status, every record is rewritten to it first."""
     lines = (ws / "queue.jsonl").read_text(encoding="utf-8").splitlines()
     records = [json.loads(line) for line in lines]
+    if status is not None:
+        for record in records:
+            record["status"] = status
+        write_jsonl(ws / "queue.jsonl", records)
+    return records
+
+
+def test_extract_queues_verified_phrases_as_accepted(tmp_path, capsys, monkeypatch):
+    # init + extract: every seed phrase found is verified, so review offers none
+    root = tmp_path / "ws"
+    assert run(capsys, "init", root)[0] == 0
+    rc, _, _ = run(capsys, "extract", "--config", conf(root), root / "sample",
+                   "-o", root / "queue.jsonl")
+    assert rc == 0
+    lexicon = load_lexicon(root / "lexicon.jsonl")
+    queue = load_candidates(root / "queue.jsonl")
+    assert queue and all(lexicon.get(c.phrase).status == "verified" for c in queue)
+    assert {c.status for c in queue} == {"accepted"}
+    before = {p.name: p.read_bytes() for p in root.glob("*.jsonl")}
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    rc, out, err = run(capsys, "review", "--config", conf(root), root / "queue.jsonl")
+    assert (rc, err) == (0, "") and "no decisions recorded" in out and "[1/" not in out
+    assert {p.name: p.read_bytes() for p in root.glob("*.jsonl")} == before
+
+
+def test_interactive_review_resolves_like_a_batch(ws, capsys, monkeypatch):
+    # a queue extracted before its phrases were decided lists them as
+    # pending; give the first candidate tags and criteria that the queue
+    # file lists in neither alphabetical order
+    records = _queue_records(ws, "pending")
     records[0]["tags"] = ["IMP", "CON.verb", "T", "WN"]
     records[0]["criteria"] = ["multi_pos", "vague_pos", "attribute_member"]
     write_jsonl(ws / "queue.jsonl", records)
@@ -330,7 +360,9 @@ def test_interactive_review_resolves_like_a_batch(ws, capsys, monkeypatch):
 
 
 def test_interactive_review_asks_again_after_a_refused_answer(ws, capsys, monkeypatch):
-    # every seed phrase in the queue is verified: changing one needs --force
+    # every seed phrase in the queue is verified: changing one needs --force.
+    # A queue extracted before they were decided lists them as pending.
+    _queue_records(ws, "pending")
     phrases = [c.phrase for c in load_candidates(ws / "queue.jsonl")]
     assert phrases[0] == ("anggaran",)
     assert load_lexicon(ws / "lexicon.jsonl").get(("papar",)) is None

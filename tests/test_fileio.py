@@ -1,4 +1,4 @@
-"""The JSON-lines reader against json.loads, line by line."""
+"""The line and JSON-lines readers: lines end at '\\n' alone."""
 
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kaburlint.errors import KaburlintError
-from kaburlint.fileio import read_jsonl
+from kaburlint.errors import KaburlintError, WordlistError
+from kaburlint.fileio import read_jsonl, read_lines
+from kaburlint.lexicon import load_pos_dictionary
 
 DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -90,3 +91,22 @@ def test_reader_yields_json_loads_of_each_line(records_file, lines, final_newlin
     # repr tells 1 from 1.0 and True, keeps key order and matches NaN to NaN
     assert repr(got_values) == repr(want_values)
     assert got_error == want_error
+
+
+@pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\x0b"])
+def test_line_reader_splits_at_newline_alone(tmp_path, separator):
+    # read_text turns '\r\n' and '\r' into '\n'; no other separator splits
+    path = tmp_path / "lines.txt"
+    path.write_text(
+        f"# note{separator}more\r\nsatu{separator}dua\rtiga\n\n  empat  \n", encoding="utf-8"
+    )
+    assert list(read_lines(path, "wordlist", WordlistError)) == [
+        ("lines.txt:2", f"satu{separator}dua"), ("lines.txt:3", "tiga"), ("lines.txt:5", "empat")
+    ]
+    # a comment holding a separator is one line, so a bad row is named by its own line
+    pos = tmp_path / "pos.tsv"
+    pos.write_text(f"papar\tkk\n# note{separator}more\nalam\n", encoding="utf-8")
+    with pytest.raises(WordlistError, match=r"pos\.tsv:3: expected word<TAB>pos"):
+        load_pos_dictionary(pos)
+    pos.write_text(f"papar\tkk\n# note{separator}more\nalam\tkk\n", encoding="utf-8")
+    assert len(load_pos_dictionary(pos)) == 2

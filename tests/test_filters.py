@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import all_tokens, random_sentence_text
+from conftest import all_tokens, random_sentence_text, token_list
 from kaburlint.filters import (
     FilterConfig,
     FilterCounts,
@@ -40,7 +40,7 @@ CFG = FilterConfig(english_words=ENGLISH, malay_words=MALAY, abbreviations=ABBRE
 
 
 def one_word(text: str, surface: str | None = None):
-    words = [t for t in all_tokens(text, ABBREVS) if t.kind == "word"]
+    words = [t for t in token_list(all_tokens(text, ABBREVS)) if t.kind == "word"]
     if surface is not None:
         words = [t for t in words if t.surface == surface]
     (token,) = words
@@ -95,26 +95,31 @@ class TestLoanword:
         assert is_loanword(one_word("data"), ENGLISH, None) is True
 
 
+def excluded(text: str, cfg: FilterConfig = CFG) -> list[tuple[str, str]]:
+    """(surface, reason) of each excluded position of text read as one sentence."""
+    tokens = all_tokens(text, ABBREVS)
+    report = apply_filters(tokens, cfg)
+    return [(tokens.surfaces[k], report.reasons[k]) for k in report.excluded]
+
+
+def kept(text: str, cfg: FilterConfig = CFG) -> list[str]:
+    """The surface of each kept position of text read as one sentence."""
+    tokens = all_tokens(text, ABBREVS)
+    return [tokens.surfaces[k] for k in apply_filters(tokens, cfg).kept]
+
+
 class TestApplyFilters:
     def test_spec_examples(self):
-        report = apply_filters(all_tokens("rekod-rekod"), CFG)
-        assert [(t.surface, r) for t, r in report.excluded] == [
-            ("rekod-rekod", REDUPLICATION)
-        ]
-        report = apply_filters(all_tokens("sistem ."), CFG)
-        assert [r for _, r in report.excluded] == [SYMBOL_REASON]
-        report = apply_filters(all_tokens("pantas"), CFG)
-        assert [t.surface for t in report.kept] == ["pantas"]
+        assert excluded("rekod-rekod") == [("rekod-rekod", REDUPLICATION)]
+        assert [r for _, r in excluded("sistem .")] == [SYMBOL_REASON]
+        assert kept("pantas") == ["pantas"]
 
     def test_precedence_reduplication_before_short_form(self):
         # "x-x" is both a reduplication and vowel-less; first reason wins
-        report = apply_filters(all_tokens("ada x-x sini"), CFG)
-        reasons = dict((t.surface, r) for t, r in report.excluded)
-        assert reasons["x-x"] == REDUPLICATION
+        assert dict(excluded("ada x-x sini"))["x-x"] == REDUPLICATION
 
     def test_number_reason(self):
-        report = apply_filters(all_tokens("tunggu 30 hari"), CFG)
-        assert [(t.surface, r) for t, r in report.excluded] == [("30", NUMBER_REASON)]
+        assert excluded("tunggu 30 hari") == [("30", NUMBER_REASON)]
 
     def test_counts_token_vs_type(self):
         counts = FilterCounts()
@@ -132,20 +137,21 @@ class TestApplyFilters:
         for _ in range(300):
             tokens = all_tokens(random_sentence_text(rng), ABBREVS)
             report = apply_filters(tokens, CFG)
-            assert len(report.kept) + len(report.excluded) == len(tokens)
-            assert [r for _, r in report.excluded] == [r for r in report.reasons if r]
+            assert sorted(report.kept + report.excluded) == list(range(len(tokens)))
+            assert [report.reasons[k] for k in report.excluded] == [r for r in report.reasons if r]
+            assert all(report.reasons[k] is None for k in report.kept)
             # no kept surface ends in '.', so the kept words re-read as themselves
-            kept = [t.surface for t in report.kept]
-            again = apply_filters(all_tokens(" ".join(kept), ABBREVS), CFG)
-            assert again.excluded == []
-            assert [t.surface for t in again.kept] == kept
+            surfaces = [tokens.surfaces[k] for k in report.kept]
+            assert excluded(" ".join(surfaces)) == []
+            assert kept(" ".join(surfaces)) == surfaces
 
     def test_outcome_is_per_token(self):
         rng = random.Random(405)
         for _ in range(100):
             tokens = all_tokens(random_sentence_text(rng), ABBREVS)
-            initial = next((k for k, t in enumerate(tokens) if t.kind == "word"), None)
-            expected = [classify_token(t, k == initial, CFG) for k, t in enumerate(tokens)]
+            listed = token_list(tokens)
+            initial = next((k for k, t in enumerate(listed) if t.kind == "word"), None)
+            expected = [classify_token(t, k == initial, CFG) for k, t in enumerate(listed)]
             assert apply_filters(tokens, CFG).reasons == expected
 
     @pytest.mark.parametrize("cfg", [CFG, FilterConfig(english_words=ENGLISH)])
@@ -172,7 +178,7 @@ class TestApplyFilters:
         no_malay = FilterConfig(english_words=ENGLISH)
         report = apply_filters(all_tokens(text, ABBREVS), no_malay)
         assert report.reasons[-3:] == [None, None, PROPER_NOUN]
-        assert [t.surface for t in report.kept] == ["Zamrud", "simpan"]
+        assert kept(text, no_malay) == ["Zamrud", "simpan"]
 
 
 class TestWordlistLoading:

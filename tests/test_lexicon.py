@@ -328,16 +328,15 @@ class TestMatchEntries:
         lexicon = Lexicon([entry("secepat mungkin", tags=("IMP",))])
         doc = mk_doc("secepat mungkin")
         tokens = all_tokens(doc.text)
-        matches = match_entries(lexicon, tokens)
-        assert len(matches) == 1
-        span, matched = matches[0]
+        ((start, end, matched),) = match_entries(lexicon, tokens)
+        assert (start, end) == (0, 2)
         assert matched.phrase == ("secepat", "mungkin")
-        assert slice_span(doc, span) == "secepat mungkin"
+        assert slice_span(doc, tokens.span(start, end - 1)) == "secepat mungkin"
 
     def test_longest_match_wins(self):
         lexicon = Lexicon([entry("data itu"), entry("data")])
         matches = match_entries(lexicon, all_tokens("guna data itu"))
-        assert [m.phrase for _, m in matches] == [("data", "itu")]
+        assert [m.phrase for _, _, m in matches] == [("data", "itu")]
 
     def test_empty_lexicon(self):
         assert match_entries(Lexicon(), all_tokens("apa sahaja")) == []
@@ -355,10 +354,10 @@ class TestMatchEntries:
         lexicon = Lexicon([entry("segera", status="candidate", tags=("IMP",))])
         assert match_entries(lexicon, tokens) == []
         lexicon.replace(entry("segera", status="verified", tags=("IMP",)))
-        assert [m.phrase for _, m in match_entries(lexicon, tokens)] == [("segera",)]
+        assert [m.phrase for _, _, m in match_entries(lexicon, tokens)] == [("segera",)]
         # a longer verified phrase added later wins over the shorter one
         lexicon.add(entry("dengan segera", tags=("T",)))
-        assert [m.phrase for _, m in match_entries(lexicon, tokens)] == [
+        assert [m.phrase for _, _, m in match_entries(lexicon, tokens)] == [
             ("dengan", "segera")
         ]
         lexicon.replace(entry("dengan segera", status="rejected"))
@@ -387,14 +386,8 @@ class TestMatchEntries:
             words = [rng.choice(vocabulary) for _ in range(rng.randint(0, 12))]
             tokens = all_tokens(" ".join(words))
             got = [
-                (
-                    next(
-                        i for i, t in enumerate(tokens) if t.span.start == span.start
-                    ),
-                    len(m.phrase),
-                    m.phrase,
-                )
-                for span, m in match_entries(lexicon, tokens)
+                (start, end - start, m.phrase)
+                for start, end, m in match_entries(lexicon, tokens)
             ]
             assert got == reference_longest_match(phrases, words)
 

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from kaburlint.textcore import Record, Sentence, Span, replace
+from kaburlint.extraction import ExtractionResult
+from kaburlint.filters import FilterCounts
+from kaburlint.textcore import Record, Span, replace
 from record_cases import CASES, check_caches, check_equality, check_frozen, check_hash, check_pickle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -22,7 +24,7 @@ def test_every_record_class_has_a_case():
         cls for cls in Record.__subclasses__() if cls.__module__.startswith("kaburlint.")
     }
     assert classes == {type(value) for value, _, _ in CASES}
-    assert len(classes) == len(CASES) == 18
+    assert len(classes) == len(CASES) == 17
     assert [kind for _, _, kind in CASES].count("mutable") == 7
 
 
@@ -62,12 +64,15 @@ def test_replace_and_init_refuse_unknown_or_missing_fields():
         replace(span, stop=9)
     with pytest.raises(ValueError):  # rebuilt through __init__, which checks
         replace(span, end=0)
-    # Sentence takes the generic __init__
-    assert Sentence(span, index=3) == Sentence(span, 3)
+    # ExtractionResult takes the generic __init__, with two defaults
+    counts = FilterCounts()
+    assert ExtractionResult([], counts, documents=3) == ExtractionResult([], counts, 0, 3)
     with pytest.raises(TypeError, match="missing"):
-        Sentence(span)
+        ExtractionResult([])
     with pytest.raises(TypeError, match="takes the fields"):
-        Sentence(span, 0, index=0)
+        ExtractionResult([], counts, 0, 1, documents=1)
+    with pytest.raises(TypeError, match="takes the fields"):
+        ExtractionResult([], counts, 0, 1, 2)
 
 
 def test_public_names_load_lazily():

@@ -12,16 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import textcore_oracle as oracle
-from conftest import mk_doc
+from conftest import mk_doc, sentence_tokens, token_at, token_list
 from kaburlint.textcore import (
     DEFAULT_ABBREVIATIONS,
     NUMBER,
     SYMBOL,
     WORD,
     Document,
+    SentenceList,
     Span,
     detect_reduplication,
-    iter_sentence_tokens,
     line_col,
     segment_sentences,
     slice_span,
@@ -31,20 +31,16 @@ from kaburlint.textcore import (
 
 def sentence_texts(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[str]:
     doc = mk_doc(text)
-    return [slice_span(doc, s.span) for s in segment_sentences(doc, abbreviations)]
+    return [slice_span(doc, span) for span, _tokens in sentence_tokens(doc, abbreviations)]
 
 
 def surfaces(text: str) -> list[str]:
-    doc = mk_doc(text)
-    out = []
-    for _s, tokens in iter_sentence_tokens(doc):
-        out.extend(t.surface for t in tokens)
-    return out
+    return [s for _span, tokens in sentence_tokens(mk_doc(text)) for s in tokens.surfaces]
 
 
 class TestSegmentation:
     def test_empty_document(self):
-        assert segment_sentences(mk_doc("")) == []
+        assert len(segment_sentences(mk_doc(""))) == 0
 
     def test_two_sentences(self):
         # hand segmentation: period terminates, next block starts after space
@@ -84,27 +80,23 @@ class TestSegmentation:
 
     def test_sentences_ordered_and_disjoint(self):
         doc = mk_doc("Satu. Dua! Tiga?\nEmpat")
-        sentences = segment_sentences(doc)
-        assert [s.index for s in sentences] == list(range(len(sentences)))
-        for earlier, later in zip(sentences, sentences[1:]):
-            assert earlier.span.end <= later.span.start
+        spans = [span for span, _tokens in sentence_tokens(doc)]
+        assert len(spans) == 4
+        for earlier, later in zip(spans, spans[1:]):
+            assert earlier.end <= later.start
 
 
 class TestTokenization:
     def test_reduplication_stays_whole(self):
-        doc = mk_doc("Papar rekod-rekod pelajar.")
-        (sentence,) = segment_sentences(doc)
-        tokens = tokenize(doc, sentence)
-        assert [t.surface for t in tokens] == ["Papar", "rekod-rekod", "pelajar", "."]
-        assert [t.kind for t in tokens] == [WORD, WORD, WORD, SYMBOL]
+        ((_span, tokens),) = sentence_tokens(mk_doc("Papar rekod-rekod pelajar."))
+        assert tokens.surfaces == ["Papar", "rekod-rekod", "pelajar", "."]
+        assert [t.kind for t in token_list(tokens)] == [WORD, WORD, WORD, SYMBOL]
 
     def test_all_punctuation_is_one_symbol_token(self):
-        doc = mk_doc("!!!")
-        (sentence,) = segment_sentences(doc)
-        tokens = tokenize(doc, sentence)
+        ((_span, tokens),) = sentence_tokens(mk_doc("!!!"))
         assert len(tokens) == 1
-        assert tokens[0].kind == SYMBOL
-        assert tokens[0].surface == "!!!"
+        assert token_at(tokens, 0).kind == SYMBOL
+        assert token_at(tokens, 0).surface == "!!!"
 
     def test_multiword_stays_two_tokens(self):
         assert surfaces("secepat mungkin") == ["secepat", "mungkin"]
@@ -113,11 +105,9 @@ class TestTokenization:
         assert surfaces("buku dll. dalam rak.") == ["buku", "dll.", "dalam", "rak", "."]
 
     def test_number_with_decimal_separator(self):
-        doc = mk_doc("harga 3.5 juta")
-        (sentence,) = segment_sentences(doc)
-        tokens = tokenize(doc, sentence)
-        assert [t.surface for t in tokens] == ["harga", "3.5", "juta"]
-        assert tokens[1].kind == NUMBER
+        ((_span, tokens),) = sentence_tokens(mk_doc("harga 3.5 juta"))
+        assert tokens.surfaces == ["harga", "3.5", "juta"]
+        assert token_at(tokens, 1).kind == NUMBER
 
     def test_normalized_is_casefold(self):
         tokens = [t for t in in_all("PANTAS Amat") if t.kind == WORD]
@@ -130,24 +120,19 @@ class TestTokenization:
     def test_byte_spans_with_multibyte_text(self):
         text = "kafé “ujian” résumé."
         doc = mk_doc(text)
-        (sentence,) = segment_sentences(doc)
-        for token in tokenize(doc, sentence):
+        ((_span, tokens),) = sentence_tokens(doc)
+        for token in token_list(tokens):
             assert slice_span(doc, token.span) == token.surface
 
     def test_line_col(self):
         doc = mk_doc("satu\nkafé dua")
-        sentences = segment_sentences(doc)
-        tokens = tokenize(doc, sentences[1])
+        _span, tokens = sentence_tokens(doc)[1]
         # "dua" sits on line 2 after the 4-char word and a space
-        assert line_col(doc, tokens[1].span.start) == (2, 6)
+        assert line_col(doc, tokens.span(1, 1).start) == (2, 6)
 
 
 def in_all(text):
-    doc = mk_doc(text)
-    out = []
-    for _s, toks in iter_sentence_tokens(doc):
-        out.extend(toks)
-    return out
+    return [t for _span, tokens in sentence_tokens(mk_doc(text)) for t in token_list(tokens)]
 
 
 class TestReduplication:
@@ -197,12 +182,12 @@ class TestProperties:
             runs = []
             for _run in range(2):
                 collected = []
-                for sentence, tokens in iter_sentence_tokens(doc):
-                    previous_end = sentence.span.start
-                    for token in tokens:
+                for sentence, tokens in sentence_tokens(doc):
+                    previous_end = sentence.start
+                    for token in token_list(tokens):
                         # spans ordered, non-overlapping, inside the sentence
-                        assert sentence.span.start <= token.span.start
-                        assert token.span.end <= sentence.span.end
+                        assert sentence.start <= token.span.start
+                        assert token.span.end <= sentence.end
                         assert token.span.start >= previous_end
                         previous_end = token.span.end
                         assert slice_span(doc, token.span) == token.surface
@@ -221,17 +206,17 @@ class TestProperties:
 
     def test_value_semantics(self):
         doc = mk_doc("Kafé, dll. Ya. Tidak.")
-        (first, tokens), (second, _) = iter_sentence_tokens(doc)
-        again = list(iter_sentence_tokens(mk_doc(doc.text)))[0]
-        assert (first, tokens) == again and first != second
+        (first, window), (second, _) = sentence_tokens(doc)
+        tokens = token_list(window)
+        again = in_all(doc.text)  # a second document of the same text
+        assert tokens == again[: len(tokens)] and first != second
         assert Span(1, 3) == Span(1, 3) and Span(1, 3) != Span(1, 4)
         assert Span(1, 3) != (1, 3)
         assert hash(Span(1, 3)) == hash(Span(1, 3))
         assert len({Span(1, 3), Span(1, 3), Span(0, 3)}) == 2
-        assert {first: 1}[again[0]] == 1 and {tokens[0]: 1}[again[1][0]] == 1
+        assert {first: 1}[Span(0, 15)] == 1 and {tokens[0]: 1}[again[0]] == 1
         assert tokens[0] != tokens[1]
         assert repr(Span(1, 3)) == "Span(start=1, end=3)"
-        assert repr(first) == "Sentence(span=Span(start=0, end=15), index=0)"
         assert repr(tokens[0]) == (
             "Token(span=Span(start=0, end=5), surface='Kafé', normalized='kafé', "
             "kind='word')"
@@ -240,13 +225,11 @@ class TestProperties:
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle_round_trip(self, protocol):
         doc = mk_doc("Kafé, dll. 3.5 rekod-rekod.\nYa!")
-        pairs = list(iter_sentence_tokens(doc))
+        pairs = [(span, token_list(tokens)) for span, tokens in sentence_tokens(doc)]
         copied = pickle.loads(pickle.dumps(pairs, protocol))
         assert copied == pairs
         for (sentence, tokens), (sentence_copy, tokens_copy) in zip(pairs, copied):
-            assert (sentence_copy.span.start, sentence_copy.span.end, sentence_copy.index) == (
-                sentence.span.start, sentence.span.end, sentence.index
-            )
+            assert (sentence_copy.start, sentence_copy.end) == (sentence.start, sentence.end)
             assert token_fields(tokens_copy) == token_fields(tokens)
         assert pickle.loads(pickle.dumps(Span(2, 9), protocol)) == Span(2, 9)
 
@@ -285,14 +268,14 @@ def assert_matches_oracle(text: str, abbreviations) -> None:
     """Sentences, tokens and every offset conversion equal the oracle's."""
     doc = Document(id="d", text=text)
     ref = oracle.OracleDocument(id="d", text=text)
-    sentences = segment_sentences(doc, abbreviations)
+    sentences = sentence_tokens(doc, abbreviations)
     expected = oracle.segment_sentences(ref, abbreviations)
     # field by field, so the comparison does not rest on the classes' __eq__
-    assert [(s.span.start, s.span.end, s.index) for s in sentences] == [
+    assert [(span.start, span.end, k) for k, (span, _) in enumerate(sentences)] == [
         (s.span.start, s.span.end, s.index) for s in expected
     ]
-    for sentence in sentences:
-        assert token_fields(tokenize(doc, sentence, abbreviations)) == token_fields(
+    for (_span, tokens), sentence in zip(sentences, expected):
+        assert token_fields(token_list(tokens)) == token_fields(
             oracle.tokenize(ref, sentence, abbreviations)
         )
     table = ref.offsets().char_to_byte
@@ -326,11 +309,13 @@ def assert_columns_match_oracle(text: str, abbreviations) -> None:
     to_byte = ref.offsets().char_to_byte
     sentences = segment_sentences(doc, abbreviations)
     expected = oracle.segment_sentences(ref, abbreviations)
-    assert [(to_byte[a], to_byte[b]) for a, b in sentences.ranges()] == [
+    ranges = list(zip(sentences.starts, sentences.ends))
+    assert [(to_byte[a], to_byte[b]) for a, b in ranges] == [
         (s.span.start, s.span.end) for s in expected
     ]
-    for chars, sentence in zip(sentences.ranges(), expected):
-        tokens = tokenize(doc, chars, abbreviations)
+    for (a, b), sentence in zip(ranges, expected):
+        # one sentence is a window of one
+        tokens = tokenize(doc, SentenceList(sentences.offsets, [a], [b]), abbreviations)
         want = oracle.tokenize(ref, sentence, abbreviations)
         assert tokens.surfaces == [t.surface for t in want]
         assert tokens.words == [t.normalized for t in want]

@@ -6,7 +6,8 @@ character -> byte table with a reverse dict, ``count``/``rfind`` line
 numbers and a character loop tokenizer. They are kept unchanged as the
 definition of correct output; the optimized module must produce the same
 spans, surfaces, kinds and locations on every text. ``OracleDocument``
-is the original ``Document``, so its offset map is this module's table.
+is the original ``Document``, so its offset map is this module's table,
+and ``Sentence`` the original sentence record.
 """
 
 from __future__ import annotations
@@ -19,10 +20,17 @@ from kaburlint.textcore import (
     SYMBOL,
     TERMINATORS,
     WORD,
-    Sentence,
     Span,
     Token,
 )
+
+
+@dataclass(frozen=True)
+class Sentence:
+    """A sentence's byte span and its 0-based position in the document."""
+
+    span: Span
+    index: int
 
 
 class _OffsetMap:
