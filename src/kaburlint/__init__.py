@@ -11,39 +11,6 @@ imports only the modules it runs.
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "AttributeTag",
-    "CandidateWord",
-    "CorpusStats",
-    "Document",
-    "FilterConfig",
-    "FilterReport",
-    "Finding",
-    "KaburlintError",
-    "Lexicon",
-    "LexiconEntry",
-    "LintReport",
-    "PosDictionary",
-    "ReviewDecision",
-    "Span",
-    "Token",
-    "apply_filters",
-    "compute_attribute_stats",
-    "detect_reduplication",
-    "extract_candidates",
-    "lint_document",
-    "load_lexicon",
-    "map_candidate_attributes",
-    "match_entries",
-    "record_decision",
-    "render_table",
-    "save_lexicon",
-    "segment_sentences",
-    "tokenize",
-    "word_heuristics",
-]
-
 # the public names of each module, loaded on first use by __getattr__
 _EXPORTS = {
     "analyzer": "Finding LintReport lint_document word_heuristics",
@@ -52,15 +19,16 @@ _EXPORTS = {
         "CandidateWord ReviewDecision extract_candidates map_candidate_attributes"
         " record_decision"
     ),
-    "filters": "FilterConfig FilterReport apply_filters",
+    "filters": "FilterConfig FilterReport apply_filters detect_reduplication",
     "lexicon": (
         "AttributeTag Lexicon LexiconEntry PosDictionary load_lexicon match_entries"
         " save_lexicon"
     ),
     "stats": "CorpusStats compute_attribute_stats render_table",
-    "textcore": "Document Span Token detect_reduplication segment_sentences tokenize",
+    "textcore": "Document Span segment_sentences tokenize",
 }
 _MODULES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = ["__version__", *sorted(_MODULES)]
 
 
 def __getattr__(name: str):

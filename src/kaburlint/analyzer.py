@@ -86,7 +86,7 @@ _DANGLING_ELSE = frozenset({AttributeTag("CON", "dangling_else")})
 class Finding(Record, hashable=True):
     """One lint hit, spanning the matched text within its sentence.
 
-    A hashable Record like Token that is not frozen, so that __init__
+    A hashable Record like Span that is not frozen, so that __init__
     assigns plainly: one is built per hit.
     """
 

@@ -220,7 +220,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    from .extraction import load_candidates, map_candidate_attributes, save_candidates
+    from .extraction import load_candidates, map_candidate_attributes, queue_status
+    from .extraction import save_candidates
 
     cfg = _load_cfg(args)
     res = load_resources(cfg, require_lexicon=False)
@@ -231,6 +232,7 @@ def cmd_map(args: argparse.Namespace) -> int:
             suggested_tags=map_candidate_attributes(
                 c.phrase, res.lexicon, res.posdict, res.rules
             ),
+            status=queue_status(c.phrase, c.status, res.lexicon),
         )
         for c in candidates
     ]
@@ -497,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="also write the filter summary to this file")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("map", help="recompute suggested tags for a candidate queue")
+    p = sub.add_parser("map", help="recompute suggested tags and statuses for a candidate queue")
     common(p)
     p.add_argument("queue", help="candidate queue file")
     p.add_argument("-o", "--output", help="output file (default: rewrite queue)")

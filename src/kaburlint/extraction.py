@@ -64,6 +64,8 @@ CANDIDATE_STATUSES = (PENDING, ACCEPTED, REJECTED)
 VERDICT_ACCEPT = "accept"
 VERDICT_REJECT = "reject"
 
+_DECIDED = {STATUS_VERIFIED: ACCEPTED, STATUS_REJECTED: REJECTED}
+
 
 class Occurrence(Record, frozen=True):
     """Where a candidate phrase occurs: a document and a byte span in it."""
@@ -249,6 +251,17 @@ def extract_candidates(
     return merge_results(scans, lex_hints, posdict, rules)
 
 
+def queue_status(phrase: tuple[str, ...], status: str, lexicon: Lexicon) -> str:
+    """A queued phrase's status as the lexicon decides it.
+
+    A phrase the lexicon holds as verified is accepted and one it holds as
+    rejected is rejected; any other keeps status (pending from extract).
+    extract and map both set each candidate's status here.
+    """
+    entry = lexicon.get(phrase)
+    return status if entry is None else _DECIDED.get(entry.status, status)
+
+
 def merge_results(
     results: Iterable[ExtractionResult],
     lex_hints: Lexicon,
@@ -261,13 +274,12 @@ def merge_results(
     unique by phrase, with occurrences concatenated in input order, then
     sorted by phrase and mapped onto suggested tags; a phrase's criterion
     hits come from the run's one candidate table, so every scan carries the
-    same ones. A phrase the hint lexicon holds as verified is queued as
-    accepted, so review does not offer it again; every other one is
-    pending (rejected phrases are never candidates). extract_candidates
-    ends here at any job count.
+    same ones. Each is queued with queue_status, so a phrase the hint
+    lexicon holds as verified is accepted and review does not offer it
+    again; every other one is pending (rejected phrases are never
+    candidates). extract_candidates ends here at any job count.
     """
     counts = FilterCounts()
-    verified = lex_hints.verified().table
     occurrences: dict[tuple[str, ...], list[Occurrence]] = {}
     hits_by_phrase: dict[tuple[str, ...], frozenset[str]] = {}
     tokens_read = 0
@@ -285,7 +297,7 @@ def merge_results(
             tuple(occurrences[phrase]),
             suggested_tags=map_candidate_attributes(phrase, lex_hints, posdict, rules),
             criterion_hits=hits_by_phrase[phrase],
-            status=ACCEPTED if phrase in verified else PENDING,
+            status=queue_status(phrase, PENDING, lex_hints),
         )
         for phrase in sorted(occurrences)
     ]

@@ -8,15 +8,16 @@ on its surface, whether it is its sentence's first word and the
 wordlists, so filtering is order-independent and re-filtering the kept
 tokens excludes nothing further.
 
-That is why one table per run (SurfaceTable, kept by the FilterConfig)
-maps each surface to its reason as a word that is not its sentence's
-first; only the proper-noun rule reads the position, so the first word's
-reason is looked up again (SurfaceTable.initial) only when it is a proper
-noun there. The table fills on a miss, so each distinct surface is
-decided once. apply_filters reads a window's surface column (Tokens)
-through it and returns a FilterReport of positions: one reason per token
-and the kept positions. A Token, with no span, is built only for a
-surface the table has not decided yet, for the predicates to read.
+Every rule reads the token's surface string: a surface with no letter is
+a symbol, or a number if it has a digit, and the other rules read the
+surface and its case-folded form. So one table per run (SurfaceTable,
+kept by the FilterConfig) maps each surface to its reason as a word that
+is not its sentence's first; only the proper-noun rule reads the
+position, so the first word's reason is looked up again
+(SurfaceTable.initial) only when it is a proper noun there. The table
+fills on a miss, so each distinct surface is decided once. apply_filters
+reads a window's surface column (Tokens) through it and returns a
+FilterReport of positions: one reason per token and the kept positions.
 
 Both token-level and type-level elimination counts are reported, since an
 aggregate like "N words eliminated" is ambiguous between the two.
@@ -30,16 +31,7 @@ from pathlib import Path
 
 from .errors import WordlistError
 from .fileio import read_lines
-from .textcore import (
-    DEFAULT_ABBREVIATIONS,
-    NUMBER,
-    SYMBOL,
-    Record,
-    Token,
-    Tokens,
-    detect_reduplication,
-    token_kind,
-)
+from .textcore import DEFAULT_ABBREVIATIONS, Record, Tokens
 
 LOANWORD = "loanword"
 SHORT_FORM = "short_form"
@@ -98,20 +90,31 @@ class FilterConfig(Record, frozen=True):
         return table
 
 
-def is_short_form(token: Token, abbrev_list: frozenset[str] | set[str]) -> bool:
-    """Abbreviation-like tokens: listed, vowel-less and short, or dotted."""
-    normalized = token.normalized
+def detect_reduplication(surface: str) -> bool:
+    """True for doubled words joined by exactly one hyphen ("rekod-rekod").
+
+    Both halves must be identical non-empty letter sequences after case
+    folding; partial reduplication ("sayur-mayur") does not count.
+    """
+    normalized = surface.casefold()
+    if normalized.count("-") != 1:
+        return False
+    left, right = normalized.split("-")
+    return bool(left) and left == right and left.isalpha()
+
+
+def is_short_form(surface: str, abbrev_list: frozenset[str] | set[str]) -> bool:
+    """Abbreviation-like surfaces: listed, vowel-less and short, or dotted."""
+    normalized = surface.casefold()
     if normalized in abbrev_list:
         return True
     if len(normalized) <= 4 and not (_VOWELS & set(normalized)):
         return True
-    if token.surface.endswith("."):
-        return True
-    return False
+    return surface.endswith(".")
 
 
 def is_proper_noun(
-    token: Token,
+    surface: str,
     sentence_initial: bool,
     malay_wordlist: frozenset[str] | set[str] | None = None,
 ) -> bool:
@@ -121,51 +124,42 @@ def is_proper_noun(
     only counts when a Malay wordlist is available and does not know the
     word.
     """
-    if not token.surface[0].isupper():
+    if not surface[0].isupper():
         return False
     if not sentence_initial:
         return True
-    return malay_wordlist is not None and token.normalized not in malay_wordlist
+    return malay_wordlist is not None and surface.casefold() not in malay_wordlist
 
 
 def is_loanword(
-    token: Token,
+    surface: str,
     english_list: frozenset[str] | set[str],
     malay_wordlist: frozenset[str] | set[str] | None = None,
 ) -> bool:
     """English-wordlist membership; Malay wordlist membership wins."""
-    normalized = token.normalized
+    normalized = surface.casefold()
     if normalized not in english_list:
         return False
     return malay_wordlist is None or normalized not in malay_wordlist
 
 
-def classify_token(
-    token: Token, sentence_initial: bool, cfg: FilterConfig
-) -> str | None:
-    """Return the exclusion reason for one token, or None to keep it.
+def classify_token(surface: str, sentence_initial: bool, cfg: FilterConfig) -> str | None:
+    """Return the exclusion reason for a token's surface, or None to keep it.
 
-    Kind is tested first, so the reason is symbol or number exactly when
-    the token's kind is SYMBOL or NUMBER.
+    A surface with no letter is a symbol, or a number if it has a digit,
+    whatever its position; the word rules follow in REASON_ORDER.
     """
-    if token.kind == SYMBOL:
-        return SYMBOL_REASON
-    if token.kind == NUMBER:
-        return NUMBER_REASON
-    if detect_reduplication(token):
+    if not any(map(str.isalpha, surface)):
+        return NUMBER_REASON if any(map(str.isdigit, surface)) else SYMBOL_REASON
+    if detect_reduplication(surface):
         return REDUPLICATION
-    if is_short_form(token, cfg.abbreviations):
+    if is_short_form(surface, cfg.abbreviations):
         return SHORT_FORM
-    if is_proper_noun(token, sentence_initial, cfg.malay_words):
+    if is_proper_noun(surface, sentence_initial, cfg.malay_words):
         return PROPER_NOUN
-    if is_loanword(token, cfg.english_words, cfg.malay_words):
+    if is_loanword(surface, cfg.english_words, cfg.malay_words):
         return LOANWORD
     return None
-
-
-def _surface_token(surface: str) -> Token:
-    # the filters read a token's surface, normalized form and kind only
-    return Token(None, surface, surface.casefold(), token_kind(surface))
 
 
 class SurfaceTable(dict):
@@ -176,8 +170,7 @@ class SurfaceTable(dict):
     fires on a subset of the words it fires on elsewhere, so initial() is
     asked only for a first word whose reason here is PROPER_NOUN. Both
     fill on a miss, so a surface seen before costs one dict lookup and a
-    new one costs what deciding it once costs. A pickled table arrives
-    empty.
+    new one costs what deciding it once costs.
     """
 
     __slots__ = ("cfg", "_initial")
@@ -188,18 +181,15 @@ class SurfaceTable(dict):
         self._initial: dict[str, str | None] = {}
 
     def __missing__(self, surface: str) -> str | None:
-        reason = self[surface] = classify_token(_surface_token(surface), False, self.cfg)
+        reason = self[surface] = classify_token(surface, False, self.cfg)
         return reason
 
     def initial(self, surface: str) -> str | None:
         """The reason of surface as its sentence's first word."""
         memo = self._initial
         if surface not in memo:
-            memo[surface] = classify_token(_surface_token(surface), True, self.cfg)
+            memo[surface] = classify_token(surface, True, self.cfg)
         return memo[surface]
-
-    def __reduce__(self):
-        return SurfaceTable, (self.cfg,)
 
 
 class FilterReport:
@@ -226,9 +216,9 @@ def apply_filters(tokens: Tokens, cfg: FilterConfig) -> FilterReport:
 
     Every reason is read from cfg's surface table by one map over the
     tokens' surface column. A token's reason is symbol or number exactly
-    when its kind is, so each sentence's first word, the only token whose
-    reason may depend on its position, is the first token from the
-    sentence's head (Tokens.heads) with any other reason.
+    when its surface has no letter, so each sentence's first word, the
+    only token whose reason may depend on its position, is the first token
+    from the sentence's head (Tokens.heads) with any other reason.
     """
     table = cfg.surface_table()
     surfaces = tokens.surfaces

@@ -14,22 +14,20 @@ token index, with offsets and case-folded words computed on first use.
 Every later stage takes a window as Tokens, reads its plain lists and
 converts to bytes (Tokens.span) only for the tokens that give a finding.
 
-Every step is linear in the document. A document's offset map converts
-by identity when the text is ASCII; otherwise it keeps a sparse table of
-the non-ASCII characters only and converts with ``bisect``. ``line_col``
-bisects a line-start table that the map builds on first use. The
-tokenizer splits a sentence at whitespace, which no token spans: an alnum
-chunk is one word and a word with a final '.' or ',' is decided by one
-abbreviation lookup; other chunks go through the token pattern and the
-per-character rules at '.' and ',' (decimals and abbreviations).
+Every step is linear in the document. A document builds its offset map
+at its first byte conversion; the map converts by identity when the text
+is ASCII, and otherwise keeps a sparse table of the non-ASCII characters
+only and converts with ``bisect``. ``line_col`` bisects a line-start
+table that the map builds on first use. The tokenizer splits a sentence
+at whitespace, which no token spans: an alnum chunk is one word and a
+word with a final '.' or ',' is decided by one abbreviation lookup; other
+chunks go through the token pattern and the per-character rules at '.'
+and ',' (decimals and abbreviations).
 
 Every value and container class of the package is a Record: a slots
 class whose fields are compared, hashed, shown and pickled as one tuple,
-with no generated code. Span and Token are hashable but not frozen, so
-their __init__ assigns plainly, with no check beyond Span's
-0 <= start < end. A Token is what the filters' predicates read: its
-kind and normalized form are functions of its surface, which lets the
-filters decide each distinct surface once (filters.SurfaceTable).
+with no generated code. Span is hashable but not frozen, so its __init__
+assigns plainly, with no check beyond 0 <= start < end.
 
 Normalization is case-folding only. Hyphenated words ("rekod-rekod") are
 kept as single tokens so the reduplication filter can see them whole, and
@@ -42,10 +40,6 @@ import re
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import attrgetter
-
-WORD = "word"
-SYMBOL = "symbol"
-NUMBER = "number"
 
 TERMINATORS = frozenset(".?!")
 
@@ -244,24 +238,6 @@ class Document(Record):
         return self._offsets
 
 
-class Token(Record, hashable=True):
-    """One token: its span, text, case-folded text and kind.
-
-    The filters' predicates take one, built from a surface alone. The kind
-    and the normalized form are functions of the surface, so an outcome
-    that does not depend on the token's position can be kept per surface
-    (see filters.SurfaceTable).
-    """
-
-    __slots__ = ("span", "surface", "normalized", "kind")
-
-    def __init__(self, span: Span, surface: str, normalized: str, kind: str) -> None:
-        self.span = span
-        self.surface = surface
-        self.normalized = normalized
-        self.kind = kind  # WORD, SYMBOL or NUMBER
-
-
 def slice_span(doc: Document, span: Span) -> str:
     """Return the document substring covered by a byte span."""
     offsets = doc.offsets()
@@ -308,10 +284,9 @@ class SentenceList:
     list into the windows that tokenize takes.
     """
 
-    __slots__ = ("offsets", "starts", "ends")
+    __slots__ = ("starts", "ends")
 
-    def __init__(self, offsets: _OffsetMap, starts: list[int], ends: list[int]) -> None:
-        self.offsets = offsets
+    def __init__(self, starts: list[int], ends: list[int]) -> None:
         self.starts = starts
         self.ends = ends
 
@@ -322,16 +297,7 @@ class SentenceList:
         """Consecutive SentenceLists of SENTENCE_WINDOW sentences (the last may hold fewer)."""
         starts, ends, size = self.starts, self.ends, SENTENCE_WINDOW
         for k in range(0, len(starts), size):
-            yield SentenceList(self.offsets, starts[k : k + size], ends[k : k + size])
-
-
-def token_kind(surface: str) -> str:
-    """WORD with a letter, else NUMBER with a digit, else SYMBOL."""
-    if surface[0].isalpha() or any(map(str.isalpha, surface)):
-        return WORD
-    if any(map(str.isdigit, surface)):
-        return NUMBER
-    return SYMBOL
+            yield SentenceList(starts[k : k + size], ends[k : k + size])
 
 
 class Tokens:
@@ -457,7 +423,7 @@ def segment_sentences(
         start = first.start()
     if start is not None:
         emit(start, len(text))
-    return SentenceList(doc.offsets(), starts, ends)
+    return SentenceList(starts, ends)
 
 
 def _scan(text: str, abbreviations: frozenset[str] | set[str]) -> list[str]:
@@ -525,17 +491,3 @@ def tokenize(
         heads.append(len(surfaces))
     return Tokens(doc, surfaces, heads, starts)
 
-
-def detect_reduplication(token: Token) -> bool:
-    """True for doubled words joined by exactly one hyphen ("rekod-rekod").
-
-    Both halves must be identical non-empty letter sequences after case
-    folding; partial reduplication ("sayur-mayur") does not count.
-    """
-    if token.kind != WORD:
-        return False
-    normalized = token.normalized
-    if normalized.count("-") != 1:
-        return False
-    left, right = normalized.split("-")
-    return bool(left) and left == right and left.isalpha()

@@ -7,7 +7,7 @@ marker listed first. It is kept unchanged as the definition of correct
 output; ``lint_document``'s fixed-marker check must give the same
 finding, span and matched text on every sentence pair. The marker lists
 that used to come from ``LintConfig`` are keyword arguments with the same
-defaults. ``Sentence`` is ``textcore_oracle``'s.
+defaults. ``Sentence`` and ``Token`` are ``textcore_oracle``'s.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from collections.abc import Sequence
 
 from kaburlint.analyzer import DANGLING_ELSE, SEVERITY_INFO, Finding
 from kaburlint.lexicon import AttributeTag
-from kaburlint.textcore import Span, Token
-from textcore_oracle import Sentence
+from kaburlint.textcore import Span
+from textcore_oracle import Sentence, Token
 
 DEFAULT_CONDITIONAL_MARKERS = ("jika", "sekiranya", "apabila")
 DEFAULT_ALTERNATIVE_MARKERS = ("jika tidak", "selainnya", "sebaliknya")

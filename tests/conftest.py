@@ -23,12 +23,11 @@ from kaburlint.textcore import (
     Document,
     SentenceList,
     Span,
-    Token,
     Tokens,
     segment_sentences,
-    token_kind,
     tokenize,
 )
+from textcore_oracle import Token, token_kind
 
 
 def mk_doc(text: str, doc_id: str = "doc") -> Document:
@@ -38,11 +37,11 @@ def mk_doc(text: str, doc_id: str = "doc") -> Document:
 def all_tokens(text: str, abbreviations=frozenset({"dll.", "dsb.", "spt."})) -> Tokens:
     """The tokens of text read as one sentence: a window of one."""
     doc = mk_doc(text)
-    return tokenize(doc, SentenceList(doc.offsets(), [0], [len(text)]), abbreviations)
+    return tokenize(doc, SentenceList([0], [len(text)]), abbreviations)
 
 
 def token_at(tokens: Tokens, k: int) -> Token:
-    """Token k of a window, built from its columns."""
+    """Token k of a window as the text oracle's record, built from its columns."""
     surface = tokens.surfaces[k]
     return Token(tokens.span(k, k), surface, tokens.words[k], token_kind(surface))
 
@@ -60,7 +59,7 @@ def sentence_tokens(
     return [
         (
             Span(to_byte(a), to_byte(b)),
-            tokenize(doc, SentenceList(sentences.offsets, [a], [b]), abbreviations),
+            tokenize(doc, SentenceList([a], [b]), abbreviations),
         )
         for a, b in zip(sentences.starts, sentences.ends)
     ]

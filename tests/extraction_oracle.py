@@ -47,7 +47,7 @@ from kaburlint.lexicon import (
     PosDictionary,
     normalize_phrase,
 )
-from kaburlint.textcore import WORD, Document, Span, replace
+from kaburlint.textcore import Document, Span, replace
 
 
 def longest_matches(
@@ -191,7 +191,7 @@ def scan_document(
         tokens_read += len(tokens)
         kept = lint_oracle.kept_tokens(tokens, filter_cfg)
         counts.kept += len(kept)
-        initial = next((t for t in tokens if t.kind == WORD), None)
+        initial = next((t for t in tokens if t.kind == textcore_oracle.WORD), None)
         for token in tokens:
             reason = lint_oracle.classify_token(token, token is initial, filter_cfg)
             if reason is not None:

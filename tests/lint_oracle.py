@@ -5,8 +5,9 @@ per-word facts were memoized: every kept token is classified by the filter
 predicates again, every heuristic asks the POS dictionary again and builds
 its finding from scratch, and lexicon matching filters entries by status
 in a closure at every probe of ``longest_matches``, the seed's loop that
-tries every run length at every position (copied here, not imported).
-The text layer is ``textcore_oracle``'s and the dangling-else check is
+tries every run length at every position. The loop and the seed's filter
+predicates over token records are copied here, not imported. The text
+layer is ``textcore_oracle``'s and the dangling-else check is
 ``analyzer_oracle``'s, so nothing here shares the optimized code paths. It is kept unchanged as the definition of
 correct output; the optimized lint must give the same findings, spans,
 matched text, tags and criteria on every document.
@@ -37,9 +38,6 @@ from kaburlint.filters import (
     SHORT_FORM,
     SYMBOL_REASON,
     FilterConfig,
-    is_loanword,
-    is_proper_noun,
-    is_short_form,
 )
 from kaburlint.lexicon import (
     POS_TO_CON_SUB,
@@ -49,9 +47,11 @@ from kaburlint.lexicon import (
     LexiconEntry,
     PosDictionary,
 )
-from kaburlint.textcore import NUMBER, SYMBOL, WORD, Span, Token, detect_reduplication
+from kaburlint.textcore import Span
+from textcore_oracle import NUMBER, SYMBOL, WORD, Token
 
 _CLITIC_STOPLIST = frozenset({"hanya", "tanya", "punya"})
+_VOWELS = frozenset("aeiou")
 
 
 def longest_matches(
@@ -76,6 +76,63 @@ def longest_matches(
         else:
             i += 1
     return hits
+
+
+def detect_reduplication(token: Token) -> bool:
+    """True for doubled words joined by exactly one hyphen ("rekod-rekod").
+
+    Both halves must be identical non-empty letter sequences after case
+    folding; partial reduplication ("sayur-mayur") does not count.
+    """
+    if token.kind != WORD:
+        return False
+    normalized = token.normalized
+    if normalized.count("-") != 1:
+        return False
+    left, right = normalized.split("-")
+    return bool(left) and left == right and left.isalpha()
+
+
+def is_short_form(token: Token, abbrev_list: frozenset[str] | set[str]) -> bool:
+    """Abbreviation-like tokens: listed, vowel-less and short, or dotted."""
+    normalized = token.normalized
+    if normalized in abbrev_list:
+        return True
+    if len(normalized) <= 4 and not (_VOWELS & set(normalized)):
+        return True
+    if token.surface.endswith("."):
+        return True
+    return False
+
+
+def is_proper_noun(
+    token: Token,
+    sentence_initial: bool,
+    malay_wordlist: frozenset[str] | set[str] | None = None,
+) -> bool:
+    """Capitalization heuristic for proper nouns (kata nama khas).
+
+    A capitalized word mid-sentence is a proper noun; sentence-initially it
+    only counts when a Malay wordlist is available and does not know the
+    word.
+    """
+    if not token.surface[0].isupper():
+        return False
+    if not sentence_initial:
+        return True
+    return malay_wordlist is not None and token.normalized not in malay_wordlist
+
+
+def is_loanword(
+    token: Token,
+    english_list: frozenset[str] | set[str],
+    malay_wordlist: frozenset[str] | set[str] | None = None,
+) -> bool:
+    """English-wordlist membership; Malay wordlist membership wins."""
+    normalized = token.normalized
+    if normalized not in english_list:
+        return False
+    return malay_wordlist is None or normalized not in malay_wordlist
 
 
 def classify_token(token: Token, sentence_initial: bool, cfg: FilterConfig) -> str | None:

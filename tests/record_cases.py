@@ -26,7 +26,7 @@ from kaburlint.extraction import CandidateWord, ExtractionResult, Occurrence, Re
 from kaburlint.filters import FilterConfig, FilterCounts
 from kaburlint.lexicon import AttributeTag, LexiconEntry
 from kaburlint.stats import AttributeCounts, CorpusStats
-from kaburlint.textcore import Document, Record, Span, Token, replace
+from kaburlint.textcore import Document, Record, Span, replace
 
 _SPAN = Span(7, 12)
 _TAG = AttributeTag("CON", "verb")
@@ -59,11 +59,6 @@ CASES = [
         Document("d1.txt", "Sistem papar.", "sample/d1.txt"),
         "Document(id='d1.txt', text='Sistem papar.', source_path='sample/d1.txt')",
         "mutable",
-    ),
-    (
-        Token(_SPAN, "Papar", "papar", "word"),
-        "Token(span=Span(start=7, end=12), surface='Papar', normalized='papar', kind='word')",
-        "hashable",
     ),
     (_TAG, _TAG_REPR, "frozen"),
     (

@@ -326,6 +326,28 @@ def test_extract_queues_verified_phrases_as_accepted(tmp_path, capsys, monkeypat
     assert {p.name: p.read_bytes() for p in root.glob("*.jsonl")} == before
 
 
+def test_map_sets_each_status_from_the_lexicon(ws, capsys, monkeypatch):
+    # segera is rejected after the queue was written, and the queue lists
+    # every phrase as pending, as one written before they were verified
+    argv, _ = _decisions(ws, {"phrase": ["segera"], "verdict": "reject", "force": True})
+    assert run(capsys, *argv)[0] == 0
+    _queue_records(ws, "pending")
+    queue = ws / "queue.jsonl"
+    assert run(capsys, "map", "--config", conf(ws), queue)[0] == 0
+    lexicon = load_lexicon(ws / "lexicon.jsonl")
+    outcome = {"verified": "accepted", "rejected": "rejected"}
+    statuses = {c.phrase: c.status for c in load_candidates(queue)}
+    assert statuses[("segera",)] == "rejected" and statuses[("anggaran",)] == "accepted"
+    for phrase, status in statuses.items():
+        entry = lexicon.get(phrase)
+        assert status == (outcome[entry.status] if entry else "pending"), phrase
+    # interactive review offers only papar, the one phrase the lexicon has not decided
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    rc, out, _ = run(capsys, "review", "--config", conf(ws), queue)
+    offered = [line.split("] ", 1)[1] for line in out.splitlines() if line.startswith("[")]
+    assert rc == 0 and offered == ["papar"]
+
+
 def test_interactive_review_resolves_like_a_batch(ws, capsys, monkeypatch):
     # a queue extracted before its phrases were decided lists them as
     # pending; give the first candidate tags and criteria that the queue

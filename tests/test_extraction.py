@@ -26,6 +26,7 @@ from kaburlint.extraction import (
     load_rule_lists,
     map_candidate_attributes,
     merge_results,
+    queue_status,
     record_decision,
     replay_audit,
     save_candidates,
@@ -235,6 +236,20 @@ class TestMapping:
             first = map_candidate_attributes(phrase, Lexicon(), seed_posdict(), rules)
             second = map_candidate_attributes(phrase, Lexicon(), seed_posdict(), rules)
             assert first == second
+
+    @pytest.mark.parametrize(
+        "held, status, expected",
+        [
+            ("verified", "pending", "accepted"),
+            ("verified", "rejected", "accepted"),
+            ("rejected", "accepted", "rejected"),
+            ("candidate", "accepted", "accepted"),
+            (None, "pending", "pending"),
+        ],
+    )
+    def test_queue_status_is_the_lexicon_outcome(self, held, status, expected):
+        lexicon = Lexicon([entry("segera", status=held)] if held else [])
+        assert queue_status(("segera",), status, lexicon) == expected
 
 
 class TestRecordDecision:

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import lint_oracle
+import textcore_oracle
 from conftest import all_tokens, random_sentence_text, token_list
 from kaburlint.filters import (
     FilterConfig,
@@ -17,13 +19,11 @@ from kaburlint.filters import (
     SHORT_FORM,
     SYMBOL_REASON,
     apply_filters,
-    classify_token,
     is_loanword,
     is_proper_noun,
     is_short_form,
     load_wordlist,
 )
-from kaburlint.textcore import NUMBER, SYMBOL, token_kind
 
 MALAY = frozenset(
     w.casefold()
@@ -39,12 +39,16 @@ ABBREVS = frozenset({"dll.", "dsb.", "spt.", "tel."})
 CFG = FilterConfig(english_words=ENGLISH, malay_words=MALAY, abbreviations=ABBREVS)
 
 
-def one_word(text: str, surface: str | None = None):
-    words = [t for t in token_list(all_tokens(text, ABBREVS)) if t.kind == "word"]
+def one_word(text: str, surface: str | None = None) -> str:
+    """The one word surface of text (or the one equal to surface), as tokenized."""
+    words = [
+        s for s in all_tokens(text, ABBREVS).surfaces
+        if textcore_oracle.token_kind(s) == textcore_oracle.WORD
+    ]
     if surface is not None:
-        words = [t for t in words if t.surface == surface]
-    (token,) = words
-    return token
+        words = [s for s in words if s == surface]
+    (word,) = words
+    return word
 
 
 class TestShortForm:
@@ -59,9 +63,7 @@ class TestShortForm:
 
     def test_trailing_dot(self):
         # "tel." is in the abbreviation list so the tokenizer keeps the dot
-        token = one_word("hubungi tel. kami", "tel.")
-        assert token.surface == "tel."
-        assert is_short_form(token, frozenset()) is True
+        assert is_short_form(one_word("hubungi tel. kami", "tel."), frozenset()) is True
 
 
 class TestProperNoun:
@@ -150,8 +152,8 @@ class TestApplyFilters:
         for _ in range(100):
             tokens = all_tokens(random_sentence_text(rng), ABBREVS)
             listed = token_list(tokens)
-            initial = next((k for k, t in enumerate(listed) if t.kind == "word"), None)
-            expected = [classify_token(t, k == initial, CFG) for k, t in enumerate(listed)]
+            initial = next((t for t in listed if t.kind == textcore_oracle.WORD), None)
+            expected = [lint_oracle.classify_token(t, t is initial, CFG) for t in listed]
             assert apply_filters(tokens, CFG).reasons == expected
 
     @pytest.mark.parametrize("cfg", [CFG, FilterConfig(english_words=ENGLISH)])
@@ -164,10 +166,10 @@ class TestApplyFilters:
             surfaces.update(all_tokens(random_sentence_text(rng), ABBREVS).surfaces)
         table = cfg.surface_table()
         for surface in sorted(surfaces):
-            kind = token_kind(surface)
+            kind = textcore_oracle.token_kind(surface)
             for reason in (table[surface], table.initial(surface)):
-                assert (reason == SYMBOL_REASON) == (kind == SYMBOL), surface
-                assert (reason == NUMBER_REASON) == (kind == NUMBER), surface
+                assert (reason == SYMBOL_REASON) == (kind == textcore_oracle.SYMBOL), surface
+                assert (reason == NUMBER_REASON) == (kind == textcore_oracle.NUMBER), surface
 
     @pytest.mark.parametrize("lead", ["«", "3", "« 3 ,"])
     def test_first_word_after_leading_symbols_and_numbers(self, lead):

@@ -6,7 +6,8 @@ directory. The stdout of `init` and of `review` names the target directory
 and is not compared. `review` applies the committed batch file
 `golden/input.decisions.jsonl` (fixed reviewers and timestamps, forced
 decisions over the verified seed lexicon) and `map` then remaps the
-reviewed queue against the reviewed lexicon.
+reviewed queue against the reviewed lexicon. Mapped against that lexicon,
+the queue `extract` wrote before the review gives the same bytes.
 
 After an intended output change, rewrite the goldens with
 
@@ -78,6 +79,17 @@ def test_seed_tree_outputs_match_goldens(tmp_path):
     outputs = run_commands(tmp_path / "ws")
     differ = [n for n, data in outputs.items() if data != (GOLDEN_DIR / n).read_bytes()]
     assert differ == []
+
+
+def test_map_of_the_queue_before_review_matches_the_mapped_golden(tmp_path):
+    # map sets each status from the reviewed lexicon, not from the stale queue
+    root = tmp_path / "ws"
+    run_commands(root)
+    stale = root / "stale.jsonl"
+    stale.write_bytes((GOLDEN_DIR / "extract.queue.jsonl").read_bytes())
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["map", "--config", str(root / CONF), str(stale)]) == 0
+    assert stale.read_bytes() == (GOLDEN_DIR / "map.queue.jsonl").read_bytes()
 
 
 def _rewrite_goldens() -> None:

@@ -24,7 +24,7 @@ def test_every_record_class_has_a_case():
         cls for cls in Record.__subclasses__() if cls.__module__.startswith("kaburlint.")
     }
     assert classes == {type(value) for value, _, _ in CASES}
-    assert len(classes) == len(CASES) == 17
+    assert len(classes) == len(CASES) == 16
     assert [kind for _, _, kind in CASES].count("mutable") == 7
 
 

@@ -7,22 +7,19 @@ numbers and a character loop tokenizer. They are kept unchanged as the
 definition of correct output; the optimized module must produce the same
 spans, surfaces, kinds and locations on every text. ``OracleDocument``
 is the original ``Document``, so its offset map is this module's table,
-and ``Sentence`` the original sentence record.
+and ``Sentence`` and ``Token`` the original sentence and token records:
+a token's kind (``token_kind``) is a function of its surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from kaburlint.textcore import (
-    DEFAULT_ABBREVIATIONS,
-    NUMBER,
-    SYMBOL,
-    TERMINATORS,
-    WORD,
-    Span,
-    Token,
-)
+from kaburlint.textcore import DEFAULT_ABBREVIATIONS, TERMINATORS, Span
+
+WORD = "word"
+SYMBOL = "symbol"
+NUMBER = "number"
 
 
 @dataclass(frozen=True)
@@ -31,6 +28,25 @@ class Sentence:
 
     span: Span
     index: int
+
+
+@dataclass(frozen=True)
+class Token:
+    """One token: its span, text, case-folded text and kind."""
+
+    span: Span
+    surface: str
+    normalized: str
+    kind: str  # WORD, SYMBOL or NUMBER
+
+
+def token_kind(surface: str) -> str:
+    """WORD with a letter, else NUMBER with a digit, else SYMBOL."""
+    if any(c.isalpha() for c in surface):
+        return WORD
+    if any(c.isdigit() for c in surface):
+        return NUMBER
+    return SYMBOL
 
 
 class _OffsetMap:
@@ -214,13 +230,7 @@ def tokenize(
             while j < b and not text[j].isspace() and not _is_word_char(text[j]):
                 j += 1
         surface = text[i:j]
-        if any(c.isalpha() for c in surface):
-            kind = WORD
-        elif any(c.isdigit() for c in surface):
-            kind = NUMBER
-        else:
-            kind = SYMBOL
         span = Span(offsets.char_to_byte[i], offsets.char_to_byte[j])
-        tokens.append(Token(span, surface, surface.casefold(), kind))
+        tokens.append(Token(span, surface, surface.casefold(), token_kind(surface)))
         i = j
     return tokens
