@@ -337,14 +337,16 @@ def _prompt_decision(candidate: CandidateWord, position: int, total: int) -> str
 def _interactive_decisions(queue: list[CandidateWord], lexicon: Lexicon, resolve: Callable):
     """The prompt's answers, each resolved as a batch decision is.
 
-    An answer record_decision would refuse (a decided phrase, without
-    --force) is reported and asked again, like a bad tag, so it never
-    throws the session's other decisions away.
+    Only phrases still pending are offered: each status is the lexicon's
+    (queue_status), so a queue written before its phrases were decided
+    offers none of them. An answer record_decision would refuse (such as
+    an accept with no tag) is reported and asked again, like a bad tag, so
+    it never throws the session's other decisions away.
     """
     from .extraction import PENDING, VERDICT_ACCEPT, VERDICT_REJECT, ReviewDecision
-    from .extraction import record_decision
+    from .extraction import queue_status, record_decision
 
-    pending = [c for c in queue if c.status == PENDING]
+    pending = [c for c in queue if queue_status(c.phrase, c.status, lexicon) == PENDING]
     for position, candidate in enumerate(pending, start=1):
         while True:
             try:

@@ -18,7 +18,11 @@ Every step is linear in the document. A document builds its offset map
 at its first byte conversion; the map converts by identity when the text
 is ASCII, and otherwise keeps a sparse table of the non-ASCII characters
 only and converts with ``bisect``. ``line_col`` bisects a line-start
-table that the map builds on first use. The tokenizer splits a sentence
+table that the map builds on first use. Segmentation never crosses a
+newline, so it decides each line with str methods: a line whose only
+terminators are its trailing run, or periods that the decimal and
+abbreviation rules keep, is one sentence, and only the other lines are
+scanned break by break. The tokenizer splits a sentence
 at whitespace, which no token spans: an alnum chunk is one word and a
 word with a final '.' or ',' is decided by one abbreviation lookup; other
 chunks go through the token pattern and the per-character rules at '.'
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import attrgetter
 
 TERMINATORS = frozenset(".?!")
@@ -59,6 +63,9 @@ _NON_SPACE = re.compile(r"\S")
 # a newline or one of TERMINATORS, and a run of TERMINATORS
 _BREAK = re.compile(r"[\n.?!]")
 _TERMINATOR_RUN = re.compile(r"[.?!]+")
+# segment_sentences splits the text into lines one block of at least this
+# many characters at a time, so it never holds a copy of a whole long text
+_LINE_BLOCK = 1 << 14
 # Re's \w is str.isalnum() plus "_" and its \s is str.isspace(), so a token
 # starts at the first match: a word run (alnum characters, single hyphens
 # between them) or a symbol run (neither alnum nor space). A match is a word
@@ -257,24 +264,37 @@ def line_col(doc: Document, byte_offset: int) -> tuple[int, int]:
     return offsets.line_col(offsets.byte_to_char(byte_offset))
 
 
-def _decimal_period(text: str, i: int) -> bool:
-    # "3.14" must neither end a sentence nor split a number token
-    return 0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit()
+def _kept_period(text: str, i: int, abbrevs: frozenset[str] | set[str], longest: int) -> bool:
+    """Whether the '.' at text[i] stays inside its sentence.
 
-
-def _abbreviation_period(
-    text: str, i: int, abbrevs: frozenset[str] | set[str], longest: int
-) -> bool:
-    # i points at '.'; compare the immediately preceding token plus the dot.
+    It does between digits ("3.14") and when it ends a listed abbreviation:
+    the run of letters and dots just before it, plus the dot, case-folded.
+    """
+    if 0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
+        return True
     # A run longer than the longest abbreviation cannot match, so the walk
-    # back stops there ("a.a.a." would otherwise rescan the run at each dot).
+    # back stops there ("a.a.a." would otherwise rescan the run at each dot);
+    # a word of at least that many letters is settled without the walk.
+    if i >= longest and text[i - longest : i].isalpha():
+        return False
     j = i - 1
     while j >= 0 and (text[j].isalpha() or text[j] == "."):
         if i - j >= longest:
             return False
         j -= 1
-    candidate = text[j + 1 : i + 1].casefold()
-    return candidate in abbrevs
+    return text[j + 1 : i + 1].casefold() in abbrevs
+
+
+def _kept_periods(
+    text: str, first: int, core: str, abbrevs: frozenset[str] | set[str], longest: int
+) -> bool:
+    """Whether every '.' of core, the text from index first on, stays inside its sentence."""
+    k = core.find(".")
+    while k >= 0:
+        if not _kept_period(text, first + k, abbrevs, longest):
+            return False
+        k = core.find(".", k + 1)
+    return True
 
 
 class SentenceList:
@@ -371,6 +391,50 @@ class Tokens:
         return self.doc.text[a:b]
 
 
+def _segment_breaks(
+    text: str,
+    lo: int,
+    hi: int,
+    abbreviations: frozenset[str] | set[str],
+    longest: int,
+    starts: list[int],
+    ends: list[int],
+) -> None:
+    """Append the sentences of text[lo:hi], break by break.
+
+    lo is the first non-space character of a line and hi ends a line (a
+    newline or the end of the text). Only newlines and terminators change
+    state; a sentence starts at the first non-space character after the
+    previous break and ends, trailing spaces stripped, at a terminator run
+    or a newline.
+    """
+    start: int | None = lo
+    pos = lo
+    # hi ends the last line as a newline would
+    for i in chain(map(re.Match.start, _BREAK.finditer(text, lo, hi)), (hi,)):
+        if i < pos:
+            continue  # inside a terminator run that ended a sentence
+        if start is None and (first := _NON_SPACE.search(text, pos, i)):
+            start = first.start()
+        pos = i + 1
+        if i == hi or (c := text[i]) == "\n":
+            end = i
+        else:
+            if start is None:
+                start = i
+            if c == "." and _kept_period(text, i, abbreviations, longest):
+                continue
+            if text[pos : pos + 1] in TERMINATORS:  # a run of them ends the sentence
+                pos = _TERMINATOR_RUN.match(text, i).end()
+            end = pos
+        if start is not None:
+            while text[end - 1].isspace():
+                end -= 1
+            starts.append(start)
+            ends.append(end)
+        start = None
+
+
 def segment_sentences(
     doc: Document, abbreviations: frozenset[str] | set[str] = DEFAULT_ABBREVIATIONS
 ) -> SentenceList:
@@ -380,49 +444,50 @@ def segment_sentences(
     block. Periods inside the configured abbreviations ("dll."; case-folded
     entries) or between digits do not split. Returns sentences ordered by
     start offset.
+
+    No sentence crosses a newline, so the text is decided line by line,
+    with str methods. A line whose stripped body holds no '?' or '!'
+    outside its trailing terminator run, and no '.' there that the decimal
+    or abbreviation rule would let end a sentence, is one sentence: the
+    body. Whatever the rules decide at the trailing run, the sentence ends
+    with it. Only the other lines go through the per-break scan, each run
+    of consecutive ones in one call (_segment_breaks), so text with
+    several sentences per line pays no per-line call.
     """
     text = doc.text
     longest = max(map(len, abbreviations), default=0)
     starts: list[int] = []
     ends: list[int] = []
-
-    def emit(cs: int, ce: int) -> None:
-        while ce > cs and text[ce - 1].isspace():
-            ce -= 1
-        if ce > cs:
-            starts.append(cs)
-            ends.append(ce)
-
-    # Only newlines and terminators change state; a sentence starts at the
-    # first non-space character after the previous break.
-    start: int | None = None
-    pos = 0
-    for m in _BREAK.finditer(text):
-        i = m.start()
-        if i < pos:
-            continue  # inside a terminator run that ended a sentence
-        if start is None and (first := _NON_SPACE.search(text, pos, i)):
-            start = first.start()
-        pos = i + 1
-        if text[i] == "\n":
-            if start is not None:
-                emit(start, i)
-            start = None
-            continue
-        if start is None:
-            start = i
-        if text[i] == "." and (
-            _decimal_period(text, i)
-            or _abbreviation_period(text, i, abbreviations, longest)
-        ):
-            continue
-        pos = _TERMINATOR_RUN.match(text, i).end()
-        emit(start, pos)
-        start = None
-    if start is None and (first := _NON_SPACE.search(text, pos)):
-        start = first.start()
-    if start is not None:
-        emit(start, len(text))
+    size = len(text)
+    scan_from = -1  # first non-space of the lines that await the per-break scan
+    pos = 0  # where the next line starts
+    while pos <= size:
+        cut = text.find("\n", pos + _LINE_BLOCK)
+        for line in text[pos : cut if cut >= 0 else size].split("\n"):
+            body = line.lstrip()
+            if body:
+                first = pos + len(line) - len(body)
+                body = body.rstrip()
+                core = body.rstrip(".?!")
+                if (
+                    "?" in core
+                    or "!" in core
+                    or "." in core
+                    and not _kept_periods(text, first, core, abbreviations, longest)
+                ):
+                    if scan_from < 0:
+                        scan_from = first
+                else:
+                    if scan_from >= 0:
+                        _segment_breaks(
+                            text, scan_from, pos - 1, abbreviations, longest, starts, ends
+                        )
+                        scan_from = -1
+                    starts.append(first)
+                    ends.append(first + len(body))
+            pos += len(line) + 1
+    if scan_from >= 0:
+        _segment_breaks(text, scan_from, size, abbreviations, longest, starts, ends)
     return SentenceList(starts, ends)
 
 

@@ -308,6 +308,21 @@ def _queue_records(ws: Path, status: str | None = None) -> list[dict]:
     return records
 
 
+def _drop_from_lexicon(ws: Path, *phrases: list[str]) -> None:
+    """Remove the phrases' entries from the lexicon: undecided, as if never reviewed."""
+    path = ws / "lexicon.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(
+        "".join(line for line in lines if json.loads(line)["phrase"] not in phrases),
+        encoding="utf-8",
+    )
+
+
+def _offered(out: str) -> list[str]:
+    """The phrases an interactive review prompted for, in order."""
+    return [line.split("] ", 1)[1] for line in out.splitlines() if line.startswith("[")]
+
+
 def test_extract_queues_verified_phrases_as_accepted(tmp_path, capsys, monkeypatch):
     # init + extract: every seed phrase found is verified, so review offers none
     root = tmp_path / "ws"
@@ -344,15 +359,15 @@ def test_map_sets_each_status_from_the_lexicon(ws, capsys, monkeypatch):
     # interactive review offers only papar, the one phrase the lexicon has not decided
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     rc, out, _ = run(capsys, "review", "--config", conf(ws), queue)
-    offered = [line.split("] ", 1)[1] for line in out.splitlines() if line.startswith("[")]
-    assert rc == 0 and offered == ["papar"]
+    assert rc == 0 and _offered(out) == ["papar"]
 
 
 def test_interactive_review_resolves_like_a_batch(ws, capsys, monkeypatch):
-    # a queue extracted before its phrases were decided lists them as
-    # pending; give the first candidate tags and criteria that the queue
-    # file lists in neither alphabetical order
+    # the first two candidates undecided in the lexicon and pending in the
+    # queue; give the first tags and criteria that the queue file lists in
+    # neither alphabetical order
     records = _queue_records(ws, "pending")
+    _drop_from_lexicon(ws, records[0]["phrase"], records[1]["phrase"])
     records[0]["tags"] = ["IMP", "CON.verb", "T", "WN"]
     records[0]["criteria"] = ["multi_pos", "vague_pos", "attribute_member"]
     write_jsonl(ws / "queue.jsonl", records)
@@ -382,35 +397,59 @@ def test_interactive_review_resolves_like_a_batch(ws, capsys, monkeypatch):
 
 
 def test_interactive_review_asks_again_after_a_refused_answer(ws, capsys, monkeypatch):
-    # every seed phrase in the queue is verified: changing one needs --force.
-    # A queue extracted before they were decided lists them as pending.
-    _queue_records(ws, "pending")
-    phrases = [c.phrase for c in load_candidates(ws / "queue.jsonl")]
-    assert phrases[0] == ("anggaran",)
-    assert load_lexicon(ws / "lexicon.jsonl").get(("papar",)) is None
-    skips = ["s"] * (phrases.index(("papar",)) - 1)
-    # refused, then the phrase's own outcome (a no-op), skips, a new phrase, quit
-    answers = iter(["a IMP", "a", *skips, "a CON.verb", "q"])
+    # papar, unmapped here, has no suggested tags: accepting it without a
+    # tag is refused. segera, dropped from the lexicon, is pending too.
+    records = _queue_records(ws)
+    for record in records:
+        if record["phrase"] == ["papar"]:
+            record["tags"] = []
+        if record["phrase"] == ["segera"]:
+            record["status"] = "pending"
+    write_jsonl(ws / "queue.jsonl", records)
+    _drop_from_lexicon(ws, ["segera"])
+    assert [c.phrase for c in load_candidates(ws / "queue.jsonl") if c.unmapped] == [("papar",)]
+    # a refused answer, then quit: nothing to write, and no error
+    answers = iter(["a", "q"])
     monkeypatch.setattr("builtins.input", lambda _prompt: next(answers))
-    initial = load_lexicon(ws / "lexicon.jsonl")
-    rc, out, err = run(capsys, "review", "--config", conf(ws), ws / "queue.jsonl")
-    assert (rc, err) == (0, "")
-    assert "  ! 'anggaran' is already verified; re-review requires --force\n" in out
-    assert out.count("] anggaran\n") == 2 and "accepted 2, rejected 0;" in out
-    decisions = load_audit(ws / "audit.jsonl")
-    assert [(d.phrase, d.verdict, d.force) for d in decisions] == [
-        (("anggaran",), "accept", False), (("papar",), "accept", False)
-    ]
-    lexicon = load_lexicon(ws / "lexicon.jsonl")
-    assert lexicon.get(("anggaran",)) == initial.get(("anggaran",))
-    assert lexicon.get(("papar",)).status == "verified"
-    replayed = replay_audit(initial, decisions)
-    assert dumps_lexicon(replayed) == (ws / "lexicon.jsonl").read_text(encoding="utf-8")
-    # skip, a refused answer, quit: nothing to write, and no error
-    answers = iter(["s", "a WN", "q"])  # beberapa is CON
     before = {p.name: p.read_bytes() for p in ws.glob("*.jsonl")}
     rc, out, err = run(capsys, "review", "--config", conf(ws), ws / "queue.jsonl")
     assert (rc, err) == (0, "") and "no decisions recorded" in out
+    assert "  ! accepting 'papar' requires at least one tag\n" in out
+    assert {p.name: p.read_bytes() for p in ws.glob("*.jsonl")} == before
+    # refused, asked again and accepted with a tag; the next phrase is kept too
+    answers = iter(["a", "a CON.verb", "r"])
+    initial = load_lexicon(ws / "lexicon.jsonl")
+    rc, out, err = run(capsys, "review", "--config", conf(ws), ws / "queue.jsonl")
+    assert (rc, err) == (0, "")
+    assert "  ! accepting 'papar' requires at least one tag\n" in out
+    assert _offered(out) == ["papar", "papar", "segera"]
+    assert "accepted 1, rejected 1;" in out
+    decisions = load_audit(ws / "audit.jsonl")
+    assert [(d.phrase, d.verdict, d.force) for d in decisions] == [
+        (("papar",), "accept", False), (("segera",), "reject", False)
+    ]
+    lexicon = load_lexicon(ws / "lexicon.jsonl")
+    assert lexicon.get(("papar",)).status == "verified"
+    assert lexicon.get(("segera",)).status == "rejected"
+    replayed = replay_audit(initial, decisions)
+    assert dumps_lexicon(replayed) == (ws / "lexicon.jsonl").read_text(encoding="utf-8")
+
+
+def test_interactive_review_of_a_stale_queue_offers_only_pending_phrases(
+    ws, capsys, monkeypatch
+):
+    # segera is rejected after the queue was written, and the queue is then
+    # rewritten with every phrase pending, as one written before any was decided
+    argv, _ = _decisions(ws, {"phrase": ["segera"], "verdict": "reject", "force": True})
+    assert run(capsys, *argv)[0] == 0
+    records = _queue_records(ws, "pending")
+    lexicon = load_lexicon(ws / "lexicon.jsonl")
+    statuses = {lexicon.get(tuple(r["phrase"])).status for r in records if r["phrase"] != ["papar"]}
+    assert statuses == {"verified", "rejected"}
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    before = {p.name: p.read_bytes() for p in ws.glob("*.jsonl")}
+    rc, out, err = run(capsys, "review", "--config", conf(ws), ws / "queue.jsonl")
+    assert (rc, err) == (0, "") and _offered(out) == ["papar"]
     assert {p.name: p.read_bytes() for p in ws.glob("*.jsonl")} == before
 
 

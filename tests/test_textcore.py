@@ -243,11 +243,15 @@ class TestProperties:
 # a non-decimal digit (²), a numeral that is not a digit (Ⅻ), an Arabic-Indic
 # digit, a combining accent, "_", NBSP, the ideographic space and the number,
 # abbreviation and reduplication forms the rules single out. "ß" casefolds
-# to "ss", so "ß." matches the abbreviation "ss.".
+# to "ss", so "ß." matches the abbreviation "ss.". VT, FF, FS, NEL and the
+# line separator are whitespace to str.strip and to \S but end no line of
+# the segmenter; "...", "?!" and ". " put terminator runs at line ends and
+# inside lines.
 ORACLE_PIECES = [
     "\ufeff", "\r\n", "\n", " ", "\t", "é", "€", "😀", "²", "Ⅻ", "٣", "\u0301",
     "_", "\u00a0", "\u3000", "dll.", "Dll.", "3.14", "1,000", "rekod-rekod",
     "a", "Bé", "9", ".", ",", "-", "?", "!", "“", "—", "²,5", "٣.٣", "ß",
+    "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "...", "?!", ". ",
 ]
 ORACLE_ABBREVIATIONS = [
     DEFAULT_ABBREVIATIONS,
@@ -386,6 +390,27 @@ class TestOracle:
         for abbreviations in ORACLE_ABBREVIATIONS:
             assert_matches_oracle(text, abbreviations)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # one-sentence lines between lines with an inner "dll.", decimal or "a.b"
+            "Sistem simpan rekod.\nBuku dll. dalam rak.\nVersi 3.14 dilancar.\n"
+            "Fail a.b dibuka.\nSatu dua.\n",
+            "Satu.\nDua. Tiga!\nEmpat?! Lima\nEnam...\nx.y z.\nTujuh.",
+            # blank and whitespace-only lines, before, between and after
+            "\n\nSatu dua.\n \t \n\nBuku dll. rak. Dua.\n\x0c\n  Tiga.  \n\n",
+            # CRLF throughout, and a last line with no newline
+            "Satu.\r\nHarga 1.5 juta. Ya.\r\n\r\n  \r\nRekod dll. dsb.\r\nAkhir tanpa noktah",
+            "\ufeffdll. pertama.\nDll. 2.5.\na.\n3.\nakhir 9.",
+            # a line whose kept periods come before one that ends a sentence
+            "rekod dll. 3.5 x. y\ndsb. dll. tamat.\nsatu\u2028dua.\x85tiga. \x0b\n",
+        ],
+    )
+    def test_one_sentence_lines_among_scanned_lines(self, text):
+        for abbreviations in ORACLE_ABBREVIATIONS:
+            assert_matches_oracle(text, abbreviations)
+            assert_columns_match_oracle(text, abbreviations)
+
     def test_segmentation_is_linear_in_dotted_runs(self):
         # the abbreviation check at each '.' must not rescan the whole
         # "a.a.a..." run before it: quadratic, that took ~40 s here
@@ -393,6 +418,17 @@ class TestOracle:
         started = time.perf_counter()
         assert len(segment_sentences(doc)) == 20000
         assert time.perf_counter() - started < 5
+
+    def test_segmentation_is_linear_in_alternating_lines(self):
+        # 20,000 lines: every one-sentence line ends the per-break scan of
+        # the line before it, which holds an inner terminator, so 10,000
+        # scans run. Work per scan that grows with the abbreviation set
+        # (5,000 entries here) would take seconds.
+        abbreviations = frozenset(f"singkatan{n}." for n in range(5000))
+        doc = mk_doc("Sistem simpan rekod.\nSatu. Dua.\n" * 10000)
+        started = time.perf_counter()
+        assert len(segment_sentences(doc, abbreviations)) == 30000
+        assert time.perf_counter() - started < 1
 
     def test_ascii_offsets_are_identity(self):
         offsets = Document(id="d", text="satu dua\n").offsets()
