@@ -9,6 +9,12 @@ decisions over the verified seed lexicon) and `map` then remaps the
 reviewed queue against the reviewed lexicon. Mapped against that lexicon,
 the queue `extract` wrote before the review gives the same bytes.
 
+The two seed samples are ASCII with LF line ends, so `lint` also reads
+`golden/input.spec.txt`, copied into the tree as `spec.txt`: a BOM, CRLF line
+ends, diacritics, typographic quotes, em-dashes and surfaces repeated within
+a line, so that its reports pin byte offsets and line:col past multibyte
+characters.
+
 After an intended output change, rewrite the goldens with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -28,6 +35,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 CONF = "kaburlint.conf"
 DOCS = ("sample/daftar_pelajar.txt", "sample/sistem_klinik.txt")
 DECISIONS = str(GOLDEN_DIR / "input.decisions.jsonl")
+SPEC = "spec.txt"  # a copy of golden/input.spec.txt
 
 # golden file -> (argv, expected exit code, file whose bytes are the output;
 # None means stdout). Run in this order: extract writes the queue first, and
@@ -38,6 +46,9 @@ COMMANDS = {
     "lint.txt": (["lint", "--config", CONF, *DOCS], 1, None),
     "lint.csv": (["lint", "--config", CONF, "--format", "csv", *DOCS], 1, None),
     "lint.records.jsonl": (["lint", "--config", CONF, "--format", "records", *DOCS], 1, None),
+    "lint.spec.txt": (["lint", "--config", CONF, SPEC], 1, None),
+    "lint.spec.csv": (["lint", "--config", CONF, "--format", "csv", SPEC], 1, None),
+    "lint.spec.records.jsonl": (["lint", "--config", CONF, "--format", "records", SPEC], 1, None),
     "stats.txt": (["stats", "--config", CONF], 0, None),
     "stats.csv": (["stats", "--config", CONF, "--format", "csv"], 0, None),
     "review.lexicon.jsonl": (
@@ -56,6 +67,7 @@ def run_commands(root: Path) -> dict[str, bytes]:
     """Seed root, run COMMANDS inside it and return each golden's bytes."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["init", str(root)]) == 0
+    shutil.copyfile(GOLDEN_DIR / "input.spec.txt", root / SPEC)
     outputs = {}
     cwd = os.getcwd()
     os.chdir(root)
