@@ -16,8 +16,10 @@ tokenize call, the kept positions of one apply_filters call and the
 window's words each finds the heuristic words (one word_heuristics
 lookup), clitics and conditional markers; a dangling-else hit on a
 window's last sentence waits for the next window's first sentence. A
-Finding is built only for a hit, and only a sentence that holds one gets
-its token offsets.
+Finding is built only for a hit, and one Tokens.locate call per window
+gives every hit's sentence, byte span and text. The text and csv reports
+convert their findings' byte offsets to line:col with one call per
+document.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 import io
 from collections.abc import Mapping
 from functools import cache
+from itertools import groupby
+from operator import attrgetter
 
 from .fileio import dumps_jsonl
 from .filters import FilterConfig, apply_filters
@@ -44,7 +48,6 @@ from .textcore import (
     Span,
     Tokens,
     Record,
-    line_col,
     segment_sentences,
     tokenize,
 )
@@ -182,21 +185,6 @@ def word_heuristics(
     return table
 
 
-def _info(
-    doc_id: str,
-    base: int,
-    tokens: Tokens,
-    k: int,
-    tags: frozenset[AttributeTag],
-    criterion: str,
-) -> Finding:
-    """An info finding on token k of a window whose first sentence is number base."""
-    return Finding(
-        doc_id, base + tokens.sentence_of(k), tokens.span(k, k), tokens.surfaces[k], "", tags,
-        criterion, SEVERITY_INFO,
-    )
-
-
 def _is_anaphoric_clitic(word: str) -> bool:
     return len(word) > 3 and word.endswith("nya") and word not in _CLITIC_STOPLIST
 
@@ -259,27 +247,33 @@ def lint_document(
         tokens = tokenize(doc, window, abbreviations)
         if pending is not None and not _has_alternative(tokens, 0):
             findings.append(pending)
+        # each hit's token run and (phrase, tags, criterion, severity), all
+        # located by one call
+        runs: list[tuple[int, int]] = []
+        labels: list[tuple] = []
         for start, end, entry in match_entries(lexicon, tokens):
-            findings.append(
-                Finding(
-                    doc_id, base + tokens.sentence_of(start), tokens.span(start, end - 1),
-                    tokens.text(start, end - 1), entry.phrase_text, entry.tags,
-                    ATTRIBUTE_MEMBER, SEVERITY_WARNING,
-                )
-            )
+            runs.append((start, end - 1))
+            labels.append((entry.phrase_text, entry.tags, ATTRIBUTE_MEMBER, SEVERITY_WARNING))
         words = tokens.words
         kept = apply_filters(tokens, filter_cfg).kept  # kept tokens are words
         for k in [k for k in kept if words[k] in heuristics]:
             for criterion, tags in heuristics[words[k]]:
-                findings.append(_info(doc_id, base, tokens, k, tags, criterion))
+                runs.append((k, k))
+                labels.append(("", tags, criterion, SEVERITY_INFO))
         if flag_anaphoric_clitics:
             for k in [k for k in kept if _is_anaphoric_clitic(words[k])]:
-                findings.append(_info(doc_id, base, tokens, k, _REF, REFERENTIAL_SENTENCE))
+                runs.append((k, k))
+                labels.append(("", _REF, REFERENTIAL_SENTENCE, SEVERITY_INFO))
+        for k in _dangling_markers(tokens):
+            runs.append((k, k))
+            labels.append(("", _DANGLING_ELSE, DANGLING_ELSE, SEVERITY_INFO))
         last = len(tokens.heads) - 2
         pending = None
-        for k in _dangling_markers(tokens):
-            hit = _info(doc_id, base, tokens, k, _DANGLING_ELSE, DANGLING_ELSE)
-            if tokens.sentence_of(k) == last:
+        for (s, span, matched), (phrase, tags, criterion, severity) in zip(
+            tokens.locate(runs), labels
+        ):
+            hit = Finding(doc_id, base + s, span, matched, phrase, tags, criterion, severity)
+            if criterion == DANGLING_ELSE and s == last:
                 pending = hit
             else:
                 findings.append(hit)
@@ -300,16 +294,26 @@ REPORT_FORMATS = (FORMAT_TEXT, FORMAT_CSV, FORMAT_RECORDS)
 CSV_HEADER = "document,line,col,start,end,sentence,matched,phrase,tags,criterion,severity\n"
 
 
+def _by_document(report: LintReport, docs: dict[str, Document]):
+    """Each run of one document's findings: the document, the findings and their line:col.
+
+    The 1-based (line, col) of every finding of a run comes from one call.
+    """
+    for doc_id, group in groupby(report.findings, attrgetter("doc_id")):
+        group = list(group)
+        doc = docs[doc_id]
+        yield doc, group, doc.offsets().line_cols([f.span.start for f in group])
+
+
 def render_text(report: LintReport, docs: dict[str, Document]) -> str:
     out = []
-    for f in report.findings:
-        doc = docs[f.doc_id]
-        line, col = line_col(doc, f.span.start)
+    for doc, findings, locations in _by_document(report, docs):
         location = doc.source_path or doc.id
-        tags = " ".join(tag_texts(f.tags))
-        out.append(
-            f"{location}:{line}:{col}: {f.severity}: '{f.matched}' [{tags}] {f.criterion}\n"
-        )
+        for f, (line, col) in zip(findings, locations):
+            tags = " ".join(tag_texts(f.tags))
+            out.append(
+                f"{location}:{line}:{col}: {f.severity}: '{f.matched}' [{tags}] {f.criterion}\n"
+            )
     return "".join(out)
 
 
@@ -318,24 +322,24 @@ def render_csv(report: LintReport, docs: dict[str, Document]) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for f in report.findings:
-        doc = docs[f.doc_id]
-        line, col = line_col(doc, f.span.start)
-        writer.writerow(
-            [
-                doc.source_path or doc.id,
-                line,
-                col,
-                f.span.start,
-                f.span.end,
-                f.sentence_index,
-                f.matched,
-                f.phrase,
-                " ".join(tag_texts(f.tags)),
-                f.criterion,
-                f.severity,
-            ]
-        )
+    for doc, findings, locations in _by_document(report, docs):
+        location = doc.source_path or doc.id
+        for f, (line, col) in zip(findings, locations):
+            writer.writerow(
+                [
+                    location,
+                    line,
+                    col,
+                    f.span.start,
+                    f.span.end,
+                    f.sentence_index,
+                    f.matched,
+                    f.phrase,
+                    " ".join(tag_texts(f.tags)),
+                    f.criterion,
+                    f.severity,
+                ]
+            )
     return buf.getvalue()
 
 

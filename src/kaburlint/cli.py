@@ -295,7 +295,8 @@ def _apply_decisions(
 
     A refused decision or a failed audit append leaves every file as it
     was; the lexicon and queue are saved only after the batch is on disk
-    in the audit log.
+    in the audit log. A torn last line of the log, which no save followed,
+    is dropped before the append (append_audit), and said so on stderr.
     """
     from .extraction import (
         ACCEPTED,
@@ -311,7 +312,13 @@ def _apply_decisions(
     for decision in decisions:
         status = ACCEPTED if decision.verdict == VERDICT_ACCEPT else REJECTED
         by_phrase[decision.phrase] = replace(by_phrase[decision.phrase], status=status)
-    append_audit(audit_path, decisions)
+    torn = append_audit(audit_path, decisions)
+    if torn:
+        print(
+            f"kaburlint: warning: {audit_path}: dropped a torn last line ({torn} bytes)"
+            " that no save followed",
+            file=sys.stderr,
+        )
     save_lexicon(lexicon, lexicon_path)
     save_candidates([by_phrase[c.phrase] for c in queue], queue_path)
     accepted = sum(d.verdict == VERDICT_ACCEPT for d in decisions)

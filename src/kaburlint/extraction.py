@@ -6,8 +6,8 @@ Which phrases are candidates, and with which criterion hits, comes from
 one candidate index built per run from the hint lexicon, the rule lists
 and the POS dictionary (candidate_criteria, a lexicon.PhraseIndex). The
 scan matches it against a window of sentences' kept words at a time,
-read from the filter report's columns, and builds an Occurrence and its
-span only for a hit.
+read from the filter report's columns, and builds an Occurrence only for
+a hit, with the spans of a window's hits from one Tokens.locate call.
 Review decisions are appended to a JSON-lines audit log whose records are
 self-contained: replaying the log over the initial repository reproduces
 the final repository byte for byte.
@@ -210,10 +210,10 @@ def scan_document(
         words = list(map(tokens.words.__getitem__, kept))
         # each sentence's first position among the kept words
         heads = [bisect_left(kept, head) for head in tokens.heads]
-        for start, end, _hits in longest_matches(words, criteria, heads):
-            occurrences.setdefault(tuple(words[start:end]), []).append(
-                Occurrence(doc.id, tokens.span(kept[start], kept[end - 1]))
-            )
+        hits = longest_matches(words, criteria, heads)
+        located = tokens.locate([(kept[start], kept[end - 1]) for start, end, _ in hits])
+        for (start, end, _hits), (_s, span, _text) in zip(hits, located):
+            occurrences.setdefault(tuple(words[start:end]), []).append(Occurrence(doc.id, span))
         del tokens, report, kept, words  # the next window is read without this one
     candidates = [
         CandidateWord(p, tuple(spots), criterion_hits=criteria.table[p])
@@ -485,13 +485,51 @@ def record_to_decision(record: object, where: str = "record") -> ReviewDecision:
     return decision
 
 
-def append_audit(path: str | Path, decisions: Iterable[ReviewDecision]) -> None:
-    """Append a batch of decisions in one write and flush it to disk."""
-    text = dumps_jsonl(map(decision_to_record, decisions))
-    with open(path, "a", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+def append_audit(path: str | Path, decisions: Iterable[ReviewDecision]) -> int:
+    """Append a batch of decisions in one write and flush it to disk.
+
+    A last line without its newline is a torn write. The batch is on disk
+    before the lexicon is saved, so no save followed that line: it was never
+    committed. It is cut off, and the cut flushed to disk, before the batch
+    is appended, so a batch never runs on from a torn line. Returns the
+    number of bytes cut off.
+    """
+    data = dumps_jsonl(map(decision_to_record, decisions)).encode("utf-8")
+    with open(path, "a+b") as handle:
+        torn = _cut_torn_tail(handle)
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
+    return torn
+
+
+_TAIL_BLOCK = 1 << 16
+
+
+def _cut_torn_tail(handle) -> int:
+    """Truncate a log open for reading and appending after its last newline.
+
+    Returns the number of bytes cut off: 0 when the log is empty or ends
+    with a newline.
+    """
+    size = handle.seek(0, os.SEEK_END)
+    handle.seek(max(size - 1, 0))
+    if handle.read(1) in (b"", b"\n"):
+        return 0
+    keep = 0
+    end = size - 1
+    while end > 0:  # read back a block at a time to the last newline
+        start = max(end - _TAIL_BLOCK, 0)
+        handle.seek(start)
+        cut = handle.read(end - start).rfind(b"\n")
+        if cut >= 0:
+            keep = start + cut + 1
+            break
+        end = start
+    handle.truncate(keep)
+    handle.flush()
+    os.fsync(handle.fileno())
+    return size - keep
 
 
 def load_audit(path: str | Path, what: str = "audit log") -> list[ReviewDecision]:

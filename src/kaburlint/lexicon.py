@@ -28,8 +28,8 @@ only overlapping matches would need). The verified lexicon, extraction's
 candidate table and the dangling-else alternatives each build one index
 per run. match_entries reads a window's word column (Tokens.words) in
 one pass that keeps each match inside its sentence (Tokens.heads) and
-returns each hit as its token range and entry; a caller converts the
-range to bytes (Tokens.span) only for the hits it reports.
+returns each hit as its token range and entry; a caller locates the
+ranges it reports, a window's in one Tokens.locate call.
 """
 
 from __future__ import annotations

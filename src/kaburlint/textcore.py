@@ -10,15 +10,21 @@ columns, not objects. A document's sentences (SentenceList) are their
 character starts and ends, read a window of consecutive sentences at a
 time (SentenceList.windows; one sentence is a window of one). A window's
 tokens (Tokens) are one flat surface column and each sentence's first
-token index, with offsets and case-folded words computed on first use.
-Every later stage takes a window as Tokens, reads its plain lists and
-converts to bytes (Tokens.span) only for the tokens that give a finding.
+token index, with case-folded words computed on first use. Every later
+stage takes a window as Tokens and reads its plain lists. Tokens carry
+no offsets: Tokens.locate finds the runs of tokens that give a finding
+or an occurrence, all of a window's runs in one call. A sentence with one
+run is settled by str.find when the run's end surfaces occur once in it;
+any other sentence is walked once, token by token.
 
 Every step is linear in the document. A document builds its offset map
 at its first byte conversion; the map converts by identity when the text
 is ASCII, and otherwise keeps a sparse table of the non-ASCII characters
-only and converts with ``bisect``. ``line_col`` bisects a line-start
-table that the map builds on first use. Segmentation never crosses a
+only and converts with ``bisect``. It converts a window's character
+ranges to byte spans in one call (spans), and the byte offsets of a
+report's findings to line:col in one call per document (line_cols),
+bisecting a line-start table that it builds on first use; ``line_col``
+converts one offset. Segmentation never crosses a
 newline, so it decides each line with str methods: a line whose only
 terminators are its trailing run, or periods that the decimal and
 abbreviation rules keep, is one sentence, and only the other lines are
@@ -103,35 +109,55 @@ class _OffsetMap:
         self._ends = [c + 1 + e for c, e in zip(chars, extra)]
         self._size = len(text) + extra[-1]
 
-    def char_to_byte(self, char: int) -> int:
-        if self._chars is None:
-            return char
-        k = bisect_left(self._chars, char)
-        return char + self._extra[k - 1] if k else char
+    def spans(self, ranges: list[tuple[int, int]]) -> list[Span]:
+        """The byte Span of each character range (start, end), in one call."""
+        chars = self._chars
+        if chars is None:
+            return [Span(a, b) for a, b in ranges]
+        extra = self._extra
+        return [
+            Span(
+                a + extra[k - 1] if (k := bisect_left(chars, a)) else a,
+                b + extra[k - 1] if (k := bisect_left(chars, b, k)) else b,
+            )
+            for a, b in ranges
+        ]
 
     def byte_to_char(self, byte: int) -> int:
         """Character index at a byte offset; ValueError off a boundary."""
-        if not 0 <= byte <= self._size:
-            raise ValueError(f"byte offset {byte} outside the text")
-        if self._chars is None:
-            return byte
-        k = bisect_right(self._ends, byte)
-        char = byte - self._extra[k - 1] if k else byte
-        # the next non-ASCII character starts at index self._chars[k]; a
-        # larger index means the offset falls inside its encoding
-        if k < len(self._chars) and char > self._chars[k]:
-            raise ValueError(f"byte offset {byte} inside a multibyte character")
-        return char
+        return self.byte_to_chars((byte,))[0]
 
-    def line_col(self, char: int) -> tuple[int, int]:
-        """1-based (line, column) of a character index."""
+    def byte_to_chars(self, offsets) -> list[int]:
+        """The character index at each byte offset; ValueError off a boundary."""
+        size = self._size
+        if offsets and not (min(offsets) >= 0 and max(offsets) <= size):
+            bad = next(byte for byte in offsets if not 0 <= byte <= size)
+            raise ValueError(f"byte offset {bad} outside the text")
+        chars = self._chars
+        if chars is None:
+            return list(offsets)
+        ends, extra, out = self._ends, self._extra, []
+        for byte in offsets:
+            k = bisect_right(ends, byte)
+            char = byte - extra[k - 1] if k else byte
+            # the next non-ASCII character starts at index chars[k]; a larger
+            # index means the offset falls inside its encoding
+            if k < len(chars) and char > chars[k]:
+                raise ValueError(f"byte offset {byte} inside a multibyte character")
+            out.append(char)
+        return out
+
+    def line_cols(self, offsets) -> list[tuple[int, int]]:
+        """1-based (line, column) of each byte offset; ValueError off a boundary."""
         starts = self._line_starts
         if starts is None:
             starts = [0]
             starts.extend(m.end() for m in _NEWLINE.finditer(self._text))
             self._line_starts = starts
-        line = bisect_right(starts, char)
-        return line, char - starts[line - 1] + 1
+        return [
+            (line := bisect_right(starts, char), char - starts[line - 1] + 1)
+            for char in self.byte_to_chars(offsets)
+        ]
 
 
 def _refuse_assignment(record, name: str, *value) -> None:
@@ -259,9 +285,8 @@ def slice_span(doc: Document, span: Span) -> str:
 
 
 def line_col(doc: Document, byte_offset: int) -> tuple[int, int]:
-    """1-based (line, column) of a byte offset, for report locations."""
-    offsets = doc.offsets()
-    return offsets.line_col(offsets.byte_to_char(byte_offset))
+    """1-based (line, column) of a byte offset (reports convert theirs in one call)."""
+    return doc.offsets().line_cols((byte_offset,))[0]
 
 
 def _kept_period(text: str, i: int, abbrevs: frozenset[str] | set[str], longest: int) -> bool:
@@ -326,21 +351,21 @@ class Tokens:
     surfaces holds the window's tokens in order, and heads each sentence's
     first token index followed by the token count, so sentence s is
     surfaces[heads[s]:heads[s + 1]]; a single sentence is a window of one.
-    chars holds each sentence's first character. Words, the case-folded
-    surfaces, are computed on first read, and a sentence's character
-    starts and ends when one of its tokens is first located: span() and
-    text() give the byte span and the text of a run of tokens.
+    window is the window's SentenceList. Words, the case-folded surfaces,
+    are computed on first read. Tokens carry no offsets: locate() finds
+    where runs of tokens are, all of a window's runs in one call, and
+    span() and text() read it for one run.
     """
 
-    __slots__ = ("doc", "surfaces", "heads", "_chars", "_starts", "_ends", "_words")
+    __slots__ = ("doc", "surfaces", "heads", "window", "_starts", "_ends", "_words")
 
     def __init__(
-        self, doc: Document, surfaces: list[str], heads: list[int], chars: list[int]
+        self, doc: Document, surfaces: list[str], heads: list[int], window: SentenceList
     ) -> None:
         self.doc = doc
         self.surfaces = surfaces
         self.heads = heads
-        self._chars = chars
+        self.window = window
         self._starts: list[int | None] | None = None
         self._ends: list[int | None] | None = None
         self._words: list[str] | None = None
@@ -359,36 +384,81 @@ class Tokens:
         """The window position of the sentence that holds token k."""
         return bisect_right(self.heads, k) - 1
 
-    def _range(self, first: int, last: int) -> tuple[int, int]:
-        """Character range from the start of token first to the end of token last.
+    def locate(self, runs: list[tuple[int, int]]) -> list[tuple[int, Span, str]]:
+        """Each run's sentence, byte span and text.
 
-        A sentence's offsets are found when one of its tokens is first read:
-        each token starts where its surface next occurs after the previous one.
+        A run (first, last) spans from the start of token first to the end
+        of token last, both in one sentence. A sentence that holds one run
+        (a run given twice counts once) is probed once: an end token whose
+        surface occurs once in the sentence's text (the last token's: once
+        after the first token) is that occurrence. Any other sentence is
+        walked once, and the walk is kept: each of its tokens starts where
+        its surface next occurs after the previous one. So a sentence costs
+        at most one probe and one walk, linear in its text, however many
+        runs it holds.
         """
+        if not runs:
+            return []  # no offset map is built for a window without hits
+        heads, text = self.heads, self.doc.text
+        sentences = [bisect_right(heads, first) - 1 for first, _ in runs]
+        alone: dict[int, tuple[int, int] | None] = {}  # sentence -> its one run
+        for s, run in zip(sentences, runs):
+            if alone.setdefault(s, run) != run:
+                alone[s] = None
+        probed: dict[int, tuple[int, int] | None] = {}
+        ranges = []
+        for s, (first, last) in zip(sentences, runs):
+            walked = self._starts is not None and self._starts[first] is not None
+            if not walked and alone[s] is not None:
+                if s not in probed:
+                    probed[s] = self._probe(s, first, last)
+                if probed[s] is not None:
+                    ranges.append(probed[s])
+                    continue
+            if not walked:
+                self._walk(s)
+            ranges.append((self._starts[first], self._ends[last]))
+        return [
+            (s, span, text[a:b])
+            for s, span, (a, b) in zip(sentences, self.doc.offsets().spans(ranges), ranges)
+        ]
+
+    def _probe(self, s: int, first: int, last: int) -> tuple[int, int] | None:
+        """The character range of run (first, last) of sentence s, if a probe settles it."""
+        surfaces, find = self.surfaces, self.doc.text.find
+        hi = self.window.ends[s]
+        word = surfaces[first]
+        a = find(word, self.window.starts[s], hi)
+        if find(word, a + 1, hi) >= 0:
+            return None
+        b = a + len(word)
+        if last != first:
+            word = surfaces[last]
+            z = find(word, b, hi)
+            if find(word, z + 1, hi) >= 0:
+                return None
+            b = z + len(word)
+        return a, b
+
+    def _walk(self, s: int) -> None:
+        """Locate every token of sentence s in characters."""
         starts, ends, surfaces = self._starts, self._ends, self.surfaces
         if starts is None:
             starts = self._starts = [None] * len(surfaces)
             ends = self._ends = [None] * len(surfaces)
-        for k in (first, last):
-            if starts[k] is None:
-                s = self.sentence_of(k)
-                find = self.doc.text.find
-                pos = self._chars[s]
-                for i in range(self.heads[s], self.heads[s + 1]):
-                    starts[i] = pos = find(surfaces[i], pos)
-                    ends[i] = pos = pos + len(surfaces[i])
-        return starts[first], ends[last]
+        find = self.doc.text.find
+        pos = self.window.starts[s]
+        for i in range(self.heads[s], self.heads[s + 1]):
+            starts[i] = pos = find(surfaces[i], pos)
+            ends[i] = pos = pos + len(surfaces[i])
 
     def span(self, first: int, last: int) -> Span:
         """Byte span from the start of token first to the end of token last."""
-        to_byte = self.doc.offsets().char_to_byte
-        a, b = self._range(first, last)
-        return Span(to_byte(a), to_byte(b))
+        return self.locate([(first, last)])[0][1]
 
     def text(self, first: int, last: int) -> str:
         """Document text from the start of token first to the end of token last."""
-        a, b = self._range(first, last)
-        return self.doc.text[a:b]
+        return self.locate([(first, last)])[0][2]
 
 
 def _segment_breaks(
@@ -526,9 +596,8 @@ def tokenize(
     punctuation become one symbol token. Whitespace never appears inside a
     token. window is consecutive sentences, as SentenceList.windows()
     gives them, and one sentence is a window of one; each sentence is
-    split on its own, and Tokens.heads keeps where each one starts. The
-    tokens' character offsets are computed only when a caller asks for
-    them.
+    split on its own, and Tokens.heads keeps where each one starts. Tokens
+    are located (Tokens.locate) only when a caller asks where they are.
     """
     starts, ends = window.starts, window.ends
     text = doc.text
@@ -554,5 +623,5 @@ def tokenize(
             else:
                 surfaces += _scan(chunk, abbreviations)
         heads.append(len(surfaces))
-    return Tokens(doc, surfaces, heads, starts)
+    return Tokens(doc, surfaces, heads, window)
 

@@ -55,13 +55,10 @@ def sentence_tokens(
 ) -> list[tuple[Span, Tokens]]:
     """Each sentence's byte span and its tokens, tokenized as a window of one."""
     sentences = segment_sentences(doc, abbreviations)
-    to_byte = doc.offsets().char_to_byte
+    ranges = list(zip(sentences.starts, sentences.ends))
     return [
-        (
-            Span(to_byte(a), to_byte(b)),
-            tokenize(doc, SentenceList([a], [b]), abbreviations),
-        )
-        for a, b in zip(sentences.starts, sentences.ends)
+        (span, tokenize(doc, SentenceList([a], [b]), abbreviations))
+        for span, (a, b) in zip(doc.offsets().spans(ranges), ranges)
     ]
 
 

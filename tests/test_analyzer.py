@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -356,14 +357,15 @@ def finding_fields(findings):
     ]
 
 
-def assert_lint_matches_oracle(text, posdict, filter_cfg, clitics):
+def assert_lint_matches_oracle(text, posdict, filter_cfg, clitics, lexicon=None):
     """Every finding, field by field, equals the reference lint's."""
+    lexicon = lexicon or lint_lexicon()
     got = lint_document(
-        mk_doc(text), lint_lexicon(), word_heuristics(posdict), filter_cfg,
+        mk_doc(text), lexicon, word_heuristics(posdict), filter_cfg,
         flag_anaphoric_clitics=clitics,
     ).findings
     want = lint_oracle.lint_document(
-        textcore_oracle.OracleDocument(id="doc", text=text), lint_lexicon(), posdict,
+        textcore_oracle.OracleDocument(id="doc", text=text), lexicon, posdict,
         filter_cfg, flag_anaphoric_clitics=clitics,
     )
     assert finding_fields(got) == finding_fields(want), text
@@ -437,6 +439,84 @@ class TestLintOracle:
         assert [f.span.start for f in found] == [0, 27]
         # a loanword everywhere for the other configuration
         assert assert_lint_matches_oracle(text, table_posdict(), other, False) == []
+
+
+# --- locating hits: a probe settles a sentence's one run, a walk every other ---
+
+# Sentences of one run each unless noted. A run's end token is settled by
+# str.find only when its surface occurs once in the sentence (the last
+# token's: once after the first token), so each case puts the surface
+# somewhere else too, or nowhere else.
+LOCATE_CASES = [
+    "Sistem apa-apa apa.",  # the hit surface inside an earlier token
+    "bukan sebukan.",  # ... and inside a later one
+    "Sebukan bukan",
+    "data itu dan data baru.",  # the first word's surface repeated
+    "Senarai dll. dll selesai.",  # "dll" inside the abbreviation "dll." before it
+    "Senarai dll dll. selesai.",  # ... and after it
+    "Nilai 3.14 3 sahaja.",  # "3" inside the decimal before it
+    "mungkin sistem secepat mungkin.",  # the last word unique only after the first
+    "Sistem tiga apa-apa apa.",  # the last word inside a middle token
+    "Sistem secepat mungkin, mungkin.",  # the last word repeated after the first
+    "Jika rekod efisien, papar segera.",  # several runs and a dangling-else marker
+    "Kafé segera.",  # one run whose surface occurs once
+    "apa",  # the whole document one token
+]
+
+
+def locate_lexicon():
+    phrases = ("apa", "bukan", "dll", "3", "data itu", "tiga apa-apa apa")
+    extra = [entry(phrase, ("VAR",)) for phrase in phrases]
+    return Lexicon([*lint_lexicon().entries(), *extra])
+
+
+def bom_crlf(sentences) -> str:
+    """sentences as CRLF lines after a BOM, each behind non-ASCII text."""
+    return "\ufeff" + "".join(f"Kafé “ok” — {s}\r\n" for s in sentences)
+
+
+class TestLocating:
+    """Findings' spans and text against the reference on the locating edge cases."""
+
+    @pytest.mark.parametrize("case", LOCATE_CASES)
+    @pytest.mark.parametrize("decorated", [False, True])
+    def test_each_case(self, case, decorated):
+        text = bom_crlf([case]) if decorated else case
+        for filter_cfg in LINT_FILTERS:
+            found = assert_lint_matches_oracle(
+                text, table_posdict(), filter_cfg, True, locate_lexicon()
+            )
+            assert found
+
+    @pytest.mark.parametrize("join", [" ".join, "\n".join, bom_crlf])
+    def test_all_cases_in_one_document(self, join):
+        text = join(LOCATE_CASES)
+        for filter_cfg in LINT_FILTERS:
+            assert_lint_matches_oracle(text, table_posdict(), filter_cfg, True, locate_lexicon())
+
+    @pytest.mark.parametrize("alternative", ["Tidak apa-apa apa.", "Sebaliknya apa-apa apa."])
+    def test_dangling_else_held_over_to_the_next_window(self, alternative):
+        # the window's last sentence holds two runs and a conditional; the
+        # next window's first decides whether the conditional dangles
+        sentences = ["Data segera."] * (SENTENCE_WINDOW - 1)
+        sentences += ["Jika rekod efisien, papar segera.", alternative, "Kafé apa."]
+        found = assert_lint_matches_oracle(
+            bom_crlf(sentences), table_posdict(), LINT_FILTERS[0], False, locate_lexicon()
+        )
+        dangling = [f.sentence_index for f in found if f.criterion == DANGLING_ELSE]
+        assert dangling == ([SENTENCE_WINDOW - 1] if alternative.startswith("Tidak") else [])
+
+    def test_lint_is_linear_in_hits_on_one_line(self):
+        # one sentence of 20,000 distinct verified words of one length, so
+        # each occurs once and a find probe per hit would scan to the end of
+        # the line: that took 2.4 s here, against 0.07 s
+        words = [f"syarat{n:05d}" for n in range(20000)]
+        lexicon = Lexicon(entry(word, ("IMP",)) for word in words)
+        doc = mk_doc(" ".join(words))
+        started = time.perf_counter()
+        report = lint_document(doc, lexicon)
+        assert time.perf_counter() - started < 1
+        assert [f.matched for f in report.findings] == words
 
 
 # --- windows of sentences: lint reads SENTENCE_WINDOW sentences per stage call ---

@@ -49,6 +49,7 @@ ACCEPT_PAPAR = {
     "timestamp": "2026-01-01T00:00:00+00:00",
 }
 BAD_UTF8 = b"\xff\xfe not utf-8\n"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -489,6 +490,30 @@ def test_review_rerun_after_a_crash_between_audit_and_lexicon_save_replays(
     assert len(load_audit(ws / "audit.jsonl")) == 4
     replayed = replay_audit(initial, load_audit(ws / "audit.jsonl"))
     assert dumps_lexicon(replayed).encode("utf-8") == (ws / "lexicon.jsonl").read_bytes()
+
+
+def test_review_after_a_torn_audit_write_drops_the_torn_line(tmp_path, capsys):
+    # a crash or a full disk cut the log's last line short: the next review
+    # drops it, says so, and appends its batch on lines of its own
+    root = tmp_path / "ws"
+    assert run(capsys, "init", root)[0] == 0
+    argv = ["review", "--config", conf(root), str(root / "queue.jsonl"),
+            "--decisions", str(GOLDEN / "input.decisions.jsonl"), "--reviewer", "penyemak"]
+    assert run(capsys, "extract", "--config", conf(root), root / "sample",
+               "-o", root / "queue.jsonl")[0] == 0
+    initial = load_lexicon(root / "lexicon.jsonl")
+    assert run(capsys, *argv)[0] == 0
+    audit = root / "audit.jsonl"
+    logged = audit.read_bytes()
+    assert logged.count(b"\n") == 3
+    with open(audit, "ab") as handle:
+        handle.write(b'{"phrase": ["x"')
+    rc, _, err = run(capsys, *argv)
+    assert rc == 0
+    assert f"{audit}: dropped a torn last line (15 bytes)" in err
+    assert audit.read_bytes() == logged * 2
+    replayed = replay_audit(initial, load_audit(audit))
+    assert dumps_lexicon(replayed).encode("utf-8") == (root / "lexicon.jsonl").read_bytes()
 
 
 # --- config parsing ---

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import extraction_oracle as oracle
 from conftest import mk_doc, random_lexicon, random_phrase, random_tags
+from kaburlint import extraction
 from kaburlint.analyzer import ATTRIBUTE_MEMBER, CRITERIA, MULTI_POS, MULTI_SENSE, VAGUE_POS
 from kaburlint.errors import ReviewError
 from kaburlint.extraction import (
@@ -364,6 +365,37 @@ class TestQueueAndAuditFiles:
         for decision in decisions:
             append_audit(path, [decision])
         assert load_audit(path) == decisions
+
+    @pytest.mark.parametrize("block", [extraction._TAIL_BLOCK, 5])
+    def test_audit_append_cuts_a_torn_last_record_at_every_byte(
+        self, tmp_path, monkeypatch, block
+    ):
+        # a last record without its newline was never followed by a save:
+        # the next batch drops it and starts on a line of its own
+        monkeypatch.setattr(extraction, "_TAIL_BLOCK", block)
+        first, torn, batch = (
+            ReviewDecision(
+                phrase=(word,), verdict="reject", reviewer="pakar",
+                timestamp=f"2026-01-01T00:0{n}:00+00:00", force=True,
+            )
+            for n, word in enumerate(["akan", "efisien", "segera"])
+        )
+        path = tmp_path / "audit.jsonl"
+        append_audit(path, [first])
+        head = path.read_bytes()
+        append_audit(path, [torn])
+        record = path.read_bytes()[len(head) :]
+        append_audit(tmp_path / "batch.jsonl", [batch])
+        appended = (tmp_path / "batch.jsonl").read_bytes()
+        for prefix in (head, b""):
+            for cut in range(1, len(record)):  # every cut that leaves no newline
+                path.write_bytes(prefix + record[:cut])
+                assert append_audit(path, [batch]) == cut
+                assert path.read_bytes() == prefix + appended
+                assert load_audit(path) == ([first] if prefix else []) + [batch]
+            path.write_bytes(prefix + record)  # whole: nothing to cut
+            assert append_audit(path, [batch]) == 0
+            assert path.read_bytes() == prefix + record + appended
 
     @pytest.mark.parametrize("char", LINE_BREAKS)
     def test_queue_doc_with_a_line_break_other_than_newline(self, tmp_path, char):

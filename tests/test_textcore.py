@@ -280,8 +280,13 @@ def assert_matches_oracle(text: str, abbreviations) -> None:
         )
     table = ref.offsets().char_to_byte
     offsets = doc.offsets()
-    assert [offsets.char_to_byte(c) for c in range(len(text) + 1)] == table
+    characters = range(len(text))
+    assert offsets.spans([(c, c + 1) for c in characters]) == [
+        Span(table[c], table[c + 1]) for c in characters
+    ]
     size = table[-1]
+    boundaries = sorted(ref.offsets().byte_to_char)
+    assert offsets.line_cols(boundaries) == [oracle.line_col(ref, b) for b in boundaries]
     for start in range(size + 2):
         if start in ref.offsets().byte_to_char:
             assert line_col(doc, start) == oracle.line_col(ref, start)
@@ -337,6 +342,47 @@ def assert_columns_match_oracle(text: str, abbreviations) -> None:
         )
 
 
+def assert_locate_matches_oracle(text: str, abbreviations) -> None:
+    """Tokens.locate gives the oracle's sentence, span and text for every run.
+
+    The whole document is one window. The runs are every (first, last) pair
+    within a sentence: all of them in one call, where each sentence holds
+    several runs, and each alone (given twice) in a fresh window, where a
+    probe may settle it.
+    """
+    doc = Document(id="d", text=text)
+    ref = oracle.OracleDocument(id="d", text=text)
+    sentences = segment_sentences(doc, abbreviations)
+    want = [
+        oracle.tokenize(ref, sentence, abbreviations)
+        for sentence in oracle.segment_sentences(ref, abbreviations)
+    ]
+    heads = [0, *accumulate(map(len, want))]
+    expected = {}
+    for s, tokens in enumerate(want):
+        for i in range(len(tokens)):
+            for j in range(i, len(tokens)):
+                span = Span(tokens[i].span.start, tokens[j].span.end)
+                expected[heads[s] + i, heads[s] + j] = (s, span, oracle.slice_span(ref, span))
+    runs = list(expected)
+    assert tokenize(doc, sentences, abbreviations).locate(runs) == list(expected.values())
+    for run in runs:
+        window = tokenize(doc, sentences, abbreviations)
+        assert window.locate([run, run]) == [expected[run]] * 2
+
+
+# Texts where a token's surface also occurs elsewhere in its sentence: inside
+# an earlier or later token, repeated, beside an abbreviation or decimal that
+# holds it, or inside a run's middle token; each plain and behind a BOM, CRLF
+# line ends and non-ASCII text.
+LOCATE_TEXTS = [
+    "apa-apa apa", "bukan sebukan", "Sebukan bukan", "segera dan segera",
+    "dll. dll", "dll dll.", "3.14 3", "3 3.14", "secepat mungkin, mungkin",
+    "tiga apa-apa apa", "Kafé kafé Kafé. Kafé",
+]
+LOCATE_TEXTS += ["\ufeff" + "".join(f"“é” — {t}.\r\n" for t in LOCATE_TEXTS)]
+
+
 class TestOracle:
     """The optimized text layer against the per-character reference."""
 
@@ -355,6 +401,20 @@ class TestOracle:
     def test_fixed_column_spans(self, text):
         for abbreviations in ORACLE_ABBREVIATIONS:
             assert_columns_match_oracle(text, abbreviations)
+
+    @pytest.mark.parametrize("text", LOCATE_TEXTS)
+    def test_locating_edge_cases(self, text):
+        for abbreviations in ORACLE_ABBREVIATIONS:
+            assert_columns_match_oracle(text, abbreviations)
+            assert_locate_matches_oracle(text, abbreviations)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(COLUMN_PIECES), max_size=16).map("".join),
+        st.sampled_from(ORACLE_ABBREVIATIONS),
+    )
+    def test_locate(self, text, abbreviations):
+        assert_locate_matches_oracle(text, abbreviations)
 
     def test_seeded_random_texts(self):
         rng = random.Random(1402)
@@ -432,7 +492,7 @@ class TestOracle:
 
     def test_ascii_offsets_are_identity(self):
         offsets = Document(id="d", text="satu dua\n").offsets()
-        assert offsets.byte_to_char(9) == 9 and offsets.char_to_byte(9) == 9
+        assert offsets.byte_to_char(9) == 9 and offsets.spans([(0, 9)]) == [Span(0, 9)]
         with pytest.raises(ValueError):
             offsets.byte_to_char(10)
 
