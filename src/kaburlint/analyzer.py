@@ -295,9 +295,9 @@ CSV_HEADER = "document,line,col,start,end,sentence,matched,phrase,tags,criterion
 
 
 def _by_document(report: LintReport, docs: dict[str, Document]):
-    """Each run of one document's findings: the document, the findings and their line:col.
+    """The document, findings and 1-based (line, col)s of each document's consecutive findings.
 
-    The 1-based (line, col) of every finding of a run comes from one call.
+    The line:col of every finding of one stretch comes from one call.
     """
     for doc_id, group in groupby(report.findings, attrgetter("doc_id")):
         group = list(group)
