@@ -509,7 +509,7 @@ class TestLocating:
     def test_lint_is_linear_in_hits_on_one_line(self):
         # one sentence of 20,000 distinct verified words of one length, so
         # each occurs once and a find probe per hit would scan to the end of
-        # the line: that took 2.4 s here, against 0.07 s
+        # the line: that took 2.4 s against 0.07 s on a 2-vCPU host
         words = [f"syarat{n:05d}" for n in range(20000)]
         lexicon = Lexicon(entry(word, ("IMP",)) for word in words)
         doc = mk_doc(" ".join(words))
