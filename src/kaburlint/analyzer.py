@@ -19,7 +19,8 @@ window's last sentence waits for the next window's first sentence. A
 Finding is built only for a hit, and one Tokens.locate call per window
 gives every hit's sentence, byte span and text. The text and csv reports
 convert their findings' byte offsets to line:col with one call per
-document.
+document; the csv and records reports also give the offsets, counted as
+Span counts them (a "\r\n" line end is one byte).
 """
 
 from __future__ import annotations

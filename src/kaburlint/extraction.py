@@ -35,7 +35,7 @@ from .analyzer import (
     word_heuristics,
 )
 from .errors import LexiconError, ReviewError
-from .fileio import check_record, dumps_jsonl, read_jsonl, write_atomic
+from .fileio import check_record, dumps_jsonl, load_jsonl, write_atomic
 from .filters import FilterConfig, FilterCounts, apply_filters
 from .lexicon import (
     STATUS_REJECTED,
@@ -47,11 +47,9 @@ from .lexicon import (
     PhraseSets,
     PosDictionary,
     con_sub_tags,
-    label_set,
     load_rule_lists,
     longest_matches,
     normalize_phrase,
-    parse_tags,
     tag_texts,
 )
 from .textcore import Document, Record, Span, segment_sentences, tokenize
@@ -423,8 +421,8 @@ def record_to_candidate(record: object, where: str = "record") -> CandidateWord:
                 Occurrence(o["doc"], Span(o["start"], o["end"]))
                 for o in record.get("occurrences", ())
             ),
-            suggested_tags=parse_tags(record.get("tags", ())),
-            criterion_hits=label_set(record.get("criteria", ()), _KNOWN_CRITERIA),
+            suggested_tags=frozenset(map(AttributeTag.parse, record.get("tags", ()))),
+            criterion_hits=frozenset(record.get("criteria", ())),
             status=record.get("status", PENDING),
         )
     except (LexiconError, ValueError) as exc:
@@ -444,10 +442,26 @@ def save_candidates(candidates: Sequence[CandidateWord], path: str | Path) -> No
 
 
 def load_candidates(path: str | Path) -> list[CandidateWord]:
-    return [
-        record_to_candidate(record, where)
-        for where, record in read_jsonl(path, "candidate queue", ReviewError)
-    ]
+    return list(load_jsonl(
+        path, "candidate queue", ReviewError, record_to_candidate, _quick_candidate,
+        ("phrase", "occurrences"),
+    ))
+
+
+def _quick_candidate(record: dict, ref: CandidateWord) -> CandidateWord:
+    phrase, items = record["phrase"], record["occurrences"]
+    if phrase.__class__ is not list or items.__class__ is not list or not items:
+        raise ValueError
+    occurrences = []
+    for item in items:
+        doc, start, end = item["doc"], item["start"], item["end"]
+        if len(item) != 3 or (doc.__class__, start.__class__, end.__class__) != (str, int, int):
+            raise ValueError
+        occurrences.append(Occurrence(doc, Span(start, end)))
+    return CandidateWord(
+        normalize_phrase(phrase), tuple(occurrences), ref.suggested_tags, ref.criterion_hits,
+        ref.status,
+    )
 
 
 def decision_to_record(decision: ReviewDecision) -> dict:
@@ -473,7 +487,7 @@ def record_to_decision(record: object, where: str = "record") -> ReviewDecision:
         decision = ReviewDecision(
             phrase=normalize_phrase(record["phrase"]),
             verdict=record["verdict"],
-            final_tags=parse_tags(record.get("tags", ())),
+            final_tags=frozenset(map(AttributeTag.parse, record.get("tags", ()))),
             reviewer=record.get("reviewer", ""),
             timestamp=record.get("timestamp", ""),
             note=record.get("note"),
@@ -534,10 +548,18 @@ def _cut_torn_tail(handle) -> int:
 
 def load_audit(path: str | Path, what: str = "audit log") -> list[ReviewDecision]:
     """Decisions from a JSON-lines file: an audit log or a batch file."""
-    return [
-        record_to_decision(record, where)
-        for where, record in read_jsonl(path, what, ReviewError)
-    ]
+    varying = ("phrase", "timestamp")
+    return list(load_jsonl(path, what, ReviewError, record_to_decision, _quick_decision, varying))
+
+
+def _quick_decision(record: dict, ref: ReviewDecision) -> ReviewDecision:
+    phrase, timestamp = record["phrase"], record.get("timestamp", "")
+    if phrase.__class__ is not list or not phrase or timestamp.__class__ is not str:
+        raise ValueError
+    return ReviewDecision(
+        normalize_phrase(phrase), ref.verdict, ref.final_tags, ref.reviewer, timestamp, ref.note,
+        ref.force,
+    )
 
 
 def replay_audit(repo: Lexicon, decisions: Iterable[ReviewDecision]) -> Lexicon:

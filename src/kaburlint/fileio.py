@@ -1,27 +1,28 @@
-"""The package's one line reader, one JSON-lines reader and writer, one atomic writer.
+"""The package's line reader, JSON-lines reader, loader and writer, and atomic writer.
 
-Every input file is UTF-8 text. Both readers yield ``("<file>:<line>",
-value)`` pairs so callers can report the exact spot of a bad line, and
-both raise the caller's error class (a KaburlintError subclass) naming the
-path when the file cannot be read or is not valid UTF-8. check_record is
-the JSON type check that every JSON-lines record parser runs first.
+Every input file is UTF-8 text. read_lines yields ("<file>:<line>", line)
+pairs and read_jsonl (line number, value) pairs, so callers can name the
+exact spot of a bad line; both raise the caller's error class (a
+KaburlintError subclass) naming the path when the file cannot be read or is
+not valid UTF-8. check_record is the JSON type check of every record parser.
 
 Both readers split a file at '\n' only; read_text has already turned
 '\r\n' and '\r' into '\n'. So '\x0c', '\x1c', U+0085, U+2028 and the
 other separators of str.splitlines never split a line, and a line's
-number counts newlines alone. dumps_jsonl writes U+2028, U+2029 and
-U+0085 inside strings as they are. Each line is decoded by one shared
-JSONDecoder.raw_decode and accepted when the value ends exactly at the end
-of the line. Any other line (blank, with surrounding whitespace, a BOM,
+number counts newlines alone; dumps_jsonl writes U+2028, U+2029 and
+U+0085 inside strings as they are. Each line is decoded by one call of a
+shared decoder's scan_once and accepted when the value ends exactly at the
+end of the line. Any other line (blank, with surrounding whitespace, a BOM,
 extra data or invalid JSON) goes through json.loads, so every value and
-every error message is the one json.loads gives for that line.
+every error message is the one json.loads gives for that line. load_jsonl
+runs a record parser's full check once per shape of record.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 
@@ -46,18 +47,18 @@ def read_lines(
 
 
 # json.loads(line) for a line that is one JSON value with nothing around it
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once
 
 
 def read_jsonl(
     path: str | Path, what: str, error: type[Exception]
-) -> Iterator[tuple[str, object]]:
-    """Decoded JSON values of a JSON-lines file, skipping blank lines."""
+) -> Iterator[tuple[int, object]]:
+    """(line number, decoded JSON value) per line of a JSON-lines file, skipping blanks."""
     name = os.path.basename(path)
     for lineno, line in enumerate(read_text(path, what, error).split("\n"), start=1):
         try:
-            value, end = _raw_decode(line)
-        except (ValueError, RecursionError):
+            value, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
             end = -1
         if end != len(line):
             # not one bare value: json.loads decides, and words any error
@@ -69,20 +70,50 @@ def read_jsonl(
                 raise error(
                     f"{name}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})"
                 ) from None
-        yield f"{name}:{lineno}", value
+        yield lineno, value
 
 
-# json.dumps(record, ensure_ascii=False) without building an encoder per record
-_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+def load_jsonl(
+    path: str | Path, what: str, error: type[Exception],
+    parse: Callable, quick: Callable, varying: tuple[str, ...],
+) -> Iterator:
+    """The parsed records of a JSON-lines file, each shape checked once.
+
+    A record's shape is its fields but varying, with their exact values.
+    parse(record, "<file>:<line>"), the full check that raises error, parses
+    the first record of each shape and any record that quick refuses.
+    quick(record, a value parsed from its shape) converts only the varying fields,
+    raising LookupError, TypeError or ValueError where parse might not agree.
+    """
+    name = os.path.basename(path)
+    parsed: dict[tuple, object] = {}
+    for lineno, record in read_jsonl(path, what, error):
+        try:  # the class tells true from 1; a list of lists or objects is unhashable
+            shape = tuple([
+                (key, item.__class__, tuple(item) if item.__class__ is list else item)
+                for key, item in record.items() if key not in varying
+            ])
+            value = quick(record, parsed[shape])
+        except (AttributeError, LookupError, TypeError, ValueError):
+            # parse accepts only an object, whose shape is set above and hashable
+            value = parsed[shape] = parse(record, f"{name}:{lineno}")
+        yield value
 
 
 def dumps_jsonl(records: Iterable[object]) -> str:
-    """JSON-lines text, one record per line, non-ASCII kept as is.
+    """JSON-lines text: json.dumps(record, ensure_ascii=False) per line.
 
-    The counterpart of read_jsonl: every JSON-lines file the package
-    writes and every records report is this text.
+    The counterpart of read_jsonl: every JSON-lines file the package writes
+    and every records report is this text. One C encoder encodes it all.
     """
-    return "".join(_encode_json(record) + "\n" for record in records)
+    e, make_encoder = json.JSONEncoder(ensure_ascii=False), json.encoder.c_make_encoder
+    if make_encoder is None:  # no _json module
+        return "".join(e.encode(record) + "\n" for record in records)
+    encode = make_encoder(
+        {}, e.default, json.encoder.encode_basestring, e.indent, e.key_separator,
+        e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan,
+    )
+    return "".join(["".join(encode(record, 0)) + "\n" for record in records])
 
 
 _KIND_NAMES = {

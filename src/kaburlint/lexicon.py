@@ -6,13 +6,11 @@ phrase (array of tokens), pos (array), senses (optional integer), tags
 source. Saving orders entries by phrase and uses a canonical key order, so
 files are byte-stable and save(load(f)) reproduces f for valid input.
 
-Files repeat a few tag and POS lists across thousands of records, so
-each distinct list is parsed once: parse_tags (tags) and label_set (POS
-classes; extraction's criteria) are functools caches keyed by the list's
-tuple, and equal lists share one frozenset. Only valid lists are cached:
-an invalid tag raises, and a list with an unknown label gets a frozenset
-of its own for validate to reject. tag_texts renders each distinct tag
-set once and returns a new list on every call.
+Records repeat a few combinations of the fields but phrase. load_lexicon
+(through fileio.load_jsonl) runs record_to_entry, the full check, on the
+first record of each and on any record it cannot vouch for; the others share
+its POS and tag sets and have only their phrase checked. tag_texts renders
+each distinct tag set once.
 
 The POS dictionary is a TSV: word, comma-separated classes, optional sense
 count. A rule list holds one phrase per line, and each list is keyed by
@@ -40,7 +38,7 @@ from functools import cache
 from pathlib import Path
 
 from .errors import LexiconError, WordlistError
-from .fileio import check_record, dumps_jsonl, read_jsonl, read_lines, write_atomic
+from .fileio import check_record, dumps_jsonl, load_jsonl, read_lines, write_atomic
 from .textcore import Record, Tokens
 
 ATTRIBUTES = ("IMP", "CON", "T", "REF", "VAR", "WN")
@@ -127,32 +125,6 @@ def _sorted_tag_texts(tags: frozenset[AttributeTag]) -> tuple[str, ...]:
     return tuple(text for _, text in sorted(map(_TAG_KEYS.__getitem__, tags)))
 
 
-def parse_tags(texts: Sequence[str]) -> frozenset[AttributeTag]:
-    """The tags of a record's tag list; equal lists share one frozenset."""
-    return _parsed_tags(tuple(texts))
-
-
-@cache  # an invalid tag raises, so only lists of valid tags are kept
-def _parsed_tags(texts: tuple[str, ...]) -> frozenset[AttributeTag]:
-    return frozenset(map(AttributeTag.parse, texts))
-
-
-def label_set(values: Sequence[str], labels: frozenset[str]) -> frozenset[str]:
-    """frozenset(values), shared by equal lists whose values are all labels.
-
-    A list with a value outside labels gets a frozenset of its own, never
-    cached, so that the caller's check names the unknown value.
-    """
-    if labels.issuperset(values):
-        return _shared_set(tuple(values))
-    return frozenset(values)
-
-
-@cache
-def _shared_set(values: tuple[str, ...]) -> frozenset[str]:
-    return frozenset(values)
-
-
 def con_sub_tags(pos_classes: Iterable[str]) -> frozenset[AttributeTag]:
     """The CON sub-attribute tag of each POS class that has one (POS_TO_CON_SUB)."""
     return frozenset(
@@ -233,15 +205,12 @@ class Lexicon:
         entry.validate()
         if entry.phrase in self._entries:
             raise LexiconError(f"duplicate phrase {entry.phrase_text!r}")
-        self._insert(entry)
+        self._entries[entry.phrase] = entry
+        self._verified = None
 
     def replace(self, entry: LexiconEntry) -> None:
         """Insert or overwrite the entry for entry.phrase."""
         entry.validate()
-        self._insert(entry)
-
-    def _insert(self, entry: LexiconEntry) -> None:
-        """Store an entry the caller has validated."""
         self._entries[entry.phrase] = entry
         self._verified = None
 
@@ -308,9 +277,9 @@ def record_to_entry(record: object, where: str = "record") -> LexiconEntry:
     try:
         entry = LexiconEntry(
             phrase=normalize_phrase(record["phrase"]),
-            pos_classes=label_set(record.get("pos", ()), POS_LABELS),
+            pos_classes=frozenset(record.get("pos", ())),
             sense_count=record.get("senses"),
-            tags=parse_tags(record.get("tags", ())),
+            tags=frozenset(map(AttributeTag.parse, record.get("tags", ()))),
             status=record.get("status", STATUS_CANDIDATE),
             note=record.get("note"),
             source=record.get("source", "user"),
@@ -340,11 +309,27 @@ def load_rule_lists(paths: dict[str, str | Path]) -> PhraseSets:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load a JSON-lines lexicon file, validating every record once."""
     lexicon = Lexicon()
-    for where, record in read_jsonl(path, "lexicon", LexiconError):
+    entries = lexicon._entries
+
+    def parse(record: object, where: str) -> LexiconEntry:
         entry = record_to_entry(record, where)
-        if entry.phrase in lexicon:
+        if entry.phrase in entries:
             raise LexiconError(f"{where}: duplicate phrase {entry.phrase_text!r}")
-        lexicon._insert(entry)
+        return entry
+
+    def quick(record: dict, ref: LexiconEntry) -> LexiconEntry:
+        # a new phrase of case-folded tokens without whitespace, as written
+        words = record["phrase"]
+        text, phrase = " ".join(words), tuple(words)
+        if (words.__class__ is not list or not words or phrase in entries
+                or text.split() != words or text != text.casefold()):
+            raise ValueError
+        return LexiconEntry(
+            phrase, ref.pos_classes, ref.sense_count, ref.tags, ref.status, ref.note, ref.source
+        )
+
+    for entry in load_jsonl(path, "lexicon", LexiconError, parse, quick, ("phrase",)):
+        entries[entry.phrase] = entry
     return lexicon
 
 

@@ -239,8 +239,9 @@ def replace(record: Record, **changes) -> Record:
 class Span(Record, hashable=True):
     """Half-open byte range [start, end) within a document's UTF-8 text.
 
-    Built for every finding and occurrence, so its only check is
-    0 <= start < end.
+    The text as read, where a "\r\n" or a lone "\r" is one "\n" byte and a BOM
+    is 3 bytes: past a CR line end these are not offsets into the file. Built
+    for every finding and occurrence, so its only check is 0 <= start < end.
     """
 
     __slots__ = ("start", "end")

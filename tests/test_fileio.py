@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kaburlint.errors import KaburlintError, WordlistError
-from kaburlint.fileio import read_jsonl, read_lines
+from kaburlint.fileio import dumps_jsonl, read_jsonl, read_lines
 from kaburlint.lexicon import load_pos_dictionary
 
 DEEP = "[" * 100_000 + "]" * 100_000
@@ -48,20 +49,20 @@ class FileError(KaburlintError):
     pass
 
 
-def loads_each_line(text: str, name: str) -> tuple[list[tuple[str, object]], str | None]:
-    """(where, json.loads(line)) per non-blank '\\n'-split line up to the first error."""
+def loads_each_line(text: str, name: str) -> tuple[list[tuple[int, object]], str | None]:
+    """(line number, json.loads(line)) per non-blank '\\n'-split line up to the first error."""
     values = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            values.append((f"{name}:{lineno}", json.loads(line)))
+            values.append((lineno, json.loads(line)))
         except (ValueError, RecursionError) as exc:
             return values, f"{name}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})"
     return values, None
 
 
-def read_all(path: Path) -> tuple[list[tuple[str, object]], str | None]:
+def read_all(path: Path) -> tuple[list[tuple[int, object]], str | None]:
     values = []
     try:
         for item in read_jsonl(path, "test file", FileError):
@@ -110,3 +111,38 @@ def test_line_reader_splits_at_newline_alone(tmp_path, separator):
         load_pos_dictionary(pos)
     pos.write_text(f"papar\tkk\n# note{separator}more\nalam\tkk\n", encoding="utf-8")
     assert len(load_pos_dictionary(pos)) == 2
+
+
+# record-like objects: the strings hold what a careless encoder escapes or splits at
+special_text = st.text(st.sampled_from(["a", "é", "ß", "\u2028", "\u2029", "\x85", "\n", '"', "\\", "\x00", "😀"]))
+field_values = st.recursive(
+    st.booleans() | st.integers() | special_text | st.none() | st.floats(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(special_text, children, max_size=3),
+    max_leaves=8,
+)
+jsonl_records = st.one_of(
+    st.dictionaries(special_text, field_values, max_size=5),
+    st.fixed_dictionaries({
+        "phrase": st.lists(special_text, max_size=3),
+        "occurrences": st.lists(
+            st.fixed_dictionaries({"doc": special_text, "start": st.integers(0), "end": st.integers(0)}),
+            max_size=3,
+        ),
+        "senses": st.integers(), "force": st.booleans(),
+    }),
+)
+
+
+@pytest.mark.parametrize("encoder", ["c", "python"])
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(jsonl_records, max_size=4))
+@example(records=[{"phrase": ["\u2028\u2029\x85é"], "senses": 2, "force": True}])
+def test_dumps_jsonl_is_json_dumps_of_each_record(encoder, records):
+    want = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    if encoder == "python":
+        with mock.patch.object(json.encoder, "c_make_encoder", None):
+            assert dumps_jsonl(records) == want
+    else:
+        assert json.encoder.c_make_encoder is not None
+        assert dumps_jsonl(records) == want

@@ -23,7 +23,9 @@ After an intended output change, rewrite the goldens with
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import json
 import os
 import shutil
 import tempfile
@@ -102,6 +104,29 @@ def test_map_of_the_queue_before_review_matches_the_mapped_golden(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["map", "--config", str(root / CONF), str(stale)]) == 0
     assert stale.read_bytes() == (GOLDEN_DIR / "map.queue.jsonl").read_bytes()
+
+
+def test_csv_and_records_offsets_count_a_crlf_as_one_byte():
+    # start/end are bytes of the text as read: the BOM is 3 bytes, and each
+    # "\r\n" the one "\n" byte it is read as; so past the first line end they
+    # are not offsets into the file, whose line ends are CRLF
+    raw = (GOLDEN_DIR / "input.spec.txt").read_bytes()
+    read = (GOLDEN_DIR / "input.spec.txt").read_text(encoding="utf-8").encode("utf-8")
+    assert raw.startswith(b"\xef\xbb\xbf") and read == raw.replace(b"\r\n", b"\n")
+    records = [
+        json.loads(line)
+        for line in (GOLDEN_DIR / "lint.spec.records.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    with open(GOLDEN_DIR / "lint.spec.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(r["start"], r["end"]) for r in records] == [
+        (int(row["start"]), int(row["end"])) for row in rows
+    ]
+    for record in records:
+        assert read[record["start"]:record["end"]].decode("utf-8") == record["matched"]
+    semak = next(r for r in records if r["matched"] == "semak")
+    assert (semak["start"], semak["end"]) == (105, 110)
+    assert raw.find(b"semak") == 106 and raw[105:110] != b"semak"
 
 
 def _rewrite_goldens() -> None:

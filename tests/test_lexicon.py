@@ -13,24 +13,20 @@ from hypothesis import strategies as st
 import lint_oracle
 from conftest import all_tokens, mk_doc, random_lexicon
 from kaburlint import fileio
-from kaburlint import lexicon as lexicon_module
 from kaburlint.errors import LexiconError, WordlistError
 from kaburlint.lexicon import (
     ATTRIBUTES,
-    POS_LABELS,
     SUB_ATTRIBUTES,
     AttributeTag,
     Lexicon,
     LexiconEntry,
     PhraseIndex,
     dumps_lexicon,
-    label_set,
     load_lexicon,
     load_pos_dictionary,
     longest_matches,
     match_entries,
     normalize_phrase,
-    parse_tags,
     save_lexicon,
     tag_texts,
 )
@@ -253,17 +249,6 @@ class TestRecordCaches:
         first.reverse()
         assert tag_texts(tags) == ["IMP.general", "T"]
         assert tag_texts(tags) is not tag_texts(tags)
-
-    def test_invalid_lists_are_not_cached(self):
-        held = lexicon_module._parsed_tags.cache_info().currsize
-        with pytest.raises(LexiconError, match="ZZZ"):
-            parse_tags(["T", "ZZZ"])
-        assert lexicon_module._parsed_tags.cache_info().currsize == held
-        held = lexicon_module._shared_set.cache_info().currsize
-        first = label_set(["kn", "noun"], POS_LABELS)
-        assert first == {"kn", "noun"}
-        assert label_set(["kn", "noun"], POS_LABELS) is not first
-        assert lexicon_module._shared_set.cache_info().currsize == held
 
 
 def reference_longest_match(phrases: set[tuple[str, ...]], words: list[str]):
