@@ -6,7 +6,9 @@ six-attribute ambiguity taxonomy, record expert review decisions, and
 report per-attribute statistics.
 
 The names below load their module on first use (PEP 562), so a command
-imports only the modules it runs.
+imports only the modules it runs: records holds the record base and the
+shared constants, and curation the review workflow, so review and stats
+load neither textcore nor analyzer (see cli).
 """
 
 __version__ = "0.1.0"
@@ -14,18 +16,17 @@ __version__ = "0.1.0"
 # the public names of each module, loaded on first use by __getattr__
 _EXPORTS = {
     "analyzer": "Finding LintReport lint_document word_heuristics",
+    "curation": "CandidateWord ReviewDecision record_decision",
     "errors": "KaburlintError",
-    "extraction": (
-        "CandidateWord ReviewDecision extract_candidates map_candidate_attributes"
-        " record_decision"
-    ),
+    "extraction": "extract_candidates map_candidate_attributes",
     "filters": "FilterConfig FilterReport apply_filters detect_reduplication",
     "lexicon": (
         "AttributeTag Lexicon LexiconEntry PosDictionary load_lexicon match_entries"
         " save_lexicon"
     ),
+    "records": "Span",
     "stats": "CorpusStats compute_attribute_stats render_table",
-    "textcore": "Document Span segment_sentences tokenize",
+    "textcore": "Document segment_sentences tokenize",
 }
 _MODULES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = ["__version__", *sorted(_MODULES)]

@@ -44,36 +44,13 @@ from .lexicon import (
     match_entries,
     tag_texts,
 )
-from .textcore import (
-    Document,
-    Span,
-    Tokens,
-    Record,
-    segment_sentences,
-    tokenize,
-)
-
-MULTI_POS = "multi_pos"
-MULTI_SENSE = "multi_sense"
-VAGUE_POS = "vague_pos"
-ATTRIBUTE_MEMBER = "attribute_member"
-DANGLING_ELSE = "dangling_else"
-REFERENTIAL_SENTENCE = "referential_sentence"
-
-CRITERIA = (
-    MULTI_POS,
-    MULTI_SENSE,
-    VAGUE_POS,
-    ATTRIBUTE_MEMBER,
-    DANGLING_ELSE,
-    REFERENTIAL_SENTENCE,
-)
+from .records import ATTRIBUTE_MEMBER, CRITERIA, DANGLING_ELSE, MULTI_POS, MULTI_SENSE
+from .records import FORMAT_CSV, FORMAT_RECORDS, FORMAT_TEXT, REFERENTIAL_SENTENCE
+from .records import SENSE_THRESHOLD, Record, Span
+from .textcore import Document, Tokens, segment_sentences, tokenize
 
 SEVERITY_WARNING = "warning"
 SEVERITY_INFO = "info"
-
-# a word with at least this many recorded senses is a multi-sense finding
-SENSE_THRESHOLD = 2
 
 # dangling-else markers as normalized words: a conditional is one word, an
 # alternative a run of words
@@ -284,12 +261,6 @@ def lint_document(
         findings.append(pending)
     findings.sort(key=_finding_sort_key)
     return LintReport(findings)
-
-
-FORMAT_TEXT = "text"
-FORMAT_CSV = "csv"
-FORMAT_RECORDS = "records"
-REPORT_FORMATS = (FORMAT_TEXT, FORMAT_CSV, FORMAT_RECORDS)
 
 
 CSV_HEADER = "document,line,col,start,end,sentence,matched,phrase,tags,criterion,severity\n"

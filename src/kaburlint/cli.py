@@ -3,14 +3,17 @@
 Exit codes follow linter convention: 0 clean, 1 findings present (lint
 only), 2 on any error. Every subcommand is deterministic given identical
 input files and configuration; --jobs N changes wall time, never output.
-A command imports a module that only some commands run (extraction for
-extract, map and review; stats for stats) when it runs, so lint loads
-neither. lint and extract take one code path at any --jobs: _pool_map,
-which runs at most --jobs workers and never more than items, the parent
-being the first. lint's items are paths: each worker reads, lints and renders
-its own documents, and the parent writes the rendered parts in input
-order, after the csv header or before the text totals. extract's items
-are documents, and the parent merges their scans.
+Importing cli loads config and the lexicon, filters and records it reads.
+A command loads the rest at call time: lint analyzer and textcore, extract
+and map extraction (with both and curation), review curation, stats stats.
+analyzer is thus loaded in the parent, before _pool_map starts a worker.
+
+lint and extract take one code path at any --jobs: _pool_map, which runs
+at most --jobs workers and never more than items, the parent being the
+first. lint's items are paths: each worker reads, lints and renders its
+own documents, and the parent writes the rendered parts in input order,
+after the csv header or before the text totals. extract's items are
+documents, and the parent merges their scans.
 """
 
 from __future__ import annotations
@@ -24,17 +27,6 @@ from itertools import pairwise
 from pathlib import Path
 
 from . import __version__
-from .analyzer import (
-    CRITERIA,
-    FORMAT_CSV,
-    FORMAT_TEXT,
-    REPORT_FORMATS,
-    lint_document,
-    render_report,
-    report_head,
-    report_tail,
-    word_heuristics,
-)
 from .config import (
     Config,
     SCOPE_NAMES,
@@ -44,14 +36,16 @@ from .config import (
     load_resources,
     validate_config,
 )
-from .errors import ConfigError, KaburlintError, ReviewError
+from .errors import ConfigError, KaburlintError
 from .fileio import read_text
 from .filters import REASON_ORDER
 from .lexicon import AttributeTag, Lexicon, load_lexicon, save_lexicon, tag_texts
-from .textcore import Document, replace
+from .records import CRITERIA, FORMAT_CSV, FORMAT_TEXT, REPORT_FORMATS, replace
 
 
 def _read_document(path: Path, doc_id: str | None = None) -> Document:
+    from .textcore import Document
+
     text = read_text(path, "document", ConfigError)
     return Document(id=doc_id or str(path), text=text, source_path=str(path))
 
@@ -220,8 +214,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    from .extraction import load_candidates, map_candidate_attributes, queue_status
-    from .extraction import save_candidates
+    from .curation import load_candidates, queue_status, save_candidates
+    from .extraction import map_candidate_attributes
 
     cfg = _load_cfg(args)
     res = load_resources(cfg, require_lexicon=False)
@@ -244,41 +238,12 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 # --- review ---
-# CandidateWord and ReviewDecision in the annotations below are extraction's;
+# CandidateWord and ReviewDecision in the annotations below are curation's;
 # annotations are not evaluated (PEP 563), so importing cli does not load it.
 
 
-def _now_iso() -> str:
-    from datetime import datetime, timezone
-
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _resolve_decision(
-    decision: ReviewDecision,
-    queue: dict[tuple[str, ...], CandidateWord],
-    default_reviewer: str,
-    force_flag: bool,
-) -> ReviewDecision:
-    from .extraction import VERDICT_REJECT
-
-    candidate = queue.get(decision.phrase)
-    if candidate is None:
-        raise ReviewError(f"no candidate in queue for phrase {' '.join(decision.phrase)!r}")
-    tags = decision.final_tags
-    if decision.verdict == VERDICT_REJECT and not tags:
-        tags = candidate.suggested_tags
-    return replace(
-        decision,
-        final_tags=tags,
-        reviewer=decision.reviewer or default_reviewer,
-        timestamp=decision.timestamp or _now_iso(),
-        force=decision.force or force_flag,
-    )
-
-
 def _load_batch_decisions(path: Path) -> list[ReviewDecision]:
-    from .extraction import load_audit
+    from .curation import load_audit
 
     return load_audit(path, "decisions file")
 
@@ -298,10 +263,11 @@ def _apply_decisions(
     in the audit log. A torn last line of the log, which no save followed,
     is dropped before the append (append_audit), and said so on stderr.
     """
-    from .extraction import (
+    from .curation import (
         ACCEPTED,
         REJECTED,
         VERDICT_ACCEPT,
+        CandidateWord,
         append_audit,
         replay_audit,
         save_candidates,
@@ -311,7 +277,10 @@ def _apply_decisions(
     by_phrase = {c.phrase: c for c in queue}
     for decision in decisions:
         status = ACCEPTED if decision.verdict == VERDICT_ACCEPT else REJECTED
-        by_phrase[decision.phrase] = replace(by_phrase[decision.phrase], status=status)
+        c = by_phrase[decision.phrase]
+        by_phrase[decision.phrase] = CandidateWord(
+            c.phrase, c.occurrences, c.suggested_tags, c.criterion_hits, status
+        )
     torn = append_audit(audit_path, decisions)
     if torn:
         print(
@@ -350,8 +319,8 @@ def _interactive_decisions(queue: list[CandidateWord], lexicon: Lexicon, resolve
     an accept with no tag) is reported and asked again, like a bad tag, so
     it never throws the session's other decisions away.
     """
-    from .extraction import PENDING, VERDICT_ACCEPT, VERDICT_REJECT, ReviewDecision
-    from .extraction import queue_status, record_decision
+    from .curation import PENDING, VERDICT_ACCEPT, VERDICT_REJECT, ReviewDecision
+    from .curation import queue_status, record_decision
 
     pending = [c for c in queue if queue_status(c.phrase, c.status, lexicon) == PENDING]
     for position, candidate in enumerate(pending, start=1):
@@ -384,7 +353,7 @@ def _interactive_decisions(queue: list[CandidateWord], lexicon: Lexicon, resolve
 
 
 def cmd_review(args: argparse.Namespace) -> int:
-    from .extraction import load_candidates
+    from .curation import load_candidates, resolve_decision
 
     cfg = _load_cfg(args)
     if cfg.lexicon is None:
@@ -397,7 +366,7 @@ def cmd_review(args: argparse.Namespace) -> int:
     reviewer = args.reviewer or "anonymous"
 
     resolve = partial(
-        _resolve_decision, queue=by_phrase, default_reviewer=reviewer, force_flag=args.force
+        resolve_decision, queue=by_phrase, default_reviewer=reviewer, force_flag=args.force
     )
     if args.decisions:
         decisions = list(map(resolve, _load_batch_decisions(Path(args.decisions))))
@@ -425,6 +394,8 @@ def _lint_path(path: str, fmt: str, **lint_args) -> tuple[str, int, dict, dict]:
     Returns the document's report lines in fmt (no csv header, no text
     totals) and its warning, attribute and criterion counts.
     """
+    from .analyzer import lint_document, render_report  # cmd_lint loaded it
+
     doc = _read_document(Path(path))
     report = lint_document(doc, **lint_args)
     body = render_report(report, fmt, {doc.id: doc})
@@ -432,6 +403,9 @@ def _lint_path(path: str, fmt: str, **lint_args) -> tuple[str, int, dict, dict]:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    # loaded before _pool_map starts a worker, so no worker loads it again
+    from .analyzer import report_head, report_tail, word_heuristics
+
     cfg = _load_cfg(args)
     res = load_resources(cfg)
     task = partial(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .analyzer import REPORT_FORMATS, SENSE_THRESHOLD
 from .errors import ConfigError
 from .fileio import read_lines
 from .filters import FilterConfig, load_wordlist
@@ -29,7 +28,7 @@ from .lexicon import (
     load_pos_dictionary,
     load_rule_lists,
 )
-from .textcore import DEFAULT_ABBREVIATIONS, Record
+from .records import DEFAULT_ABBREVIATIONS, REPORT_FORMATS, SENSE_THRESHOLD, Record
 
 RULE_ATTRIBUTE_KEYS = {
     "rules_implicit": "IMP",

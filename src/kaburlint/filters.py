@@ -31,7 +31,8 @@ from pathlib import Path
 
 from .errors import WordlistError
 from .fileio import read_lines
-from .textcore import DEFAULT_ABBREVIATIONS, Record, Tokens
+# Tokens, named in annotations only (PEP 563), is textcore's and not loaded
+from .records import DEFAULT_ABBREVIATIONS, Record
 
 LOANWORD = "loanword"
 SHORT_FORM = "short_form"

@@ -39,7 +39,8 @@ from pathlib import Path
 
 from .errors import LexiconError, WordlistError
 from .fileio import check_record, dumps_jsonl, load_jsonl, read_lines, write_atomic
-from .textcore import Record, Tokens
+# Tokens, named in annotations only (PEP 563), is textcore's and not loaded
+from .records import Record
 
 ATTRIBUTES = ("IMP", "CON", "T", "REF", "VAR", "WN")
 

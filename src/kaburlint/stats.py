@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .analyzer import FORMAT_CSV, FORMAT_TEXT
 from .errors import StatsError
 from .lexicon import (
     ATTRIBUTES,
@@ -20,7 +19,7 @@ from .lexicon import (
     STATUS_VERIFIED,
     LexiconEntry,
 )
-from .textcore import Record
+from .records import FORMAT_CSV, FORMAT_TEXT, Record
 
 _SCOPE_STATUSES = {
     SCOPE_VERIFIED: frozenset({STATUS_VERIFIED}),

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from kaburlint.analyzer import DANGLING_ELSE, SEVERITY_INFO, Finding
+from kaburlint.analyzer import SEVERITY_INFO, Finding
 from kaburlint.lexicon import AttributeTag
-from kaburlint.textcore import Span
+from kaburlint.records import DANGLING_ELSE, Span
 from textcore_oracle import Sentence, Token
 
 DEFAULT_CONDITIONAL_MARKERS = ("jika", "sekiranya", "apabila")

@@ -17,16 +17,9 @@ from kaburlint.lexicon import (
     Lexicon,
     LexiconEntry,
 )
+from kaburlint.records import DEFAULT_ABBREVIATIONS, Span
 from kaburlint.seeds import write_seed_tree
-from kaburlint.textcore import (
-    DEFAULT_ABBREVIATIONS,
-    Document,
-    SentenceList,
-    Span,
-    Tokens,
-    segment_sentences,
-    tokenize,
-)
+from kaburlint.textcore import Document, SentenceList, Tokens, segment_sentences, tokenize
 from textcore_oracle import Token, token_kind
 
 

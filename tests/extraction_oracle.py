@@ -25,15 +25,9 @@ from pathlib import Path
 import lint_oracle
 import textcore_oracle
 
-from kaburlint.analyzer import (
-    ATTRIBUTE_MEMBER,
-    MULTI_POS,
-    MULTI_SENSE,
-    SENSE_THRESHOLD,
-    VAGUE_POS,
-)
+from kaburlint.curation import ACCEPTED, PENDING, CandidateWord, Occurrence
 from kaburlint.errors import WordlistError
-from kaburlint.extraction import ACCEPTED, PENDING, CandidateWord, ExtractionResult, Occurrence
+from kaburlint.extraction import ExtractionResult
 from kaburlint.fileio import read_lines
 from kaburlint.filters import FilterConfig, FilterCounts
 from kaburlint.lexicon import (
@@ -47,7 +41,16 @@ from kaburlint.lexicon import (
     PosDictionary,
     normalize_phrase,
 )
-from kaburlint.textcore import Document, Span, replace
+from kaburlint.records import (
+    ATTRIBUTE_MEMBER,
+    MULTI_POS,
+    MULTI_SENSE,
+    SENSE_THRESHOLD,
+    VAGUE_POS,
+    Span,
+    replace,
+)
+from kaburlint.textcore import Document
 
 
 def longest_matches(

@@ -19,17 +19,7 @@ from collections.abc import Callable, Sequence
 
 import analyzer_oracle
 import textcore_oracle
-from kaburlint.analyzer import (
-    ATTRIBUTE_MEMBER,
-    CRITERIA,
-    MULTI_POS,
-    MULTI_SENSE,
-    REFERENTIAL_SENTENCE,
-    SENSE_THRESHOLD,
-    SEVERITY_INFO,
-    SEVERITY_WARNING,
-    Finding,
-)
+from kaburlint.analyzer import SEVERITY_INFO, SEVERITY_WARNING, Finding
 from kaburlint.filters import (
     LOANWORD,
     NUMBER_REASON,
@@ -47,7 +37,15 @@ from kaburlint.lexicon import (
     LexiconEntry,
     PosDictionary,
 )
-from kaburlint.textcore import Span
+from kaburlint.records import (
+    ATTRIBUTE_MEMBER,
+    CRITERIA,
+    MULTI_POS,
+    MULTI_SENSE,
+    REFERENTIAL_SENTENCE,
+    SENSE_THRESHOLD,
+    Span,
+)
 from textcore_oracle import NUMBER, SYMBOL, WORD, Token
 
 _CLITIC_STOPLIST = frozenset({"hanya", "tanya", "punya"})

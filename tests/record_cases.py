@@ -22,11 +22,13 @@ from collections import Counter
 
 from kaburlint.analyzer import Finding, LintReport
 from kaburlint.config import Config, Resources
-from kaburlint.extraction import CandidateWord, ExtractionResult, Occurrence, ReviewDecision
+from kaburlint.curation import CandidateWord, Occurrence, ReviewDecision
+from kaburlint.extraction import ExtractionResult
 from kaburlint.filters import FilterConfig, FilterCounts
 from kaburlint.lexicon import AttributeTag, LexiconEntry
+from kaburlint.records import Record, Span, replace
 from kaburlint.stats import AttributeCounts, CorpusStats
-from kaburlint.textcore import Document, Record, Span, replace
+from kaburlint.textcore import Document
 
 _SPAN = Span(7, 12)
 _TAG = AttributeTag("CON", "verb")

@@ -17,12 +17,6 @@ import lint_oracle
 import textcore_oracle
 from conftest import mk_doc
 from kaburlint.analyzer import (
-    ATTRIBUTE_MEMBER,
-    DANGLING_ELSE,
-    MULTI_POS,
-    MULTI_SENSE,
-    REFERENTIAL_SENTENCE,
-    REPORT_FORMATS,
     LintReport,
     lint_document,
     render_report,
@@ -40,8 +34,17 @@ from kaburlint.lexicon import (
     normalize_phrase,
     record_to_entry,
 )
+from kaburlint.records import (
+    ATTRIBUTE_MEMBER,
+    DANGLING_ELSE,
+    MULTI_POS,
+    MULTI_SENSE,
+    REFERENTIAL_SENTENCE,
+    REPORT_FORMATS,
+    replace,
+)
 from kaburlint.seeds import seed_text, write_seed_tree
-from kaburlint.textcore import SENTENCE_WINDOW, Document, replace, segment_sentences
+from kaburlint.textcore import SENTENCE_WINDOW, Document, segment_sentences
 
 
 def tag(text):

@@ -22,15 +22,15 @@ from hypothesis import strategies as st
 from kaburlint import cli
 from kaburlint.cli import main
 from kaburlint.config import Config, load_config, validate_config
-from kaburlint.errors import ConfigError, KaburlintError
-from kaburlint.extraction import (
+from kaburlint.curation import (
     load_audit,
     load_candidates,
     record_to_candidate,
     record_to_decision,
     replay_audit,
-    scan_document,
 )
+from kaburlint.errors import ConfigError, KaburlintError
+from kaburlint.extraction import scan_document
 from kaburlint.lexicon import (
     ATTRIBUTES,
     SUB_ATTRIBUTES,
@@ -38,7 +38,7 @@ from kaburlint.lexicon import (
     load_lexicon,
     record_to_entry,
 )
-from kaburlint.textcore import replace
+from kaburlint.records import replace
 
 EXTRA_DOC = "Sistem mesti papar laporan itu.\nJika data rosak, sistem papar amaran.\n"
 ACCEPT_PAPAR = {
@@ -250,6 +250,24 @@ def test_stats_does_not_read_a_malformed_pos_dictionary(ws, capsys):
     argv, _ = _append_pos_row(ws, "secepat mungkin\tadj,kk\t3")
     assert run(capsys, *argv)[0] == 2
     assert before[0] == 0 and run(capsys, *_stats(ws)) == before
+
+
+@pytest.mark.parametrize("command", ["map", "review"])
+@pytest.mark.parametrize("line", [1, 2], ids=["first of its shape", "after its shape"])
+def test_a_queued_empty_phrase_exits_2_and_names_its_line(ws, capsys, command, line):
+    # the first record of a shape gets the full check, a later one the quick one
+    empty = {"phrase": [], "tags": ["T"], "occurrences": [{"doc": "a.txt", "start": 0, "end": 2}]}
+    write_jsonl(ws / "queue.jsonl", [{**empty, "phrase": ["segera"]}] * (line - 1) + [empty])
+    before = {name: (ws / name).read_bytes() for name in ("queue.jsonl", "lexicon.jsonl")}
+    write_jsonl(ws / "decisions.jsonl", [ACCEPT_PAPAR])
+    argv = _review(ws) if command == "review" else ["map", "--config", conf(ws), ws / "queue.jsonl"]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"kaburlint: error: queue.jsonl:{line}: candidate phrase must have at least one token\n"
+    )
+    assert {name: (ws / name).read_bytes() for name in before} == before
+    assert not (ws / "audit.jsonl").exists()
 
 
 def test_string_force_cannot_redecide_a_verified_entry(ws, capsys):

@@ -13,25 +13,21 @@ from hypothesis import strategies as st
 
 import extraction_oracle as oracle
 from conftest import mk_doc, random_lexicon, random_phrase, random_tags
-from kaburlint import extraction
-from kaburlint.analyzer import ATTRIBUTE_MEMBER, CRITERIA, MULTI_POS, MULTI_SENSE, VAGUE_POS
-from kaburlint.errors import ReviewError
-from kaburlint.extraction import (
+from kaburlint import curation
+from kaburlint.curation import (
     CandidateWord,
     Occurrence,
     ReviewDecision,
     append_audit,
-    extract_candidates,
     load_audit,
     load_candidates,
-    load_rule_lists,
-    map_candidate_attributes,
-    merge_results,
     queue_status,
     record_decision,
     replay_audit,
     save_candidates,
 )
+from kaburlint.errors import ReviewError
+from kaburlint.extraction import extract_candidates, map_candidate_attributes, merge_results
 from kaburlint.filters import FilterConfig
 from kaburlint.lexicon import (
     ATTRIBUTES,
@@ -43,10 +39,20 @@ from kaburlint.lexicon import (
     PosDictionary,
     dumps_lexicon,
     load_lexicon,
+    load_rule_lists,
     normalize_phrase,
     save_lexicon,
 )
-from kaburlint.textcore import SENTENCE_WINDOW, Span, replace, segment_sentences
+from kaburlint.records import (
+    ATTRIBUTE_MEMBER,
+    CRITERIA,
+    MULTI_POS,
+    MULTI_SENSE,
+    VAGUE_POS,
+    Span,
+    replace,
+)
+from kaburlint.textcore import SENTENCE_WINDOW, segment_sentences
 
 LINE_BREAKS = ["\u2028", "\u2029", "\x85"]  # str.splitlines breaks at these, JSON lines not
 
@@ -366,13 +372,13 @@ class TestQueueAndAuditFiles:
             append_audit(path, [decision])
         assert load_audit(path) == decisions
 
-    @pytest.mark.parametrize("block", [extraction._TAIL_BLOCK, 5])
+    @pytest.mark.parametrize("block", [curation._TAIL_BLOCK, 5])
     def test_audit_append_cuts_a_torn_last_record_at_every_byte(
         self, tmp_path, monkeypatch, block
     ):
         # a last record without its newline was never followed by a save:
         # the next batch drops it and starts on a line of its own
-        monkeypatch.setattr(extraction, "_TAIL_BLOCK", block)
+        monkeypatch.setattr(curation, "_TAIL_BLOCK", block)
         first, torn, batch = (
             ReviewDecision(
                 phrase=(word,), verdict="reject", reviewer="pakar",

@@ -17,14 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kaburlint.analyzer import CRITERIA
+from kaburlint.curation import load_audit, load_candidates, record_to_candidate, record_to_decision
 from kaburlint.errors import KaburlintError, LexiconError
-from kaburlint.extraction import (
-    load_audit,
-    load_candidates,
-    record_to_candidate,
-    record_to_decision,
-)
 from kaburlint.lexicon import (
     ATTRIBUTES,
     SOURCES,
@@ -34,6 +28,7 @@ from kaburlint.lexicon import (
     load_lexicon,
     record_to_entry,
 )
+from kaburlint.records import CRITERIA
 
 
 def each_record(path: Path):
@@ -123,6 +118,7 @@ BAD = {
         ("occurrences", [{"doc": "a", "start": 3, "end": 3}]), ("occurrences", [["a", 0, 1]]),
         ("occurrences", {"doc": "a", "start": 0, "end": 1}),
         ("tags", ["IMP", 1]), ("criteria", ["?"]), ("status", True), ("stray", 1),
+        ("phrase", []),
     ],
     "audit": [
         ("phrase", []), ("phrase", "papar"), ("phrase", [None]),
@@ -221,6 +217,7 @@ def test_every_bad_record_after_a_memo_hit(jsonl_path, kind, bad):
     ("queue", ("occurrences", []), "records.jsonl:3: candidate must have at least one occurrence"),
     ("audit", ("force", 1), "records.jsonl:3: 'force' must be true or false"),
     ("audit", ("timestamp", 5), "records.jsonl:3: 'timestamp' must be a string"),
+    ("queue", ("phrase", []), "records.jsonl:3: candidate phrase must have at least one token"),
 ])
 def test_a_bad_record_after_a_memo_hit_is_named(jsonl_path, kind, bad, message):
     write_memo_hits(jsonl_path, kind, bad)

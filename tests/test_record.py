@@ -1,4 +1,4 @@
-"""textcore.Record keeps the semantics of the dataclasses it replaced."""
+"""records.Record keeps the semantics of the dataclasses it replaced."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 
 from kaburlint.extraction import ExtractionResult
 from kaburlint.filters import FilterCounts
-from kaburlint.textcore import Record, Span, replace
+from kaburlint.records import Record, Span, replace
 from record_cases import CASES, check_caches, check_equality, check_frozen, check_hash, check_pickle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -82,13 +82,17 @@ def test_public_names_load_lazily():
         "import sys, kaburlint\n"
         "assert not [m for m in sys.modules if m.startswith('kaburlint.')]\n"
         "from kaburlint import Span, record_decision\n"
-        "from kaburlint.textcore import Span as S\n"
-        "from kaburlint.extraction import record_decision as r\n"
+        "from kaburlint.records import Span as S\n"
+        "from kaburlint.curation import record_decision as r\n"
         "assert Span is S and record_decision is r\n"
         "assert 'kaburlint.stats' not in sys.modules\n"
+        "assert 'kaburlint.textcore' not in sys.modules\n"
         "ns = {}\n"
         "exec('from kaburlint import *', ns)\n"
         "assert set(kaburlint.__all__) <= set(ns) and set(kaburlint.__all__) <= set(dir(kaburlint))\n"
+        "# each name is exported from the module that defines it\n"
+        "for name, module in kaburlint._MODULES.items():\n"
+        "    assert ns[name].__module__ == f'kaburlint.{module}', name\n"
     )
     subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)), check=True

@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 import textcore_oracle as oracle
 from conftest import mk_doc, sentence_tokens, token_at, token_list
 from kaburlint.filters import detect_reduplication
+from kaburlint.records import DEFAULT_ABBREVIATIONS, Span
 from kaburlint.textcore import (
-    DEFAULT_ABBREVIATIONS,
     Document,
     SentenceList,
-    Span,
     line_col,
     segment_sentences,
     slice_span,

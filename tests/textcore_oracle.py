@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from kaburlint.textcore import DEFAULT_ABBREVIATIONS, TERMINATORS, Span
+from kaburlint.records import DEFAULT_ABBREVIATIONS, Span
+from kaburlint.textcore import TERMINATORS
 
 WORD = "word"
 SYMBOL = "symbol"
