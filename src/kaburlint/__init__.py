@@ -15,14 +15,14 @@ __version__ = "0.1.0"
 
 # the public names of each module, loaded on first use by __getattr__
 _EXPORTS = {
-    "analyzer": "Finding LintReport lint_document word_heuristics",
+    "analyzer": "Finding LintReport lint_document",
     "curation": "CandidateWord ReviewDecision record_decision",
     "errors": "KaburlintError",
     "extraction": "extract_candidates map_candidate_attributes",
     "filters": "FilterConfig FilterReport apply_filters detect_reduplication",
     "lexicon": (
         "AttributeTag Lexicon LexiconEntry PosDictionary load_lexicon match_entries"
-        " save_lexicon"
+        " save_lexicon word_heuristics"
     ),
     "records": "Span",
     "stats": "CorpusStats compute_attribute_stats render_table",

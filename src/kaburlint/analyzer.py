@@ -3,11 +3,12 @@
 Word matches against verified lexicon entries produce warnings; the
 criterion heuristics (multiple POS classes, multiple senses, dangling
 else, optionally the "-nya" clitic) produce candidate-grade info
-findings. The two dictionary heuristics are decided once per run for
-every POS-dictionary word (word_heuristics), and lint and extraction
-both read that one table. Reports are deterministically ordered by
-(document, start offset) with fixed tiebreakers, so serialized reports
-are byte-stable across runs and job counts.
+findings. The two dictionary heuristics come from the run's one
+lexicon.word_heuristics table, which extraction reads too; the
+dangling-else and clitic rules are lint's own. Reports are
+deterministically ordered by (document, start offset) with fixed
+tiebreakers, so serialized reports are byte-stable across runs and job
+counts.
 
 lint_document reads a window of sentences (textcore.SENTENCE_WINDOW) at
 a time as flat columns: the surfaces, words and sentence heads of one
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import io
 from collections.abc import Mapping
-from functools import cache
 from itertools import groupby
 from operator import attrgetter
 
@@ -38,15 +38,13 @@ from .lexicon import (
     AttributeTag,
     Lexicon,
     PhraseIndex,
-    PosDictionary,
-    con_sub_tags,
+    WordHits,
     longest_matches,
     match_entries,
     tag_texts,
 )
-from .records import ATTRIBUTE_MEMBER, CRITERIA, DANGLING_ELSE, MULTI_POS, MULTI_SENSE
-from .records import FORMAT_CSV, FORMAT_RECORDS, FORMAT_TEXT, REFERENTIAL_SENTENCE
-from .records import SENSE_THRESHOLD, Record, Span
+from .records import ATTRIBUTE_MEMBER, CRITERIA, DANGLING_ELSE, FORMAT_CSV, FORMAT_RECORDS
+from .records import FORMAT_TEXT, REFERENTIAL_SENTENCE, Record, Span
 from .textcore import Document, Tokens, segment_sentences, tokenize
 
 SEVERITY_WARNING = "warning"
@@ -126,41 +124,6 @@ class LintReport(Record):
         for f in self.findings:
             counts[f.criterion] = counts.get(f.criterion, 0) + 1
         return counts
-
-
-# one word's heuristic hits: (criterion, tags) per heuristic that fires
-WordHits = tuple[tuple[str, frozenset[AttributeTag]], ...]
-
-
-@cache  # bounded: POS classes are subsets of the five POS_LABELS
-def _dictionary_hits(classes: frozenset[str], multi_sense: bool) -> WordHits:
-    hits = []
-    if len(classes) >= 2:
-        hits.append((MULTI_POS, con_sub_tags(classes) or frozenset({AttributeTag("CON")})))
-    if multi_sense:
-        hits.append((MULTI_SENSE, frozenset({AttributeTag("VAR")})))
-    return tuple(hits)
-
-
-def word_heuristics(
-    posdict: PosDictionary | None, sense_threshold: int = SENSE_THRESHOLD
-) -> dict[str, WordHits]:
-    """Case-folded word -> the dictionary heuristics that fire on it.
-
-    A word with two or more POS classes hits multi_pos, tagged with the CON
-    sub-attribute of each class that has one (plain CON if none has); a
-    word whose recorded sense count reaches sense_threshold hits
-    multi_sense (VAR). Words on which neither fires are absent. Both read
-    only the dictionary, so this is one table per run: lint probes it once
-    per kept word and extraction takes its dictionary criteria from it.
-    Words with the same classes and sense outcome share one hits tuple.
-    """
-    table: dict[str, WordHits] = {}
-    for word, classes, senses in posdict.items() if posdict is not None else ():
-        multi_sense = senses is not None and senses >= sense_threshold
-        if len(classes) >= 2 or multi_sense:
-            table[word] = _dictionary_hits(classes, multi_sense)
-    return table
 
 
 def _is_anaphoric_clitic(word: str) -> bool:
@@ -280,11 +243,10 @@ def _by_document(report: LintReport, docs: dict[str, Document]):
 def render_text(report: LintReport, docs: dict[str, Document]) -> str:
     out = []
     for doc, findings, locations in _by_document(report, docs):
-        location = doc.source_path or doc.id
         for f, (line, col) in zip(findings, locations):
             tags = " ".join(tag_texts(f.tags))
             out.append(
-                f"{location}:{line}:{col}: {f.severity}: '{f.matched}' [{tags}] {f.criterion}\n"
+                f"{doc.id}:{line}:{col}: {f.severity}: '{f.matched}' [{tags}] {f.criterion}\n"
             )
     return "".join(out)
 
@@ -295,11 +257,10 @@ def render_csv(report: LintReport, docs: dict[str, Document]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for doc, findings, locations in _by_document(report, docs):
-        location = doc.source_path or doc.id
         for f, (line, col) in zip(findings, locations):
             writer.writerow(
                 [
-                    location,
+                    doc.id,
                     line,
                     col,
                     f.span.start,

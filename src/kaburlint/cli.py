@@ -3,10 +3,12 @@
 Exit codes follow linter convention: 0 clean, 1 findings present (lint
 only), 2 on any error. Every subcommand is deterministic given identical
 input files and configuration; --jobs N changes wall time, never output.
-Importing cli loads config and the lexicon, filters and records it reads.
-A command loads the rest at call time: lint analyzer and textcore, extract
-and map extraction (with both and curation), review curation, stats stats.
-analyzer is thus loaded in the parent, before _pool_map starts a worker.
+Importing cli loads config and the lexicon, filters and records it reads;
+lexicon holds the dictionary heuristics that lint and extract both run. A
+command loads the rest at call time: lint analyzer and textcore, extract
+and map extraction (with textcore and curation, never analyzer), review
+curation, stats stats. analyzer and extraction are thus loaded in the
+parent, before _pool_map starts a worker.
 
 lint and extract take one code path at any --jobs: _pool_map, which runs
 at most --jobs workers and never more than items, the parent being the
@@ -39,7 +41,7 @@ from .config import (
 from .errors import ConfigError, KaburlintError
 from .fileio import read_text
 from .filters import REASON_ORDER
-from .lexicon import AttributeTag, Lexicon, load_lexicon, save_lexicon, tag_texts
+from .lexicon import AttributeTag, Lexicon, load_lexicon, save_lexicon, tag_texts, word_heuristics
 from .records import CRITERIA, FORMAT_CSV, FORMAT_TEXT, REPORT_FORMATS, replace
 
 
@@ -47,7 +49,7 @@ def _read_document(path: Path, doc_id: str | None = None) -> Document:
     from .textcore import Document
 
     text = read_text(path, "document", ConfigError)
-    return Document(id=doc_id or str(path), text=text, source_path=str(path))
+    return Document(id=doc_id or str(path), text=text)
 
 
 def _work_shard(task, shard: list, results) -> None:
@@ -248,7 +250,7 @@ def _load_batch_decisions(path: Path) -> list[ReviewDecision]:
     return load_audit(path, "decisions file")
 
 
-def _apply_decisions(
+def _commit_decisions(
     lexicon: Lexicon,
     lexicon_path: Path,
     queue: list[CandidateWord],
@@ -256,30 +258,24 @@ def _apply_decisions(
     queue_path: Path,
     audit_path: Path,
 ) -> tuple[int, int]:
-    """Apply all decisions in memory, then append the audit log, then save.
+    """Write decisions the lexicon already holds: the audit log, then the saves.
 
-    A refused decision or a failed audit append leaves every file as it
-    was; the lexicon and queue are saved only after the batch is on disk
-    in the audit log. A torn last line of the log, which no save followed,
-    is dropped before the append (append_audit), and said so on stderr.
+    The decisions were applied in memory, each checked before anything was
+    written, so a refused one leaves every file as it was. The lexicon and
+    queue are saved only after the batch is on disk in the audit log, and
+    each decided phrase's queue status is the lexicon's (queue_status). A
+    torn last line of the log, which no save followed, is dropped before the
+    append (append_audit), and said so on stderr.
     """
-    from .curation import (
-        ACCEPTED,
-        REJECTED,
-        VERDICT_ACCEPT,
-        CandidateWord,
-        append_audit,
-        replay_audit,
-        save_candidates,
-    )
+    from .curation import VERDICT_ACCEPT, CandidateWord, append_audit, queue_status
+    from .curation import save_candidates
 
-    replay_audit(lexicon, decisions)
     by_phrase = {c.phrase: c for c in queue}
-    for decision in decisions:
-        status = ACCEPTED if decision.verdict == VERDICT_ACCEPT else REJECTED
-        c = by_phrase[decision.phrase]
-        by_phrase[decision.phrase] = CandidateWord(
-            c.phrase, c.occurrences, c.suggested_tags, c.criterion_hits, status
+    for phrase in {d.phrase for d in decisions}:
+        c = by_phrase[phrase]
+        by_phrase[phrase] = CandidateWord(
+            phrase, c.occurrences, c.suggested_tags, c.criterion_hits,
+            queue_status(phrase, c.status, lexicon),
         )
     torn = append_audit(audit_path, decisions)
     if torn:
@@ -311,13 +307,15 @@ def _prompt_decision(candidate: CandidateWord, position: int, total: int) -> str
 
 
 def _interactive_decisions(queue: list[CandidateWord], lexicon: Lexicon, resolve: Callable):
-    """The prompt's answers, each resolved as a batch decision is.
+    """The prompt's answers, each resolved as a batch decision is and applied to lexicon.
 
     Only phrases still pending are offered: each status is the lexicon's
     (queue_status), so a queue written before its phrases were decided
-    offers none of them. An answer record_decision would refuse (such as
-    an accept with no tag) is reported and asked again, like a bad tag, so
-    it never throws the session's other decisions away.
+    offers none of them. An answer record_decision refuses (such as an
+    accept with no tag, or a second answer on a phrase that a queue lists
+    twice that differs from the first) changes nothing; it is reported and
+    asked again, like a bad tag, so it never throws the session's other
+    decisions away.
     """
     from .curation import PENDING, VERDICT_ACCEPT, VERDICT_REJECT, ReviewDecision
     from .curation import queue_status, record_decision
@@ -341,9 +339,7 @@ def _interactive_decisions(queue: list[CandidateWord], lexicon: Lexicon, resolve
                     if verdict == VERDICT_ACCEPT and not tags:
                         tags = candidate.suggested_tags
                     decision = resolve(ReviewDecision(candidate.phrase, verdict, tags))
-                    # tried on a lexicon of the phrase's entry alone
-                    existing = lexicon.get(candidate.phrase)
-                    record_decision(Lexicon([existing] if existing else []), decision)
+                    record_decision(lexicon, decision)
                 except KaburlintError as exc:
                     print(f"  ! {exc}")
                     continue
@@ -353,7 +349,7 @@ def _interactive_decisions(queue: list[CandidateWord], lexicon: Lexicon, resolve
 
 
 def cmd_review(args: argparse.Namespace) -> int:
-    from .curation import load_candidates, resolve_decision
+    from .curation import load_candidates, replay_audit, resolve_decision
 
     cfg = _load_cfg(args)
     if cfg.lexicon is None:
@@ -370,12 +366,13 @@ def cmd_review(args: argparse.Namespace) -> int:
     )
     if args.decisions:
         decisions = list(map(resolve, _load_batch_decisions(Path(args.decisions))))
+        replay_audit(lexicon, decisions)
     else:
         decisions = list(_interactive_decisions(queue, lexicon, resolve))
     if not decisions:
         print("no decisions recorded; lexicon unchanged")
         return 0
-    accepted, rejected = _apply_decisions(
+    accepted, rejected = _commit_decisions(
         lexicon, cfg.lexicon, queue, decisions, queue_path, audit_path
     )
     print(
@@ -404,7 +401,7 @@ def _lint_path(path: str, fmt: str, **lint_args) -> tuple[str, int, dict, dict]:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     # loaded before _pool_map starts a worker, so no worker loads it again
-    from .analyzer import report_head, report_tail, word_heuristics
+    from .analyzer import report_head, report_tail
 
     cfg = _load_cfg(args)
     res = load_resources(cfg)

@@ -1,9 +1,11 @@
 """Expert verification: the candidate queue, review decisions and the audit log.
 
 Nothing here tokenizes or lints, so review loads neither textcore nor
-analyzer. Review decisions are appended to a JSON-lines audit log whose
-records are self-contained: replaying the log over the initial repository
-reproduces the final repository byte for byte.
+analyzer. Queued and decided phrases follow the lexicon's phrase rule
+(lexicon.check_phrase), so the queue and the audit log hold no phrase the
+lexicon would refuse. Review decisions are appended to a JSON-lines audit
+log whose records are self-contained: replaying the log over the initial
+repository reproduces the final repository byte for byte.
 
 A decision whose outcome the repository already holds (the same status,
 tags and note) changes nothing and needs no force flag. So a review that
@@ -26,6 +28,7 @@ from .lexicon import (
     AttributeTag,
     Lexicon,
     LexiconEntry,
+    check_phrase,
     normalize_phrase,
     tag_texts,
 )
@@ -115,8 +118,7 @@ class ReviewDecision(Record, frozen=True):
         object.__setattr__(self, "force", force)
 
     def validate(self) -> None:
-        if not self.phrase:
-            raise ReviewError("decision phrase must be non-empty")
+        check_phrase(self.phrase, "decision")
         if self.verdict not in (VERDICT_ACCEPT, VERDICT_REJECT):
             raise ReviewError(f"unknown verdict {self.verdict!r}")
         if self.verdict == VERDICT_ACCEPT and not self.final_tags:
@@ -244,8 +246,10 @@ def record_to_candidate(record: object, where: str = "record") -> CandidateWord:
         )
     except (LexiconError, ValueError) as exc:
         raise ReviewError(f"{where}: malformed candidate ({exc})") from None
-    if not candidate.phrase:
-        raise ReviewError(f"{where}: candidate phrase must have at least one token")
+    try:
+        check_phrase(candidate.phrase, "candidate")
+    except LexiconError as exc:
+        raise ReviewError(f"{where}: {exc}") from None
     if not candidate.occurrences:
         raise ReviewError(f"{where}: candidate must have at least one occurrence")
     if candidate.status not in CANDIDATE_STATUSES:
@@ -269,7 +273,10 @@ def load_candidates(path: str | Path) -> list[CandidateWord]:
 
 def _quick_candidate(record: dict, ref: CandidateWord) -> CandidateWord:
     phrase, items = record["phrase"], record["occurrences"]
-    if phrase.__class__ is not list or not phrase or items.__class__ is not list or not items:
+    # check_phrase inline: joined by spaces, only tokens that are neither
+    # empty nor hold whitespace split back into themselves
+    if (phrase.__class__ is not list or not phrase or " ".join(phrase).split() != phrase
+            or items.__class__ is not list or not items):
         raise ValueError
     occurrences = []
     for item in items:
@@ -373,7 +380,9 @@ def load_audit(path: str | Path, what: str = "audit log") -> list[ReviewDecision
 
 def _quick_decision(record: dict, ref: ReviewDecision) -> ReviewDecision:
     phrase, timestamp = record["phrase"], record.get("timestamp", "")
-    if phrase.__class__ is not list or not phrase or timestamp.__class__ is not str:
+    # check_phrase inline, as in _quick_candidate
+    if (phrase.__class__ is not list or not phrase or " ".join(phrase).split() != phrase
+            or timestamp.__class__ is not str):
         raise ValueError
     return ReviewDecision(
         normalize_phrase(phrase), ref.verdict, ref.final_tags, ref.reviewer, timestamp, ref.note,

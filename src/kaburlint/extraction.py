@@ -5,10 +5,13 @@ normalized phrase, with occurrence spans kept as evidence for reviewers.
 Which phrases are candidates, and with which criterion hits, comes from
 one candidate index built per run from the hint lexicon, the rule lists
 and the POS dictionary (candidate_criteria, a lexicon.PhraseIndex). The
-scan matches it against a window of sentences' kept words at a time,
-read from the filter report's columns, and builds an Occurrence only for
-a hit, with the spans of a window's hits from one Tokens.locate call.
-The queue the mined candidates go to, and their review, are curation's.
+dictionary's criteria are those of lexicon.word_heuristics, the table
+lint reads; mining needs nothing of lint, so extract and map never load
+analyzer. The scan matches the index against a window of sentences' kept
+words at a time, read from the filter report's columns, and builds an
+Occurrence only for a hit, with the spans of a window's hits from one
+Tokens.locate call. The queue the mined candidates go to, and their
+review, are curation's.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 
-from .analyzer import word_heuristics
 from .curation import PENDING, CandidateWord, Occurrence, queue_status
 
 # the benchmark's traced run reads these from here: they are curation's objects
@@ -32,6 +34,7 @@ from .lexicon import (
     PosDictionary,
     con_sub_tags,
     longest_matches,
+    word_heuristics,
 )
 from .records import ATTRIBUTE_MEMBER, SENSE_THRESHOLD, VAGUE_POS, Record
 from .textcore import Document, segment_sentences, tokenize

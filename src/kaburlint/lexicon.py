@@ -13,9 +13,17 @@ its POS and tag sets and have only their phrase checked. tag_texts renders
 each distinct tag set once.
 
 The POS dictionary is a TSV: word, comma-separated classes, optional sense
-count. A rule list holds one phrase per line, and each list is keyed by
-the attribute it names (load_rule_lists). Lookup anywhere in this module
-is case-insensitive (case-folded).
+count. The dictionary heuristics are decided from it once per run
+(word_heuristics): a word of several POS classes hits multi_pos (CON) and
+one of several senses multi_sense (VAR). Lint and extraction both read
+that one table. A rule list holds one phrase per line, and each list is
+keyed by the attribute it names (load_rule_lists). Lookup anywhere in
+this module is case-insensitive (case-folded).
+
+One rule says what a phrase is (check_phrase): at least one token, and no
+token empty or holding whitespace. Lexicon entries, queued candidates and
+review decisions all hold to it; each loader's quick path tests it inline
+and leaves a record it refuses to the full check, which names its line.
 
 Phrase matching is greedy leftmost-longest and non-overlapping, over one
 PhraseIndex per phrase table: the table, every phrase's first word and
@@ -40,7 +48,7 @@ from pathlib import Path
 from .errors import LexiconError, WordlistError
 from .fileio import check_record, dumps_jsonl, load_jsonl, read_lines, write_atomic
 # Tokens, named in annotations only (PEP 563), is textcore's and not loaded
-from .records import Record
+from .records import MULTI_POS, MULTI_SENSE, SENSE_THRESHOLD, Record
 
 ATTRIBUTES = ("IMP", "CON", "T", "REF", "VAR", "WN")
 
@@ -139,6 +147,22 @@ def normalize_phrase(phrase: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(map(str.casefold, words))
 
 
+def check_phrase(phrase: Sequence[str], what: str) -> None:
+    """Raise LexiconError unless phrase has tokens, none empty or holding whitespace.
+
+    what names the phrase's holder in the message ("entry", "candidate",
+    "decision"). Case-folding keeps a phrase within the rule, so a phrase
+    may be checked before or after normalize_phrase.
+    """
+    if not phrase:
+        raise LexiconError(f"{what} phrase must have at least one token")
+    for token in phrase:
+        if not token:
+            raise LexiconError(f"{what} phrase contains an empty token")
+        if token.split() != [token]:
+            raise LexiconError(f"phrase token {token!r} contains whitespace")
+
+
 class LexiconEntry(Record):
     """A word or multiword phrase with POS classes, tags and review status."""
 
@@ -163,13 +187,8 @@ class LexiconEntry(Record):
         self.source = source
 
     def validate(self) -> None:
-        if not self.phrase:
-            raise LexiconError("entry phrase must have at least one token")
+        check_phrase(self.phrase, "entry")
         for token in self.phrase:
-            if not token:
-                raise LexiconError("entry phrase contains an empty token")
-            if token.split() != [token]:
-                raise LexiconError(f"phrase token {token!r} contains whitespace")
             if token != token.casefold():
                 raise LexiconError(f"phrase token {token!r} is not case-folded")
         unknown_pos = self.pos_classes - POS_LABELS
@@ -319,7 +338,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
         return entry
 
     def quick(record: dict, ref: LexiconEntry) -> LexiconEntry:
-        # a new phrase of case-folded tokens without whitespace, as written
+        # a new phrase of case-folded tokens, as written: check_phrase inline,
+        # since joined by spaces, only such tokens split back into themselves
         words = record["phrase"]
         text, phrase = " ".join(words), tuple(words)
         if (words.__class__ is not list or not words or phrase in entries
@@ -492,3 +512,38 @@ def load_pos_dictionary(path: str | Path) -> PosDictionary:
         except WordlistError as exc:
             raise WordlistError(f"{where}: {exc}") from None
     return posdict
+
+
+# one word's heuristic hits: (criterion, tags) per heuristic that fires
+WordHits = tuple[tuple[str, frozenset[AttributeTag]], ...]
+
+
+@cache  # bounded: POS classes are subsets of the five POS_LABELS
+def _dictionary_hits(classes: frozenset[str], multi_sense: bool) -> WordHits:
+    hits = []
+    if len(classes) >= 2:
+        hits.append((MULTI_POS, con_sub_tags(classes) or frozenset({AttributeTag("CON")})))
+    if multi_sense:
+        hits.append((MULTI_SENSE, frozenset({AttributeTag("VAR")})))
+    return tuple(hits)
+
+
+def word_heuristics(
+    posdict: PosDictionary | None, sense_threshold: int = SENSE_THRESHOLD
+) -> dict[str, WordHits]:
+    """Case-folded word -> the dictionary heuristics that fire on it.
+
+    A word with two or more POS classes hits multi_pos, tagged with the CON
+    sub-attribute of each class that has one (plain CON if none has); a
+    word whose recorded sense count reaches sense_threshold hits
+    multi_sense (VAR). Words on which neither fires are absent. Both read
+    only the dictionary, so this is one table per run: lint probes it once
+    per kept word and extraction takes its dictionary criteria from it.
+    Words with the same classes and sense outcome share one hits tuple.
+    """
+    table: dict[str, WordHits] = {}
+    for word, classes, senses in posdict.items() if posdict is not None else ():
+        multi_sense = senses is not None and senses >= sense_threshold
+        if len(classes) >= 2 or multi_sense:
+            table[word] = _dictionary_hits(classes, multi_sense)
+    return table

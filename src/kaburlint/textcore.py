@@ -114,10 +114,6 @@ class _OffsetMap:
             for a, b in ranges
         ]
 
-    def byte_to_char(self, byte: int) -> int:
-        """Character index at a byte offset; ValueError off a boundary."""
-        return self.byte_to_chars((byte,))[0]
-
     def byte_to_chars(self, offsets) -> list[int]:
         """The character index at each byte offset; ValueError off a boundary."""
         size = self._size
@@ -154,33 +150,19 @@ class _OffsetMap:
 class Document(Record):
     """One input text, usually a whole requirement-specification file."""
 
-    __slots__ = ("id", "text", "source_path", "_offsets")
+    __slots__ = ("id", "text", "_offsets")
 
-    def __init__(self, id: str, text: str, source_path: str | None = None) -> None:
+    def __init__(self, id: str, text: str) -> None:
         if not id:
             raise ValueError("document id must be non-empty")
         self.id = id
         self.text = text
-        self.source_path = source_path
         self._offsets: _OffsetMap | None = None
 
     def offsets(self) -> _OffsetMap:
         if self._offsets is None:
             self._offsets = _OffsetMap(self.text)
         return self._offsets
-
-
-def slice_span(doc: Document, span: Span) -> str:
-    """Return the document substring covered by a byte span."""
-    offsets = doc.offsets()
-    try:
-        a = offsets.byte_to_char(span.start)
-        b = offsets.byte_to_char(span.end)
-    except ValueError:
-        raise ValueError(
-            f"span [{span.start}, {span.end}) not on character boundaries"
-        ) from None
-    return doc.text[a:b]
 
 
 def line_col(doc: Document, byte_offset: int) -> tuple[int, int]:
@@ -252,8 +234,7 @@ class Tokens:
     surfaces[heads[s]:heads[s + 1]]; a single sentence is a window of one.
     window is the window's SentenceList. Words, the case-folded surfaces,
     are computed on first read. Tokens carry no offsets: locate() finds
-    where runs of tokens are, all of a window's runs in one call, and
-    span() and text() read it for one run.
+    where runs of tokens are, all of a window's runs in one call.
     """
 
     __slots__ = ("doc", "surfaces", "heads", "window", "_starts", "_ends", "_words")
@@ -350,14 +331,6 @@ class Tokens:
         for i in range(self.heads[s], self.heads[s + 1]):
             starts[i] = pos = find(surfaces[i], pos)
             ends[i] = pos = pos + len(surfaces[i])
-
-    def span(self, first: int, last: int) -> Span:
-        """Byte span from the start of token first to the end of token last."""
-        return self.locate([(first, last)])[0][1]
-
-    def text(self, first: int, last: int) -> str:
-        """Document text from the start of token first to the end of token last."""
-        return self.locate([(first, last)])[0][2]
 
 
 def _segment_breaks(

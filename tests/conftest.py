@@ -33,14 +33,25 @@ def all_tokens(text: str, abbreviations=frozenset({"dll.", "dsb.", "spt."})) -> 
     return tokenize(doc, SentenceList([0], [len(text)]), abbreviations)
 
 
+def byte_slice(text: str, span: Span) -> str:
+    """The text a byte span covers, read from text's UTF-8 bytes."""
+    return text.encode("utf-8")[span.start : span.end].decode("utf-8")
+
+
 def token_at(tokens: Tokens, k: int) -> Token:
-    """Token k of a window as the text oracle's record, built from its columns."""
-    surface = tokens.surfaces[k]
-    return Token(tokens.span(k, k), surface, tokens.words[k], token_kind(surface))
+    return token_list(tokens)[k]
 
 
 def token_list(tokens: Tokens) -> list[Token]:
-    return [token_at(tokens, k) for k in range(len(tokens))]
+    """A window's tokens as the text oracle's records, built from its columns.
+
+    Every span comes from one Tokens.locate call.
+    """
+    located = tokens.locate([(k, k) for k in range(len(tokens))])
+    return [
+        Token(span, surface, word, token_kind(surface))
+        for (_s, span, _text), surface, word in zip(located, tokens.surfaces, tokens.words)
+    ]
 
 
 def sentence_tokens(

@@ -22,7 +22,6 @@ from kaburlint.analyzer import (
     render_report,
     report_head,
     report_tail,
-    word_heuristics,
 )
 from kaburlint.config import load_config, load_resources
 from kaburlint.filters import FilterConfig
@@ -33,6 +32,7 @@ from kaburlint.lexicon import (
     PosDictionary,
     normalize_phrase,
     record_to_entry,
+    word_heuristics,
 )
 from kaburlint.records import (
     ATTRIBUTE_MEMBER,
@@ -731,7 +731,7 @@ def sample_reports(tmp_path_factory) -> list[tuple[Document, object]]:
     res = load_resources(cfg)
     heuristics = word_heuristics(res.posdict, cfg.sense_threshold)
     docs = [
-        Document(id=str(path), text=path.read_text(encoding="utf-8"), source_path=str(path))
+        Document(id=str(path), text=path.read_text(encoding="utf-8"))
         for path in sorted((root / "sample").glob("*.txt"))
     ]
     docs.append(Document(id="clean.txt", text="Sistem simpan rekod pelajar.\n"))

@@ -270,6 +270,49 @@ def test_a_queued_empty_phrase_exits_2_and_names_its_line(ws, capsys, command, l
     assert not (ws / "audit.jsonl").exists()
 
 
+# the phrase rule's message, for a candidate or a decision
+REFUSED_PHRASES = {
+    "empty token": ([""], "{} phrase contains an empty token"),
+    "later empty token": (["a", ""], "{} phrase contains an empty token"),
+    "token with a space": (["a b"], "phrase token 'a b' contains whitespace"),
+}
+
+
+@pytest.mark.parametrize("phrase", sorted(REFUSED_PHRASES))
+@pytest.mark.parametrize("command", ["map", "review"])
+@pytest.mark.parametrize("line", [1, 2], ids=["first of its shape", "after its shape"])
+def test_a_queued_phrase_the_lexicon_would_refuse_exits_2_and_names_its_line(
+    ws, capsys, command, line, phrase
+):
+    # the lexicon's phrase rule, on the full check and on the quick one
+    tokens, message = REFUSED_PHRASES[phrase]
+    message = message.format("candidate")
+    bad = {"phrase": tokens, "tags": ["T"], "occurrences": [{"doc": "a.txt", "start": 0, "end": 2}]}
+    write_jsonl(ws / "queue.jsonl", [{**bad, "phrase": ["segera"]}] * (line - 1) + [bad])
+    write_jsonl(ws / "decisions.jsonl", [{**ACCEPT_PAPAR, "phrase": tokens}])
+    before = {p.name: p.read_bytes() for p in ws.glob("*.jsonl")}
+    argv = _review(ws) if command == "review" else ["map", "--config", conf(ws), ws / "queue.jsonl"]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"kaburlint: error: queue.jsonl:{line}: {message}\n")
+    assert {p.name: p.read_bytes() for p in ws.glob("*.jsonl")} == before
+
+
+@pytest.mark.parametrize("phrase", sorted(REFUSED_PHRASES))
+@pytest.mark.parametrize("line", [1, 2], ids=["first of its shape", "after its shape"])
+def test_a_decided_phrase_the_lexicon_would_refuse_exits_2_and_names_its_line(
+    ws, capsys, line, phrase
+):
+    tokens, message = REFUSED_PHRASES[phrase]
+    message = message.format("decision")
+    write_jsonl(ws / "decisions.jsonl", [ACCEPT_PAPAR] * (line - 1) + [
+        {**ACCEPT_PAPAR, "phrase": tokens}
+    ])
+    before = {p.name: p.read_bytes() for p in ws.glob("*.jsonl")}
+    rc, out, err = run(capsys, *_review(ws))
+    assert (rc, out, err) == (2, "", f"kaburlint: error: decisions.jsonl:{line}: {message}\n")
+    assert {p.name: p.read_bytes() for p in ws.glob("*.jsonl")} == before
+
+
 def test_string_force_cannot_redecide_a_verified_entry(ws, capsys):
     before = (ws / "lexicon.jsonl").read_bytes()
     argv, _ = _decisions(ws, {"phrase": ["segera"], "verdict": "reject", "force": "false"})
@@ -452,6 +495,32 @@ def test_interactive_review_asks_again_after_a_refused_answer(ws, capsys, monkey
     assert lexicon.get(("segera",)).status == "rejected"
     replayed = replay_audit(initial, decisions)
     assert dumps_lexicon(replayed) == (ws / "lexicon.jsonl").read_text(encoding="utf-8")
+
+
+def test_interactive_review_refuses_a_differing_second_answer_on_a_phrase_queued_twice(
+    ws, capsys, monkeypatch
+):
+    # a hand-made queue lists papar, still pending, twice: the first answer
+    # is applied to the lexicon at once, so a rejection on the second listing
+    # would re-review a verified entry, and without --force it is asked again
+    records = _queue_records(ws)
+    (papar,) = [r for r in records if r["phrase"] == ["papar"]]
+    assert papar["status"] == "pending"
+    write_jsonl(ws / "queue.jsonl", [*records, papar])
+    answers = iter(["a CON.verb", "r", "s"])
+    monkeypatch.setattr("builtins.input", lambda _prompt: next(answers))
+    rc, out, err = run(capsys, "review", "--config", conf(ws), ws / "queue.jsonl")
+    assert (rc, err) == (0, "")
+    assert _offered(out) == ["papar", "papar", "papar"]
+    assert "  ! 'papar' is already verified; re-review requires --force\n" in out
+    assert "accepted 1, rejected 0;" in out
+    assert [(d.phrase, d.verdict) for d in load_audit(ws / "audit.jsonl")] == [
+        (("papar",), "accept")
+    ]
+    assert load_lexicon(ws / "lexicon.jsonl").get(("papar",)).status == "verified"
+    assert [c.status for c in load_candidates(ws / "queue.jsonl") if c.phrase == ("papar",)] == [
+        "accepted", "accepted"
+    ]
 
 
 def test_interactive_review_of_a_stale_queue_offers_only_pending_phrases(

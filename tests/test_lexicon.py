@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lint_oracle
-from conftest import all_tokens, mk_doc, random_lexicon
+from conftest import all_tokens, byte_slice, mk_doc, random_lexicon
 from kaburlint import fileio
 from kaburlint.errors import LexiconError, WordlistError
 from kaburlint.lexicon import (
@@ -30,7 +30,6 @@ from kaburlint.lexicon import (
     save_lexicon,
     tag_texts,
 )
-from kaburlint.textcore import slice_span
 
 
 def entry(phrase, tags=("VAR",), status="verified", **kwargs):
@@ -316,7 +315,8 @@ class TestMatchEntries:
         ((start, end, matched),) = match_entries(lexicon, tokens)
         assert (start, end) == (0, 2)
         assert matched.phrase == ("secepat", "mungkin")
-        assert slice_span(doc, tokens.span(start, end - 1)) == "secepat mungkin"
+        ((_s, span, text),) = tokens.locate([(start, end - 1)])
+        assert text == byte_slice(doc.text, span) == "secepat mungkin"
 
     def test_longest_match_wins(self):
         lexicon = Lexicon([entry("data itu"), entry("data")])

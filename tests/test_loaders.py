@@ -118,13 +118,14 @@ BAD = {
         ("occurrences", [{"doc": "a", "start": 3, "end": 3}]), ("occurrences", [["a", 0, 1]]),
         ("occurrences", {"doc": "a", "start": 0, "end": 1}),
         ("tags", ["IMP", 1]), ("criteria", ["?"]), ("status", True), ("stray", 1),
-        ("phrase", []),
+        ("phrase", []), ("phrase", [""]), ("phrase", ["a", ""]), ("phrase", ["a b"]),
     ],
     "audit": [
         ("phrase", []), ("phrase", "papar"), ("phrase", [None]),
         ("timestamp", 5), ("timestamp", None), ("timestamp", ["x"]),
         ("force", 1), ("force", "true"), ("verdict", "maybe"), ("tags", ["ZZZ"]),
         ("reviewer", 0), ("stray", 1),
+        ("phrase", [""]), ("phrase", ["a", ""]), ("phrase", ["a b"]),
     ],
 }
 DUPLICATE = ("phrase", "duplicate")
@@ -218,6 +219,11 @@ def test_every_bad_record_after_a_memo_hit(jsonl_path, kind, bad):
     ("audit", ("force", 1), "records.jsonl:3: 'force' must be true or false"),
     ("audit", ("timestamp", 5), "records.jsonl:3: 'timestamp' must be a string"),
     ("queue", ("phrase", []), "records.jsonl:3: candidate phrase must have at least one token"),
+    ("queue", ("phrase", ["a", ""]), "records.jsonl:3: candidate phrase contains an empty token"),
+    ("queue", ("phrase", ["a b"]), "records.jsonl:3: phrase token 'a b' contains whitespace"),
+    ("audit", ("phrase", [""]), "records.jsonl:3: decision phrase contains an empty token"),
+    ("audit", ("phrase", ["a\u2028b"]),
+     "records.jsonl:3: phrase token 'a\\u2028b' contains whitespace"),
 ])
 def test_a_bad_record_after_a_memo_hit_is_named(jsonl_path, kind, bad, message):
     write_memo_hits(jsonl_path, kind, bad)

@@ -1,7 +1,9 @@
 """What each command loads, and the module names the benchmark reads.
 
-review and stats run without the text and analysis layers, and lint without
-curation; each command is checked in a fresh interpreter. The benchmark's
+review and stats run without the text and analysis layers, lint without
+curation, and extract and map without the linter (the dictionary heuristics
+they share with lint are lexicon's); each command is checked in a fresh
+interpreter. The benchmark's
 setup probe times load_config + load_resources just after importing
 kaburlint.config, so neither may import a module at call time. Its traced
 run rebinds the functions that perfbench/replay.py's TRACED list names, on
@@ -69,7 +71,11 @@ def tree(tmp_path: Path, capsys) -> Path:
     (["stats", "--config", "kaburlint.conf"], 0, "stats", ("textcore", "analyzer", "extraction")),
     (["lint", "--config", "kaburlint.conf", "sample/daftar_pelajar.txt"],
      1, "analyzer", ("extraction", "curation", "stats")),
-], ids=["review", "stats", "lint"])
+    (["extract", "--config", "kaburlint.conf", "sample", "-o", "extracted.jsonl"],
+     0, "extraction", ("analyzer", "stats")),
+    (["map", "--config", "kaburlint.conf", "queue.jsonl", "-o", "mapped.jsonl"],
+     0, "extraction", ("analyzer", "stats")),
+], ids=["review", "stats", "lint", "extract", "map"])
 def test_a_command_loads_only_the_modules_it_runs(tree, command, rc, loads, never):
     done = fresh_python(COMMAND_PROBE, tree / "modules.txt", *command, cwd=tree)
     assert done.returncode == rc, done.stderr

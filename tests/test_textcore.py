@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import textcore_oracle as oracle
-from conftest import mk_doc, sentence_tokens, token_at, token_list
+from conftest import byte_slice, mk_doc, sentence_tokens, token_at, token_list
 from kaburlint.filters import detect_reduplication
 from kaburlint.records import DEFAULT_ABBREVIATIONS, Span
 from kaburlint.textcore import (
@@ -20,14 +20,13 @@ from kaburlint.textcore import (
     SentenceList,
     line_col,
     segment_sentences,
-    slice_span,
     tokenize,
 )
 
 
 def sentence_texts(text: str, abbreviations=DEFAULT_ABBREVIATIONS) -> list[str]:
     doc = mk_doc(text)
-    return [slice_span(doc, span) for span, _tokens in sentence_tokens(doc, abbreviations)]
+    return [byte_slice(text, span) for span, _tokens in sentence_tokens(doc, abbreviations)]
 
 
 def surfaces(text: str) -> list[str]:
@@ -118,13 +117,13 @@ class TestTokenization:
         doc = mk_doc(text)
         ((_span, tokens),) = sentence_tokens(doc)
         for token in token_list(tokens):
-            assert slice_span(doc, token.span) == token.surface
+            assert byte_slice(text, token.span) == token.surface
 
     def test_line_col(self):
         doc = mk_doc("satu\nkafé dua")
         _span, tokens = sentence_tokens(doc)[1]
         # "dua" sits on line 2 after the 4-char word and a space
-        assert line_col(doc, tokens.span(1, 1).start) == (2, 6)
+        assert line_col(doc, token_at(tokens, 1).span.start) == (2, 6)
 
 
 def in_all(text):
@@ -184,7 +183,7 @@ class TestProperties:
                         assert token.span.end <= sentence.end
                         assert token.span.start >= previous_end
                         previous_end = token.span.end
-                        assert slice_span(doc, token.span) == token.surface
+                        assert byte_slice(text, token.span) == token.surface
                         assert token.normalized == token.surface.casefold()
                         has_alnum = any(c.isalpha() or c.isdigit() for c in token.surface)
                         assert (token.kind == oracle.SYMBOL) == (not has_alnum)
@@ -201,9 +200,9 @@ class TestProperties:
     def test_value_semantics(self):
         doc = mk_doc("Kafé, dll. Ya. Tidak.")
         (first, window), (second, _) = sentence_tokens(doc)
-        spans = [window.span(k, k) for k in range(len(window))]
+        spans = [token.span for token in token_list(window)]
         (_, again), *_ = sentence_tokens(mk_doc(doc.text))  # a second document
-        assert spans == [again.span(k, k) for k in range(len(again))] and first != second
+        assert spans == [token.span for token in token_list(again)] and first != second
         assert again.surfaces == window.surfaces == ["Kafé", ",", "dll.", "Ya", "."]
         assert Span(1, 3) == Span(1, 3) and Span(1, 3) != Span(1, 4)
         assert Span(1, 3) != (1, 3)
@@ -218,7 +217,7 @@ class TestProperties:
     def test_pickle_round_trip(self, protocol):
         doc = mk_doc("Kafé, dll. 3.5 rekod-rekod.\nYa!")
         pairs = [
-            (span, [tokens.span(k, k) for k in range(len(tokens))])
+            (span, [token.span for token in token_list(tokens)])
             for span, tokens in sentence_tokens(doc)
         ]
         copied = pickle.loads(pickle.dumps(pairs, protocol))
@@ -232,10 +231,11 @@ class TestProperties:
         with pytest.raises(ValueError):
             Document(id="", text="x")
 
-    def test_slice_span_rejects_mid_character_offsets(self):
-        doc = mk_doc("kafé")  # é is two bytes; byte 4 is mid-character
-        with pytest.raises(ValueError):
-            slice_span(doc, Span(3, 4))
+    def test_byte_offsets_mid_character_are_refused(self):
+        offsets = mk_doc("kafé").offsets()  # é is two bytes; byte 4 is mid-character
+        assert offsets.byte_to_chars([3, 5]) == [3, 4]
+        with pytest.raises(ValueError, match="inside a multibyte character"):
+            offsets.byte_to_chars([4])
 
 
 # Pieces for differential texts: a BOM, CRLF, multibyte letters and symbols,
@@ -286,20 +286,14 @@ def assert_matches_oracle(text: str, abbreviations) -> None:
     size = table[-1]
     boundaries = sorted(ref.offsets().byte_to_char)
     assert offsets.line_cols(boundaries) == [oracle.line_col(ref, b) for b in boundaries]
-    for start in range(size + 2):
-        if start in ref.offsets().byte_to_char:
-            assert line_col(doc, start) == oracle.line_col(ref, start)
-        for end in {start + 1, start + 2, start + 4, size, size + 1}:
-            if end <= start:
-                continue
-            span = Span(start, end)
-            try:
-                expected = oracle.slice_span(ref, span)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    slice_span(doc, span)
-            else:
-                assert slice_span(doc, span) == expected
+    to_char = ref.offsets().byte_to_char
+    for byte in range(-1, size + 2):
+        if byte in to_char:
+            assert offsets.byte_to_chars([byte]) == [to_char[byte]]
+            assert line_col(doc, byte) == oracle.line_col(ref, byte)
+        else:
+            with pytest.raises(ValueError):
+                offsets.byte_to_chars([byte])
 
 
 # hyphens next to letters, digits, spaces and each other
@@ -326,8 +320,7 @@ def assert_columns_match_oracle(text: str, abbreviations) -> None:
         for first in range(len(want)):
             for last in range(first, len(want)):
                 span = Span(want[first].span.start, want[last].span.end)
-                assert tokens.span(first, last) == span
-                assert tokens.text(first, last) == oracle.slice_span(ref, span)
+                assert tokens.locate([(first, last)]) == [(0, span, oracle.slice_span(ref, span))]
     # the whole document as one window: the sentences' tokens, one after another
     window = tokenize(doc, sentences, abbreviations)
     want = [oracle.tokenize(ref, sentence, abbreviations) for sentence in expected]
@@ -336,9 +329,8 @@ def assert_columns_match_oracle(text: str, abbreviations) -> None:
     assert window.surfaces == [t.surface for _s, t in flat]
     for k in reversed(range(len(flat))):  # a later sentence located first
         s, t = flat[k]
-        assert (window.sentence_of(k), window.span(k, k), window.text(k, k)) == (
-            s, t.span, t.surface
-        )
+        assert window.sentence_of(k) == s
+        assert window.locate([(k, k)]) == [(s, t.span, t.surface)]
 
 
 def assert_locate_matches_oracle(text: str, abbreviations) -> None:
@@ -491,9 +483,9 @@ class TestOracle:
 
     def test_ascii_offsets_are_identity(self):
         offsets = Document(id="d", text="satu dua\n").offsets()
-        assert offsets.byte_to_char(9) == 9 and offsets.spans([(0, 9)]) == [Span(0, 9)]
+        assert offsets.byte_to_chars([9]) == [9] and offsets.spans([(0, 9)]) == [Span(0, 9)]
         with pytest.raises(ValueError):
-            offsets.byte_to_char(10)
+            offsets.byte_to_chars([10])
 
     def test_line_col_of_bom_and_crlf_lines(self):
         doc = mk_doc("\ufeffsatu\r\ndua")

@@ -1,7 +1,8 @@
 """Reference text layer for differential tests of ``kaburlint.textcore``.
 
 These are the straightforward per-character versions of ``_OffsetMap``,
-``segment_sentences``, ``tokenize``, ``line_col`` and ``slice_span``: a full
+``segment_sentences``, ``tokenize``, ``line_col`` and ``slice_span`` (the
+text that ``Tokens.locate`` gives with each span, now): a full
 character -> byte table with a reverse dict, ``count``/``rfind`` line
 numbers and a character loop tokenizer. They are kept unchanged as the
 definition of correct output; the optimized module must produce the same
