@@ -8,25 +8,32 @@ lexicon holds the dictionary heuristics that lint and extract both run. A
 command loads the rest at call time: lint analyzer and textcore, extract
 and map extraction (with textcore and curation, never analyzer), review
 curation, stats stats. analyzer and extraction are thus loaded in the
-parent, before _pool_map starts a worker.
+parent, before _pool_map forks a worker.
 
 lint and extract take one code path at any --jobs: _pool_map, which runs
 at most --jobs workers and never more than items, the parent being the
-first. lint's items are paths: each worker reads, lints and renders its
-own documents, and the parent writes the rendered parts in input order,
-after the csv header or before the text totals. extract's items are
-documents, and the parent merges their scans.
+first. Every other worker is a child forked with os.fork: it inherits the
+task (lint's lexicon, heuristics table and filter settings, or extract's
+candidate table) and its shard of items, so neither is pickled, and it
+writes its results back pickled over a pipe. No command imports
+multiprocessing. Where os.fork does not exist the parent works every item
+itself, which gives the same output. lint's items are paths: each worker
+reads, lints and renders its own documents, and the parent writes the
+rendered parts in input order, after the csv header or before the text
+totals. extract's items are documents, and the parent merges their scans.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from collections.abc import Callable
 from functools import partial
 from itertools import pairwise
 from pathlib import Path
+from typing import BinaryIO
 
 from . import __version__
 from .config import (
@@ -52,34 +59,66 @@ def _read_document(path: Path, doc_id: str | None = None) -> Document:
     return Document(id=doc_id or str(path), text=text)
 
 
-def _work_shard(task, shard: list, results) -> None:
-    """A child process's work: task over its shard, sent to the parent.
+def _shard_results(task, shard: list, pickle) -> bytes:
+    """A child's work: task over its shard, pickled for the parent.
 
     What the shard raises is sent in place of the results, so that the
-    parent can raise the error of the earliest failing item. The child
-    ignores SIGINT: Ctrl-C reaches the parent too, which terminates every
-    child, so a child's own KeyboardInterrupt would only print a traceback.
+    parent can raise the error of the earliest failing item. A value that
+    pickle cannot carry, such as an exception holding an open file, is
+    replaced by a KaburlintError that says so.
     """
-    import signal  # loaded with multiprocessing already
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         value = [task(item) for item in shard]
     except Exception as exc:
         value = exc
-    results.send(value)
-
-
-def _receive(child, receiver) -> list:
-    """A child's results, read before it is joined; raises what it sent."""
     try:
-        value = receiver.recv()
-    except EOFError:
-        child.join()
-        raise KaburlintError(
-            f"a --jobs worker exited with code {child.exitcode} before sending its results"
-        ) from None
-    child.join()
+        return pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        return pickle.dumps(KaburlintError(f"a --jobs worker could not send its results: {exc}"))
+
+
+def _fork_shard(task, shard: list, pickle, signal) -> tuple[int, BinaryIO]:
+    """Fork a child that works shard; its pid and the read end of its pipe.
+
+    The child inherits task and shard, ignores SIGINT (Ctrl-C reaches the
+    parent too, which stops every child, so a child's own KeyboardInterrupt
+    would only print a traceback), writes _shard_results to its pipe and
+    leaves with os._exit: it never flushes the stdio buffers it inherited
+    or runs the parent's exit handlers. Those buffers are flushed before
+    the fork, so nothing written before it is written twice.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    reader, writer = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(reader)
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            with open(writer, "wb") as out:
+                out.write(_shard_results(task, shard, pickle))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(writer)
+    return pid, open(reader, "rb")
+
+
+def _child_results(data: bytes, status: int, pickle) -> list:
+    """A reaped child's results from the bytes it sent; raises what it sent."""
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        raise KaburlintError(f"a --jobs worker exited with code {code} before sending its results")
+    try:
+        value = pickle.loads(data)
+    except Exception as exc:  # cut short, or an exception that cannot be rebuilt
+        raise KaburlintError(f"a --jobs worker sent results that cannot be read: {exc}") from None
     if isinstance(value, Exception):
         raise value
     return value
@@ -90,43 +129,47 @@ def _pool_map(task, items: list, jobs: int) -> list:
 
     The items are cut into one contiguous shard per worker, never more
     shards than items, with sizes that differ by at most one. The parent
-    works the first shard, so one shard starts no process and does not
-    import multiprocessing. Each other shard starts a child (the default
-    start method) that gets the task and its shard once and sends back its
-    results, or the exception it raised, over a one-way pipe. Children are
-    read in shard order, each before it is joined: a child blocked on a
-    full pipe cannot exit. On any error or interrupt every child is
-    terminated and joined before it is raised, so the error is the
-    earliest failing item's and no child outlives the call.
+    works the first shard, so one shard starts no process. Each other shard
+    forks a child (_fork_shard), which inherits the task and its shard, so
+    neither is pickled; only its results, or the exception it raised, come
+    back pickled over a one-way pipe. Without os.fork (Windows) the parent
+    works every item, which gives the same output, as any --jobs does.
+    Children are read in shard order, each to EOF before it is reaped: a
+    child blocked on a full pipe cannot exit. On any error or interrupt
+    every child is sent SIGTERM and reaped before the error is raised, so
+    the error is the earliest failing item's and no child outlives the call.
     """
-    workers = min(jobs, len(items))
+    workers = min(jobs, len(items)) if hasattr(os, "fork") else 1
     if workers <= 1:
         return [task(item) for item in items]
-    import multiprocessing
+    import pickle
+    import signal
 
     size, extra = divmod(len(items), workers)
     bounds = [k * size + min(k, extra) for k in range(workers + 1)]
     first, *rest = [items[a:b] for a, b in pairwise(bounds)]
-    children = []
+    children: list[tuple[int, BinaryIO]] = []  # forked, not yet reaped, in shard order
     try:
         for shard in rest:
-            receiver, sender = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_work_shard, args=(task, shard, sender))
-            child.start()
-            children.append((child, receiver))
-            sender.close()
+            children.append(_fork_shard(task, shard, pickle, signal))
         results = [task(item) for item in first]
-        for child, receiver in children:
-            results.extend(_receive(child, receiver))
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            results.extend(_child_results(data, status, pickle))
         return results
     except BaseException:
-        for child, _ in children:
-            child.terminate()
+        for pid, pipe in children:
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped just before an interrupt
+                pass
         raise
-    finally:
-        for child, receiver in children:
-            child.join()
-            receiver.close()
 
 
 def _load_cfg(args: argparse.Namespace) -> Config:
@@ -312,10 +355,8 @@ def _interactive_decisions(queue: list[CandidateWord], lexicon: Lexicon, resolve
     Only phrases still pending are offered: each status is the lexicon's
     (queue_status), so a queue written before its phrases were decided
     offers none of them. An answer record_decision refuses (such as an
-    accept with no tag, or a second answer on a phrase that a queue lists
-    twice that differs from the first) changes nothing; it is reported and
-    asked again, like a bad tag, so it never throws the session's other
-    decisions away.
+    accept with no tag) changes nothing; it is reported and asked again,
+    like a bad tag, so it never throws the session's other decisions away.
     """
     from .curation import PENDING, VERDICT_ACCEPT, VERDICT_REJECT, ReviewDecision
     from .curation import queue_status, record_decision
@@ -400,7 +441,7 @@ def _lint_path(path: str, fmt: str, **lint_args) -> tuple[str, int, dict, dict]:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    # loaded before _pool_map starts a worker, so no worker loads it again
+    # loaded before _pool_map forks a worker, so every worker inherits it
     from .analyzer import report_head, report_tail
 
     cfg = _load_cfg(args)

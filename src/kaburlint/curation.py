@@ -3,9 +3,10 @@
 Nothing here tokenizes or lints, so review loads neither textcore nor
 analyzer. Queued and decided phrases follow the lexicon's phrase rule
 (lexicon.check_phrase), so the queue and the audit log hold no phrase the
-lexicon would refuse. Review decisions are appended to a JSON-lines audit
-log whose records are self-contained: replaying the log over the initial
-repository reproduces the final repository byte for byte.
+lexicon would refuse, and a queue lists each phrase once. Review decisions
+are appended to a JSON-lines audit log whose records are self-contained:
+replaying the log over the initial repository reproduces the final
+repository byte for byte.
 
 A decision whose outcome the repository already holds (the same status,
 tags and note) changes nothing and needs no force flag. So a review that
@@ -265,29 +266,45 @@ def save_candidates(candidates: Sequence[CandidateWord], path: str | Path) -> No
 
 
 def load_candidates(path: str | Path) -> list[CandidateWord]:
-    return list(load_jsonl(
-        path, "candidate queue", ReviewError, record_to_candidate, _quick_candidate,
-        ("phrase", "occurrences"),
-    ))
+    """The queue's candidates in file order; a phrase listed twice is refused.
 
+    review keys the queue by phrase, so a second listing would be saved as
+    a copy of the last; it is refused with its file:line instead, as
+    load_lexicon refuses a second entry.
+    """
+    candidates: dict[tuple[str, ...], CandidateWord] = {}
 
-def _quick_candidate(record: dict, ref: CandidateWord) -> CandidateWord:
-    phrase, items = record["phrase"], record["occurrences"]
-    # check_phrase inline: joined by spaces, only tokens that are neither
-    # empty nor hold whitespace split back into themselves
-    if (phrase.__class__ is not list or not phrase or " ".join(phrase).split() != phrase
-            or items.__class__ is not list or not items):
-        raise ValueError
-    occurrences = []
-    for item in items:
-        doc, start, end = item["doc"], item["start"], item["end"]
-        if len(item) != 3 or (doc.__class__, start.__class__, end.__class__) != (str, int, int):
+    def parse(record: object, where: str) -> CandidateWord:
+        candidate = record_to_candidate(record, where)
+        if candidate.phrase in candidates:
+            raise ReviewError(f"{where}: duplicate phrase {candidate.phrase_text!r}")
+        return candidate
+
+    def quick(record: dict, ref: CandidateWord) -> CandidateWord:
+        words, items = record["phrase"], record["occurrences"]
+        # check_phrase inline: joined by spaces, only tokens that are neither
+        # empty nor hold whitespace split back into themselves
+        if (words.__class__ is not list or not words or " ".join(words).split() != words
+                or items.__class__ is not list or not items):
             raise ValueError
-        occurrences.append(Occurrence(doc, Span(start, end)))
-    return CandidateWord(
-        normalize_phrase(phrase), tuple(occurrences), ref.suggested_tags, ref.criterion_hits,
-        ref.status,
-    )
+        occurrences = []
+        for item in items:
+            doc, start, end = item["doc"], item["start"], item["end"]
+            if len(item) != 3 or (doc.__class__, start.__class__, end.__class__) != (str, int, int):
+                raise ValueError
+            occurrences.append(Occurrence(doc, Span(start, end)))
+        phrase = normalize_phrase(words)
+        if phrase in candidates:
+            raise ValueError
+        return CandidateWord(
+            phrase, tuple(occurrences), ref.suggested_tags, ref.criterion_hits, ref.status
+        )
+
+    for candidate in load_jsonl(
+        path, "candidate queue", ReviewError, parse, quick, ("phrase", "occurrences")
+    ):
+        candidates[candidate.phrase] = candidate
+    return list(candidates.values())
 
 
 def decision_to_record(decision: ReviewDecision) -> dict:
@@ -380,7 +397,7 @@ def load_audit(path: str | Path, what: str = "audit log") -> list[ReviewDecision
 
 def _quick_decision(record: dict, ref: ReviewDecision) -> ReviewDecision:
     phrase, timestamp = record["phrase"], record.get("timestamp", "")
-    # check_phrase inline, as in _quick_candidate
+    # check_phrase inline, as in load_candidates
     if (phrase.__class__ is not list or not phrase or " ".join(phrase).split() != phrase
             or timestamp.__class__ is not str):
         raise ValueError

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import io
 import json
-import multiprocessing
 import os
-import pickle
 import shutil
 import signal
 import subprocess
@@ -14,6 +12,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -497,30 +496,34 @@ def test_interactive_review_asks_again_after_a_refused_answer(ws, capsys, monkey
     assert dumps_lexicon(replayed) == (ws / "lexicon.jsonl").read_text(encoding="utf-8")
 
 
-def test_interactive_review_refuses_a_differing_second_answer_on_a_phrase_queued_twice(
-    ws, capsys, monkeypatch
-):
-    # a hand-made queue lists papar, still pending, twice: the first answer
-    # is applied to the lexicon at once, so a rejection on the second listing
-    # would re-review a verified entry, and without --force it is asked again
+@pytest.mark.parametrize("again", [
+    {},  # the same listing again: a record of a shape already parsed
+    {"phrase": ["Papar"], "status": "accepted"},  # a new shape, the same phrase once case-folded
+], ids=["same-shape", "new-shape"])
+def test_review_and_map_refuse_a_queue_that_lists_a_phrase_twice(ws, capsys, monkeypatch, again):
+    # review keys the queue by phrase: a second listing of papar would be
+    # saved as a copy of the last, so the queue is refused before any prompt
+    # and nothing is written
     records = _queue_records(ws)
     (papar,) = [r for r in records if r["phrase"] == ["papar"]]
-    assert papar["status"] == "pending"
-    write_jsonl(ws / "queue.jsonl", [*records, papar])
-    answers = iter(["a CON.verb", "r", "s"])
-    monkeypatch.setattr("builtins.input", lambda _prompt: next(answers))
-    rc, out, err = run(capsys, "review", "--config", conf(ws), ws / "queue.jsonl")
-    assert (rc, err) == (0, "")
-    assert _offered(out) == ["papar", "papar", "papar"]
-    assert "  ! 'papar' is already verified; re-review requires --force\n" in out
-    assert "accepted 1, rejected 0;" in out
-    assert [(d.phrase, d.verdict) for d in load_audit(ws / "audit.jsonl")] == [
-        (("papar",), "accept")
-    ]
-    assert load_lexicon(ws / "lexicon.jsonl").get(("papar",)).status == "verified"
-    assert [c.status for c in load_candidates(ws / "queue.jsonl") if c.phrase == ("papar",)] == [
-        "accepted", "accepted"
-    ]
+    write_jsonl(ws / "queue.jsonl", [*records, {**papar, **again}])
+    where = f"queue.jsonl:{len(records) + 1}: duplicate phrase 'papar'"
+
+    def no_prompt(_prompt):
+        raise AssertionError("review prompted on a refused queue")
+
+    monkeypatch.setattr("builtins.input", no_prompt)
+    write_jsonl(ws / "decisions.jsonl", [ACCEPT_PAPAR])
+    before = {p.name: p.read_bytes() for p in ws.iterdir() if p.is_file()}
+    for argv in (
+        ["review", "--config", conf(ws), ws / "queue.jsonl"],
+        _review(ws),
+        ["map", "--config", conf(ws), ws / "queue.jsonl"],
+        ["map", "--config", conf(ws), ws / "queue.jsonl", "-o", ws / "mapped.jsonl"],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "") and where in err, argv
+    assert {p.name: p.read_bytes() for p in ws.iterdir() if p.is_file()} == before
 
 
 def test_interactive_review_of_a_stale_queue_offers_only_pending_phrases(
@@ -722,66 +725,27 @@ def test_lint_and_extract_are_byte_identical_at_jobs_1_and_2(ws, capsys):
     assert b'"papar"' in outputs[0][1]
 
 
-class FakeConnection:
-    """One end of an in-process pipe; what crosses it goes through pickle."""
-
-    def __init__(self, sent: list) -> None:
-        self.sent = sent
-
-    def send(self, value) -> None:
-        self.sent.append(pickle.dumps(value))
-
-    def recv(self):
-        if not self.sent:
-            raise EOFError
-        return pickle.loads(self.sent.pop(0))
-
-    def close(self) -> None:
-        pass
-
-
-def fake_pipe(duplex: bool = True) -> tuple[FakeConnection, FakeConnection]:
-    sent: list = []
-    return FakeConnection(sent), FakeConnection(sent)
-
-
-class FakeProcess:
-    """In-process stand-in for multiprocessing.Process that records its use.
-
-    The task and the shard go through pickle, as they would to a spawned
-    child, but no process is started: start() runs the child's work, and
-    then restores the SIGINT handler that the child's work sets aside.
-    """
-
-    created: list["FakeProcess"] = []
-
-    def __init__(self, target, args) -> None:
-        task, shard, self.sender = args
-        self.task, self.shard = pickle.loads(pickle.dumps((task, shard)))
-        self.target = target
-        FakeProcess.created.append(self)
-
-    def start(self) -> None:
-        handler = signal.getsignal(signal.SIGINT)
-        try:
-            self.target(self.task, self.shard, self.sender)
-        finally:
-            signal.signal(signal.SIGINT, handler)
-
-    def terminate(self) -> None:
-        pass
-
-    def join(self) -> None:
-        pass
-
-
 @pytest.fixture
-def fake_pool(monkeypatch):
-    FakeProcess.created = []
-    # _pool_map imports multiprocessing when it is called
-    monkeypatch.setattr(multiprocessing, "Process", FakeProcess)
-    monkeypatch.setattr(multiprocessing, "Pipe", fake_pipe)
-    return FakeProcess.created
+def fake_pool(monkeypatch) -> list[SimpleNamespace]:
+    """cli._fork_shard with the child's work done in the parent; each child's task and shard.
+
+    The work is the child's own (_shard_results), so its results still go
+    through pickle, and the parent reads them as it reads a pipe. The pid
+    is that of a real child that exits at once, so the parent reaps it as
+    it reaps a worker.
+    """
+    created = []
+
+    def fork_shard(task, shard, pickle, signal):
+        created.append(SimpleNamespace(task=task, shard=shard))
+        data = cli._shard_results(task, shard, pickle)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        return pid, io.BytesIO(data)
+
+    monkeypatch.setattr(cli, "_fork_shard", fork_shard)
+    return created
 
 
 def lint_formats(capsys, ws: Path, jobs: str, *paths) -> list[tuple[int, str, str]]:
@@ -866,8 +830,47 @@ class TestPool:
         assert rc == 0 and out.startswith("documents: 1\n")
         assert fake_pool == []
 
+    def test_without_fork_the_parent_works_every_item(self, ws, fake_pool, capsys, monkeypatch):
+        paths = samples(ws) * 2
+
+        def extract(jobs: str) -> tuple[str, bytes]:
+            queue = ws / f"queue{jobs}.jsonl"
+            rc, out, _ = run(capsys, "extract", "--config", conf(ws), "--jobs", jobs,
+                             ws / "sample", "-o", queue)
+            assert rc == 0
+            return out.replace(str(queue), "QUEUE"), queue.read_bytes()
+
+        serial = lint_formats(capsys, ws, "1", *paths), extract("1")
+        monkeypatch.delattr(os, "fork")
+        assert (lint_formats(capsys, ws, "4", *paths), extract("4")) == serial
+        assert fake_pool == []
+
 
 # --- no child outlives the command (real processes) ---
+
+
+@pytest.fixture
+def forked(monkeypatch) -> list[int]:
+    """The pids of the children os.fork starts in this test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork() -> int:
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids: list[int]) -> None:
+    """Every pid was forked by this process and has been reaped: none runs or is a zombie."""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.mark.parametrize("jobs, order", [
@@ -875,7 +878,7 @@ class TestPool:
     ("2", [0, 1, "missing", "bad"]),  # in the child's shard
     ("4", [0, "bad", 1, "missing"]),  # in the first of two failing children
 ])
-def test_the_earliest_unreadable_path_fails_at_any_jobs(ws, capsys, jobs, order):
+def test_the_earliest_unreadable_path_fails_at_any_jobs(ws, capsys, forked, jobs, order):
     docs = samples(ws)
     (ws / "bad.txt").write_bytes(BAD_UTF8)
     named = {"missing": str(ws / "missing.txt"), "bad": str(ws / "bad.txt")}
@@ -883,8 +886,17 @@ def test_the_earliest_unreadable_path_fails_at_any_jobs(ws, capsys, jobs, order)
     serial = run(capsys, "lint", "--config", conf(ws), "--jobs", "1", *paths)
     assert serial[:2] == (2, "")
     assert named[next(p for p in order if isinstance(p, str))] in serial[2]
+    assert forked == []
     assert run(capsys, "lint", "--config", conf(ws), "--jobs", jobs, *paths) == serial
-    assert multiprocessing.active_children() == []
+    assert len(forked) == int(jobs) - 1
+    assert_reaped(forked)
+
+
+class Unbuildable(Exception):
+    """Pickles, but cannot be rebuilt: unpickling calls __init__ with args alone."""
+
+    def __init__(self, item: str, why: str) -> None:
+        super().__init__(item)
 
 
 def _fail_or_wait(item: str) -> str:
@@ -894,6 +906,12 @@ def _fail_or_wait(item: str) -> str:
         raise ValueError(item)
     if item == "exit":
         os._exit(3)
+    if item == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if item == "unpicklable":
+        raise ValueError(lambda: item)
+    if item == "unbuildable":
+        raise Unbuildable(item, "no default")
     if item == "wait":
         time.sleep(60)
     if item == "sigint":
@@ -901,26 +919,50 @@ def _fail_or_wait(item: str) -> str:
     return item
 
 
-@pytest.mark.parametrize("items, error", [
-    (["interrupt", "wait", "wait"], KeyboardInterrupt),  # the parent's shard
-    (["ok", "raise", "wait"], ValueError),  # a child, while a later one still runs
-    (["ok", "exit", "wait"], KaburlintError),  # a child that dies without sending
-])
-def test_pool_map_stops_every_child_before_raising(items, error):
+@pytest.mark.parametrize("items, error, match", [
+    (["interrupt", "wait", "wait"], KeyboardInterrupt, None),  # the parent's shard
+    (["ok", "raise", "wait"], ValueError, "raise"),  # a child, while a later one still runs
+    # a child that dies without sending
+    (["ok", "exit", "wait"], KaburlintError, "exited with code 3 before sending its results"),
+    (["ok", "kill", "wait"], KaburlintError,
+     f"exited with code -{int(signal.SIGKILL)} before sending its results"),
+    # a child whose exception pickle cannot carry, or cannot rebuild
+    (["ok", "unpicklable", "wait"], KaburlintError, "could not send its results"),
+    (["ok", "unbuildable", "wait"], KaburlintError, "sent results that cannot be read"),
+], ids=["parent", "raise", "exit", "kill", "unpicklable", "unbuildable"])
+def test_pool_map_stops_every_child_before_raising(forked, items, error, match):
     start = time.monotonic()
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         cli._pool_map(_fail_or_wait, items, 3)
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 2
+    assert_reaped(forked)
     assert time.monotonic() - start < 30
 
 
-def test_pool_map_returns_results_in_item_order(capfd):
+def test_pool_map_returns_results_in_item_order(capfd, forked):
     # Ctrl-C reaches every child too, but the parent alone stops them: the
     # last child, sent SIGINT, neither raises nor prints a traceback
     items = [*(str(n) for n in range(6)), "sigint"]
     assert cli._pool_map(_fail_or_wait, items, 3) == items
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 2
+    assert_reaped(forked)
     assert capfd.readouterr().err == ""
+
+
+def _print_lines(item: int) -> int:
+    print("worker\n" * 10_000, end="")
+    return item
+
+
+def test_pool_map_flushes_stdio_before_each_fork(capfd, monkeypatch):
+    # on a buffered stdout (PYTHONUNBUFFERED unset), what the parent wrote
+    # before the pool is written once: a child whose own output overflows
+    # the buffer it inherited writes no second copy of it
+    with open(os.dup(1), "w", encoding="utf-8") as out, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", out)
+        print("parent", end="")
+        assert cli._pool_map(_print_lines, [1, 2, 3], 3) == [1, 2, 3]
+    assert capfd.readouterr().out.count("parent") == 1
 
 
 # --- start-up imports ---
@@ -940,9 +982,9 @@ with open(sys.argv[1], "w", encoding="utf-8") as listing:
 """
 
 # modules that only --jobs > 1, review's timestamps and csv reports need
-SINGLE_USE = frozenset({"multiprocessing", "csv", "datetime"})
-# the dataclass machinery, which no command needs
-NEVER = frozenset({"dataclasses", "inspect"})
+SINGLE_USE = frozenset({"pickle", "csv", "datetime"})
+# the dataclass machinery and multiprocessing, which no command needs
+NEVER = frozenset({"dataclasses", "inspect", "multiprocessing"})
 
 
 def modules_after(ws: Path, *argv: str, rc: int | None = None) -> set[str]:
@@ -961,7 +1003,7 @@ def modules_after(ws: Path, *argv: str, rc: int | None = None) -> set[str]:
     return set(listing.read_text(encoding="utf-8").split())
 
 
-def test_serial_commands_do_not_import_the_pool_or_single_use_modules(ws):
+def test_no_command_imports_multiprocessing_and_serial_ones_no_single_use_module(ws):
     bare = modules_after(ws)
     mapped = ["map", "--config", conf(ws), str(ws / "queue.jsonl"), "-o", str(ws / "m.jsonl")]
     loaded = {}
@@ -976,7 +1018,10 @@ def test_serial_commands_do_not_import_the_pool_or_single_use_modules(ws):
         assert loaded[argv[0]] & (SINGLE_USE | NEVER) == set(), argv
     # lint runs neither extraction nor stats
     assert loaded["lint"] & {"kaburlint.extraction", "kaburlint.stats"} == set()
-    assert "multiprocessing" in modules_after(ws, *_lint(ws), "--jobs", "2", rc=1)
+    # the pool forks its workers and pickles their results
+    for argv, rc in (([*_lint(ws), "--jobs", "2"], 1), ([*_extract(ws), "--jobs", "2"], 0)):
+        pooled = modules_after(ws, *argv, rc=rc)
+        assert "pickle" in pooled and pooled & NEVER == set(), argv
 
 
 # --- round trip on the seed tree ---

@@ -3,8 +3,9 @@
 load_lexicon, load_candidates and load_audit check the fields of each
 distinct shape once and only the varying fields of the records that repeat
 it. The oracle here parses every record in full, as one record_to_* call
-each with the lexicon's duplicate check, so a memo hit that lets a bad
-record through, or a message that changes, shows as a difference.
+each, with the duplicate check of the lexicon and of the queue, so a memo
+hit that lets a bad record through, or a message that changes, shows as a
+difference.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kaburlint.curation import load_audit, load_candidates, record_to_candidate, record_to_decision
-from kaburlint.errors import KaburlintError, LexiconError
+from kaburlint.errors import KaburlintError, LexiconError, ReviewError
 from kaburlint.lexicon import (
     ATTRIBUTES,
     SOURCES,
@@ -47,12 +48,19 @@ def lexicon_oracle(path: Path) -> list:
     return lexicon.entries()
 
 
+def queue_oracle(path: Path) -> list:
+    candidates = {}
+    for record, where in each_record(path):
+        candidate = record_to_candidate(record, where)
+        if candidate.phrase in candidates:
+            raise ReviewError(f"{where}: duplicate phrase {candidate.phrase_text!r}")
+        candidates[candidate.phrase] = candidate
+    return list(candidates.values())
+
+
 LOADERS = {
     "lexicon": (lambda path: load_lexicon(path).entries(), lexicon_oracle),
-    "queue": (
-        load_candidates,
-        lambda path: [record_to_candidate(r, where) for r, where in each_record(path)],
-    ),
+    "queue": (load_candidates, queue_oracle),
     "audit": (
         load_audit,
         lambda path: [record_to_decision(r, where) for r, where in each_record(path)],
@@ -216,6 +224,7 @@ def test_every_bad_record_after_a_memo_hit(jsonl_path, kind, bad):
     ("queue", ("occurrences", [{"doc": "a", "start": True, "end": 2}]),
      "records.jsonl:3: 'start' must be an integer"),
     ("queue", ("occurrences", []), "records.jsonl:3: candidate must have at least one occurrence"),
+    ("queue", DUPLICATE, "records.jsonl:3: duplicate phrase 'segera'"),
     ("audit", ("force", 1), "records.jsonl:3: 'force' must be true or false"),
     ("audit", ("timestamp", 5), "records.jsonl:3: 'timestamp' must be a string"),
     ("queue", ("phrase", []), "records.jsonl:3: candidate phrase must have at least one token"),
