@@ -59,22 +59,27 @@ def _read_document(path: Path, doc_id: str | None = None) -> Document:
     return Document(id=doc_id or str(path), text=text)
 
 
-def _shard_results(task, shard: list, pickle) -> bytes:
-    """A child's work: task over its shard, pickled for the parent.
+def _send_results(task, shard: list, out: BinaryIO, pickle) -> None:
+    """A child's work: task over its shard, pickled to out for the parent.
 
-    What the shard raises is sent in place of the results, so that the
-    parent can raise the error of the earliest failing item. A value that
-    pickle cannot carry, such as an exception holding an open file, is
-    replaced by a KaburlintError that says so.
+    The results are pickled straight into out, so the child never holds a
+    second, pickled copy of them. What the shard raises is sent in their
+    place, so that the parent can raise the error of the earliest failing
+    item; an exception that pickle cannot carry, such as one holding an
+    open file, is replaced by a KaburlintError that says so. Results that
+    pickle cannot carry raise, and the child exits with code 1.
     """
     try:
-        value = [task(item) for item in shard]
+        results = [task(item) for item in shard]
     except Exception as exc:
-        value = exc
-    try:
-        return pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        return pickle.dumps(KaburlintError(f"a --jobs worker could not send its results: {exc}"))
+        try:
+            data = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+        except Exception as failure:
+            message = f"a --jobs worker could not send its error: {failure}"
+            data = pickle.dumps(KaburlintError(message))
+        out.write(data)
+    else:
+        pickle.dump(results, out, pickle.HIGHEST_PROTOCOL)
 
 
 def _fork_shard(task, shard: list, pickle, signal) -> tuple[int, BinaryIO]:
@@ -82,7 +87,7 @@ def _fork_shard(task, shard: list, pickle, signal) -> tuple[int, BinaryIO]:
 
     The child inherits task and shard, ignores SIGINT (Ctrl-C reaches the
     parent too, which stops every child, so a child's own KeyboardInterrupt
-    would only print a traceback), writes _shard_results to its pipe and
+    would only print a traceback), sends its results (_send_results) and
     leaves with os._exit: it never flushes the stdio buffers it inherited
     or runs the parent's exit handlers. Those buffers are flushed before
     the fork, so nothing written before it is written twice.
@@ -102,7 +107,7 @@ def _fork_shard(task, shard: list, pickle, signal) -> tuple[int, BinaryIO]:
             os.close(reader)
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             with open(writer, "wb") as out:
-                out.write(_shard_results(task, shard, pickle))
+                _send_results(task, shard, out, pickle)
             code = 0
         finally:
             os._exit(code)

@@ -729,7 +729,7 @@ def test_lint_and_extract_are_byte_identical_at_jobs_1_and_2(ws, capsys):
 def fake_pool(monkeypatch) -> list[SimpleNamespace]:
     """cli._fork_shard with the child's work done in the parent; each child's task and shard.
 
-    The work is the child's own (_shard_results), so its results still go
+    The work is the child's own (_send_results), so its results still go
     through pickle, and the parent reads them as it reads a pipe. The pid
     is that of a real child that exits at once, so the parent reaps it as
     it reaps a worker.
@@ -738,11 +738,13 @@ def fake_pool(monkeypatch) -> list[SimpleNamespace]:
 
     def fork_shard(task, shard, pickle, signal):
         created.append(SimpleNamespace(task=task, shard=shard))
-        data = cli._shard_results(task, shard, pickle)
+        sent = io.BytesIO()
+        cli._send_results(task, shard, sent, pickle)
+        sent.seek(0)
         pid = os.fork()
         if pid == 0:
             os._exit(0)
-        return pid, io.BytesIO(data)
+        return pid, sent
 
     monkeypatch.setattr(cli, "_fork_shard", fork_shard)
     return created
@@ -912,6 +914,8 @@ def _fail_or_wait(item: str) -> str:
         raise ValueError(lambda: item)
     if item == "unbuildable":
         raise Unbuildable(item, "no default")
+    if item == "unpicklable result":
+        return lambda: item
     if item == "wait":
         time.sleep(60)
     if item == "sigint":
@@ -926,10 +930,12 @@ def _fail_or_wait(item: str) -> str:
     (["ok", "exit", "wait"], KaburlintError, "exited with code 3 before sending its results"),
     (["ok", "kill", "wait"], KaburlintError,
      f"exited with code -{int(signal.SIGKILL)} before sending its results"),
-    # a child whose exception pickle cannot carry, or cannot rebuild
-    (["ok", "unpicklable", "wait"], KaburlintError, "could not send its results"),
+    # a child whose exception pickle cannot carry or rebuild, or whose result it cannot carry
+    (["ok", "unpicklable", "wait"], KaburlintError, "could not send its error"),
     (["ok", "unbuildable", "wait"], KaburlintError, "sent results that cannot be read"),
-], ids=["parent", "raise", "exit", "kill", "unpicklable", "unbuildable"])
+    (["ok", "unpicklable result", "wait"], KaburlintError,
+     "exited with code 1 before sending its results"),
+], ids=["parent", "raise", "exit", "kill", "unpicklable", "unbuildable", "unpicklable-result"])
 def test_pool_map_stops_every_child_before_raising(forked, items, error, match):
     start = time.monotonic()
     with pytest.raises(error, match=match):
