@@ -17,19 +17,18 @@ tokenize call, the kept positions of one apply_filters call and the
 window's words each finds the heuristic words (one word_heuristics
 lookup), clitics and conditional markers; a dangling-else hit on a
 window's last sentence waits for the next window's first sentence. A
-Finding is built only for a hit, and one Tokens.locate call per window
-gives every hit's sentence, byte span and text. The text and csv reports
-convert their findings' byte offsets to line:col with one call per
-document; the csv and records reports also give the offsets, counted as
-Span counts them (a "\r\n" line end is one byte).
+Finding is built only for a hit: one Tokens.locate call per window gives
+every hit's sentence, byte span, text and first character, and one
+textcore.line_col call the line:col of each. So a Finding carries all
+that a report prints, and the renderers read the report alone. The csv
+and records reports also give the byte offsets, counted as Span counts
+them (a "\r\n" line end is one byte).
 """
 
 from __future__ import annotations
 
 import io
 from collections.abc import Mapping
-from itertools import groupby
-from operator import attrgetter
 
 from .fileio import dumps_jsonl
 from .filters import FilterConfig, apply_filters
@@ -45,7 +44,7 @@ from .lexicon import (
 )
 from .records import ATTRIBUTE_MEMBER, CRITERIA, DANGLING_ELSE, FORMAT_CSV, FORMAT_RECORDS
 from .records import FORMAT_TEXT, REFERENTIAL_SENTENCE, Record, Span
-from .textcore import Document, Tokens, segment_sentences, tokenize
+from .textcore import Document, Tokens, line_col, segment_sentences, tokenize
 
 SEVERITY_WARNING = "warning"
 SEVERITY_INFO = "info"
@@ -65,17 +64,21 @@ _DANGLING_ELSE = frozenset({AttributeTag("CON", "dangling_else")})
 class Finding(Record, hashable=True):
     """One lint hit, spanning the matched text within its sentence.
 
-    A hashable Record like Span that is not frozen, so that __init__
-    assigns plainly: one is built per hit.
+    line and col are the 1-based line:col of the span's start, in
+    characters. A hashable Record like Span that is not frozen, so that
+    __init__ assigns plainly: one is built per hit.
     """
 
     __slots__ = (
-        "doc_id", "sentence_index", "span", "matched", "phrase", "tags", "criterion", "severity"
+        "doc_id", "line", "col", "sentence_index", "span", "matched", "phrase", "tags",
+        "criterion", "severity",
     )
 
     def __init__(
         self,
         doc_id: str,
+        line: int,
+        col: int,
         sentence_index: int,
         span: Span,
         matched: str,
@@ -85,6 +88,8 @@ class Finding(Record, hashable=True):
         severity: str,
     ) -> None:
         self.doc_id = doc_id
+        self.line = line
+        self.col = col
         self.sentence_index = sentence_index
         self.span = span
         self.matched = matched
@@ -105,10 +110,6 @@ class LintReport(Record):
 
     def __init__(self, findings: list[Finding] | None = None) -> None:
         self.findings = [] if findings is None else findings
-
-    @property
-    def warnings(self) -> int:
-        return sum(f.severity == SEVERITY_WARNING for f in self.findings)
 
     @property
     def attribute_counts(self) -> dict[str, int]:
@@ -210,10 +211,14 @@ def lint_document(
             labels.append(("", _DANGLING_ELSE, DANGLING_ELSE, SEVERITY_INFO))
         last = len(tokens.heads) - 2
         pending = None
-        for (s, span, matched), (phrase, tags, criterion, severity) in zip(
-            tokens.locate(runs), labels
+        located = tokens.locate(runs)
+        places = line_col(doc, [char for *_, char in located]) if located else []
+        for (s, span, matched, _), (line, col), (phrase, tags, criterion, severity) in zip(
+            located, places, labels
         ):
-            hit = Finding(doc_id, base + s, span, matched, phrase, tags, criterion, severity)
+            hit = Finding(
+                doc_id, line, col, base + s, span, matched, phrase, tags, criterion, severity
+            )
             if criterion == DANGLING_ELSE and s == last:
                 pending = hit
             else:
@@ -229,50 +234,34 @@ def lint_document(
 CSV_HEADER = "document,line,col,start,end,sentence,matched,phrase,tags,criterion,severity\n"
 
 
-def _by_document(report: LintReport, docs: dict[str, Document]):
-    """The document, findings and 1-based (line, col)s of each document's consecutive findings.
-
-    The line:col of every finding of one stretch comes from one call.
-    """
-    for doc_id, group in groupby(report.findings, attrgetter("doc_id")):
-        group = list(group)
-        doc = docs[doc_id]
-        yield doc, group, doc.offsets().line_cols([f.span.start for f in group])
+def render_text(report: LintReport) -> str:
+    return "".join(
+        f"{f.doc_id}:{f.line}:{f.col}: {f.severity}: '{f.matched}' "
+        f"[{' '.join(tag_texts(f.tags))}] {f.criterion}\n"
+        for f in report.findings
+    )
 
 
-def render_text(report: LintReport, docs: dict[str, Document]) -> str:
-    out = []
-    for doc, findings, locations in _by_document(report, docs):
-        for f, (line, col) in zip(findings, locations):
-            tags = " ".join(tag_texts(f.tags))
-            out.append(
-                f"{doc.id}:{line}:{col}: {f.severity}: '{f.matched}' [{tags}] {f.criterion}\n"
-            )
-    return "".join(out)
-
-
-def render_csv(report: LintReport, docs: dict[str, Document]) -> str:
+def render_csv(report: LintReport) -> str:
     import csv
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for doc, findings, locations in _by_document(report, docs):
-        for f, (line, col) in zip(findings, locations):
-            writer.writerow(
-                [
-                    doc.id,
-                    line,
-                    col,
-                    f.span.start,
-                    f.span.end,
-                    f.sentence_index,
-                    f.matched,
-                    f.phrase,
-                    " ".join(tag_texts(f.tags)),
-                    f.criterion,
-                    f.severity,
-                ]
-            )
+    csv.writer(buf, lineterminator="\n").writerows(
+        [
+            f.doc_id,
+            f.line,
+            f.col,
+            f.span.start,
+            f.span.end,
+            f.sentence_index,
+            f.matched,
+            f.phrase,
+            " ".join(tag_texts(f.tags)),
+            f.criterion,
+            f.severity,
+        ]
+        for f in report.findings
+    )
     return buf.getvalue()
 
 
@@ -299,19 +288,17 @@ def report_head(fmt: str) -> str:
 
 
 def report_tail(
-    fmt: str,
-    warnings: int,
-    attribute_counts: Mapping[str, int],
-    criterion_counts: Mapping[str, int],
+    fmt: str, attribute_counts: Mapping[str, int], criterion_counts: Mapping[str, int]
 ) -> str:
     """What a report closes with: the text totals; nothing in csv and records.
 
     The counts are LintReport's, so the totals of several documents are
-    the sums of theirs.
+    the sums of theirs. Only attribute_member findings are warnings.
     """
     if fmt != FORMAT_TEXT:
         return ""
     total = sum(criterion_counts.values())
+    warnings = criterion_counts.get(ATTRIBUTE_MEMBER, 0)
     attributes = " ".join(f"{a}={attribute_counts[a]}" for a in ATTRIBUTES)
     criteria = " ".join(f"{c}={criterion_counts[c]}" for c in CRITERIA if criterion_counts.get(c))
     return (
@@ -321,7 +308,7 @@ def report_tail(
     )
 
 
-def render_report(report: LintReport, fmt: str, docs: dict[str, Document]) -> str:
+def render_report(report: LintReport, fmt: str) -> str:
     """The report's findings in fmt, one line each.
 
     A whole report is report_head, then the findings' lines, then the
@@ -329,9 +316,9 @@ def render_report(report: LintReport, fmt: str, docs: dict[str, Document]) -> st
     lines in input order and the tail of the summed counts.
     """
     if fmt == FORMAT_TEXT:
-        return render_text(report, docs)
+        return render_text(report)
     if fmt == FORMAT_CSV:
-        return render_csv(report, docs)
+        return render_csv(report)
     if fmt == FORMAT_RECORDS:
         return render_records(report)
     raise ValueError(f"unknown report format {fmt!r}")

@@ -49,7 +49,7 @@ from .errors import ConfigError, KaburlintError
 from .fileio import read_text
 from .filters import REASON_ORDER
 from .lexicon import AttributeTag, Lexicon, load_lexicon, save_lexicon, tag_texts, word_heuristics
-from .records import CRITERIA, FORMAT_CSV, FORMAT_TEXT, REPORT_FORMATS, replace
+from .records import CRITERIA, FORMAT_CSV, FORMAT_TEXT, REPORT_FORMATS
 
 
 def _read_document(path: Path, doc_id: str | None = None) -> Document:
@@ -179,18 +179,17 @@ def _pool_map(task, items: list, jobs: int) -> list:
 
 def _load_cfg(args: argparse.Namespace) -> Config:
     cfg = load_config(args.config) if args.config else Config()
-    overrides = {}
     lexicon = getattr(args, "lexicon", None)
     if lexicon:
         lexicon = Path(lexicon).resolve()
         if not lexicon.exists():
             raise ConfigError(f"lexicon file {lexicon} does not exist")
-        overrides["lexicon"] = lexicon
+        cfg.lexicon = lexicon
     for key in ("format", "jobs", "scope"):
         value = getattr(args, key, None)
         if value is not None:
-            overrides[key] = value
-    return validate_config(replace(cfg, **overrides))
+            setattr(cfg, key, value)
+    return validate_config(cfg)
 
 
 # --- init ---
@@ -264,19 +263,19 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    from .curation import load_candidates, queue_status, save_candidates
+    from .curation import CandidateWord, load_candidates, queue_status, save_candidates
     from .extraction import map_candidate_attributes
 
     cfg = _load_cfg(args)
     res = load_resources(cfg, require_lexicon=False)
     candidates = load_candidates(args.queue)
     remapped = [
-        replace(
-            c,
-            suggested_tags=map_candidate_attributes(
-                c.phrase, res.lexicon, res.posdict, res.rules
-            ),
-            status=queue_status(c.phrase, c.status, res.lexicon),
+        CandidateWord(
+            c.phrase,
+            c.occurrences,
+            map_candidate_attributes(c.phrase, res.lexicon, res.posdict, res.rules),
+            c.criterion_hits,
+            queue_status(c.phrase, c.status, res.lexicon),
         )
         for c in candidates
     ]
@@ -301,7 +300,7 @@ def _load_batch_decisions(path: Path) -> list[ReviewDecision]:
 def _commit_decisions(
     lexicon: Lexicon,
     lexicon_path: Path,
-    queue: list[CandidateWord],
+    by_phrase: dict[tuple[str, ...], CandidateWord],
     decisions: list[ReviewDecision],
     queue_path: Path,
     audit_path: Path,
@@ -310,15 +309,15 @@ def _commit_decisions(
 
     The decisions were applied in memory, each checked before anything was
     written, so a refused one leaves every file as it was. The lexicon and
-    queue are saved only after the batch is on disk in the audit log, and
-    each decided phrase's queue status is the lexicon's (queue_status). A
-    torn last line of the log, which no save followed, is dropped before the
+    the queue (by_phrase: its candidates by phrase, in file order) are
+    saved only after the batch is on disk in the audit log, and each
+    decided phrase's queue status is the lexicon's (queue_status). A torn
+    last line of the log, which no save followed, is dropped before the
     append (append_audit), and said so on stderr.
     """
     from .curation import VERDICT_ACCEPT, CandidateWord, append_audit, queue_status
     from .curation import save_candidates
 
-    by_phrase = {c.phrase: c for c in queue}
     for phrase in {d.phrase for d in decisions}:
         c = by_phrase[phrase]
         by_phrase[phrase] = CandidateWord(
@@ -333,7 +332,7 @@ def _commit_decisions(
             file=sys.stderr,
         )
     save_lexicon(lexicon, lexicon_path)
-    save_candidates([by_phrase[c.phrase] for c in queue], queue_path)
+    save_candidates(list(by_phrase.values()), queue_path)
     accepted = sum(d.verdict == VERDICT_ACCEPT for d in decisions)
     return accepted, len(decisions) - accepted
 
@@ -398,9 +397,8 @@ def cmd_review(args: argparse.Namespace) -> int:
     from .curation import load_candidates, replay_audit, resolve_decision
 
     cfg = _load_cfg(args)
-    if cfg.lexicon is None:
-        raise ConfigError("review needs a lexicon path (config key or --lexicon)")
-    lexicon = load_lexicon(cfg.lexicon)
+    lexicon_path = configured_lexicon(cfg)
+    lexicon = load_lexicon(lexicon_path)
     queue_path = Path(args.queue)
     queue = load_candidates(queue_path)
     by_phrase = {c.phrase: c for c in queue}
@@ -419,11 +417,11 @@ def cmd_review(args: argparse.Namespace) -> int:
         print("no decisions recorded; lexicon unchanged")
         return 0
     accepted, rejected = _commit_decisions(
-        lexicon, cfg.lexicon, queue, decisions, queue_path, audit_path
+        lexicon, lexicon_path, by_phrase, decisions, queue_path, audit_path
     )
     print(
         f"accepted {accepted}, rejected {rejected}; "
-        f"lexicon saved to {cfg.lexicon}, audit appended to {audit_path}"
+        f"lexicon saved to {lexicon_path}, audit appended to {audit_path}"
     )
     return 0
 
@@ -431,18 +429,16 @@ def cmd_review(args: argparse.Namespace) -> int:
 # --- lint ---
 
 
-def _lint_path(path: str, fmt: str, **lint_args) -> tuple[str, int, dict, dict]:
+def _lint_path(path: str, fmt: str, **lint_args) -> tuple[str, dict, dict]:
     """Read, lint and render one document.
 
     Returns the document's report lines in fmt (no csv header, no text
-    totals) and its warning, attribute and criterion counts.
+    totals) and its attribute and criterion counts.
     """
     from .analyzer import lint_document, render_report  # cmd_lint loaded it
 
-    doc = _read_document(Path(path))
-    report = lint_document(doc, **lint_args)
-    body = render_report(report, fmt, {doc.id: doc})
-    return body, report.warnings, report.attribute_counts, report.criterion_counts
+    report = lint_document(_read_document(Path(path)), **lint_args)
+    return render_report(report, fmt), report.attribute_counts, report.criterion_counts
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -460,17 +456,15 @@ def cmd_lint(args: argparse.Namespace) -> int:
         flag_anaphoric_clitics=cfg.flag_anaphoric_clitics,
     )
     parts = _pool_map(task, args.paths, cfg.jobs)
-    warnings = 0
     attributes: Counter[str] = Counter()
     criteria: Counter[str] = Counter()
-    for _, doc_warnings, doc_attributes, doc_criteria in parts:
-        warnings += doc_warnings
+    for _, doc_attributes, doc_criteria in parts:
         attributes.update(doc_attributes)
         criteria.update(doc_criteria)
     out = sys.stdout
     out.write(report_head(cfg.format))
     out.writelines(body for body, *_ in parts)
-    out.write(report_tail(cfg.format, warnings, attributes, criteria))
+    out.write(report_tail(cfg.format, attributes, criteria))
     return 1 if criteria.total() else 0
 
 

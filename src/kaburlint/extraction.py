@@ -147,7 +147,7 @@ def scan_document(
         heads = [bisect_left(kept, head) for head in tokens.heads]
         hits = longest_matches(words, criteria, heads)
         located = tokens.locate([(kept[start], kept[end - 1]) for start, end, _ in hits])
-        for (start, end, _hits), (_s, span, _text) in zip(hits, located):
+        for (start, end, _hits), (_s, span, _text, _char) in zip(hits, located):
             occurrences.setdefault(tuple(words[start:end]), []).append(Occurrence(doc.id, span))
         del tokens, report, kept, words  # the next window is read without this one
     candidates = [

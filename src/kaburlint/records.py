@@ -64,8 +64,8 @@ class Record:
     class, are equal. Made with frozen=True, a class refuses assignment
     (AttributeError); frozen=True or hashable=True hashes the field tuple,
     and any other class is unhashable. repr lists the fields as a
-    dataclass's does. Pickling (protocols 0-5) and replace() rebuild a
-    record through __init__, so its caches start empty.
+    dataclass's does. Pickling (protocols 0-5) rebuilds a record through
+    __init__, so its caches start empty.
 
     The __init__ here takes the fields by position or keyword, with the
     defaults in the class's _defaults. Classes built on hot paths write
@@ -113,20 +113,13 @@ class Record:
         return type(self), self._values(self)
 
 
-def replace(record: Record, **changes) -> Record:
-    """A copy of record with the named fields changed, built through __init__."""
-    fields = zip(record._fields, record._values(record))
-    values = [changes.pop(name, value) for name, value in fields]
-    if changes:
-        raise TypeError(f"{type(record).__name__} has no field(s) {', '.join(changes)}")
-    return type(record)(*values)
-
-
 class Span(Record, hashable=True):
     """Half-open byte range [start, end) within a document's UTF-8 text.
 
     The text as read, where a "\r\n" or a lone "\r" is one "\n" byte and a BOM
-    is 3 bytes: past a CR line end these are not offsets into the file. Built
+    is 3 bytes: past a CR line end these are not offsets into the file. Only
+    the csv and records reports and the queue's occurrences give spans; a
+    finding's line:col is counted in characters, not from its span. Built
     for every finding and occurrence, so its only check is 0 <= start < end.
     """
 

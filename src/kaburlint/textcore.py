@@ -13,26 +13,27 @@ tokens (Tokens) are one flat surface column and each sentence's first
 token index, with case-folded words computed on first use. Every later
 stage takes a window as Tokens and reads its plain lists. Tokens carry
 no offsets: Tokens.locate finds the runs of tokens that give a finding
-or an occurrence, all of a window's runs in one call. A sentence with one
-run is settled by str.find when the run's end surfaces occur once in it;
-any other sentence is walked once, token by token.
+or an occurrence, all of a window's runs in one call, with each run's
+first character index for line_col. A sentence with one run is settled
+by str.find when the run's end surfaces occur once in it; any other
+sentence is walked once, token by token.
 
 Every step is linear in the document. A document builds its offset map
-at its first byte conversion; the map converts by identity when the text
-is ASCII, and otherwise keeps a sparse table of the non-ASCII characters
-only and converts with ``bisect``. It converts a window's character
-ranges to byte spans in one call (spans), and the byte offsets of a
-report's findings to line:col in one call per document (line_cols),
-bisecting a line-start table that it builds on first use; ``line_col``
-converts one offset. Segmentation never crosses a
-newline, so it decides each line with str methods: a line whose only
-terminators are its trailing run, or periods that the decimal and
-abbreviation rules keep, is one sentence, and only the other lines are
-scanned break by break. The tokenizer splits a sentence
-at whitespace, which no token spans: an alnum chunk is one word and a
-word with a final '.' or ',' is decided by one abbreviation lookup; other
-chunks go through the token pattern and the per-character rules at '.'
-and ',' (decimals and abbreviations).
+at its first span; the map converts character indices to byte offsets,
+by identity when the text is ASCII, and otherwise with a sparse table of
+the non-ASCII characters only and ``bisect``. It converts a window's
+character ranges to byte spans in one call (spans). line_col gives the
+line:col of a list of character indices in one call, bisecting a
+line-start table that the document builds on first use, so a location
+never goes through bytes. Segmentation never crosses a newline, so it
+decides each line with str methods: a line whose only terminators are
+its trailing run, or periods that the decimal and abbreviation rules
+keep, is one sentence, and only the other lines are scanned break by
+break. The tokenizer splits a sentence at whitespace, which no token
+spans: an alnum chunk is one word and a word with a final '.' or ',' is
+decided by one abbreviation lookup; other chunks go through the token
+pattern and the per-character rules at '.' and ',' (decimals and
+abbreviations).
 
 Normalization is case-folding only. Hyphenated words ("rekod-rekod") are
 kept as single tokens so the reduplication filter can see them whole, and
@@ -45,8 +46,7 @@ import re
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 
-# replace is re-exported for callers that import it with Span from here
-from .records import DEFAULT_ABBREVIATIONS, Record, Span, replace
+from .records import DEFAULT_ABBREVIATIONS, Record, Span
 
 TERMINATORS = frozenset(".?!")
 
@@ -73,32 +73,24 @@ _WORD_TAIL = re.compile(r"(?:-?[^\W_]+)*")
 
 
 class _OffsetMap:
-    """Character index <-> UTF-8 byte offset conversion for one text.
+    """Character index -> UTF-8 byte offset conversion for one text.
 
     ASCII text (``str.isascii()``) converts by identity and stores no
     table. Other text stores only the character indices of its non-ASCII
-    characters, the byte offset just past each of them and the running
-    count of extra UTF-8 bytes up to each; a conversion is one ``bisect``
-    on that sparse table, so memory grows with the non-ASCII characters,
-    not with the text. The line-start table behind ``line_col`` (character
-    indices that follow a newline) is built on first use.
+    characters and the running count of extra UTF-8 bytes up to each; a
+    conversion is one ``bisect`` on that sparse table, so memory grows
+    with the non-ASCII characters, not with the text.
     """
 
-    __slots__ = ("_text", "_size", "_chars", "_ends", "_extra", "_line_starts")
+    __slots__ = ("_chars", "_extra")
 
     def __init__(self, text: str) -> None:
-        self._text = text
-        self._line_starts: list[int] | None = None
         if text.isascii():
-            self._size = len(text)
-            self._chars = self._ends = self._extra = None
+            self._chars = self._extra = None
             return
         chars = [m.start() for m in _NON_ASCII.finditer(text)]
-        extra = list(accumulate(len(text[c].encode("utf-8")) - 1 for c in chars))
         self._chars = chars
-        self._extra = extra
-        self._ends = [c + 1 + e for c, e in zip(chars, extra)]
-        self._size = len(text) + extra[-1]
+        self._extra = list(accumulate(len(text[c].encode("utf-8")) - 1 for c in chars))
 
     def spans(self, ranges: list[tuple[int, int]]) -> list[Span]:
         """The byte Span of each character range (start, end), in one call."""
@@ -114,43 +106,11 @@ class _OffsetMap:
             for a, b in ranges
         ]
 
-    def byte_to_chars(self, offsets) -> list[int]:
-        """The character index at each byte offset; ValueError off a boundary."""
-        size = self._size
-        if offsets and not (min(offsets) >= 0 and max(offsets) <= size):
-            bad = next(byte for byte in offsets if not 0 <= byte <= size)
-            raise ValueError(f"byte offset {bad} outside the text")
-        chars = self._chars
-        if chars is None:
-            return list(offsets)
-        ends, extra, out = self._ends, self._extra, []
-        for byte in offsets:
-            k = bisect_right(ends, byte)
-            char = byte - extra[k - 1] if k else byte
-            # the next non-ASCII character starts at index chars[k]; a larger
-            # index means the offset falls inside its encoding
-            if k < len(chars) and char > chars[k]:
-                raise ValueError(f"byte offset {byte} inside a multibyte character")
-            out.append(char)
-        return out
-
-    def line_cols(self, offsets) -> list[tuple[int, int]]:
-        """1-based (line, column) of each byte offset; ValueError off a boundary."""
-        starts = self._line_starts
-        if starts is None:
-            starts = [0]
-            starts.extend(m.end() for m in _NEWLINE.finditer(self._text))
-            self._line_starts = starts
-        return [
-            (line := bisect_right(starts, char), char - starts[line - 1] + 1)
-            for char in self.byte_to_chars(offsets)
-        ]
-
 
 class Document(Record):
     """One input text, usually a whole requirement-specification file."""
 
-    __slots__ = ("id", "text", "_offsets")
+    __slots__ = ("id", "text", "_offsets", "_line_starts")
 
     def __init__(self, id: str, text: str) -> None:
         if not id:
@@ -158,6 +118,7 @@ class Document(Record):
         self.id = id
         self.text = text
         self._offsets: _OffsetMap | None = None
+        self._line_starts: list[int] | None = None
 
     def offsets(self) -> _OffsetMap:
         if self._offsets is None:
@@ -165,9 +126,17 @@ class Document(Record):
         return self._offsets
 
 
-def line_col(doc: Document, byte_offset: int) -> tuple[int, int]:
-    """1-based (line, column) of a byte offset (reports convert theirs in one call)."""
-    return doc.offsets().line_cols((byte_offset,))[0]
+def line_col(doc: Document, chars: list[int]) -> list[tuple[int, int]]:
+    """1-based (line, column) of each character index of doc.text, in one call.
+
+    A column counts characters, so a BOM is column 1 of line 1, and only
+    "\n" starts a line. The document's line-start table (the character
+    indices that follow a newline) is built on its first call.
+    """
+    starts = doc._line_starts
+    if starts is None:
+        starts = doc._line_starts = [0, *(m.end() for m in _NEWLINE.finditer(doc.text))]
+    return [(line := bisect_right(starts, c), c - starts[line - 1] + 1) for c in chars]
 
 
 def _kept_period(text: str, i: int, abbrevs: frozenset[str] | set[str], longest: int) -> bool:
@@ -264,8 +233,8 @@ class Tokens:
         """The window position of the sentence that holds token k."""
         return bisect_right(self.heads, k) - 1
 
-    def locate(self, runs: list[tuple[int, int]]) -> list[tuple[int, Span, str]]:
-        """Each run's sentence, byte span and text.
+    def locate(self, runs: list[tuple[int, int]]) -> list[tuple[int, Span, str, int]]:
+        """Each run's sentence, byte span, text and first character index.
 
         A run (first, last) spans from the start of token first to the end
         of token last, both in one sentence. A sentence that holds one run
@@ -299,7 +268,7 @@ class Tokens:
                 self._walk(s)
             ranges.append((self._starts[first], self._ends[last]))
         return [
-            (s, span, text[a:b])
+            (s, span, text[a:b], a)
             for s, span, (a, b) in zip(sentences, self.doc.offsets().spans(ranges), ranges)
         ]
 

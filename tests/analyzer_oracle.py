@@ -7,7 +7,8 @@ marker listed first. It is kept unchanged as the definition of correct
 output; ``lint_document``'s fixed-marker check must give the same
 finding, span and matched text on every sentence pair. The marker lists
 that used to come from ``LintConfig`` are keyword arguments with the same
-defaults. ``Sentence`` and ``Token`` are ``textcore_oracle``'s.
+defaults. ``Sentence``, ``Token`` and the finding's line:col, counted from
+its byte start (``line_col``), are ``textcore_oracle``'s.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections.abc import Sequence
 from kaburlint.analyzer import SEVERITY_INFO, Finding
 from kaburlint.lexicon import AttributeTag
 from kaburlint.records import DANGLING_ELSE, Span
-from textcore_oracle import Sentence, Token
+from textcore_oracle import OracleDocument, Sentence, Token, line_col
 
 DEFAULT_CONDITIONAL_MARKERS = ("jika", "sekiranya", "apabila")
 DEFAULT_ALTERNATIVE_MARKERS = ("jika tidak", "selainnya", "sebaliknya")
@@ -39,7 +40,7 @@ def check_dangling_else(
     conditional_markers: tuple[str, ...] = DEFAULT_CONDITIONAL_MARKERS,
     alternative_markers: tuple[str, ...] = DEFAULT_ALTERNATIVE_MARKERS,
     next_tokens: Sequence[Token] = (),
-    doc_id: str = "",
+    doc: OracleDocument,
 ) -> Finding | None:
     """Conditional marker without an alternative branch nearby.
 
@@ -67,8 +68,11 @@ def check_dangling_else(
     start, length = first_marker
     run = tokens[start : start + length]
     span = Span(run[0].span.start, run[-1].span.end)
+    line, col = line_col(doc, span.start)
     return Finding(
-        doc_id=doc_id,
+        doc_id=doc.id,
+        line=line,
+        col=col,
         sentence_index=sentence.index,
         span=span,
         matched=" ".join(t.surface for t in run),

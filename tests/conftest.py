@@ -50,7 +50,7 @@ def token_list(tokens: Tokens) -> list[Token]:
     located = tokens.locate([(k, k) for k in range(len(tokens))])
     return [
         Token(span, surface, word, token_kind(surface))
-        for (_s, span, _text), surface, word in zip(located, tokens.surfaces, tokens.words)
+        for (_s, span, _text, _char), surface, word in zip(located, tokens.surfaces, tokens.words)
     ]
 
 

@@ -48,9 +48,9 @@ from kaburlint.records import (
     SENSE_THRESHOLD,
     VAGUE_POS,
     Span,
-    replace,
 )
 from kaburlint.textcore import Document
+from record_replace import replace
 
 
 def longest_matches(

@@ -8,9 +8,11 @@ in a closure at every probe of ``longest_matches``, the seed's loop that
 tries every run length at every position. The loop and the seed's filter
 predicates over token records are copied here, not imported. The text
 layer is ``textcore_oracle``'s and the dangling-else check is
-``analyzer_oracle``'s, so nothing here shares the optimized code paths. It is kept unchanged as the definition of
-correct output; the optimized lint must give the same findings, spans,
-matched text, tags and criteria on every document.
+``analyzer_oracle``'s, so nothing here shares the optimized code paths.
+A finding's line:col is ``textcore_oracle.line_col`` of its byte start. It
+is kept unchanged as the definition of correct output; the optimized lint
+must give the same findings, locations, spans, matched text, tags and
+criteria on every document.
 """
 
 from __future__ import annotations
@@ -173,8 +175,19 @@ def match_entries(
     ]
 
 
+def _finding(
+    doc: textcore_oracle.OracleDocument, sentence_index: int, span: Span, matched: str,
+    phrase: str, tags: frozenset[AttributeTag], criterion: str, severity: str,
+) -> Finding:
+    line, col = textcore_oracle.line_col(doc, span.start)
+    return Finding(
+        doc.id, line, col, sentence_index, span, matched, phrase, tags, criterion, severity
+    )
+
+
 def check_multi_pos(
-    token: Token, posdict: PosDictionary, *, doc_id: str, sentence_index: int
+    token: Token, posdict: PosDictionary, *, doc: textcore_oracle.OracleDocument,
+    sentence_index: int,
 ) -> Finding | None:
     classes = posdict.pos_classes(token.normalized)
     if len(classes) < 2:
@@ -182,31 +195,31 @@ def check_multi_pos(
     tags = frozenset(
         AttributeTag("CON", POS_TO_CON_SUB[p]) for p in classes if p in POS_TO_CON_SUB
     ) or frozenset({AttributeTag("CON")})
-    return Finding(doc_id, sentence_index, token.span, token.surface, "", tags,
-                   MULTI_POS, SEVERITY_INFO)
+    return _finding(doc, sentence_index, token.span, token.surface, "", tags,
+                    MULTI_POS, SEVERITY_INFO)
 
 
 def check_multi_sense(
-    token: Token, posdict: PosDictionary, threshold: int, *, doc_id: str,
-    sentence_index: int,
+    token: Token, posdict: PosDictionary, threshold: int, *,
+    doc: textcore_oracle.OracleDocument, sentence_index: int,
 ) -> Finding | None:
     senses = posdict.sense_count(token.normalized)
     if senses is None or senses < threshold:
         return None
-    return Finding(doc_id, sentence_index, token.span, token.surface, "",
-                   frozenset({AttributeTag("VAR")}), MULTI_SENSE, SEVERITY_INFO)
+    return _finding(doc, sentence_index, token.span, token.surface, "",
+                    frozenset({AttributeTag("VAR")}), MULTI_SENSE, SEVERITY_INFO)
 
 
 def check_anaphoric_clitic(
-    token: Token, *, doc_id: str, sentence_index: int
+    token: Token, *, doc: textcore_oracle.OracleDocument, sentence_index: int
 ) -> Finding | None:
     normalized = token.normalized
     if len(normalized) <= 3 or not normalized.endswith("nya"):
         return None
     if normalized in _CLITIC_STOPLIST:
         return None
-    return Finding(doc_id, sentence_index, token.span, token.surface, "",
-                   frozenset({AttributeTag("REF")}), REFERENTIAL_SENTENCE, SEVERITY_INFO)
+    return _finding(doc, sentence_index, token.span, token.surface, "",
+                    frozenset({AttributeTag("REF")}), REFERENTIAL_SENTENCE, SEVERITY_INFO)
 
 
 def lint_document(
@@ -229,13 +242,13 @@ def lint_document(
     for k, (sentence, tokens) in enumerate(zip(sentences, token_runs)):
         for span, entry in match_entries(lexicon, tokens):
             findings.append(
-                Finding(doc.id, sentence.index, span, textcore_oracle.slice_span(doc, span),
-                        entry.phrase_text, entry.tags, ATTRIBUTE_MEMBER, SEVERITY_WARNING)
+                _finding(doc, sentence.index, span, textcore_oracle.slice_span(doc, span),
+                         entry.phrase_text, entry.tags, ATTRIBUTE_MEMBER, SEVERITY_WARNING)
             )
         for token in kept_tokens(tokens, filter_cfg):
             if token.kind != WORD:
                 continue
-            where = {"doc_id": doc.id, "sentence_index": sentence.index}
+            where = {"doc": doc, "sentence_index": sentence.index}
             hits = []
             if posdict is not None:
                 hits.append(check_multi_pos(token, posdict, **where))
@@ -245,7 +258,7 @@ def lint_document(
             findings.extend(hit for hit in hits if hit)
         next_tokens = token_runs[k + 1] if k + 1 < len(token_runs) else ()
         hit = analyzer_oracle.check_dangling_else(
-            sentence, tokens, next_tokens=next_tokens, doc_id=doc.id
+            sentence, tokens, next_tokens=next_tokens, doc=doc
         )
         if hit:
             findings.append(hit)

@@ -5,7 +5,7 @@ hashes its fields), "hashable" (hashes its fields, assignable) or
 "mutable" (unhashable). The repr strings were recorded from the
 dataclasses these classes were before they moved onto textcore.Record,
 so they pin the field names, their order and the repr format; Document's
-has lost its source_path field since.
+has lost its source_path field since, and Finding's has gained line and col.
 
 The checks use the standard library only, so that interpreters without
 pytest can run them too::
@@ -27,9 +27,10 @@ from kaburlint.curation import CandidateWord, Occurrence, ReviewDecision
 from kaburlint.extraction import ExtractionResult
 from kaburlint.filters import FilterConfig, FilterCounts
 from kaburlint.lexicon import AttributeTag, LexiconEntry
-from kaburlint.records import Record, Span, replace
+from kaburlint.records import Record, Span
 from kaburlint.stats import AttributeCounts, CorpusStats
 from kaburlint.textcore import Document
+from record_replace import replace
 
 _SPAN = Span(7, 12)
 _TAG = AttributeTag("CON", "verb")
@@ -46,10 +47,10 @@ _CANDIDATE_REPR = (
 _COUNTS = FilterCounts(3, {"symbol": Counter({",": 2})})
 _COUNTS_REPR = "FilterCounts(kept=3, excluded={'symbol': Counter({',': 2})})"
 _FINDING = Finding(
-    "d1.txt", 0, _SPAN, "papar", "papar", frozenset({_TAG}), "attribute_member", "warning"
+    "d1.txt", 1, 8, 0, _SPAN, "papar", "papar", frozenset({_TAG}), "attribute_member", "warning"
 )
 _FINDING_REPR = (
-    "Finding(doc_id='d1.txt', sentence_index=0, span=Span(start=7, end=12), "
+    "Finding(doc_id='d1.txt', line=1, col=8, sentence_index=0, span=Span(start=7, end=12), "
     f"matched='papar', phrase='papar', tags=frozenset({{{_TAG_REPR}}}), "
     "criterion='attribute_member', severity='warning')"
 )

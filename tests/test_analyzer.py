@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import pickle
 import random
@@ -41,10 +42,10 @@ from kaburlint.records import (
     MULTI_SENSE,
     REFERENTIAL_SENTENCE,
     REPORT_FORMATS,
-    replace,
 )
 from kaburlint.seeds import seed_text, write_seed_tree
 from kaburlint.textcore import SENTENCE_WINDOW, Document, segment_sentences
+from record_replace import replace
 
 
 def tag(text):
@@ -179,7 +180,7 @@ class TestFinding:
         assert replace(first[0], severity="warning") != first[0]
         assert not hasattr(first[0], "__dict__")
         assert repr(first[1]) == (
-            "Finding(doc_id='doc', sentence_index=0, span=Span(start=6, end=10), "
+            "Finding(doc_id='doc', line=1, col=7, sentence_index=0, span=Span(start=6, end=10), "
             "matched='alam', phrase='', tags=frozenset({AttributeTag(attribute='VAR', "
             "sub=None)}), criterion='multi_sense', severity='info')"
         )
@@ -279,12 +280,12 @@ def assert_dangling_else_matches_oracle(text):
     want = [
         oracle.check_dangling_else(
             sentence, tokens,
-            next_tokens=token_runs[i + 1] if i + 1 < len(token_runs) else (), doc_id="doc",
+            next_tokens=token_runs[i + 1] if i + 1 < len(token_runs) else (), doc=ref,
         )
         for i, (sentence, tokens) in enumerate(zip(sentences, token_runs))
     ]
     got = dangling_else_findings(text)
-    # a Finding compares equal only with the same span and matched text
+    # a Finding compares equal only with the same line:col, span and matched text
     assert got == want, text
     return got
 
@@ -354,8 +355,8 @@ def lint_lexicon():
 
 def finding_fields(findings):
     return [
-        (f.doc_id, f.sentence_index, f.span.start, f.span.end, f.matched, f.phrase,
-         f.tags, f.criterion, f.severity)
+        (f.doc_id, f.line, f.col, f.sentence_index, f.span.start, f.span.end, f.matched,
+         f.phrase, f.tags, f.criterion, f.severity)
         for f in findings
     ]
 
@@ -444,6 +445,26 @@ class TestLintOracle:
         assert assert_lint_matches_oracle(text, table_posdict(), other, False) == []
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from(LINT_PIECES), max_size=30).map(" ".join),
+    st.booleans(),
+    st.sampled_from(LINT_FILTERS),
+    st.booleans(),
+)
+def test_a_finding_is_a_warning_iff_it_matches_the_lexicon(text, with_posdict, filter_cfg, clitics):
+    # the text totals count warnings from the criteria alone
+    posdict = table_posdict() if with_posdict else None
+    report = LintReport(assert_lint_matches_oracle(text, posdict, filter_cfg, clitics))
+    severities = [f.severity for f in report.findings]
+    assert severities == [
+        "warning" if f.criterion == ATTRIBUTE_MEMBER else "info" for f in report.findings
+    ]
+    tail = report_tail("text", report.attribute_counts, report.criterion_counts)
+    warnings = severities.count("warning")
+    assert f"({warnings} warning, {len(severities) - warnings} info)" in tail
+
+
 # --- locating hits: a probe settles a sentence's one run, a walk every other ---
 
 # Sentences of one run each unless noted. A run's end token is settled by
@@ -520,6 +541,45 @@ class TestLocating:
         report = lint_document(doc, lexicon)
         assert time.perf_counter() - started < 1
         assert [f.matched for f in report.findings] == words
+
+
+# --- line:col: counted in characters of the text as read ---
+
+# what a file may hold: every line end, a BOM, and characters of 2, 3 and 4 UTF-8 bytes
+LINE_END_PIECES = [*LINT_PIECES, "\r\n", "\r", "“ok”", "😀", "Kafé"]
+
+
+def read_as_file(raw: bytes) -> str:
+    """raw decoded as fileio.read_text decodes a file: UTF-8, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+
+
+class TestLineCol:
+    def test_bom_crlf_and_lone_cr(self):
+        raw = "\ufeffKafé segera\r\nx\rsegera efisien\n".encode()
+        report = lint_document(mk_doc(read_as_file(raw)), seed_lexicon())
+        assert render_report(report, "text") == (
+            "doc:1:7: warning: 'segera' [IMP] attribute_member\n"
+            "doc:3:1: warning: 'segera' [IMP] attribute_member\n"
+            "doc:3:8: warning: 'efisien' [IMP] attribute_member\n"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.booleans(),
+        st.lists(st.sampled_from(LINE_END_PIECES), max_size=40).map(" ".join),
+        st.sampled_from(LINT_FILTERS),
+    )
+    def test_every_finding_is_where_the_byte_oracle_puts_it(self, bom, body, filter_cfg):
+        text = read_as_file(("\ufeff" * bom + body).encode())
+        found = lint_document(
+            mk_doc(text), locate_lexicon(), table_heuristics(), filter_cfg,
+            flag_anaphoric_clitics=True,
+        ).findings
+        ref = textcore_oracle.OracleDocument(id="doc", text=text)
+        assert [(f.line, f.col) for f in found] == [
+            textcore_oracle.line_col(ref, f.span.start) for f in found
+        ]
 
 
 # --- windows of sentences: lint reads SENTENCE_WINDOW sentences per stage call ---
@@ -661,20 +721,19 @@ class TestRecall:
             assert any(span.start <= start < span.end for span in warnings), (text, start)
 
 
-def whole_report(report: LintReport, fmt: str, docs: dict[str, Document] | None = None) -> str:
+def whole_report(report: LintReport, fmt: str) -> str:
     """report_head, the findings' lines and report_tail, as lint writes them."""
-    tail = report_tail(fmt, report.warnings, report.attribute_counts, report.criterion_counts)
-    return report_head(fmt) + render_report(report, fmt, docs) + tail
+    tail = report_tail(fmt, report.attribute_counts, report.criterion_counts)
+    return report_head(fmt) + render_report(report, fmt) + tail
 
 
 class TestRendering:
     def report(self):
-        doc = mk_doc("Sistem mesti efisien dan segera.")
-        return doc, lint_document(doc, seed_lexicon())
+        return lint_document(mk_doc("Sistem mesti efisien dan segera."), seed_lexicon())
 
     def test_text_format(self):
-        doc, report = self.report()
-        text = whole_report(report, "text", {doc.id: doc})
+        report = self.report()
+        text = whole_report(report, "text")
         assert text == (
             "doc:1:14: warning: 'efisien' [IMP] attribute_member\n"
             "doc:1:26: warning: 'segera' [IMP] attribute_member\n"
@@ -685,8 +744,8 @@ class TestRendering:
         )
 
     def test_csv_format(self):
-        doc, report = self.report()
-        text = whole_report(report, "csv", {doc.id: doc})
+        report = self.report()
+        text = whole_report(report, "csv")
         lines = text.splitlines()
         assert lines[0] == (
             "document,line,col,start,end,sentence,matched,phrase,tags,"
@@ -700,7 +759,7 @@ class TestRendering:
     def test_records_format(self):
         import json
 
-        _doc, report = self.report()
+        report = self.report()
         lines = whole_report(report, "records").splitlines()
         first = json.loads(lines[0])
         assert first == {
@@ -723,8 +782,8 @@ class TestRendering:
 
 
 @pytest.fixture(scope="module")
-def sample_reports(tmp_path_factory) -> list[tuple[Document, object]]:
-    """The seed sample documents and one clean document, each with its report."""
+def sample_reports(tmp_path_factory) -> list[LintReport]:
+    """The reports of the seed sample documents and of one clean document."""
     root = tmp_path_factory.mktemp("seed")
     write_seed_tree(root)
     cfg = load_config(root / "kaburlint.conf")
@@ -735,9 +794,8 @@ def sample_reports(tmp_path_factory) -> list[tuple[Document, object]]:
         for path in sorted((root / "sample").glob("*.txt"))
     ]
     docs.append(Document(id="clean.txt", text="Sistem simpan rekod pelajar.\n"))
-    reports = [(doc, lint_document(doc, res.lexicon, heuristics, res.filter_config))
-               for doc in docs]
-    assert [bool(report.findings) for _, report in reports] == [True, True, False]
+    reports = [lint_document(doc, res.lexicon, heuristics, res.filter_config) for doc in docs]
+    assert [bool(report.findings) for report in reports] == [True, True, False]
     return reports
 
 
@@ -746,14 +804,13 @@ def sample_reports(tmp_path_factory) -> list[tuple[Document, object]]:
 def test_document_parts_join_to_the_merged_report(sample_reports, picks, fmt):
     """The head, each document's body in order and the tail of the summed counts."""
     chosen = [sample_reports[k] for k in picks]
-    bodies = [render_report(report, fmt, {doc.id: doc}) for doc, report in chosen]
-    warnings = sum(report.warnings for _, report in chosen)
+    bodies = [render_report(report, fmt) for report in chosen]
     attributes: Counter[str] = Counter()
     criteria: Counter[str] = Counter()
-    for _, report in chosen:
+    for report in chosen:
         attributes.update(report.attribute_counts)
         criteria.update(report.criterion_counts)
-    merged = LintReport([f for _, report in chosen for f in report.findings])
-    whole = whole_report(merged, fmt, {doc.id: doc for doc, _ in chosen})
-    parts = report_head(fmt) + "".join(bodies) + report_tail(fmt, warnings, attributes, criteria)
+    merged = LintReport([f for report in chosen for f in report.findings])
+    whole = whole_report(merged, fmt)
+    parts = report_head(fmt) + "".join(bodies) + report_tail(fmt, attributes, criteria)
     assert parts == whole

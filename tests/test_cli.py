@@ -37,7 +37,7 @@ from kaburlint.lexicon import (
     load_lexicon,
     record_to_entry,
 )
-from kaburlint.records import replace
+from record_replace import replace
 
 EXTRA_DOC = "Sistem mesti papar laporan itu.\nJika data rosak, sistem papar amaran.\n"
 ACCEPT_PAPAR = {
@@ -553,6 +553,18 @@ def test_review_whose_audit_log_cannot_be_written_changes_nothing(ws, capsys):
     assert rc == 2 and "audit.jsonl" in err
     assert {name: (ws / name).read_bytes() for name in before} == before
     assert not (ws / "logs").exists()
+
+
+def test_review_without_a_lexicon_exits_2_and_writes_nothing(ws, capsys, monkeypatch):
+    # no config and no --lexicon; the audit log would default to the working directory
+    monkeypatch.chdir(ws)
+    before = {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()}
+    rc, out, err = run(
+        capsys, "review", "queue.jsonl", "--decisions", GOLDEN / "input.decisions.jsonl"
+    )
+    assert (rc, out) == (2, "")
+    assert err == "kaburlint: error: no lexicon configured (set --lexicon or config key)\n"
+    assert {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()} == before
 
 
 def test_review_rerun_after_a_crash_between_audit_and_lexicon_save_replays(

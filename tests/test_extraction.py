@@ -50,9 +50,9 @@ from kaburlint.records import (
     MULTI_SENSE,
     VAGUE_POS,
     Span,
-    replace,
 )
 from kaburlint.textcore import SENTENCE_WINDOW, segment_sentences
+from record_replace import replace
 
 LINE_BREAKS = ["\u2028", "\u2029", "\x85"]  # str.splitlines breaks at these, JSON lines not
 

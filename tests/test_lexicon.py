@@ -315,7 +315,7 @@ class TestMatchEntries:
         ((start, end, matched),) = match_entries(lexicon, tokens)
         assert (start, end) == (0, 2)
         assert matched.phrase == ("secepat", "mungkin")
-        ((_s, span, text),) = tokens.locate([(start, end - 1)])
+        ((_s, span, text, _char),) = tokens.locate([(start, end - 1)])
         assert text == byte_slice(doc.text, span) == "secepat mungkin"
 
     def test_longest_match_wins(self):

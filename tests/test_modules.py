@@ -99,7 +99,7 @@ def test_setup_imports_nothing_at_call_time(tree):
 def test_names_the_traced_run_reads_are_the_defining_objects(monkeypatch):
     for name in ("load_candidates", "save_candidates", "record_decision", "append_audit"):
         assert getattr(extraction, name) is getattr(curation, name)
-    for name in ("Span", "Record", "replace"):
+    for name in ("Span", "Record"):
         assert getattr(textcore, name) is getattr(records, name)
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     replay = importlib.import_module("replay")

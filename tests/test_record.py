@@ -11,8 +11,9 @@ import pytest
 
 from kaburlint.extraction import ExtractionResult
 from kaburlint.filters import FilterCounts
-from kaburlint.records import Record, Span, replace
+from kaburlint.records import Record, Span
 from record_cases import CASES, check_caches, check_equality, check_frozen, check_hash, check_pickle
+from record_replace import replace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

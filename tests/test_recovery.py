@@ -32,7 +32,7 @@ import pytest
 from kaburlint.cli import main
 from kaburlint.curation import load_audit, replay_audit
 from kaburlint.lexicon import dumps_lexicon, load_lexicon, normalize_phrase, save_lexicon
-from kaburlint.records import replace
+from record_replace import replace
 
 GOLDEN_BATCH = Path(__file__).parent / "golden" / "input.decisions.jsonl"
 REVIEW = ["review", "--config", "kaburlint.conf", "queue.jsonl",
