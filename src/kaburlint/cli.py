@@ -21,6 +21,10 @@ itself, which gives the same output. lint's items are paths: each worker
 reads, lints and renders its own documents, and the parent writes the
 rendered parts in input order, after the csv header or before the text
 totals. extract's items are documents, and the parent merges their scans.
+
+extract and map write the candidate queue, which holds no verdict: the
+lexicon alone does. review reads the queue and never writes it; it
+appends its batch to the audit log, then saves the lexicon.
 """
 
 from __future__ import annotations
@@ -38,9 +42,7 @@ from typing import BinaryIO
 from . import __version__
 from .config import (
     Config,
-    SCOPE_NAMES,
     configured_lexicon,
-    default_audit_path,
     load_config,
     load_resources,
     validate_config,
@@ -48,7 +50,15 @@ from .config import (
 from .errors import ConfigError, KaburlintError
 from .fileio import read_text
 from .filters import REASON_ORDER
-from .lexicon import AttributeTag, Lexicon, load_lexicon, save_lexicon, tag_texts, word_heuristics
+from .lexicon import (
+    SCOPES,
+    AttributeTag,
+    Lexicon,
+    load_lexicon,
+    save_lexicon,
+    tag_texts,
+    word_heuristics,
+)
 from .records import CRITERIA, FORMAT_CSV, FORMAT_TEXT, REPORT_FORMATS
 
 
@@ -263,7 +273,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    from .curation import CandidateWord, load_candidates, queue_status, save_candidates
+    from .curation import CandidateWord, load_candidates, save_candidates
     from .extraction import map_candidate_attributes
 
     cfg = _load_cfg(args)
@@ -275,7 +285,6 @@ def cmd_map(args: argparse.Namespace) -> int:
             c.occurrences,
             map_candidate_attributes(c.phrase, res.lexicon, res.posdict, res.rules),
             c.criterion_hits,
-            queue_status(c.phrase, c.status, res.lexicon),
         )
         for c in candidates
     ]
@@ -298,32 +307,18 @@ def _load_batch_decisions(path: Path) -> list[ReviewDecision]:
 
 
 def _commit_decisions(
-    lexicon: Lexicon,
-    lexicon_path: Path,
-    by_phrase: dict[tuple[str, ...], CandidateWord],
-    decisions: list[ReviewDecision],
-    queue_path: Path,
-    audit_path: Path,
+    lexicon: Lexicon, lexicon_path: Path, decisions: list[ReviewDecision], audit_path: Path
 ) -> tuple[int, int]:
-    """Write decisions the lexicon already holds: the audit log, then the saves.
+    """Write decisions the lexicon already holds: the audit log, then the lexicon.
 
     The decisions were applied in memory, each checked before anything was
-    written, so a refused one leaves every file as it was. The lexicon and
-    the queue (by_phrase: its candidates by phrase, in file order) are
-    saved only after the batch is on disk in the audit log, and each
-    decided phrase's queue status is the lexicon's (queue_status). A torn
-    last line of the log, which no save followed, is dropped before the
-    append (append_audit), and said so on stderr.
+    written, so a refused one leaves every file as it was. The lexicon is
+    saved only after the batch is on disk in the audit log; the queue is
+    never written. A torn last line of the log, which no save followed, is
+    dropped before the append (append_audit), and said so on stderr.
     """
-    from .curation import VERDICT_ACCEPT, CandidateWord, append_audit, queue_status
-    from .curation import save_candidates
+    from .curation import VERDICT_ACCEPT, append_audit
 
-    for phrase in {d.phrase for d in decisions}:
-        c = by_phrase[phrase]
-        by_phrase[phrase] = CandidateWord(
-            phrase, c.occurrences, c.suggested_tags, c.criterion_hits,
-            queue_status(phrase, c.status, lexicon),
-        )
     torn = append_audit(audit_path, decisions)
     if torn:
         print(
@@ -332,7 +327,6 @@ def _commit_decisions(
             file=sys.stderr,
         )
     save_lexicon(lexicon, lexicon_path)
-    save_candidates(list(by_phrase.values()), queue_path)
     accepted = sum(d.verdict == VERDICT_ACCEPT for d in decisions)
     return accepted, len(decisions) - accepted
 
@@ -356,20 +350,20 @@ def _prompt_decision(candidate: CandidateWord, position: int, total: int) -> str
 def _interactive_decisions(queue: list[CandidateWord], lexicon: Lexicon, resolve: Callable):
     """The prompt's answers, each resolved as a batch decision is and applied to lexicon.
 
-    Only phrases still pending are offered: each status is the lexicon's
-    (queue_status), so a queue written before its phrases were decided
-    offers none of them. An answer record_decision refuses (such as an
-    accept with no tag) changes nothing; it is reported and asked again,
-    like a bad tag, so it never throws the session's other decisions away.
+    Only the queued phrases that the lexicon holds undecided are offered
+    (curation.decided), whenever the queue was written. An answer
+    record_decision refuses (such as an accept with no tag) changes
+    nothing; it is reported and asked again, like a bad tag, so it never
+    throws the session's other decisions away.
     """
-    from .curation import PENDING, VERDICT_ACCEPT, VERDICT_REJECT, ReviewDecision
-    from .curation import queue_status, record_decision
+    from .curation import VERDICT_ACCEPT, VERDICT_REJECT, ReviewDecision, decided
+    from .curation import record_decision
 
-    pending = [c for c in queue if queue_status(c.phrase, c.status, lexicon) == PENDING]
-    for position, candidate in enumerate(pending, start=1):
+    undecided = [c for c in queue if not decided(lexicon.get(c.phrase))]
+    for position, candidate in enumerate(undecided, start=1):
         while True:
             try:
-                answer = _prompt_decision(candidate, position, len(pending))
+                answer = _prompt_decision(candidate, position, len(undecided))
             except EOFError:
                 return
             if not answer or answer[0] == "s":
@@ -399,14 +393,17 @@ def cmd_review(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     lexicon_path = configured_lexicon(cfg)
     lexicon = load_lexicon(lexicon_path)
-    queue_path = Path(args.queue)
-    queue = load_candidates(queue_path)
-    by_phrase = {c.phrase: c for c in queue}
-    audit_path = Path(args.audit) if args.audit else default_audit_path(cfg)
+    queue = load_candidates(Path(args.queue))
+    audit_path = Path(
+        args.audit or cfg.audit_log or lexicon_path.with_name(lexicon_path.name + ".audit.jsonl")
+    )
     reviewer = args.reviewer or "anonymous"
 
     resolve = partial(
-        resolve_decision, queue=by_phrase, default_reviewer=reviewer, force_flag=args.force
+        resolve_decision,
+        queue={c.phrase: c for c in queue},
+        default_reviewer=reviewer,
+        force_flag=args.force,
     )
     if args.decisions:
         decisions = list(map(resolve, _load_batch_decisions(Path(args.decisions))))
@@ -416,9 +413,7 @@ def cmd_review(args: argparse.Namespace) -> int:
     if not decisions:
         print("no decisions recorded; lexicon unchanged")
         return 0
-    accepted, rejected = _commit_decisions(
-        lexicon, lexicon_path, by_phrase, decisions, queue_path, audit_path
-    )
+    accepted, rejected = _commit_decisions(lexicon, lexicon_path, decisions, audit_path)
     print(
         f"accepted {accepted}, rejected {rejected}; "
         f"lexicon saved to {lexicon_path}, audit appended to {audit_path}"
@@ -478,7 +473,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     lexicon = load_lexicon(configured_lexicon(cfg))
     if cfg.format not in (FORMAT_TEXT, FORMAT_CSV):
         raise ConfigError("stats supports --format text or csv")
-    stats = compute_attribute_stats(lexicon.entries(), SCOPE_NAMES[cfg.scope])
+    stats = compute_attribute_stats(lexicon.entries(), cfg.scope)
     print(render_table(stats, cfg.format), end="")
     return 0
 
@@ -519,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="also write the filter summary to this file")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("map", help="recompute suggested tags and statuses for a candidate queue")
+    p = sub.add_parser("map", help="recompute suggested tags for a candidate queue")
     common(p)
     p.add_argument("queue", help="candidate queue file")
     p.add_argument("-o", "--output", help="output file (default: rewrite queue)")
@@ -546,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--scope",
-        choices=sorted(SCOPE_NAMES),
+        choices=sorted(SCOPES),
         help="which entries to count (default verified)",
     )
     p.add_argument("--format", choices=[FORMAT_TEXT, FORMAT_CSV], help="table format")

@@ -19,8 +19,7 @@ from .errors import ConfigError
 from .fileio import read_lines
 from .filters import FilterConfig, load_wordlist
 from .lexicon import (
-    SCOPE_CANDIDATES,
-    SCOPE_VERIFIED,
+    SCOPES,
     Lexicon,
     PhraseSets,
     PosDictionary,
@@ -41,8 +40,6 @@ RULE_ATTRIBUTE_KEYS = {
 
 # created by commands, never required to pre-exist
 _OUTPUT_PATH_KEYS = frozenset({"audit_log"})
-
-SCOPE_NAMES = {"verified": SCOPE_VERIFIED, "candidates": SCOPE_CANDIDATES}
 
 
 class Config(Record):
@@ -116,8 +113,8 @@ def validate_config(cfg: Config) -> Config:
     """Check value ranges once, after CLI flags have overridden the file."""
     if cfg.format not in REPORT_FORMATS:
         raise ConfigError(f"unknown format {cfg.format!r}")
-    if cfg.scope not in SCOPE_NAMES:
-        raise ConfigError(f"unknown scope {cfg.scope!r} (use verified|candidates)")
+    if cfg.scope not in SCOPES:
+        raise ConfigError(f"unknown scope {cfg.scope!r} (use {'|'.join(SCOPES)})")
     if cfg.sense_threshold < 0:
         raise ConfigError("sense_threshold must be non-negative")
     if cfg.jobs < 1:
@@ -172,11 +169,3 @@ def load_resources(cfg: Config, *, require_lexicon: bool = True) -> Resources:
         rules=rules,
         filter_config=filter_config,
     )
-
-
-def default_audit_path(cfg: Config) -> Path:
-    if cfg.audit_log is not None:
-        return cfg.audit_log
-    if cfg.lexicon is not None:
-        return cfg.lexicon.with_name(cfg.lexicon.name + ".audit.jsonl")
-    return Path("audit.jsonl")

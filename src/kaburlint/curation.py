@@ -3,10 +3,11 @@
 Nothing here tokenizes or lints, so review loads neither textcore nor
 analyzer. Queued and decided phrases follow the lexicon's phrase rule
 (lexicon.check_phrase), so the queue and the audit log hold no phrase the
-lexicon would refuse, and a queue lists each phrase once. Review decisions
-are appended to a JSON-lines audit log whose records are self-contained:
-replaying the log over the initial repository reproduces the final
-repository byte for byte.
+lexicon would refuse, and a queue lists each phrase once. The queue holds
+no verdict: the lexicon is the only place one is kept, and review never
+writes the queue. Review decisions are appended to a JSON-lines audit log
+whose records are self-contained: replaying the log over the initial
+repository reproduces the final repository byte for byte.
 
 A decision whose outcome the repository already holds (the same status,
 tags and note) changes nothing and needs no force flag. So a review that
@@ -35,15 +36,8 @@ from .lexicon import (
 )
 from .records import CRITERIA, Record, Span
 
-PENDING = "pending"
-ACCEPTED = "accepted"
-REJECTED = "rejected"
-CANDIDATE_STATUSES = (PENDING, ACCEPTED, REJECTED)
-
 VERDICT_ACCEPT = "accept"
 VERDICT_REJECT = "reject"
-
-_DECIDED = {STATUS_VERIFIED: ACCEPTED, STATUS_REJECTED: REJECTED}
 
 
 class Occurrence(Record, frozen=True):
@@ -59,7 +53,7 @@ class Occurrence(Record, frozen=True):
 class CandidateWord(Record, frozen=True):
     """A potentially ambiguous phrase awaiting mapping and verification."""
 
-    __slots__ = ("phrase", "occurrences", "suggested_tags", "criterion_hits", "status")
+    __slots__ = ("phrase", "occurrences", "suggested_tags", "criterion_hits")
 
     def __init__(
         self,
@@ -67,13 +61,11 @@ class CandidateWord(Record, frozen=True):
         occurrences: tuple[Occurrence, ...],
         suggested_tags: frozenset[AttributeTag] = frozenset(),
         criterion_hits: frozenset[str] = frozenset(),
-        status: str = PENDING,
     ) -> None:
         object.__setattr__(self, "phrase", phrase)
         object.__setattr__(self, "occurrences", occurrences)
         object.__setattr__(self, "suggested_tags", suggested_tags)
         object.__setattr__(self, "criterion_hits", criterion_hits)
-        object.__setattr__(self, "status", status)
 
     @property
     def phrase_text(self) -> str:
@@ -84,15 +76,14 @@ class CandidateWord(Record, frozen=True):
         return not self.suggested_tags
 
 
-def queue_status(phrase: tuple[str, ...], status: str, lexicon: Lexicon) -> str:
-    """A queued phrase's status as the lexicon decides it.
+def decided(entry: LexiconEntry | None) -> bool:
+    """Whether a lexicon entry holds a verdict: verified or rejected.
 
-    A phrase the lexicon holds as verified is accepted and one it holds as
-    rejected is rejected; any other keeps status (pending from extract).
-    extract and map both set each candidate's status here.
+    The lexicon is the only place a verdict is kept. record_decision
+    changes a decided entry only when forced, and interactive review
+    offers only the queued phrases whose entry is not decided.
     """
-    entry = lexicon.get(phrase)
-    return status if entry is None else _DECIDED.get(entry.status, status)
+    return entry is not None and entry.status in (STATUS_VERIFIED, STATUS_REJECTED)
 
 
 class ReviewDecision(Record, frozen=True):
@@ -186,7 +177,7 @@ def record_decision(repo: Lexicon, decision: ReviewDecision) -> LexiconEntry:
         note=note,
         source=existing.source if existing else "extracted",
     )
-    if existing is not None and existing.status in (STATUS_VERIFIED, STATUS_REJECTED):
+    if decided(existing):
         if entry == existing:
             return existing
         if not decision.force:
@@ -205,7 +196,7 @@ _CANDIDATE_KINDS = {
     "tags": list,
     "criteria": list,
     "occurrences": {"doc": str, "start": int, "end": int},
-    "status": str,
+    "status": str,  # written by queues before the lexicon alone held verdicts; ignored
 }
 _KNOWN_CRITERIA = frozenset(CRITERIA)
 _DECISION_KINDS = {
@@ -228,7 +219,6 @@ def candidate_to_record(candidate: CandidateWord) -> dict:
             {"doc": o.doc_id, "start": o.span.start, "end": o.span.end}
             for o in candidate.occurrences
         ],
-        "status": candidate.status,
     }
 
 
@@ -243,7 +233,6 @@ def record_to_candidate(record: object, where: str = "record") -> CandidateWord:
             ),
             suggested_tags=frozenset(map(AttributeTag.parse, record.get("tags", ()))),
             criterion_hits=frozenset(record.get("criteria", ())),
-            status=record.get("status", PENDING),
         )
     except (LexiconError, ValueError) as exc:
         raise ReviewError(f"{where}: malformed candidate ({exc})") from None
@@ -253,8 +242,6 @@ def record_to_candidate(record: object, where: str = "record") -> CandidateWord:
         raise ReviewError(f"{where}: {exc}") from None
     if not candidate.occurrences:
         raise ReviewError(f"{where}: candidate must have at least one occurrence")
-    if candidate.status not in CANDIDATE_STATUSES:
-        raise ReviewError(f"{where}: unknown status {candidate.status!r}")
     unknown_criteria = candidate.criterion_hits - _KNOWN_CRITERIA
     if unknown_criteria:
         raise ReviewError(f"{where}: unknown criteria {sorted(unknown_criteria)}")
@@ -268,9 +255,11 @@ def save_candidates(candidates: Sequence[CandidateWord], path: str | Path) -> No
 def load_candidates(path: str | Path) -> list[CandidateWord]:
     """The queue's candidates in file order; a phrase listed twice is refused.
 
-    review keys the queue by phrase, so a second listing would be saved as
-    a copy of the last; it is refused with its file:line instead, as
-    load_lexicon refuses a second entry.
+    review finds a decision's candidate by phrase (resolve_decision), so of
+    two listings only the last would count; the second is refused with its
+    file:line instead, as load_lexicon refuses a second entry. A "status"
+    field, which queues written before the lexicon alone held verdicts
+    carry, is ignored.
     """
     candidates: dict[tuple[str, ...], CandidateWord] = {}
 
@@ -296,9 +285,7 @@ def load_candidates(path: str | Path) -> list[CandidateWord]:
         phrase = normalize_phrase(words)
         if phrase in candidates:
             raise ValueError
-        return CandidateWord(
-            phrase, tuple(occurrences), ref.suggested_tags, ref.criterion_hits, ref.status
-        )
+        return CandidateWord(phrase, tuple(occurrences), ref.suggested_tags, ref.criterion_hits)
 
     for candidate in load_jsonl(
         path, "candidate queue", ReviewError, parse, quick, ("phrase", "occurrences")

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 
-from .curation import PENDING, CandidateWord, Occurrence, queue_status
+from .curation import CandidateWord, Occurrence
 
 # the benchmark's traced run reads these from here: they are curation's objects
 from .curation import append_audit, load_candidates, record_decision, save_candidates
@@ -198,10 +198,9 @@ def merge_results(
     unique by phrase, with occurrences concatenated in input order, then
     sorted by phrase and mapped onto suggested tags; a phrase's criterion
     hits come from the run's one candidate table, so every scan carries the
-    same ones. Each is queued with queue_status, so a phrase the hint
-    lexicon holds as verified is accepted and review does not offer it
-    again; every other one is pending (rejected phrases are never
-    candidates). extract_candidates ends here at any job count.
+    same ones. A candidate carries no verdict: review asks the lexicon
+    which phrases are decided (rejected phrases are never candidates).
+    extract_candidates ends here at any job count.
     """
     counts = FilterCounts()
     occurrences: dict[tuple[str, ...], list[Occurrence]] = {}
@@ -221,7 +220,6 @@ def merge_results(
             tuple(occurrences[phrase]),
             suggested_tags=map_candidate_attributes(phrase, lex_hints, posdict, rules),
             criterion_hits=hits_by_phrase[phrase],
-            status=queue_status(phrase, PENDING, lex_hints),
         )
         for phrase in sorted(occurrences)
     ]

@@ -74,9 +74,11 @@ STATUSES = (STATUS_CANDIDATE, STATUS_VERIFIED, STATUS_REJECTED)
 
 SOURCES = ("paper_seed", "extracted", "user")
 
-# which entries the stats count: verified ones, or every undecided or verified one
-SCOPE_VERIFIED = "verified_only"
-SCOPE_CANDIDATES = "all_candidates"
+# stats --scope (config key scope): each name -> the statuses of the entries it counts
+SCOPES = {
+    "verified": frozenset({STATUS_VERIFIED}),
+    "candidates": frozenset({STATUS_CANDIDATE, STATUS_VERIFIED}),
+}
 
 
 class AttributeTag(Record, frozen=True):

@@ -11,20 +11,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .errors import StatsError
-from .lexicon import (
-    ATTRIBUTES,
-    SCOPE_CANDIDATES,
-    SCOPE_VERIFIED,
-    STATUS_CANDIDATE,
-    STATUS_VERIFIED,
-    LexiconEntry,
-)
+from .lexicon import ATTRIBUTES, SCOPES, LexiconEntry
 from .records import FORMAT_CSV, FORMAT_TEXT, Record
-
-_SCOPE_STATUSES = {
-    SCOPE_VERIFIED: frozenset({STATUS_VERIFIED}),
-    SCOPE_CANDIDATES: frozenset({STATUS_CANDIDATE, STATUS_VERIFIED}),
-}
 
 
 class AttributeCounts(Record, frozen=True):
@@ -52,11 +40,11 @@ def format_percentage(count: int, total: int) -> str:
 
 
 def compute_attribute_stats(
-    entries: Iterable[LexiconEntry], scope: str = SCOPE_VERIFIED
+    entries: Iterable[LexiconEntry], scope: str = "verified"
 ) -> CorpusStats:
-    """Count in-scope entries per attribute and derive percentages."""
+    """Count in-scope entries (lexicon.SCOPES) per attribute and derive percentages."""
     try:
-        statuses = _SCOPE_STATUSES[scope]
+        statuses = SCOPES[scope]
     except KeyError:
         raise StatsError(f"unknown scope {scope!r}") from None
     counts = {a: 0 for a in ATTRIBUTES}

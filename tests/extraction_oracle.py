@@ -10,11 +10,10 @@ occurrence. Its text layer is ``textcore_oracle``'s, its filter step
 ``lint_oracle``'s, and it tallies its own filter counts, so nothing here
 runs the optimized segmentation, tokenization or filters. It is kept as
 the definition of correct output; the candidate table must give the same
-candidates, occurrences, criterion hits, suggested tags, statuses and
-filter counts on every corpus. Two rules changed since the seed, here as
-in the table: a phrase the hint lexicon holds as rejected is never a
-candidate, whichever rule list or POS row names it, and one it holds as
-verified is queued as accepted.
+candidates, occurrences, criterion hits, suggested tags and filter counts
+on every corpus. One rule changed since the seed, here as in the table: a
+phrase the hint lexicon holds as rejected is never a candidate, whichever
+rule list or POS row names it.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from pathlib import Path
 import lint_oracle
 import textcore_oracle
 
-from kaburlint.curation import ACCEPTED, PENDING, CandidateWord, Occurrence
+from kaburlint.curation import CandidateWord, Occurrence
 from kaburlint.errors import WordlistError
 from kaburlint.extraction import ExtractionResult
 from kaburlint.fileio import read_lines
@@ -235,12 +234,10 @@ def merge_results(
             )
     candidates = []
     for phrase in sorted(occurrences):
-        entry = lex_hints.get(phrase)
         candidate = CandidateWord(
             phrase,
             tuple(occurrences[phrase]),
             criterion_hits=frozenset(hits_by_phrase[phrase]),
-            status=ACCEPTED if entry is not None and entry.status == STATUS_VERIFIED else PENDING,
         )
         tags = map_candidate_attributes(candidate, lex_hints, posdict, rules)
         candidates.append(replace(candidate, suggested_tags=tags))

@@ -37,12 +37,12 @@ _TAG = AttributeTag("CON", "verb")
 _TAG_REPR = "AttributeTag(attribute='CON', sub='verb')"
 _OCCURRENCE = Occurrence("d1.txt", _SPAN)
 _CANDIDATE = CandidateWord(
-    ("papar",), (_OCCURRENCE,), frozenset({_TAG}), frozenset({"multi_pos"}), "pending"
+    ("papar",), (_OCCURRENCE,), frozenset({_TAG}), frozenset({"multi_pos"})
 )
 _CANDIDATE_REPR = (
     "CandidateWord(phrase=('papar',), occurrences=(Occurrence(doc_id='d1.txt', "
     f"span=Span(start=7, end=12)),), suggested_tags=frozenset({{{_TAG_REPR}}}), "
-    "criterion_hits=frozenset({'multi_pos'}), status='pending')"
+    "criterion_hits=frozenset({'multi_pos'}))"
 )
 _COUNTS = FilterCounts(3, {"symbol": Counter({",": 2})})
 _COUNTS_REPR = "FilterCounts(kept=3, excluded={'symbol': Counter({',': 2})})"

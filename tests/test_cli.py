@@ -32,10 +32,12 @@ from kaburlint.errors import ConfigError, KaburlintError
 from kaburlint.extraction import scan_document
 from kaburlint.lexicon import (
     ATTRIBUTES,
+    SCOPES,
     SUB_ATTRIBUTES,
     dumps_lexicon,
     load_lexicon,
     record_to_entry,
+    save_lexicon,
 )
 from record_replace import replace
 
@@ -244,6 +246,17 @@ def test_malformed_input_exits_2_and_names_the_spot(ws, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("scope", ["verified", "candidates"])
+def test_stats_of_an_empty_scope_names_the_scope_given(ws, capsys, scope):
+    lexicon = load_lexicon(ws / "lexicon.jsonl")
+    for entry in lexicon.entries():
+        lexicon.replace(replace(entry, status="rejected"))
+    save_lexicon(lexicon, ws / "lexicon.jsonl")
+    rc, out, err = run(capsys, *_stats(ws), "--scope", scope)
+    assert (rc, out) == (2, "")
+    assert err == f"kaburlint: error: no entries in scope {scope!r}\n"
+
+
 def test_stats_does_not_read_a_malformed_pos_dictionary(ws, capsys):
     before = run(capsys, *_stats(ws))
     argv, _ = _append_pos_row(ws, "secepat mungkin\tadj,kk\t3")
@@ -359,7 +372,7 @@ def test_rejected_phrase_is_not_queued_again(ws, capsys):
 
 
 def _queue_records(ws: Path, status: str | None = None) -> list[dict]:
-    """The queue's records; with status, every record is rewritten to it first."""
+    """The queue's records; with status, each is first given that legacy "status" field."""
     lines = (ws / "queue.jsonl").read_text(encoding="utf-8").splitlines()
     records = [json.loads(line) for line in lines]
     if status is not None:
@@ -384,7 +397,9 @@ def _offered(out: str) -> list[str]:
     return [line.split("] ", 1)[1] for line in out.splitlines() if line.startswith("[")]
 
 
-def test_extract_queues_verified_phrases_as_accepted(tmp_path, capsys, monkeypatch):
+def test_extract_then_review_offers_no_phrase_the_lexicon_holds_verified(
+    tmp_path, capsys, monkeypatch
+):
     # init + extract: every seed phrase found is verified, so review offers none
     root = tmp_path / "ws"
     assert run(capsys, "init", root)[0] == 0
@@ -394,7 +409,6 @@ def test_extract_queues_verified_phrases_as_accepted(tmp_path, capsys, monkeypat
     lexicon = load_lexicon(root / "lexicon.jsonl")
     queue = load_candidates(root / "queue.jsonl")
     assert queue and all(lexicon.get(c.phrase).status == "verified" for c in queue)
-    assert {c.status for c in queue} == {"accepted"}
     before = {p.name: p.read_bytes() for p in root.glob("*.jsonl")}
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     rc, out, err = run(capsys, "review", "--config", conf(root), root / "queue.jsonl")
@@ -402,32 +416,92 @@ def test_extract_queues_verified_phrases_as_accepted(tmp_path, capsys, monkeypat
     assert {p.name: p.read_bytes() for p in root.glob("*.jsonl")} == before
 
 
-def test_map_sets_each_status_from_the_lexicon(ws, capsys, monkeypatch):
-    # segera is rejected after the queue was written, and the queue lists
-    # every phrase as pending, as one written before they were verified
+@pytest.mark.parametrize("status", ["pending", "accepted", "rejected"])
+def test_map_drops_the_status_of_a_legacy_queue(ws, capsys, status):
+    # segera is rejected after the queue was written; then every row gets
+    # the status field of a queue written before the lexicon alone held
+    # verdicts. map writes the rows without it: the bytes of the queue as
+    # extract wrote it, mapped
     argv, _ = _decisions(ws, {"phrase": ["segera"], "verdict": "reject", "force": True})
     assert run(capsys, *argv)[0] == 0
-    _queue_records(ws, "pending")
     queue = ws / "queue.jsonl"
+    assert run(capsys, "map", "--config", conf(ws), queue, "-o", ws / "mapped.jsonl")[0] == 0
+    _queue_records(ws, status)
     assert run(capsys, "map", "--config", conf(ws), queue)[0] == 0
-    lexicon = load_lexicon(ws / "lexicon.jsonl")
-    outcome = {"verified": "accepted", "rejected": "rejected"}
-    statuses = {c.phrase: c.status for c in load_candidates(queue)}
-    assert statuses[("segera",)] == "rejected" and statuses[("anggaran",)] == "accepted"
-    for phrase, status in statuses.items():
-        entry = lexicon.get(phrase)
-        assert status == (outcome[entry.status] if entry else "pending"), phrase
-    # interactive review offers only papar, the one phrase the lexicon has not decided
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
-    rc, out, _ = run(capsys, "review", "--config", conf(ws), queue)
-    assert rc == 0 and _offered(out) == ["papar"]
+    assert queue.read_bytes() == (ws / "mapped.jsonl").read_bytes()
+    assert '"status"' not in queue.read_text(encoding="utf-8")
+
+
+def _undecided_seed_tree(tmp_path: Path, capsys) -> Path:
+    """The init tree with every seed entry a candidate, and the queue extract writes."""
+    root = tmp_path / "ws"
+    assert run(capsys, "init", root)[0] == 0
+    lexicon = load_lexicon(root / "lexicon.jsonl")
+    for entry in lexicon.entries():
+        lexicon.replace(replace(entry, status="candidate"))
+    save_lexicon(lexicon, root / "lexicon.jsonl")
+    rc, _, _ = run(capsys, "extract", "--config", conf(root), root / "sample",
+                   "-o", root / "queue.jsonl")
+    assert rc == 0
+    return root
+
+
+def _offered_when_skipping(capsys, monkeypatch, root: Path) -> list[str]:
+    """The phrases an interactive review offers, each skipped: nothing is written."""
+    monkeypatch.setattr("builtins.input", lambda _prompt: "s")
+    before = {p.name: p.read_bytes() for p in root.glob("*.jsonl")}
+    rc, out, err = run(capsys, "review", "--config", conf(root), root / "queue.jsonl")
+    assert (rc, err) == (0, "") and "no decisions recorded" in out
+    assert {p.name: p.read_bytes() for p in root.glob("*.jsonl")} == before
+    return _offered(out)
+
+
+def test_review_after_the_lexicon_is_restored_offers_every_phrase_again(
+    tmp_path, capsys, monkeypatch
+):
+    # a batch decides two of the eight queued phrases; the lexicon from
+    # before it is then restored. The queue kept no verdict, so every
+    # phrase is undecided again and offered again
+    root = _undecided_seed_tree(tmp_path, capsys)
+    queued = [c.phrase_text for c in load_candidates(root / "queue.jsonl")]
+    assert len(queued) == 8 and {"beberapa", "anggaran"} <= set(queued)
+    assert _offered_when_skipping(capsys, monkeypatch, root) == queued
+    extracted = (root / "queue.jsonl").read_bytes()
+    before = (root / "lexicon.jsonl").read_bytes()
+    write_jsonl(root / "decisions.jsonl", [
+        {"phrase": ["beberapa"], "verdict": "accept", "tags": ["CON"]},
+        {"phrase": ["anggaran"], "verdict": "reject"},
+    ])
+    rc, out, _ = run(capsys, "review", "--config", conf(root), root / "queue.jsonl",
+                     "--decisions", root / "decisions.jsonl")
+    assert rc == 0 and out.startswith("accepted 1, rejected 1;")
+    assert (root / "queue.jsonl").read_bytes() == extracted
+    offered = _offered_when_skipping(capsys, monkeypatch, root)
+    assert offered == [p for p in queued if p not in ("beberapa", "anggaran")]
+    (root / "lexicon.jsonl").write_bytes(before)
+    assert _offered_when_skipping(capsys, monkeypatch, root) == queued
+    assert run(capsys, "map", "--config", conf(root), root / "queue.jsonl")[0] == 0
+    assert '"status"' not in (root / "queue.jsonl").read_text(encoding="utf-8")
+
+
+def test_a_legacy_queue_row_accepted_for_an_undecided_phrase_is_offered(
+    tmp_path, capsys, monkeypatch
+):
+    # the queue's status is not a verdict: the lexicon holds every phrase
+    # as a candidate, so every one is offered, whatever the row says
+    root = _undecided_seed_tree(tmp_path, capsys)
+    records = _queue_records(root, "accepted")
+    lexicon = load_lexicon(root / "lexicon.jsonl")
+    assert {lexicon.get(tuple(r["phrase"])).status for r in records} == {"candidate"}
+    queued = [c.phrase_text for c in load_candidates(root / "queue.jsonl")]
+    assert queued == [" ".join(r["phrase"]) for r in records]
+    assert _offered_when_skipping(capsys, monkeypatch, root) == queued
 
 
 def test_interactive_review_resolves_like_a_batch(ws, capsys, monkeypatch):
-    # the first two candidates undecided in the lexicon and pending in the
-    # queue; give the first tags and criteria that the queue file lists in
-    # neither alphabetical order
-    records = _queue_records(ws, "pending")
+    # the first two candidates undecided in the lexicon; give the first tags
+    # and criteria that the queue file lists in neither alphabetical order
+    records = _queue_records(ws)
     _drop_from_lexicon(ws, records[0]["phrase"], records[1]["phrase"])
     records[0]["tags"] = ["IMP", "CON.verb", "T", "WN"]
     records[0]["criteria"] = ["multi_pos", "vague_pos", "attribute_member"]
@@ -459,13 +533,11 @@ def test_interactive_review_resolves_like_a_batch(ws, capsys, monkeypatch):
 
 def test_interactive_review_asks_again_after_a_refused_answer(ws, capsys, monkeypatch):
     # papar, unmapped here, has no suggested tags: accepting it without a
-    # tag is refused. segera, dropped from the lexicon, is pending too.
+    # tag is refused. segera, dropped from the lexicon, is undecided too.
     records = _queue_records(ws)
     for record in records:
         if record["phrase"] == ["papar"]:
             record["tags"] = []
-        if record["phrase"] == ["segera"]:
-            record["status"] = "pending"
     write_jsonl(ws / "queue.jsonl", records)
     _drop_from_lexicon(ws, ["segera"])
     assert [c.phrase for c in load_candidates(ws / "queue.jsonl") if c.unmapped] == [("papar",)]
@@ -526,11 +598,12 @@ def test_review_and_map_refuse_a_queue_that_lists_a_phrase_twice(ws, capsys, mon
     assert {p.name: p.read_bytes() for p in ws.iterdir() if p.is_file()} == before
 
 
-def test_interactive_review_of_a_stale_queue_offers_only_pending_phrases(
+def test_interactive_review_of_a_legacy_queue_offers_only_undecided_phrases(
     ws, capsys, monkeypatch
 ):
     # segera is rejected after the queue was written, and the queue is then
-    # rewritten with every phrase pending, as one written before any was decided
+    # rewritten with every phrase pending, as a queue written before the
+    # lexicon alone held verdicts lists it: the lexicon decides what is offered
     argv, _ = _decisions(ws, {"phrase": ["segera"], "verdict": "reject", "force": True})
     assert run(capsys, *argv)[0] == 0
     records = _queue_records(ws, "pending")
@@ -553,6 +626,26 @@ def test_review_whose_audit_log_cannot_be_written_changes_nothing(ws, capsys):
     assert rc == 2 and "audit.jsonl" in err
     assert {name: (ws / name).read_bytes() for name in before} == before
     assert not (ws / "logs").exists()
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["config lexicon", "--lexicon"])
+def test_review_without_an_audit_log_key_logs_beside_the_lexicon(ws, capsys, flag):
+    path = ws / "kaburlint.conf"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(x for x in lines if not x.startswith("audit_log")), encoding="utf-8")
+    argv, _ = _decisions(ws, ACCEPT_PAPAR)
+    lexicon = ws / "lexicon.jsonl"
+    if flag:
+        lexicon = ws / "elsewhere" / "mine.jsonl"
+        lexicon.parent.mkdir()
+        shutil.copyfile(ws / "lexicon.jsonl", lexicon)
+        argv += ["--lexicon", str(lexicon)]
+    rc, out, err = run(capsys, *argv)
+    audit = lexicon.with_name(lexicon.name + ".audit.jsonl")
+    assert (rc, err) == (0, "")
+    assert out.endswith(f"lexicon saved to {lexicon}, audit appended to {audit}\n")
+    assert [d.phrase for d in load_audit(audit)] == [("papar",)]
+    assert sorted(p.name for p in ws.rglob("*audit*")) == [audit.name]
 
 
 def test_review_without_a_lexicon_exits_2_and_writes_nothing(ws, capsys, monkeypatch):
@@ -677,6 +770,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown scope"):
             validate_config(replace(cfg, format="csv"))
         assert validate_config(replace(cfg, format="csv", scope="candidates")).scope == "candidates"
+
+    def test_every_scope_is_a_name_of_the_lexicon_table(self):
+        # the config key, the --scope choices and stats read one table
+        parser = cli.build_parser()
+        stats = parser._subparsers._group_actions[0].choices["stats"]
+        (scope,) = [action for action in stats._actions if action.dest == "scope"]
+        assert scope.choices == sorted(SCOPES) == ["candidates", "verified"]
+        for name in SCOPES:
+            assert validate_config(replace(Config(), scope=name)).scope == name
+        with pytest.raises(ConfigError, match=r"^unknown scope 'all' \(use verified\|candidates\)$"):
+            validate_config(replace(Config(), scope="all"))
 
     @pytest.mark.parametrize(
         "field, value", [("jobs", 0), ("jobs", -3), ("sense_threshold", -1)]
@@ -1048,7 +1152,8 @@ def test_no_command_imports_multiprocessing_and_serial_ones_no_single_use_module
 def test_init_extract_review_stats_lint_round_trip(ws, capsys):
     initial = load_lexicon(ws / "lexicon.jsonl")
     queue = {c.phrase: c for c in load_candidates(ws / "queue.jsonl")}
-    assert queue[("papar",)].status == "pending"
+    assert ("papar",) in queue and initial.get(("papar",)) is None
+    extracted = (ws / "queue.jsonl").read_bytes()
     rc, out, _ = run(capsys, "stats", "--config", conf(ws))
     assert rc == 0
     verified_before = int(out.rsplit("n = ", 1)[1])
@@ -1057,7 +1162,7 @@ def test_init_extract_review_stats_lint_round_trip(ws, capsys):
     rc, out, _ = run(capsys, *_review(ws))
     assert rc == 0
     assert out.startswith("accepted 1, rejected 0;")
-    assert {c.phrase: c.status for c in load_candidates(ws / "queue.jsonl")}[("papar",)] == "accepted"
+    assert (ws / "queue.jsonl").read_bytes() == extracted
 
     final = (ws / "lexicon.jsonl").read_text(encoding="utf-8")
     replayed = replay_audit(initial, load_audit(ws / "audit.jsonl"))

@@ -21,7 +21,6 @@ from kaburlint.curation import (
     append_audit,
     load_audit,
     load_candidates,
-    queue_status,
     record_decision,
     replay_audit,
     save_candidates,
@@ -244,20 +243,6 @@ class TestMapping:
             second = map_candidate_attributes(phrase, Lexicon(), seed_posdict(), rules)
             assert first == second
 
-    @pytest.mark.parametrize(
-        "held, status, expected",
-        [
-            ("verified", "pending", "accepted"),
-            ("verified", "rejected", "accepted"),
-            ("rejected", "accepted", "rejected"),
-            ("candidate", "accepted", "accepted"),
-            (None, "pending", "pending"),
-        ],
-    )
-    def test_queue_status_is_the_lexicon_outcome(self, held, status, expected):
-        lexicon = Lexicon([entry("segera", status=held)] if held else [])
-        assert queue_status(("segera",), status, lexicon) == expected
-
 
 class TestRecordDecision:
     def test_accept_makes_verified_entry(self):
@@ -444,7 +429,6 @@ class TestQueueAndAuditFiles:
                 ),
                 suggested_tags=random_tags(rng, allow_empty=True),
                 criterion_hits=frozenset(rng.sample(sorted(CRITERIA), rng.randint(1, 2))),
-                status=rng.choice(["pending", "accepted", "rejected"]),
             )
             for phrase in phrases
         ]

@@ -5,9 +5,10 @@ working directory and relative paths, so no output names a temporary
 directory. The stdout of `init` and of `review` names the target directory
 and is not compared. `review` applies the committed batch file
 `golden/input.decisions.jsonl` (fixed reviewers and timestamps, forced
-decisions over the verified seed lexicon) and `map` then remaps the
-reviewed queue against the reviewed lexicon. Mapped against that lexicon,
-the queue `extract` wrote before the review gives the same bytes.
+decisions over the verified seed lexicon). It writes the audit log and the
+lexicon, never the queue, which holds no verdict: after the review the
+queue still has the bytes `extract` wrote. `map` then remaps that queue
+against the reviewed lexicon.
 
 The two seed samples are ASCII with LF line ends, so `lint` also reads
 `golden/input.spec.txt`, copied into the tree as `spec.txt`: a BOM, CRLF line
@@ -59,7 +60,6 @@ COMMANDS = {
         0,
         "lexicon.jsonl",
     ),
-    "review.queue.jsonl": (None, 0, "queue.jsonl"),
     "review.audit.jsonl": (None, 0, "audit.jsonl"),
     "map.queue.jsonl": (["map", "--config", CONF, "queue.jsonl", "-o", "mapped.jsonl"], 0, "mapped.jsonl"),
 }
@@ -93,14 +93,21 @@ def test_seed_tree_outputs_match_goldens(tmp_path):
     outputs = run_commands(tmp_path / "ws")
     differ = [n for n, data in outputs.items() if data != (GOLDEN_DIR / n).read_bytes()]
     assert differ == []
+    # review left the queue as extract wrote it
+    queue = (tmp_path / "ws" / "queue.jsonl").read_bytes()
+    assert queue == (GOLDEN_DIR / "extract.queue.jsonl").read_bytes()
 
 
 def test_map_of_the_queue_before_review_matches_the_mapped_golden(tmp_path):
-    # map sets each status from the reviewed lexicon, not from the stale queue
+    # the queue extract wrote, as a queue written before the lexicon alone
+    # held verdicts lists it: each row with a stale "status", which map drops
     root = tmp_path / "ws"
     run_commands(root)
     stale = root / "stale.jsonl"
-    stale.write_bytes((GOLDEN_DIR / "extract.queue.jsonl").read_bytes())
+    lines = (GOLDEN_DIR / "extract.queue.jsonl").read_text(encoding="utf-8").splitlines()
+    stale.write_text(
+        "".join(line[:-1] + ', "status": "pending"}\n' for line in lines), encoding="utf-8"
+    )
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["map", "--config", str(root / CONF), str(stale)]) == 0
     assert stale.read_bytes() == (GOLDEN_DIR / "map.queue.jsonl").read_bytes()

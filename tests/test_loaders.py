@@ -85,8 +85,9 @@ SHAPES = {
         optional={"senses": st.integers(0, 3), "note": st.sampled_from(["", "nota"])},
     ),
     "queue": st.fixed_dictionaries(
-        {"tags": some(TAGS, max_size=2), "criteria": some(CRITERIA, max_size=2),
-         "status": st.sampled_from(["pending", "accepted", "rejected"])},
+        {"tags": some(TAGS, max_size=2), "criteria": some(CRITERIA, max_size=2)},
+        # written by queues before the lexicon alone held verdicts
+        optional={"status": st.sampled_from(["pending", "accepted", "rejected"])},
     ),
     "audit": st.fixed_dictionaries(
         {"verdict": st.sampled_from(["accept", "reject"]), "tags": some(TAGS, min_size=1, max_size=2)},

@@ -1,16 +1,16 @@
 """A review that fails part way is recovered by running it once more.
 
 review writes in a fixed order: it appends the batch to the audit log and
-flushes it to disk, saves the lexicon, then saves the queue, each save
-flushed and renamed into place (fileio.write_atomic). So a review makes
-five os.fsync calls (the log, the lexicon and its directory, the queue
-and its directory) and two os.replace calls. Here each of them fails in
-turn, on the golden batch over a fresh init + extract tree, and so does
-an audit append that stores only a prefix of the batch (a torn write).
-The failed run exits 2. One retry must then give the stdout, lexicon and
-queue of a run without a fault, and the audit log, which then holds the
-batch more than once, must replay over the initial lexicon to the saved
-one.
+flushes it to disk, then saves the lexicon, flushed and renamed into place
+(fileio.write_atomic). It never writes the queue, which holds no verdict.
+So a review makes three os.fsync calls (the log, the lexicon and its
+directory) and one os.replace call. Here each of them fails in turn, on
+the golden batch over a fresh init + extract tree, and so does an audit
+append that stores only a prefix of the batch (a torn write). The failed
+run exits 2. One retry must then give the stdout and lexicon of a run
+without a fault, and the audit log, which then holds the batch more than
+once, must replay over the initial lexicon to the saved one. Neither the
+failed run nor the retry changes a byte of the queue extract wrote.
 
 The golden decisions are forced. The same batch without its force flags,
 on a tree where its phrases are still candidates, shows that the recovery
@@ -24,6 +24,7 @@ import contextlib
 import io
 import json
 import os
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,12 +38,13 @@ from record_replace import replace
 GOLDEN_BATCH = Path(__file__).parent / "golden" / "input.decisions.jsonl"
 REVIEW = ["review", "--config", "kaburlint.conf", "queue.jsonl",
           "--decisions", "decisions.jsonl", "--reviewer", "penyemak"]
-FILES = ("lexicon.jsonl", "queue.jsonl")
+FILES = ("lexicon.jsonl",)
 
-# (os function, which call fails); the lexicon is saved by the first
-# replace and the third fsync, so a later failure leaves it saved
-FAULTS = [("replace", 1), ("replace", 2), *(("fsync", k) for k in range(1, 6))]
-LEXICON_SAVED = {("replace", 2), ("fsync", 3), ("fsync", 4), ("fsync", 5)}
+# (os function, which call fails); the lexicon is saved by the replace,
+# which comes before the third fsync (its directory's), so only a failure
+# of that fsync leaves it saved
+FAULTS = [("replace", 1), *(("fsync", k) for k in range(1, 4))]
+LEXICON_SAVED = {("fsync", 3)}
 # where a torn append cuts the batch: one byte; inside, and just after, the
 # first record; all but the last newline
 TORN_CUTS = {
@@ -57,7 +59,7 @@ def make_tree(root: Path, batch: str) -> None:
     """The init tree with the golden batch as decisions.jsonl, and the queue extract writes.
 
     An "unforced" batch drops the force flags, and the lexicon holds its
-    phrases as candidates, so the queue lists them as pending.
+    phrases as candidates, undecided.
     """
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["init", str(root)]) == 0
@@ -80,13 +82,21 @@ def make_tree(root: Path, batch: str) -> None:
 
 
 def tree(tmp_path: Path, monkeypatch, batch: str) -> tuple[Path, Path]:
-    """A fresh tree as the working directory, and a copy of its lexicon before review."""
+    """A fresh tree as the working directory, and a copy of its lexicon before review.
+
+    Beside that copy, extracted.jsonl is a copy of the queue extract wrote.
+    """
     root = tmp_path / "ws"
     make_tree(root, batch)
     monkeypatch.chdir(root)
     initial = tmp_path / "initial.jsonl"
     initial.write_bytes((root / "lexicon.jsonl").read_bytes())
+    initial.with_name("extracted.jsonl").write_bytes((root / "queue.jsonl").read_bytes())
     return root, initial
+
+
+def assert_queue_as_extracted(root: Path, initial: Path) -> None:
+    assert (root / "queue.jsonl").read_bytes() == initial.with_name("extracted.jsonl").read_bytes()
 
 
 def review(capsys, root: Path) -> tuple[int, str, str]:
@@ -147,8 +157,29 @@ def assert_one_retry_recovers(capsys, root: Path, batch: Clean, initial: Path, t
     else:
         assert err == ""
     assert {name: (root / name).read_bytes() for name in FILES} == batch.files
+    assert_queue_as_extracted(root, initial)
     replayed = replay_audit(load_lexicon(initial), load_audit(root / "audit.jsonl"))
     assert dumps_lexicon(replayed).encode("utf-8") == batch.files["lexicon.jsonl"]
+
+
+def test_a_review_makes_the_calls_the_faults_cover(tmp_path, capsys, monkeypatch, batch):
+    root, initial = tree(tmp_path, monkeypatch, batch.kind)
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(os, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return call
+
+    for name in ("fsync", "replace"):
+        monkeypatch.setattr(os, name, counting(name))
+    assert review(capsys, root)[:2] == (0, batch.out)
+    assert calls == Counter(name for name, _k in FAULTS) == {"fsync": 3, "replace": 1}
+    assert_queue_as_extracted(root, initial)
 
 
 @pytest.mark.parametrize("fault", FAULTS, ids=[f"{name}-{k}" for name, k in FAULTS])
@@ -164,6 +195,7 @@ def test_one_retry_recovers_a_review_whose_write_failed(
         assert lexicon == batch.files["lexicon.jsonl"]
     else:
         assert lexicon == initial.read_bytes()
+    assert_queue_as_extracted(root, initial)
     assert_one_retry_recovers(capsys, root, batch, initial)
 
 
@@ -180,5 +212,6 @@ def test_one_retry_recovers_a_review_whose_audit_append_was_torn(
         assert review(capsys, root) == (2, "", "kaburlint: error: injected\n")
     assert (root / "audit.jsonl").read_bytes() == logged[:size]
     assert (root / "lexicon.jsonl").read_bytes() == initial.read_bytes()
+    assert_queue_as_extracted(root, initial)
     torn = size - (logged.rfind(b"\n", 0, size) + 1)
     assert_one_retry_recovers(capsys, root, batch, initial, torn)

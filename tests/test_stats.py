@@ -11,8 +11,6 @@ from kaburlint.errors import StatsError
 from kaburlint.lexicon import AttributeTag, LexiconEntry
 from kaburlint.seeds import synthetic_reference_entries
 from kaburlint.stats import (
-    SCOPE_CANDIDATES,
-    SCOPE_VERIFIED,
     compute_attribute_stats,
     format_percentage,
     percentage_tenths,
@@ -79,7 +77,7 @@ class TestRounding:
 
 class TestComputeStats:
     def test_reference_lexicon(self):
-        stats = compute_attribute_stats(synthetic_reference_entries(), SCOPE_VERIFIED)
+        stats = compute_attribute_stats(synthetic_reference_entries(), "verified")
         assert stats.counts.total_words == 120
         assert stats.counts.counts == REFERENCE_COUNTS
         assert stats.percentages == REFERENCE_PERCENTAGES
@@ -115,15 +113,17 @@ class TestComputeStats:
             entry("b", {"CON"}, status="candidate"),
             entry("c", {"T"}, status="rejected"),
         ]
-        verified = compute_attribute_stats(entries, SCOPE_VERIFIED)
+        verified = compute_attribute_stats(entries, "verified")
         assert verified.counts.total_words == 1
-        both = compute_attribute_stats(entries, SCOPE_CANDIDATES)
+        both = compute_attribute_stats(entries, "candidates")
         assert both.counts.total_words == 2
         assert both.counts.counts["T"] == 0  # rejected never counts
 
     def test_empty_scope_is_an_error(self):
-        with pytest.raises(StatsError):
+        with pytest.raises(StatsError, match="^no entries in scope 'verified'$"):
             compute_attribute_stats([entry("a", {"IMP"}, status="rejected")])
+        with pytest.raises(StatsError, match="^unknown scope 'verified_only'$"):
+            compute_attribute_stats([entry("a", {"IMP"})], "verified_only")
 
     def test_permutation_invariance(self):
         rng = random.Random(17)
