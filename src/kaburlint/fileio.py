@@ -1,21 +1,27 @@
-"""The package's line reader, JSON-lines reader, loader and writer, and atomic writer.
+"""The package's line reader, JSON-lines loader and writer, and atomic writer.
 
 Every input file is UTF-8 text. read_lines yields ("<file>:<line>", line)
-pairs and read_jsonl (line number, value) pairs, so callers can name the
-exact spot of a bad line; both raise the caller's error class (a
-KaburlintError subclass) naming the path when the file cannot be read or is
-not valid UTF-8. check_record is the JSON type check of every record parser.
+pairs, after one leading byte order mark, and load_jsonl names a bad JSON
+line as "<file>:<line>", so callers can name the exact spot of a bad line;
+both raise the caller's error class (a KaburlintError subclass), which
+names the path when the file cannot be read or is not valid UTF-8.
+check_record is the JSON type check of every record parser.
 
 Both readers split a file at '\n' only; read_text has already turned
 '\r\n' and '\r' into '\n'. So '\x0c', '\x1c', U+0085, U+2028 and the
 other separators of str.splitlines never split a line, and a line's
 number counts newlines alone; dumps_jsonl writes U+2028, U+2029 and
-U+0085 inside strings as they are. Each line is decoded by one call of a
-shared decoder's scan_once and accepted when the value ends exactly at the
-end of the line. Any other line (blank, with surrounding whitespace, a BOM,
-extra data or invalid JSON) goes through json.loads, so every value and
-every error message is the one json.loads gives for that line. load_jsonl
-runs a record parser's full check once per shape of record.
+U+0085 inside strings as they are. load_jsonl skips blank lines and
+decodes each other line by one call of a shared decoder's scan_once,
+accepted when the value ends exactly at the end of the line. Any other
+line (with surrounding whitespace, a BOM, extra data or invalid JSON) goes
+through json.loads, so every value and every error message is the one
+json.loads gives for that line. It runs a record parser's full check once
+per shape of record. Given the head its caller writes (the lexicon's
+'{"phrase": '), it also decodes each tail, the text after the first
+varying field's value, once: a line whose tail an earlier line ended has
+only its value scanned and checked. json_encoder is the one encoder of
+dumps_jsonl and of dumps_lexicon, which encodes each tail once.
 """
 
 from __future__ import annotations
@@ -38,9 +44,16 @@ def read_text(path: str | Path, what: str, error: type[Exception]) -> str:
 def read_lines(
     path: str | Path, what: str, error: type[Exception]
 ) -> Iterator[tuple[str, str]]:
-    """Stripped lines of a text file, skipping blanks and '#' comments."""
+    """Stripped lines of a text file, skipping blanks and '#' comments.
+
+    One leading U+FEFF (a byte order mark) is dropped: str.strip keeps it,
+    and it would join the first line's word, phrase or key.
+    """
     name = os.path.basename(path)
-    for lineno, raw in enumerate(read_text(path, what, error).split("\n"), start=1):
+    text = read_text(path, what, error)
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield f"{name}:{lineno}", line
@@ -50,32 +63,29 @@ def read_lines(
 _scan_once = json.JSONDecoder().scan_once
 
 
-def read_jsonl(
-    path: str | Path, what: str, error: type[Exception]
-) -> Iterator[tuple[int, object]]:
-    """(line number, decoded JSON value) per line of a JSON-lines file, skipping blanks."""
-    name = os.path.basename(path)
-    for lineno, line in enumerate(read_text(path, what, error).split("\n"), start=1):
-        try:
-            value, end = _scan_once(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(line):
-            # not one bare value: json.loads decides, and words any error
-            if not line.strip():
-                continue
-            try:
-                value = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise error(
-                    f"{name}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})"
-                ) from None
-        yield lineno, value
+def _decode_line(line: str, name: str, lineno: int, error: type[Exception]) -> object:
+    """json.loads(line) for line lineno of file name, which error names if it is not JSON."""
+    try:
+        value, end = _scan_once(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    # not one bare value: json.loads decides, and words any error
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{name}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+
+
+# the tail memos of load_jsonl and dumps_lexicon give up once their misses outnumber
+# their hits by this many
+TAIL_MISSES = 256
 
 
 def load_jsonl(
     path: str | Path, what: str, error: type[Exception],
-    parse: Callable, quick: Callable, varying: tuple[str, ...],
+    parse: Callable, quick: Callable, varying: tuple[str, ...], head: str | None = None,
 ) -> Iterator:
     """The parsed records of a JSON-lines file, each shape checked once.
 
@@ -84,36 +94,87 @@ def load_jsonl(
     the first record of each shape and any record that quick refuses.
     quick(record, a value parsed from its shape) converts only the varying fields,
     raising LookupError, TypeError or ValueError where parse might not agree.
+
+    head, if given, is '{"<field>": ', how the writer starts each line, for
+    the first varying field. A line that starts with it is a value of that
+    field and a tail, the rest of the line. A tail already parsed in full is
+    not decoded again: only the value is scanned, and quick gets a record of
+    that field alone. A tail holding a backslash or the field's quoted name,
+    which might name the field again, is never reused. Where the tails are
+    mostly distinct (free-text fields), the memo gives up after
+    TAIL_MISSES more misses than hits and every line is decoded in full.
     """
     name = os.path.basename(path)
     parsed: dict[tuple, object] = {}
-    for lineno, record in read_jsonl(path, what, error):
+    quoted = head[1:-2] if head is not None else None
+    tails: dict[str, object] = {}  # tail -> the value of a line it ends
+    misses = 0  # tail lookups that missed, less those that hit
+    for lineno, line in enumerate(read_text(path, what, error).split("\n"), start=1):
+        tail = None
+        if head is not None and line.startswith(head):
+            try:
+                field, end = _scan_once(line, len(head))
+            except (StopIteration, ValueError, RecursionError):
+                pass
+            else:
+                tail = line[end:]
+                ref = tails.get(tail)
+                if ref is not None:
+                    try:
+                        value = quick({varying[0]: field}, ref)
+                    except (AttributeError, LookupError, TypeError, ValueError):
+                        pass  # the full check below words the refusal
+                    else:
+                        misses -= 1
+                        yield value
+                        continue
+                misses += 1
+                if misses > TAIL_MISSES:
+                    head = tail = None
+        if not line.strip():
+            continue
+        record = _decode_line(line, name, lineno, error)
         try:  # the class tells true from 1; a list of lists or objects is unhashable
             shape = tuple([
                 (key, item.__class__, tuple(item) if item.__class__ is list else item)
                 for key, item in record.items() if key not in varying
             ])
-            value = quick(record, parsed[shape])
-        except (AttributeError, LookupError, TypeError, ValueError):
-            # parse accepts only an object, whose shape is set above and hashable
+            ref = parsed[shape]
+        except KeyError:
             value = parsed[shape] = parse(record, f"{name}:{lineno}")
+        except (AttributeError, TypeError):  # not an object, or of an unhashable shape
+            value = parse(record, f"{name}:{lineno}")
+        else:
+            try:
+                value = quick(record, ref)
+            except (AttributeError, LookupError, TypeError, ValueError):
+                value = parse(record, f"{name}:{lineno}")
+        if tail is not None and "\\" not in tail and quoted not in tail:
+            tails[tail] = value
         yield value
+
+
+def json_encoder() -> Callable[[object], str]:
+    """encode(value) == json.dumps(value, ensure_ascii=False), by the C encoder where there is one."""
+    e, make_encoder = json.JSONEncoder(ensure_ascii=False), json.encoder.c_make_encoder
+    if make_encoder is None:  # no _json module
+        return e.encode
+    chunks = make_encoder(
+        {}, e.default, json.encoder.encode_basestring, e.indent, e.key_separator,
+        e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan,
+    )
+    return lambda value: "".join(chunks(value, 0))
 
 
 def dumps_jsonl(records: Iterable[object]) -> str:
     """JSON-lines text: json.dumps(record, ensure_ascii=False) per line.
 
-    The counterpart of read_jsonl: every JSON-lines file the package writes
-    and every records report is this text. One C encoder encodes it all.
+    The counterpart of load_jsonl: every JSON-lines file the package writes
+    and every records report is this text, or (dumps_lexicon) the same
+    bytes built a tail at a time. One json_encoder encodes it all.
     """
-    e, make_encoder = json.JSONEncoder(ensure_ascii=False), json.encoder.c_make_encoder
-    if make_encoder is None:  # no _json module
-        return "".join(e.encode(record) + "\n" for record in records)
-    encode = make_encoder(
-        {}, e.default, json.encoder.encode_basestring, e.indent, e.key_separator,
-        e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan,
-    )
-    return "".join(["".join(encode(record, 0)) + "\n" for record in records])
+    encode = json_encoder()
+    return "".join([encode(record) + "\n" for record in records])
 
 
 _KIND_NAMES = {

@@ -6,11 +6,22 @@ phrase (array of tokens), pos (array), senses (optional integer), tags
 source. Saving orders entries by phrase and uses a canonical key order, so
 files are byte-stable and save(load(f)) reproduces f for valid input.
 
-Records repeat a few combinations of the fields but phrase. load_lexicon
-(through fileio.load_jsonl) runs record_to_entry, the full check, on the
-first record of each and on any record it cannot vouch for; the others share
-its POS and tag sets and have only their phrase checked. tag_texts renders
-each distinct tag set once.
+Records repeat a few combinations of the fields but phrase, and a line
+that kaburlint writes is '{"phrase": ', the phrase array and a tail, the
+rest of the line, which many entries share byte for byte. load_lexicon
+(through fileio.load_jsonl) scans only the phrase array of a line whose
+tail an earlier line ended, and reuses that line's entry: the new entry
+shares its POS and tag sets and has only its phrase checked (a list of
+case-folded tokens, none empty or holding whitespace, and no duplicate).
+Every other line is decoded in full: record_to_entry, the full check, runs
+on the first record of each shape and on any record the quick check
+refuses, so a refusal always names its file:line. That is the path of
+compact or reordered lines and of tails that hold a backslash, whose speed
+is as before. dumps_lexicon encodes each distinct tail once and each
+phrase array on its own. Both memos give up where tails are mostly
+distinct, as free-text notes make them (fileio.TAIL_MISSES), and such a
+lexicon loads and saves at the speed of a line at a time. tag_texts
+renders each distinct tag set once.
 
 The POS dictionary is a TSV: word, comma-separated classes, optional sense
 count. The dictionary heuristics are decided from it once per run
@@ -43,10 +54,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cache
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import LexiconError, WordlistError
-from .fileio import check_record, dumps_jsonl, load_jsonl, read_lines, write_atomic
+from .fileio import TAIL_MISSES, check_record, json_encoder, load_jsonl, read_lines, write_atomic
 # Tokens, named in annotations only (PEP 563), is textcore's and not loaded
 from .records import MULTI_POS, MULTI_SENSE, SENSE_THRESHOLD, Record
 
@@ -282,6 +294,13 @@ _ENTRY_KINDS = {
 }
 
 
+# a lexicon line as entry_to_record and json_encoder write it: _HEAD, the phrase array, a tail;
+# dumps_lexicon writes it and load_lexicon hands it to load_jsonl
+_HEAD = '{"phrase": '
+# the fields a tail encodes: every field but phrase, so a new one joins the save memo's key
+_tail_fields = attrgetter(*[field for field in LexiconEntry._fields if field != "phrase"])
+
+
 def entry_to_record(entry: LexiconEntry) -> dict:
     record: dict = {"phrase": list(entry.phrase), "pos": sorted(entry.pos_classes)}
     if entry.sense_count is not None:
@@ -351,13 +370,39 @@ def load_lexicon(path: str | Path) -> Lexicon:
             phrase, ref.pos_classes, ref.sense_count, ref.tags, ref.status, ref.note, ref.source
         )
 
-    for entry in load_jsonl(path, "lexicon", LexiconError, parse, quick, ("phrase",)):
+    for entry in load_jsonl(path, "lexicon", LexiconError, parse, quick, ("phrase",), _HEAD):
         entries[entry.phrase] = entry
     return lexicon
 
 
 def dumps_lexicon(lexicon: Lexicon) -> str:
-    return dumps_jsonl(map(entry_to_record, lexicon.entries()))
+    """dumps_jsonl(map(entry_to_record, lexicon.entries())), each distinct tail encoded once.
+
+    A line is _HEAD, the phrase array and a tail, the other fields, which
+    many entries share. Where the tails are mostly distinct (free-text
+    notes), the memo gives up as load_jsonl's does, and each later line is
+    encoded whole.
+    """
+    encode = json_encoder()
+    lines = []
+    tails: dict[tuple, str] = {}
+    misses = 0  # tails encoded, less tails reused
+    for entry in lexicon.entries():
+        if misses > TAIL_MISSES:
+            lines.append(encode(entry_to_record(entry)) + "\n")
+            continue
+        # the class tells a sense count of true from 1, as the encoder does
+        key = (_tail_fields(entry), entry.sense_count.__class__)
+        tail = tails.get(key)
+        if tail is None:
+            misses += 1
+            record = entry_to_record(entry)
+            record["phrase"] = []
+            tail = tails[key] = encode(record)[len(_HEAD + "[]"):] + "\n"
+        else:
+            misses -= 1
+        lines.append(_HEAD + encode(entry.phrase) + tail)
+    return "".join(lines)
 
 
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:

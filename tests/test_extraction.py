@@ -26,6 +26,7 @@ from kaburlint.curation import (
     save_candidates,
 )
 from kaburlint.errors import ReviewError
+from kaburlint.fileio import dumps_jsonl
 from kaburlint.extraction import extract_candidates, map_candidate_attributes, merge_results
 from kaburlint.filters import FilterConfig
 from kaburlint.lexicon import (
@@ -37,6 +38,7 @@ from kaburlint.lexicon import (
     LexiconEntry,
     PosDictionary,
     dumps_lexicon,
+    entry_to_record,
     load_lexicon,
     load_rule_lists,
     normalize_phrase,
@@ -415,6 +417,8 @@ class TestQueueAndAuditFiles:
         rng = random.Random(3016)
         lexicon = random_lexicon(rng, size=3016)
         lexicon_text = dumps_lexicon(lexicon)
+        # dumps_lexicon encodes each tail once: the same text as record by record
+        assert lexicon_text == dumps_jsonl(map(entry_to_record, lexicon.entries()))
         path = tmp_path / "lexicon.jsonl"
         path.write_text(lexicon_text, encoding="utf-8")
         assert dumps_lexicon(load_lexicon(path)) == lexicon_text

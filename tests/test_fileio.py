@@ -1,4 +1,4 @@
-"""The line and JSON-lines readers: lines end at '\\n' alone."""
+"""The line and JSON-lines readers: lines end at '\\n' alone, after one byte order mark."""
 
 from __future__ import annotations
 
@@ -11,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kaburlint.config import load_config
 from kaburlint.errors import KaburlintError, WordlistError
-from kaburlint.fileio import dumps_jsonl, read_jsonl, read_lines
-from kaburlint.lexicon import load_pos_dictionary
+from kaburlint.fileio import dumps_jsonl, load_jsonl, read_lines
+from kaburlint.filters import load_wordlist
+from kaburlint.lexicon import load_pos_dictionary, load_rule_lists
 
 DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -63,9 +65,17 @@ def loads_each_line(text: str, name: str) -> tuple[list[tuple[int, object]], str
 
 
 def read_all(path: Path) -> tuple[list[tuple[int, object]], str | None]:
+    """As loads_each_line, by load_jsonl with a parse that keeps each record and its line number."""
+
+    def parse(record: object, where: str) -> tuple[int, object]:
+        return int(where.rpartition(":")[2]), record
+
+    def quick(record: object, ref: object) -> object:
+        raise LookupError  # every record goes to parse
+
     values = []
     try:
-        for item in read_jsonl(path, "test file", FileError):
+        for item in load_jsonl(path, "test file", FileError, parse, quick, ("_",)):
             values.append(item)
     except FileError as exc:
         return values, str(exc)
@@ -111,6 +121,30 @@ def test_line_reader_splits_at_newline_alone(tmp_path, separator):
         load_pos_dictionary(pos)
     pos.write_text(f"papar\tkk\n# note{separator}more\nalam\tkk\n", encoding="utf-8")
     assert len(load_pos_dictionary(pos)) == 2
+
+
+# each line-list loader, with its file of the seed tree
+LINE_LISTS = {
+    "config": (load_config, "kaburlint.conf"),
+    "wordlist": (load_wordlist, "wordlists/abbreviations.txt"),
+    "rule list": (lambda path: load_rule_lists({"T": path}), "rules/temporal.txt"),
+    "POS dictionary": (lambda path: list(load_pos_dictionary(path).items()), "pos_dict.tsv"),
+}
+
+
+@pytest.mark.parametrize("first", ["comment", "data"])
+@pytest.mark.parametrize("kind", sorted(LINE_LISTS))
+def test_a_line_list_with_a_byte_order_mark_loads_as_without(seed_env, kind, first):
+    # U+FEFF is no whitespace to str.strip: kept, it joined line 1's '#' or word
+    load, name = LINE_LISTS[kind]
+    text = (seed_env / name).read_text(encoding="utf-8")
+    if first == "data":
+        text = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))
+    assert text.startswith("#") == (first == "comment")
+    plain, marked = seed_env / f"plain-{Path(name).name}", seed_env / f"marked-{Path(name).name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert load(marked) == load(plain)
 
 
 # record-like objects: the strings hold what a careless encoder escapes or splits at

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import random
 import stat
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,12 +18,17 @@ from kaburlint import fileio
 from kaburlint.errors import LexiconError, WordlistError
 from kaburlint.lexicon import (
     ATTRIBUTES,
+    POS_LABELS,
+    SOURCES,
+    STATUS_REJECTED,
+    STATUSES,
     SUB_ATTRIBUTES,
     AttributeTag,
     Lexicon,
     LexiconEntry,
     PhraseIndex,
     dumps_lexicon,
+    entry_to_record,
     load_lexicon,
     load_pos_dictionary,
     longest_matches,
@@ -225,6 +232,89 @@ class TestLoadSave:
         loaded = load_lexicon(path)
         assert loaded.entries() == lexicon.entries()
         assert dumps_lexicon(loaded) == text
+
+
+def dumps_record_by_record(lexicon: Lexicon) -> str:
+    """The reference encoding: each entry's whole record, on its own."""
+    return fileio.dumps_jsonl(map(entry_to_record, lexicon.entries()))
+
+
+SAVE_TOKENS = ["segera", "papar", "é", "ŵ", "sé-sé", 'x"]', "a\\b"]
+SAVE_TAGS = sorted(str(AttributeTag(a, s)) for a in ATTRIBUTES for s in [None, *SUB_ATTRIBUTES[a]])
+# notes hold what the encoder escapes ('"', '\\') or writes as it is (U+2028, U+0085, non-ASCII)
+SAVE_NOTES = st.text(st.sampled_from(["a", " ", '"', "\\", "\u2028", "\x85", "é", "😀"]), max_size=6)
+
+
+@st.composite
+def tails(draw) -> dict:
+    """The fields of an entry but its phrase; a few of them make a lexicon, so tails repeat."""
+    status = draw(st.sampled_from(STATUSES))
+    tags = draw(st.lists(st.sampled_from(SAVE_TAGS), unique=True,
+                         min_size=0 if status == STATUS_REJECTED else 1, max_size=3))
+    return dict(
+        pos_classes=frozenset(draw(st.lists(st.sampled_from(sorted(POS_LABELS)), max_size=3))),
+        sense_count=draw(st.none() | st.integers(0, 12)),
+        tags=frozenset(map(AttributeTag.parse, tags)),
+        status=status,
+        note=draw(st.none() | SAVE_NOTES),
+        source=draw(st.sampled_from(SOURCES)),
+    )
+
+
+@st.composite
+def lexicons(draw) -> Lexicon:
+    shared = draw(st.lists(tails(), min_size=1, max_size=3))
+    phrases = draw(st.lists(
+        st.lists(st.sampled_from(SAVE_TOKENS), min_size=1, max_size=3).map(tuple),
+        unique=True, max_size=12,
+    ))
+    return Lexicon(LexiconEntry(phrase, **draw(st.sampled_from(shared))) for phrase in phrases)
+
+
+@pytest.fixture(scope="module")
+def lexicon_path():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp) / "lexicon.jsonl"
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicon=lexicons())
+def test_save_gives_the_record_by_record_bytes_and_reads_back_to_them(lexicon_path, lexicon):
+    text = dumps_lexicon(lexicon)
+    assert text == dumps_record_by_record(lexicon)
+    lexicon_path.write_text(text, encoding="utf-8")
+    loaded = load_lexicon(lexicon_path)
+    assert loaded.entries() == lexicon.entries()
+    assert dumps_lexicon(loaded).encode("utf-8") == lexicon_path.read_bytes()
+
+
+def test_every_status_and_source_saves_as_record_by_record():
+    lexicon = Lexicon(
+        entry(f"kata{i}", tags=() if status == STATUS_REJECTED else ("T",), status=status,
+              source=source, sense_count=[None, 0, 3][i % 3], note=[None, 'a "b" \\ \u2028\x85 é'][i % 2])
+        for i, (status, source) in enumerate((s, o) for s in STATUSES for o in SOURCES)
+    )
+    assert dumps_lexicon(lexicon) == dumps_record_by_record(lexicon)
+
+
+def test_a_sense_count_of_true_is_not_the_tail_of_one():
+    # equal as Python values, but JSON writes true and 1
+    lexicon = Lexicon([entry("dua", sense_count=1), entry("satu", sense_count=True)])
+    assert dumps_lexicon(lexicon) == dumps_record_by_record(lexicon)
+    assert '"senses": true' in dumps_lexicon(lexicon)
+
+
+def test_a_lexicon_of_distinct_notes_saves_and_loads_past_the_memo(tmp_path):
+    # more distinct tails than either memo tolerates, then tails that repeat
+    lexicon = Lexicon(
+        [entry(f"kata{i:04}", note=f"catatan {i}") for i in range(fileio.TAIL_MISSES + 10)]
+        + [entry(f"ulang{i:02}", sense_count=[None, 1][i % 2]) for i in range(20)]
+    )
+    text = dumps_lexicon(lexicon)
+    assert text == dumps_record_by_record(lexicon)
+    path = tmp_path / "lexicon.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert load_lexicon(path).entries() == lexicon.entries()
 
 
 class TestRecordCaches:

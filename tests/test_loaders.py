@@ -1,11 +1,20 @@
 """The JSON-lines loaders give what parsing record by record gives.
 
-load_lexicon, load_candidates and load_audit check the fields of each
-distinct shape once and only the varying fields of the records that repeat
-it. The oracle here parses every record in full, as one record_to_* call
-each, with the duplicate check of the lexicon and of the queue, so a memo
-hit that lets a bad record through, or a message that changes, shows as a
-difference.
+Each loader checks the fields of each distinct shape once and only the
+varying fields of the records that repeat it: load_lexicon memoizes the
+fields but phrase, load_candidates those but phrase and occurrences, and
+load_audit those but phrase and timestamp. load_lexicon also memoizes the
+tail of each line that starts '{"phrase": ', the text after the phrase
+array: a line that repeats a tail has only its phrase scanned and checked,
+until distinct tails outnumber repeated ones by fileio.TAIL_MISSES.
+So its lines are written here in every form a file may hold: as kaburlint
+writes them, ASCII-escaped, compact, with phrase not first, with a tail
+that names phrase again, and with tokens that hold '"]' or '], "'.
+
+The oracle parses every line with json.loads and every record in full, as
+one record_to_* call each, with the duplicate check of the lexicon and of
+the queue, so a memo hit that lets a bad record through, or a message that
+changes, shows as a difference.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from hypothesis import strategies as st
 
 from kaburlint.curation import load_audit, load_candidates, record_to_candidate, record_to_decision
 from kaburlint.errors import KaburlintError, LexiconError, ReviewError
+from kaburlint.fileio import TAIL_MISSES
 from kaburlint.lexicon import (
     ATTRIBUTES,
     SOURCES,
@@ -164,6 +174,39 @@ def jsonl_files(draw, kind: str) -> list:
     return records
 
 
+# tokens whose JSON ends like a phrase array, or like one and the next key
+TRICKY_TOKENS = ['x"]', '], "']
+
+
+def canonical(record: dict) -> str:
+    return json.dumps(record, ensure_ascii=False)
+
+
+@st.composite
+def lexicon_lines(draw, record: dict) -> str:
+    """One line that json.loads decodes to record (to record with a tricky token, for that form)."""
+    form = draw(st.sampled_from(
+        ["canonical", "ascii", "compact", "phrase not first", "phrase again", "tricky token"]
+    ))
+    rest = {key: value for key, value in record.items() if key != "phrase"}
+    if form == "ascii":
+        return json.dumps(record)
+    if form == "compact":
+        return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+    if form == "phrase not first":
+        keys = draw(st.permutations(list(rest)))
+        at = draw(st.integers(1, len(keys)))
+        keys.insert(at, "phrase")
+        return canonical({key: record[key] for key in keys})
+    if form == "phrase again":
+        # a decoy phrase first; the last "phrase" is the one that counts
+        line = canonical({"phrase": draw(PHRASES), **rest})
+        return f'{line[:-1]}, "phrase": {canonical(record["phrase"])}}}'
+    if form == "tricky token" and isinstance(record["phrase"], list):
+        return canonical({"phrase": [*record["phrase"], draw(st.sampled_from(TRICKY_TOKENS))], **rest})
+    return canonical(record)
+
+
 def outcome(load, path: Path):
     try:
         return "loaded", load(path)
@@ -182,9 +225,8 @@ def jsonl_path():
 @given(data=st.data())
 def test_loader_equals_the_record_by_record_oracle(jsonl_path, kind, data):
     records = data.draw(jsonl_files(kind))
-    jsonl_path.write_text(
-        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
-    )
+    lines = [data.draw(lexicon_lines(r)) if kind == "lexicon" else canonical(r) for r in records]
+    jsonl_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     load, oracle = LOADERS[kind]
     assert outcome(load, jsonl_path) == outcome(oracle, jsonl_path)
 
@@ -238,3 +280,52 @@ def test_every_bad_record_after_a_memo_hit(jsonl_path, kind, bad):
 def test_a_bad_record_after_a_memo_hit_is_named(jsonl_path, kind, bad, message):
     write_memo_hits(jsonl_path, kind, bad)
     assert outcome(LOADERS[kind][0], jsonl_path) == ("refused", message)
+
+
+@pytest.mark.parametrize("phrase, message", [
+    ([7], "records.jsonl:3: 'phrase' must be an array of strings"),
+    (["data", 1.5], "records.jsonl:3: 'phrase' must be an array of strings"),
+    ([["data"]], "records.jsonl:3: 'phrase' must be an array of strings"),
+    (["Segera"], "records.jsonl:3: duplicate phrase 'segera'"),
+    (["data", ""], "records.jsonl:3: entry phrase contains an empty token"),
+    (['], "'], "records.jsonl:3: phrase token '], \"' contains whitespace"),
+])
+def test_a_bad_phrase_on_a_tail_memo_hit_is_named(jsonl_path, phrase, message):
+    # line 3 repeats the tail of line 2 byte for byte: only its phrase is scanned
+    write_memo_hits(jsonl_path, "lexicon", ("phrase", phrase))
+    lines = jsonl_path.read_text(encoding="utf-8").splitlines()
+    assert lines[2].startswith('{"phrase": ') and lines[2].endswith(lines[1][len('{"phrase": ["papar"]'):])
+    assert outcome(LOADERS["lexicon"][0], jsonl_path) == ("refused", message)
+
+
+def test_a_tail_memo_hit_with_an_upper_case_token_loads_it_case_folded(jsonl_path):
+    write_memo_hits(jsonl_path, "lexicon", ("phrase", ["Data", 'x"]']))
+    entries = load_lexicon(jsonl_path).entries()
+    assert [entry.phrase for entry in entries] == [("data", 'x"]'), ("papar",), ("segera",)]
+    assert outcome(LOADERS["lexicon"][0], jsonl_path) == outcome(lexicon_oracle, jsonl_path)
+
+
+@pytest.mark.parametrize("key", ['"phrase"', '"\\u0070hrase"'])
+def test_a_tail_that_names_phrase_again_is_decoded_in_full(jsonl_path, key):
+    # both lines end with one tail, whose "phrase" (spelled plainly or escaped) wins
+    tail = f', "tags": ["T"], "status": "verified", {key}: ["papar"]}}'
+    jsonl_path.write_text(f'{{"phrase": ["segera"]{tail}\n{{"phrase": ["data"]{tail}\n', encoding="utf-8")
+    assert outcome(LOADERS["lexicon"][0], jsonl_path) == (
+        "refused", "records.jsonl:2: duplicate phrase 'papar'"
+    )
+
+
+@pytest.mark.parametrize("last, message", [
+    (["ulang"], None),
+    ([7], "records.jsonl:{n}: 'phrase' must be an array of strings"),
+    (["Ulang0"], "records.jsonl:{n}: duplicate phrase 'ulang0'"),
+])
+def test_past_the_tail_memo_lines_load_as_record_by_record(jsonl_path, last, message):
+    # distinct notes make the memo give up; the lines after it repeat one tail
+    tail = {"tags": ["T"], "status": "verified"}
+    records = [{"phrase": [f"kata{i}"], **tail, "note": f"catatan {i}"} for i in range(TAIL_MISSES + 10)]
+    records += [{"phrase": [f"ulang{i}"], **tail} for i in range(20)] + [{"phrase": last, **tail}]
+    jsonl_path.write_text("".join(canonical(r) + "\n" for r in records), encoding="utf-8")
+    got = outcome(LOADERS["lexicon"][0], jsonl_path)
+    assert got == outcome(lexicon_oracle, jsonl_path)
+    assert got[0] == "loaded" if message is None else got == ("refused", message.format(n=len(records)))
