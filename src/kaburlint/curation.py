@@ -9,6 +9,12 @@ writes the queue. Review decisions are appended to a JSON-lines audit log
 whose records are self-contained: replaying the log over the initial
 repository reproduces the final repository byte for byte.
 
+Decision lines start with the lexicon's PHRASE_HEAD, and a batch or a log
+repeats their tails (every field but the phrase), so load_audit reuses a
+decision as load_lexicon reuses an entry, checking only the phrase of a
+repeated tail (lexicon.loaded_phrase). A queue line's tail holds its
+occurrences and never repeats, so load_candidates checks every row in full.
+
 A decision whose outcome the repository already holds (the same status,
 tags and note) changes nothing and needs no force flag. So a review that
 crashed after appending its batch to the audit log, but before saving the
@@ -25,12 +31,14 @@ from pathlib import Path
 from .errors import LexiconError, ReviewError
 from .fileio import check_record, dumps_jsonl, load_jsonl, write_atomic
 from .lexicon import (
+    PHRASE_HEAD,
     STATUS_REJECTED,
     STATUS_VERIFIED,
     AttributeTag,
     Lexicon,
     LexiconEntry,
     check_phrase,
+    loaded_phrase,
     normalize_phrase,
     tag_texts,
 )
@@ -269,27 +277,7 @@ def load_candidates(path: str | Path) -> list[CandidateWord]:
             raise ReviewError(f"{where}: duplicate phrase {candidate.phrase_text!r}")
         return candidate
 
-    def quick(record: dict, ref: CandidateWord) -> CandidateWord:
-        words, items = record["phrase"], record["occurrences"]
-        # check_phrase inline: joined by spaces, only tokens that are neither
-        # empty nor hold whitespace split back into themselves
-        if (words.__class__ is not list or not words or " ".join(words).split() != words
-                or items.__class__ is not list or not items):
-            raise ValueError
-        occurrences = []
-        for item in items:
-            doc, start, end = item["doc"], item["start"], item["end"]
-            if len(item) != 3 or (doc.__class__, start.__class__, end.__class__) != (str, int, int):
-                raise ValueError
-            occurrences.append(Occurrence(doc, Span(start, end)))
-        phrase = normalize_phrase(words)
-        if phrase in candidates:
-            raise ValueError
-        return CandidateWord(phrase, tuple(occurrences), ref.suggested_tags, ref.criterion_hits)
-
-    for candidate in load_jsonl(
-        path, "candidate queue", ReviewError, parse, quick, ("phrase", "occurrences")
-    ):
+    for candidate in load_jsonl(path, "candidate queue", ReviewError, parse):
         candidates[candidate.phrase] = candidate
     return list(candidates.values())
 
@@ -378,18 +366,14 @@ def _cut_torn_tail(handle) -> int:
 
 def load_audit(path: str | Path, what: str = "audit log") -> list[ReviewDecision]:
     """Decisions from a JSON-lines file: an audit log or a batch file."""
-    varying = ("phrase", "timestamp")
-    return list(load_jsonl(path, what, ReviewError, record_to_decision, _quick_decision, varying))
+    return list(load_jsonl(
+        path, what, ReviewError, record_to_decision, PHRASE_HEAD, _quick_decision
+    ))
 
 
-def _quick_decision(record: dict, ref: ReviewDecision) -> ReviewDecision:
-    phrase, timestamp = record["phrase"], record.get("timestamp", "")
-    # check_phrase inline, as in load_candidates
-    if (phrase.__class__ is not list or not phrase or " ".join(phrase).split() != phrase
-            or timestamp.__class__ is not str):
-        raise ValueError
+def _quick_decision(words: object, ref: ReviewDecision) -> ReviewDecision:
     return ReviewDecision(
-        normalize_phrase(phrase), ref.verdict, ref.final_tags, ref.reviewer, timestamp, ref.note,
+        loaded_phrase(words), ref.verdict, ref.final_tags, ref.reviewer, ref.timestamp, ref.note,
         ref.force,
     )
 

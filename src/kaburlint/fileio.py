@@ -1,10 +1,11 @@
 """The package's line reader, JSON-lines loader and writer, and atomic writer.
 
 Every input file is UTF-8 text. read_lines yields ("<file>:<line>", line)
-pairs, after one leading byte order mark, and load_jsonl names a bad JSON
-line as "<file>:<line>", so callers can name the exact spot of a bad line;
-both raise the caller's error class (a KaburlintError subclass), which
-names the path when the file cannot be read or is not valid UTF-8.
+pairs, and load_jsonl names a bad JSON line as "<file>:<line>", so callers
+can name the exact spot of a bad line; both raise the caller's error class
+(a KaburlintError subclass), which names the path when the file cannot be
+read or is not valid UTF-8. Both read a data file through _read_data, which
+drops one leading byte order mark; read_text keeps a document's.
 check_record is the JSON type check of every record parser.
 
 Both readers split a file at '\n' only; read_text has already turned
@@ -14,14 +15,14 @@ number counts newlines alone; dumps_jsonl writes U+2028, U+2029 and
 U+0085 inside strings as they are. load_jsonl skips blank lines and
 decodes each other line by one call of a shared decoder's scan_once,
 accepted when the value ends exactly at the end of the line. Any other
-line (with surrounding whitespace, a BOM, extra data or invalid JSON) goes
-through json.loads, so every value and every error message is the one
-json.loads gives for that line. It runs a record parser's full check once
-per shape of record. Given the head its caller writes (the lexicon's
-'{"phrase": '), it also decodes each tail, the text after the first
-varying field's value, once: a line whose tail an earlier line ended has
-only its value scanned and checked. json_encoder is the one encoder of
-dumps_jsonl and of dumps_lexicon, which encodes each tail once.
+line (with surrounding whitespace, a stray U+FEFF, extra data or invalid
+JSON) goes through json.loads, so every value and every error message is
+the one json.loads gives for that line, and the caller's parse checks the
+record in full. Given the head its caller writes ('{"phrase": '), it also
+keeps the tail of each line parsed in full, the text after its first
+field's value: a line that repeats such a tail byte for byte has only that
+value scanned and checked. json_encoder is the one encoder of dumps_jsonl
+and of dumps_lexicon, which encodes each tail once.
 """
 
 from __future__ import annotations
@@ -41,19 +42,22 @@ def read_text(path: str | Path, what: str, error: type[Exception]) -> str:
         raise error(f"cannot read {what} {path}: {exc}") from None
 
 
+def _read_data(path: str | Path, what: str, error: type[Exception]) -> str:
+    """read_text of a data file, without one leading U+FEFF (a byte order mark).
+
+    str.strip keeps the mark, and json.loads refuses it, so it would join
+    the first line's word, phrase or key, or fail the first record.
+    """
+    text = read_text(path, what, error)
+    return text[1:] if text.startswith("\ufeff") else text
+
+
 def read_lines(
     path: str | Path, what: str, error: type[Exception]
 ) -> Iterator[tuple[str, str]]:
-    """Stripped lines of a text file, skipping blanks and '#' comments.
-
-    One leading U+FEFF (a byte order mark) is dropped: str.strip keeps it,
-    and it would join the first line's word, phrase or key.
-    """
+    """Stripped lines of a text file (_read_data), skipping blanks and '#' comments."""
     name = os.path.basename(path)
-    text = read_text(path, what, error)
-    if text.startswith("\ufeff"):
-        text = text[1:]
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(_read_data(path, what, error).split("\n"), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield f"{name}:{lineno}", line
@@ -84,32 +88,31 @@ TAIL_MISSES = 256
 
 
 def load_jsonl(
-    path: str | Path, what: str, error: type[Exception],
-    parse: Callable, quick: Callable, varying: tuple[str, ...], head: str | None = None,
+    path: str | Path, what: str, error: type[Exception], parse: Callable,
+    head: str | None = None, quick: Callable | None = None,
 ) -> Iterator:
-    """The parsed records of a JSON-lines file, each shape checked once.
+    """The parsed records of a JSON-lines file (_read_data), each line checked once.
 
-    A record's shape is its fields but varying, with their exact values.
     parse(record, "<file>:<line>"), the full check that raises error, parses
-    the first record of each shape and any record that quick refuses.
-    quick(record, a value parsed from its shape) converts only the varying fields,
-    raising LookupError, TypeError or ValueError where parse might not agree.
+    every line but the tail memo's hits.
 
-    head, if given, is '{"<field>": ', how the writer starts each line, for
-    the first varying field. A line that starts with it is a value of that
-    field and a tail, the rest of the line. A tail already parsed in full is
-    not decoded again: only the value is scanned, and quick gets a record of
-    that field alone. A tail holding a backslash or the field's quoted name,
-    which might name the field again, is never reused. Where the tails are
-    mostly distinct (free-text fields), the memo gives up after
-    TAIL_MISSES more misses than hits and every line is decoded in full.
+    head and quick are given together or not at all. head is '{"<field>": ',
+    how the writer starts each line, and a line that starts with it is a
+    value of that field and a tail, the rest of the line. The tail of a line
+    parsed in full is kept with its record, unless it holds a backslash or
+    the field's quoted name, which might name the field again. A line that
+    repeats a kept tail byte for byte is not decoded again: only its value
+    is scanned, and quick(value, the tail's record) converts it, raising
+    TypeError or ValueError where parse might not agree, so that the line
+    is parsed in full after all. Where the tails are mostly distinct
+    (free-text fields), the memo gives up after TAIL_MISSES more misses
+    than hits and every line is parsed in full.
     """
     name = os.path.basename(path)
-    parsed: dict[tuple, object] = {}
     quoted = head[1:-2] if head is not None else None
-    tails: dict[str, object] = {}  # tail -> the value of a line it ends
+    tails: dict[str, object] = {}  # tail -> the record of a line it ends
     misses = 0  # tail lookups that missed, less those that hit
-    for lineno, line in enumerate(read_text(path, what, error).split("\n"), start=1):
+    for lineno, line in enumerate(_read_data(path, what, error).split("\n"), start=1):
         tail = None
         if head is not None and line.startswith(head):
             try:
@@ -121,9 +124,9 @@ def load_jsonl(
                 ref = tails.get(tail)
                 if ref is not None:
                     try:
-                        value = quick({varying[0]: field}, ref)
-                    except (AttributeError, LookupError, TypeError, ValueError):
-                        pass  # the full check below words the refusal
+                        value = quick(field, ref)
+                    except (TypeError, ValueError):
+                        pass  # parse below words the refusal
                     else:
                         misses -= 1
                         yield value
@@ -133,22 +136,7 @@ def load_jsonl(
                     head = tail = None
         if not line.strip():
             continue
-        record = _decode_line(line, name, lineno, error)
-        try:  # the class tells true from 1; a list of lists or objects is unhashable
-            shape = tuple([
-                (key, item.__class__, tuple(item) if item.__class__ is list else item)
-                for key, item in record.items() if key not in varying
-            ])
-            ref = parsed[shape]
-        except KeyError:
-            value = parsed[shape] = parse(record, f"{name}:{lineno}")
-        except (AttributeError, TypeError):  # not an object, or of an unhashable shape
-            value = parse(record, f"{name}:{lineno}")
-        else:
-            try:
-                value = quick(record, ref)
-            except (AttributeError, LookupError, TypeError, ValueError):
-                value = parse(record, f"{name}:{lineno}")
+        value = parse(_decode_line(line, name, lineno, error), f"{name}:{lineno}")
         if tail is not None and "\\" not in tail and quoted not in tail:
             tails[tail] = value
         yield value

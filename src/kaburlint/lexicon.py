@@ -6,22 +6,20 @@ phrase (array of tokens), pos (array), senses (optional integer), tags
 source. Saving orders entries by phrase and uses a canonical key order, so
 files are byte-stable and save(load(f)) reproduces f for valid input.
 
-Records repeat a few combinations of the fields but phrase, and a line
-that kaburlint writes is '{"phrase": ', the phrase array and a tail, the
-rest of the line, which many entries share byte for byte. load_lexicon
-(through fileio.load_jsonl) scans only the phrase array of a line whose
-tail an earlier line ended, and reuses that line's entry: the new entry
-shares its POS and tag sets and has only its phrase checked (a list of
-case-folded tokens, none empty or holding whitespace, and no duplicate).
-Every other line is decoded in full: record_to_entry, the full check, runs
-on the first record of each shape and on any record the quick check
-refuses, so a refusal always names its file:line. That is the path of
-compact or reordered lines and of tails that hold a backslash, whose speed
-is as before. dumps_lexicon encodes each distinct tail once and each
-phrase array on its own. Both memos give up where tails are mostly
+A line that kaburlint writes is PHRASE_HEAD ('{"phrase": '), the phrase
+array and a tail, the rest of the line, which many entries share byte for
+byte. load_lexicon (through fileio.load_jsonl) scans only the phrase array
+of a line that repeats the tail of a line decoded in full, and reuses that
+line's entry: the new entry shares its POS and tag sets and has only its
+phrase checked (loaded_phrase, and no duplicate). Every other line, and
+one whose phrase that check refuses, is decoded and checked in full by
+record_to_entry, so a refusal always names its file:line. That is the
+path of compact or reordered lines and of tails that hold a backslash.
+dumps_lexicon encodes each distinct tail once and each phrase array on its
+own. The load and the save memo both give up where tails are mostly
 distinct, as free-text notes make them (fileio.TAIL_MISSES), and such a
-lexicon loads and saves at the speed of a line at a time. tag_texts
-renders each distinct tag set once.
+lexicon loads and saves a line at a time. tag_texts renders each
+distinct tag set once.
 
 The POS dictionary is a TSV: word, comma-separated classes, optional sense
 count. The dictionary heuristics are decided from it once per run
@@ -33,8 +31,9 @@ this module is case-insensitive (case-folded).
 
 One rule says what a phrase is (check_phrase): at least one token, and no
 token empty or holding whitespace. Lexicon entries, queued candidates and
-review decisions all hold to it; each loader's quick path tests it inline
-and leaves a record it refuses to the full check, which names its line.
+review decisions all hold to it. A loader's tail-memo hit tests it by
+loaded_phrase alone, and leaves a phrase it refuses to the full check, which
+names its line.
 
 Phrase matching is greedy leftmost-longest and non-overlapping, over one
 PhraseIndex per phrase table: the table, every phrase's first word and
@@ -177,6 +176,22 @@ def check_phrase(phrase: Sequence[str], what: str) -> None:
             raise LexiconError(f"phrase token {token!r} contains whitespace")
 
 
+def loaded_phrase(words: object) -> tuple[str, ...]:
+    """tuple(words) for a decoded phrase array within check_phrase and already case-folded.
+
+    Raises TypeError or ValueError for anything else, which a loader leaves
+    to its full check: that words the refusal or folds the phrase.
+    """
+    # joined by spaces, only tokens that are neither empty nor hold
+    # whitespace split back into themselves; a non-string raises TypeError
+    if words.__class__ is not list or not words or " ".join(words).split() != words:
+        raise ValueError
+    text = " ".join(words)
+    if text != text.casefold():
+        raise ValueError
+    return tuple(words)
+
+
 class LexiconEntry(Record):
     """A word or multiword phrase with POS classes, tags and review status."""
 
@@ -294,9 +309,9 @@ _ENTRY_KINDS = {
 }
 
 
-# a lexicon line as entry_to_record and json_encoder write it: _HEAD, the phrase array, a tail;
-# dumps_lexicon writes it and load_lexicon hands it to load_jsonl
-_HEAD = '{"phrase": '
+# how entry_to_record and decision_to_record lines start, as json_encoder writes them:
+# PHRASE_HEAD, the phrase array, a tail; the loaders hand it to load_jsonl
+PHRASE_HEAD = '{"phrase": '
 # the fields a tail encodes: every field but phrase, so a new one joins the save memo's key
 _tail_fields = attrgetter(*[field for field in LexiconEntry._fields if field != "phrase"])
 
@@ -358,19 +373,15 @@ def load_lexicon(path: str | Path) -> Lexicon:
             raise LexiconError(f"{where}: duplicate phrase {entry.phrase_text!r}")
         return entry
 
-    def quick(record: dict, ref: LexiconEntry) -> LexiconEntry:
-        # a new phrase of case-folded tokens, as written: check_phrase inline,
-        # since joined by spaces, only such tokens split back into themselves
-        words = record["phrase"]
-        text, phrase = " ".join(words), tuple(words)
-        if (words.__class__ is not list or not words or phrase in entries
-                or text.split() != words or text != text.casefold()):
+    def quick(words: object, ref: LexiconEntry) -> LexiconEntry:
+        phrase = loaded_phrase(words)
+        if phrase in entries:
             raise ValueError
         return LexiconEntry(
             phrase, ref.pos_classes, ref.sense_count, ref.tags, ref.status, ref.note, ref.source
         )
 
-    for entry in load_jsonl(path, "lexicon", LexiconError, parse, quick, ("phrase",), _HEAD):
+    for entry in load_jsonl(path, "lexicon", LexiconError, parse, PHRASE_HEAD, quick):
         entries[entry.phrase] = entry
     return lexicon
 
@@ -378,7 +389,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
 def dumps_lexicon(lexicon: Lexicon) -> str:
     """dumps_jsonl(map(entry_to_record, lexicon.entries())), each distinct tail encoded once.
 
-    A line is _HEAD, the phrase array and a tail, the other fields, which
+    A line is PHRASE_HEAD, the phrase array and a tail, the other fields, which
     many entries share. Where the tails are mostly distinct (free-text
     notes), the memo gives up as load_jsonl's does, and each later line is
     encoded whole.
@@ -398,10 +409,10 @@ def dumps_lexicon(lexicon: Lexicon) -> str:
             misses += 1
             record = entry_to_record(entry)
             record["phrase"] = []
-            tail = tails[key] = encode(record)[len(_HEAD + "[]"):] + "\n"
+            tail = tails[key] = encode(record)[len(PHRASE_HEAD + "[]"):] + "\n"
         else:
             misses -= 1
-        lines.append(_HEAD + encode(entry.phrase) + tail)
+        lines.append(PHRASE_HEAD + encode(entry.phrase) + tail)
     return "".join(lines)
 
 

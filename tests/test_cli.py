@@ -267,7 +267,7 @@ def test_stats_does_not_read_a_malformed_pos_dictionary(ws, capsys):
 @pytest.mark.parametrize("command", ["map", "review"])
 @pytest.mark.parametrize("line", [1, 2], ids=["first of its shape", "after its shape"])
 def test_a_queued_empty_phrase_exits_2_and_names_its_line(ws, capsys, command, line):
-    # the first record of a shape gets the full check, a later one the quick one
+    # the full check names the line, wherever it falls
     empty = {"phrase": [], "tags": ["T"], "occurrences": [{"doc": "a.txt", "start": 0, "end": 2}]}
     write_jsonl(ws / "queue.jsonl", [{**empty, "phrase": ["segera"]}] * (line - 1) + [empty])
     before = {name: (ws / name).read_bytes() for name in ("queue.jsonl", "lexicon.jsonl")}
@@ -296,7 +296,7 @@ REFUSED_PHRASES = {
 def test_a_queued_phrase_the_lexicon_would_refuse_exits_2_and_names_its_line(
     ws, capsys, command, line, phrase
 ):
-    # the lexicon's phrase rule, on the full check and on the quick one
+    # the lexicon's phrase rule, by the full check, which names the line
     tokens, message = REFUSED_PHRASES[phrase]
     message = message.format("candidate")
     bad = {"phrase": tokens, "tags": ["T"], "occurrences": [{"doc": "a.txt", "start": 0, "end": 2}]}

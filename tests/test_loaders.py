@@ -1,15 +1,14 @@
 """The JSON-lines loaders give what parsing record by record gives.
 
-Each loader checks the fields of each distinct shape once and only the
-varying fields of the records that repeat it: load_lexicon memoizes the
-fields but phrase, load_candidates those but phrase and occurrences, and
-load_audit those but phrase and timestamp. load_lexicon also memoizes the
-tail of each line that starts '{"phrase": ', the text after the phrase
-array: a line that repeats a tail has only its phrase scanned and checked,
-until distinct tails outnumber repeated ones by fileio.TAIL_MISSES.
-So its lines are written here in every form a file may hold: as kaburlint
-writes them, ASCII-escaped, compact, with phrase not first, with a tail
-that names phrase again, and with tokens that hold '"]' or '], "'.
+load_candidates checks every record in full. load_lexicon and load_audit
+keep the tail of each line that starts '{"phrase": ' and is checked in
+full, the text after the phrase array: a line that repeats such a tail has
+only its phrase scanned and checked (lexicon.loaded_phrase), until
+distinct tails outnumber repeated ones by fileio.TAIL_MISSES. So their
+lines are written here in every form a file may hold: as kaburlint writes
+them, ASCII-escaped, compact, with phrase not first, with a tail that
+names phrase again, and with tokens that hold '"]' or '], "'. A file with a
+byte order mark loads as without.
 
 The oracle parses every line with json.loads and every record in full, as
 one record_to_* call each, with the duplicate check of the lexicon and of
@@ -40,6 +39,9 @@ from kaburlint.lexicon import (
     record_to_entry,
 )
 from kaburlint.records import CRITERIA
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def each_record(path: Path):
@@ -84,6 +86,9 @@ WORDS = ["segera", "papar", "data", "masa", "Papar", "é", "ß"]
 def some(values, **sizes) -> st.SearchStrategy:
     return st.lists(st.sampled_from(values), unique=True, **sizes)
 
+
+# the loaders with a tail memo
+TAIL_MEMO = ["audit", "lexicon"]
 
 # the fields every record of one shape shares, valid for the loader
 SHAPES = {
@@ -225,13 +230,14 @@ def jsonl_path():
 @given(data=st.data())
 def test_loader_equals_the_record_by_record_oracle(jsonl_path, kind, data):
     records = data.draw(jsonl_files(kind))
-    lines = [data.draw(lexicon_lines(r)) if kind == "lexicon" else canonical(r) for r in records]
+    lines = [data.draw(lexicon_lines(r)) if kind in TAIL_MEMO else canonical(r) for r in records]
     jsonl_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     load, oracle = LOADERS[kind]
     assert outcome(load, jsonl_path) == outcome(oracle, jsonl_path)
 
 
-# two records of one shape: the second, and a bad copy of it, are memo hits
+# two records of one shape and a bad copy of the second; where the loader has a
+# tail memo, the second line repeats the first's tail, and so does a bad phrase
 MEMO_HITS = {
     "lexicon": {"pos": [], "senses": 1, "tags": ["T"], "status": "verified", "source": "user"},
     "queue": {"tags": ["T"], "occurrences": [{"doc": "a", "start": 0, "end": 2}]},
@@ -282,50 +288,103 @@ def test_a_bad_record_after_a_memo_hit_is_named(jsonl_path, kind, bad, message):
     assert outcome(LOADERS[kind][0], jsonl_path) == ("refused", message)
 
 
+# the holder each tail-memo loader's phrase refusal names
+HOLDER = {"lexicon": "entry", "audit": "decision"}
+
+
+def refusal(message: str | dict | None, kind: str, **fields) -> str | None:
+    """message, or its value for kind, with {holder} and fields filled in; None where kind loads."""
+    if isinstance(message, dict):
+        message = message[kind]
+    return None if message is None else message.format(holder=HOLDER[kind], **fields)
+
+
+@pytest.mark.parametrize("kind", TAIL_MEMO)
 @pytest.mark.parametrize("phrase, message", [
     ([7], "records.jsonl:3: 'phrase' must be an array of strings"),
     (["data", 1.5], "records.jsonl:3: 'phrase' must be an array of strings"),
     ([["data"]], "records.jsonl:3: 'phrase' must be an array of strings"),
-    (["Segera"], "records.jsonl:3: duplicate phrase 'segera'"),
-    (["data", ""], "records.jsonl:3: entry phrase contains an empty token"),
+    # a decision batch may repeat a phrase
+    (["Segera"], {"lexicon": "records.jsonl:3: duplicate phrase 'segera'", "audit": None}),
+    (["data", ""], "records.jsonl:3: {holder} phrase contains an empty token"),
     (['], "'], "records.jsonl:3: phrase token '], \"' contains whitespace"),
 ])
-def test_a_bad_phrase_on_a_tail_memo_hit_is_named(jsonl_path, phrase, message):
+def test_a_bad_phrase_on_a_tail_memo_hit_is_named(jsonl_path, kind, phrase, message):
     # line 3 repeats the tail of line 2 byte for byte: only its phrase is scanned
-    write_memo_hits(jsonl_path, "lexicon", ("phrase", phrase))
+    write_memo_hits(jsonl_path, kind, ("phrase", phrase))
     lines = jsonl_path.read_text(encoding="utf-8").splitlines()
     assert lines[2].startswith('{"phrase": ') and lines[2].endswith(lines[1][len('{"phrase": ["papar"]'):])
-    assert outcome(LOADERS["lexicon"][0], jsonl_path) == ("refused", message)
+    load, oracle = LOADERS[kind]
+    got = outcome(load, jsonl_path)
+    assert got == outcome(oracle, jsonl_path)
+    message = refusal(message, kind)
+    assert got[0] == "loaded" if message is None else got == ("refused", message)
 
 
-def test_a_tail_memo_hit_with_an_upper_case_token_loads_it_case_folded(jsonl_path):
-    write_memo_hits(jsonl_path, "lexicon", ("phrase", ["Data", 'x"]']))
-    entries = load_lexicon(jsonl_path).entries()
-    assert [entry.phrase for entry in entries] == [("data", 'x"]'), ("papar",), ("segera",)]
-    assert outcome(LOADERS["lexicon"][0], jsonl_path) == outcome(lexicon_oracle, jsonl_path)
+@pytest.mark.parametrize("kind", TAIL_MEMO)
+def test_a_tail_memo_hit_with_an_upper_case_token_loads_it_case_folded(jsonl_path, kind):
+    # loaded_phrase leaves the phrase to the full check, which folds it
+    write_memo_hits(jsonl_path, kind, ("phrase", ["Data", 'x"]']))
+    load, oracle = LOADERS[kind]
+    got = outcome(load, jsonl_path)
+    assert sorted(item.phrase for item in got[1]) == [("data", 'x"]'), ("papar",), ("segera",)]
+    assert got == outcome(oracle, jsonl_path)
 
 
+# fields of a valid record but phrase, shared by the lines of a tail-memo test
+TAIL_FIELDS = {
+    "lexicon": {"tags": ["T"], "status": "verified"},
+    "audit": {"verdict": "reject"},
+}
+
+
+@pytest.mark.parametrize("kind", TAIL_MEMO)
 @pytest.mark.parametrize("key", ['"phrase"', '"\\u0070hrase"'])
-def test_a_tail_that_names_phrase_again_is_decoded_in_full(jsonl_path, key):
+def test_a_tail_that_names_phrase_again_is_decoded_in_full(jsonl_path, kind, key):
     # both lines end with one tail, whose "phrase" (spelled plainly or escaped) wins
-    tail = f', "tags": ["T"], "status": "verified", {key}: ["papar"]}}'
+    tail = canonical(TAIL_FIELDS[kind])[1:-1]
+    tail = f', {tail}, {key}: ["papar"]}}'
     jsonl_path.write_text(f'{{"phrase": ["segera"]{tail}\n{{"phrase": ["data"]{tail}\n', encoding="utf-8")
-    assert outcome(LOADERS["lexicon"][0], jsonl_path) == (
-        "refused", "records.jsonl:2: duplicate phrase 'papar'"
-    )
+    load, oracle = LOADERS[kind]
+    got = outcome(load, jsonl_path)
+    assert got == outcome(oracle, jsonl_path)
+    if kind == "lexicon":
+        assert got == ("refused", "records.jsonl:2: duplicate phrase 'papar'")
+    else:
+        assert [decision.phrase for decision in got[1]] == [("papar",), ("papar",)]
 
 
+@pytest.mark.parametrize("kind", TAIL_MEMO)
 @pytest.mark.parametrize("last, message", [
     (["ulang"], None),
     ([7], "records.jsonl:{n}: 'phrase' must be an array of strings"),
-    (["Ulang0"], "records.jsonl:{n}: duplicate phrase 'ulang0'"),
+    (["Ulang0"], {"lexicon": "records.jsonl:{n}: duplicate phrase 'ulang0'", "audit": None}),
+    (["ulang", ""], "records.jsonl:{n}: {holder} phrase contains an empty token"),
 ])
-def test_past_the_tail_memo_lines_load_as_record_by_record(jsonl_path, last, message):
+def test_past_the_tail_memo_lines_load_as_record_by_record(jsonl_path, kind, last, message):
     # distinct notes make the memo give up; the lines after it repeat one tail
-    tail = {"tags": ["T"], "status": "verified"}
+    tail = TAIL_FIELDS[kind]
     records = [{"phrase": [f"kata{i}"], **tail, "note": f"catatan {i}"} for i in range(TAIL_MISSES + 10)]
     records += [{"phrase": [f"ulang{i}"], **tail} for i in range(20)] + [{"phrase": last, **tail}]
     jsonl_path.write_text("".join(canonical(r) + "\n" for r in records), encoding="utf-8")
-    got = outcome(LOADERS["lexicon"][0], jsonl_path)
-    assert got == outcome(lexicon_oracle, jsonl_path)
-    assert got[0] == "loaded" if message is None else got == ("refused", message.format(n=len(records)))
+    load, oracle = LOADERS[kind]
+    got = outcome(load, jsonl_path)
+    assert got == outcome(oracle, jsonl_path)
+    message = refusal(message, kind, n=len(records))
+    assert got[0] == "loaded" if message is None else got == ("refused", message)
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("lexicon", "review.lexicon.jsonl"),
+    ("queue", "extract.queue.jsonl"),
+    ("audit", "review.audit.jsonl"),
+])
+def test_a_file_with_a_byte_order_mark_loads_as_without(tmp_path, kind, name):
+    # json.loads refuses U+FEFF: kept, it failed the first record
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    plain, marked = tmp_path / f"plain-{name}", tmp_path / f"marked-{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    load = LOADERS[kind][0]
+    assert outcome(load, marked) == outcome(load, plain)
+    assert outcome(load, plain)[0] == "loaded"
